@@ -28,6 +28,8 @@ __all__ = [
     "EmpiricalTransitionMatrix",
     "parse_series",
     "serialize_series",
+    "pair_counts",
+    "run_lengths",
     "transition_counts",
     "empirical_transition_matrix",
 ]
@@ -136,7 +138,7 @@ class CatSeries:
 
     @property
     def n_missing(self) -> int:
-        return sum(1 for v in self.obs if v == MISSING)
+        return self.obs.count(MISSING)
 
     def values(self) -> np.ndarray:
         """Observations as an int array (missing kept as -1)."""
@@ -156,32 +158,39 @@ class CatSeries:
 
     def longest_complete_segment(self) -> "CatSeries":
         """Longest run of consecutive non-missing observations, ties to the earliest."""
-        best_start, best_len, start = 0, 0, None
-        for i, v in enumerate(self.obs + (MISSING,)):
-            if v != MISSING:
-                if start is None:
-                    start = i
-            elif start is not None:
-                if i - start > best_len:
-                    best_start, best_len = start, i - start
-                start = None
-        if best_len < 2:
+        observed, starts, lengths = run_lengths(self.values() != MISSING)
+        lengths = np.where(observed, lengths, 0)
+        best = int(np.argmax(lengths))
+        if lengths[best] < 2:
             raise TooShort("no complete segment of length >= 2")
-        sl = slice(best_start, best_start + best_len)
+        sl = slice(starts[best], starts[best] + lengths[best])
         tl = self.time_labels[sl] if self.time_labels else None
         return CatSeries(self.space, self.obs[sl], tl)
 
-    def observed_pairs(self) -> list[tuple[int, int, int]]:
-        """Consecutive observed pairs ``(x, y, h)`` where h >= 1 is the time gap."""
-        pairs = []
-        prev_idx = None
-        for i, v in enumerate(self.obs):
-            if v == MISSING:
-                continue
-            if prev_idx is not None:
-                pairs.append((self.obs[prev_idx], v, i - prev_idx))
-            prev_idx = i
-        return pairs
+
+def run_lengths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Maximal runs of equal entries as arrays (value, start, length), in order."""
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    return values[starts], starts, np.diff(starts, append=values.size)
+
+
+def pair_counts(series: CatSeries) -> tuple[np.ndarray, np.ndarray]:
+    """Consecutive observed pairs, counted per time gap.
+
+    Returns ``(gaps, table)``: the distinct gaps h >= 1 between consecutive
+    observed values in ascending order, and an int table of shape
+    ``(len(gaps), k, k)`` whose cell ``[g, x-1, y-1]`` counts pairs x -> y
+    observed ``gaps[g]`` steps apart.  Under DAR(1) such a pair has
+    probability alpha**h * 1{x=y} + (1 - alpha**h) * pi_y, so the table is
+    a sufficient statistic for alpha given pi.
+    """
+    x = series.values()
+    at = np.flatnonzero(x != MISSING)
+    steps = np.diff(at)
+    gaps = np.flatnonzero(np.bincount(steps))
+    k = series.space.k
+    cells = (np.searchsorted(gaps, steps) * k + x[at[:-1]] - 1) * k + x[at[1:]] - 1
+    return gaps, np.bincount(cells, minlength=gaps.size * k * k).reshape(gaps.size, k, k)
 
 
 def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
@@ -244,10 +253,7 @@ def transition_counts(series: CatSeries) -> TransitionCounts:
     """
     if series.has_missing:
         raise MissingValuePresent("transition_counts requires a complete series")
-    x = series.values() - 1
-    k = series.space.k
-    idx = x[:-1] * k + x[1:]
-    mat = np.bincount(idx, minlength=k * k).reshape(k, k)
+    mat = pair_counts(series)[1][0]
     return TransitionCounts(
         matrix=mat,
         row_sums=mat.sum(axis=1),

@@ -85,8 +85,7 @@ class MissingDarModel:
 
 def transition_matrix(model: DarModel) -> np.ndarray:
     """One-step transition matrix alpha*I + (1-alpha)*Q."""
-    k = model.k
-    return model.alpha * np.eye(k) + (1.0 - model.alpha) * np.tile(model.pi, (k, 1))
+    return transition_matrix_power(model, 1)
 
 
 def transition_matrix_power(model: DarModel, h: int) -> np.ndarray:

@@ -1,10 +1,12 @@
 """Point estimators and variance formulas for the DAR(1) parameters.
 
 ``pi`` is estimated by state frequencies, ``alpha`` either by maximum
-likelihood (root of a monotone score, found by bisection) or by least
-squares on the empirical transition matrix (closed form), and ``beta`` by
-the missing fraction.  A gap-aware likelihood handles series with missing
-runs by raising the persistence to the power of each observed gap.
+likelihood or by least squares on the empirical transition matrix (closed
+form), and ``beta`` by the missing fraction.  The likelihood reads the
+per-gap pair counts of :func:`~darcat.core.pair_counts`, raising the
+persistence to the power of each observed gap, so it accepts complete and
+gapped series alike; on a complete series it is the root of a monotone
+score, found by bisection.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import MISSING, CatSeries, DarcatError, empirical_transition_matrix
+from .core import CatSeries, DarcatError, empirical_transition_matrix, pair_counts
 
 __all__ = [
     "AllMissing",
@@ -133,13 +135,9 @@ def pi_covariance_limit(pi_j: float, pi_jp: float, alpha: float) -> float:
     return -2.0 * alpha / (1.0 - alpha) * pi_j * pi_jp
 
 
-def _pair_counts(series: CatSeries) -> tuple[np.ndarray, int]:
-    """Diagonal jump counts and total count over adjacent observed pairs."""
-    x = series.values()
-    both = (x[:-1] != MISSING) & (x[1:] != MISSING)
-    a, b = x[:-1][both], x[1:][both]
-    diag = np.bincount(a[a == b] - 1, minlength=series.space.k)
-    return diag, int(both.sum())
+def _score(alpha: float, repeats: np.ndarray, pi: np.ndarray, n_pairs: int) -> float:
+    """:func:`alpha_mle_equation` over cells already restricted to repeats > 0."""
+    return float((repeats / (alpha + (1.0 - alpha) * pi)).sum()) / n_pairs - 1.0
 
 
 def alpha_mle_equation(alpha: float, diag_counts: np.ndarray, pi_hat: np.ndarray, n_trans: int) -> float:
@@ -150,40 +148,96 @@ def alpha_mle_equation(alpha: float, diag_counts: np.ndarray, pi_hat: np.ndarray
     """
     mask = diag_counts > 0
     with np.errstate(divide="ignore"):
-        terms = diag_counts[mask] / (alpha + (1.0 - alpha) * pi_hat[mask])
-    return float(terms.sum()) / n_trans - 1.0
+        return _score(alpha, diag_counts[mask], pi_hat[mask], n_trans)
+
+
+def _bisect_score(repeats: np.ndarray, pi_hat: np.ndarray, n_pairs: int) -> AlphaEstimate:
+    """Root of :func:`alpha_mle_equation` on [0, 1) from one-step repeat counts."""
+    if repeats.sum() == n_pairs:
+        # nothing but repeats: likelihood increases all the way to alpha = 1
+        return AlphaEstimate(alpha_hat=1.0, method="MLE", converged=False)
+    mask = repeats > 0
+    args = (repeats[mask], pi_hat[mask], n_pairs)
+    with np.errstate(divide="ignore"):
+        if _score(0.0, *args) < 0.0:
+            # root would be negative
+            return AlphaEstimate(alpha_hat=0.0, method="MLE", converged=False)
+        lo, hi = 0.0, _ALPHA_HI
+        iters = 0
+        while hi - lo > 1e-10:
+            mid = 0.5 * (lo + hi)
+            if _score(mid, *args) > 0.0:
+                lo = mid
+            else:
+                hi = mid
+            iters += 1
+    return AlphaEstimate(alpha_hat=0.5 * (lo + hi), method="MLE", converged=True, iterations=iters)
+
+
+def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> AlphaEstimate:
+    """Maximise the likelihood of the per-gap pair counts of :func:`pair_counts`.
+
+    A pair x -> y observed h steps apart contributes
+    log(alpha**h * 1{x=y} + (1 - alpha**h) * pi_y).  With gap 1 only, the
+    score is monotone and bisection finds its unique root; when it has no
+    root in [0, 1) (no repeated value at all, or nothing but repeats) the
+    nearest boundary is returned with ``converged=False``.  With longer
+    gaps the likelihood need not be unimodal, so it is scanned on a grid
+    (step 1e-4) and refined by golden-section search; an optimum within
+    1e-7 of either end is reported with ``converged=False``.
+    """
+    n_pairs = int(table.sum())
+    if n_pairs == 0:
+        raise InsufficientTransitions("no consecutive pair of observed values")
+    repeats = np.diagonal(table, axis1=1, axis2=2)
+    if gaps.tolist() == [1]:
+        return _bisect_score(repeats[0], pi_hat, n_pairs)
+    jumps = table.sum(axis=(1, 2)) - repeats.sum(axis=1)
+    g, y = np.nonzero(repeats)
+    n_rep, pi_rep = repeats[g, y], pi_hat[y]
+
+    def loglik(alphas: np.ndarray) -> np.ndarray:
+        # the log pi_y of every jump does not depend on alpha and is left out
+        t = alphas[:, None] ** gaps
+        rep = t[:, g]
+        return np.log(rep + (1.0 - rep) * pi_rep) @ n_rep + np.log1p(-t) @ jumps
+
+    grid = np.arange(0.0, 1.0, 1e-4)
+    best = grid[int(np.argmax(loglik(grid)))]
+
+    def f(alpha: float) -> float:
+        return float(loglik(np.array([alpha]))[0])
+
+    invphi = (np.sqrt(5.0) - 1.0) / 2.0
+    a, b = max(0.0, best - 1e-4), min(_ALPHA_HI, best + 1e-4)
+    c = b - invphi * (b - a)
+    d = a + invphi * (b - a)
+    fc, fd = f(c), f(d)
+    iters = 0
+    while b - a > 1e-8:
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - invphi * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + invphi * (b - a)
+            fd = f(d)
+        iters += 1
+    alpha_hat = 0.5 * (a + b)
+    converged = 1e-7 < alpha_hat < _ALPHA_HI - 1e-7
+    return AlphaEstimate(alpha_hat=float(alpha_hat), method="MLE", converged=converged, iterations=iters)
 
 
 def estimate_alpha_mle(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     """Maximum-likelihood estimate of alpha given state frequencies.
 
-    Bisection on [0, 1): the score is monotone so the root, when it
-    exists, is unique.  When the score has no root in the interval (no
-    repeated value at all, or nothing but repeats) the nearest boundary is
-    returned with ``converged=False``; such estimates are the ones a
-    simulation study must discard.
+    Complete and gapped series are both accepted: every consecutive pair
+    of observed values counts, through the transition probability over its
+    gap.  Boundary estimates carry ``converged=False``; such estimates are
+    the ones a simulation study must discard.
     """
-    pi_hat = np.asarray(pi_hat, dtype=float)
-    diag, n_trans = _pair_counts(series)
-    if n_trans == 0:
-        raise InsufficientTransitions("no consecutive pair of observed values")
-    if diag.sum() == n_trans:
-        # nothing but repeats: likelihood increases all the way to alpha = 1
-        return AlphaEstimate(alpha_hat=1.0, method="MLE", converged=False)
-    f0 = alpha_mle_equation(0.0, diag, pi_hat, n_trans)
-    if f0 < 0.0:
-        # root would be negative
-        return AlphaEstimate(alpha_hat=0.0, method="MLE", converged=False)
-    lo, hi = 0.0, _ALPHA_HI
-    iters = 0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if alpha_mle_equation(mid, diag, pi_hat, n_trans) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-    return AlphaEstimate(alpha_hat=0.5 * (lo + hi), method="MLE", converged=True, iterations=iters)
+    return _alpha_mle(*pair_counts(series), np.asarray(pi_hat, dtype=float))
 
 
 def alpha_ls_from_matrix(p_hat: np.ndarray, pi: np.ndarray) -> float:
@@ -225,62 +279,13 @@ def estimate_alpha_ls(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     return AlphaEstimate(alpha_hat=value, method="LeastSquares", converged=0.0 <= value < 1.0)
 
 
-def _gapped_loglik(alphas: np.ndarray, h: np.ndarray, same: np.ndarray, pi_y: np.ndarray) -> np.ndarray:
-    """Log-likelihood of observed pairs across gaps, vectorised over alphas."""
-    out = np.empty(alphas.size)
-    # chunk the grid so the (alphas x pairs) power table stays small
-    for start in range(0, alphas.size, 512):
-        a = alphas[start : start + 512, None]
-        t = a**h[None, :]
-        lik = np.where(same[None, :], t + (1.0 - t) * pi_y[None, :], (1.0 - t) * pi_y[None, :])
-        out[start : start + 512] = np.log(lik).sum(axis=1)
-    return out
-
-
 def estimate_alpha_mle_gapped(series: CatSeries) -> AlphaEstimate:
-    """Gap-aware maximum likelihood for series with missing runs.
+    """Gap-aware maximum likelihood with pi estimated from the series itself.
 
-    Each consecutive observed pair (x, y) at distance h contributes
-    log(alpha**h * 1{x=y} + (1 - alpha**h) * pi_y), the h-step transition
-    probability of the model.  The likelihood is maximised by a coarse
-    grid scan (step 1e-4) refined with golden-section search, since it
-    need not be unimodal in pathological cases.
+    Equals :func:`estimate_alpha_mle` given the state frequencies of the
+    series; kept as its own entry point for series with missing runs.
     """
-    pairs = series.observed_pairs()
-    if not pairs:
-        raise InsufficientTransitions("no pair of observed values")
-    pi_hat = estimate_pi(series).pi_hat
-    x = np.array([p[0] for p in pairs])
-    y = np.array([p[1] for p in pairs])
-    h = np.array([p[2] for p in pairs], dtype=float)
-    same = x == y
-    pi_y = pi_hat[y - 1]
-
-    grid = np.arange(0.0, 1.0, 1e-4)
-    best = grid[int(np.argmax(_gapped_loglik(grid, h, same, pi_y)))]
-
-    lo = max(0.0, best - 1e-4)
-    hi = min(_ALPHA_HI, best + 1e-4)
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc = _gapped_loglik(np.array([c]), h, same, pi_y)[0]
-    fd = _gapped_loglik(np.array([d]), h, same, pi_y)[0]
-    iters = 0
-    while b - a > 1e-8:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = _gapped_loglik(np.array([c]), h, same, pi_y)[0]
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = _gapped_loglik(np.array([d]), h, same, pi_y)[0]
-        iters += 1
-    alpha_hat = 0.5 * (a + b)
-    converged = 1e-7 < alpha_hat < _ALPHA_HI - 1e-7
-    return AlphaEstimate(alpha_hat=float(alpha_hat), method="MLE", converged=converged, iterations=iters)
+    return _alpha_mle(*pair_counts(series), estimate_pi(series).pi_hat)
 
 
 def estimate_beta(series: CatSeries) -> float:

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .core import CatSeries, DarcatError, MissingValuePresent, transition_counts
+from .core import CatSeries, DarcatError, MissingValuePresent, run_lengths, transition_counts
+from .estimate import estimate_pi
 
 __all__ = [
     "UnvisitedState",
@@ -61,27 +62,16 @@ def runs_summary(series: CatSeries) -> RunsSummary:
     """Count maximal runs over the whole observation sequence."""
     if series.has_missing:
         raise MissingValuePresent("runs_summary requires a complete series")
-    x = series.obs
-    by_sl: dict[tuple[int, int], int] = {}
-    by_state: dict[int, int] = {}
-    total = 0
-    longest = 0
-    start = 0
-    for i in range(1, len(x) + 1):
-        if i == len(x) or x[i] != x[start]:
-            length = i - start
-            state = x[start]
-            by_sl[(state, length)] = by_sl.get((state, length), 0) + 1
-            by_state[state] = by_state.get(state, 0) + 1
-            total += 1
-            longest = max(longest, length)
-            start = i
+    state, _, length = run_lengths(series.values())
+    k1 = series.space.k + 1
+    cells, n_cells = np.unique(length * k1 + state, return_counts=True)
+    states, n_states = np.unique(state, return_counts=True)
     return RunsSummary(
-        by_state_and_length=by_sl,
-        by_state=by_state,
-        total=total,
-        longest=longest,
-        n_scanned=len(x),
+        by_state_and_length={(c % k1, c // k1): m for c, m in zip(cells.tolist(), n_cells.tolist())},
+        by_state=dict(zip(states.tolist(), n_states.tolist())),
+        total=int(state.size),
+        longest=int(length.max()),
+        n_scanned=len(series),
     )
 
 
@@ -164,8 +154,7 @@ def runs_count_test(
     k = series.space.k
     notes: list[str] = []
     if pi is None:
-        values = series.observed_values()
-        pi = np.bincount(values - 1, minlength=k) / values.size
+        pi = estimate_pi(series).pi_hat
         notes.append("pi estimated from the series")
     pi = _check_pi(pi, k)
     n = summary.n_scanned
@@ -234,8 +223,7 @@ def longest_run_test(
     k = series.space.k
     notes: list[str] = []
     if pi is None:
-        values = series.observed_values()
-        pi = np.bincount(values - 1, minlength=k) / values.size
+        pi = estimate_pi(series).pi_hat
         notes.append("pi estimated from the series")
     pi = _check_pi(pi, k)
     n = summary.n_scanned

@@ -13,6 +13,7 @@ from darcat.core import (
     TooShort,
     UnknownLabel,
     empirical_transition_matrix,
+    pair_counts,
     parse_series,
     serialize_series,
     transition_counts,
@@ -152,4 +153,6 @@ def test_drop_missing_and_longest_segment():
 
 def test_observed_pairs_gaps():
     s = CatSeries(AB, (1, MISSING, MISSING, 2, 2))
-    assert s.observed_pairs() == [(1, 2, 3), (2, 2, 1)]
+    gaps, table = pair_counts(s)
+    assert gaps.tolist() == [1, 3]
+    assert table.tolist() == [[[0, 0], [0, 1]], [[0, 1], [0, 0]]]

@@ -133,7 +133,20 @@ class TestAlphaMle:
 
     def test_no_pairs(self):
         with pytest.raises(InsufficientTransitions):
-            estimate_alpha_mle(series([1, MISSING, 2]), np.array([0.5, 0.5]))
+            estimate_alpha_mle(series([MISSING, 1, MISSING]), np.array([0.5, 0.5]))
+
+    def test_pair_across_gap_is_used(self):
+        s = series([1, MISSING, 2])
+        est = estimate_alpha_mle(s, np.array([0.5, 0.5]))
+        assert est == estimate_alpha_mle_gapped(s)
+        assert est.alpha_hat == pytest.approx(0.0, abs=1e-7) and not est.converged
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_gapped_series_equals_gap_aware_estimate(self, seed):
+        mm = MissingDarModel(DarModel.from_pi(0.6, [0.2, 0.3, 0.5]), 0.25)
+        s = simulate_with_missing(mm, 200, seed=seed)
+        assert s.has_missing
+        assert estimate_alpha_mle(s, estimate_pi(s).pi_hat) == estimate_alpha_mle_gapped(s)
 
     def test_table_cell_mean(self):
         # half/half marginal, alpha = 0.5, n = 500, 100 replicates
