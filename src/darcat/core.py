@@ -29,8 +29,10 @@ __all__ = [
     "parse_series",
     "serialize_series",
     "pair_counts",
+    "path_counts",
     "run_lengths",
     "transition_counts",
+    "jump_frequencies",
     "empirical_transition_matrix",
 ]
 
@@ -193,6 +195,22 @@ def pair_counts(series: CatSeries) -> tuple[np.ndarray, np.ndarray]:
     return gaps, np.bincount(cells, minlength=gaps.size * k * k).reshape(gaps.size, k, k)
 
 
+def path_counts(paths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """State counts and one-step jump tables of complete paths stacked as rows.
+
+    ``paths`` is an ``(m, n+1)`` array of codes 1..k.  Returns the
+    ``(m, k)`` count of each state per row and the ``(m, k, k)`` table
+    whose cell ``[r, x-1, y-1]`` counts jumps x -> y in row r: per row,
+    the gap-1 table of :func:`pair_counts`.  Each comes from one bincount
+    over cell indices offset by row.
+    """
+    m = paths.shape[0]
+    cells = np.arange(m)[:, None] * k + paths - 1  # (row, state) of every position
+    states = np.bincount(cells.ravel(), minlength=m * k).reshape(m, k)
+    jumps = np.bincount((cells[:, :-1] * k + paths[:, 1:] - 1).ravel(), minlength=m * k * k)
+    return states, jumps.reshape(m, k, k)
+
+
 def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     """Parse a two-column ``t,value`` CSV into a CatSeries.
 
@@ -280,12 +298,22 @@ class EmpiricalTransitionMatrix:
         self.defined.setflags(write=False)
 
 
+def jump_frequencies(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-normalised jump counts and the per-row validity flag.
+
+    ``jumps`` is a ``(..., k, k)`` count table, one matrix per leading
+    index; rows with no jump are NaN and flagged undefined.
+    """
+    rows = jumps.sum(axis=-1).astype(float)
+    defined = rows > 0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        probs = jumps / rows[..., None]
+    probs[~defined] = np.nan
+    return probs, defined
+
+
 def empirical_transition_matrix(series: CatSeries) -> EmpiricalTransitionMatrix:
     """Estimate the transition matrix by row-normalised jump counts."""
     counts = transition_counts(series)
-    rows = counts.row_sums.astype(float)
-    defined = rows > 0
-    with np.errstate(invalid="ignore", divide="ignore"):
-        probs = counts.matrix / rows[:, None]
-    probs[~defined] = np.nan
+    probs, defined = jump_frequencies(counts.matrix)
     return EmpiricalTransitionMatrix(probs=probs, defined=defined, counts=counts)

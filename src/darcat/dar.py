@@ -20,6 +20,7 @@ __all__ = [
     "transition_matrix",
     "transition_matrix_power",
     "autocorrelation",
+    "draw_paths",
     "simulate",
     "simulate_with_missing",
     "augmented_transition_matrix",
@@ -106,24 +107,29 @@ def autocorrelation(model: DarModel, h: int) -> float:
 
 def _inverse_cdf(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Codes 1..k drawn by inverse CDF over the ordered state list."""
-    cum = np.cumsum(pi)
-    idx = np.searchsorted(cum, u, side="right")
-    return np.minimum(idx, pi.size - 1) + 1
+    idx = np.searchsorted(np.cumsum(pi), u, side="right")
+    np.minimum(idx, pi.size - 1, out=idx)
+    idx += 1
+    return idx
 
 
-def _draw_path(model: DarModel, n: int, rng: np.random.Generator) -> np.ndarray:
-    # Fixed draw layout: one uniform for X_0, then (V_t, Z_t) per step,
-    # Z_t consumed even when V_t = 1.  This keeps trajectories identical
-    # between the missing and non-missing variants for the same seed.
-    u = rng.random(2 * n + 1)
-    x0 = int(_inverse_cdf(model.pi, u[0:1])[0])
-    keep = u[1::2] < model.alpha
-    z = _inverse_cdf(model.pi, u[2::2])
-    # x_t equals the innovation at the last refresh step, or x0 if none yet
-    steps = np.arange(1, n + 1)
-    last_refresh = np.maximum.accumulate(np.where(keep, 0, steps))
-    x = np.where(last_refresh > 0, z[np.maximum(last_refresh - 1, 0)], x0)
-    return np.concatenate(([x0], x))
+def draw_paths(model: DarModel, u: np.ndarray) -> np.ndarray:
+    """DAR(1) paths X_0..X_n, one per row of an ``(m, 2n+1)`` array of uniforms.
+
+    Fixed draw layout per row: one uniform for X_0, then (V_t, Z_t) per
+    step, Z_t consumed even when V_t = 1.  This keeps trajectories
+    identical between the missing and non-missing variants for the same
+    seed, and makes row r depend on row r of ``u`` only.
+    """
+    m, width = u.shape
+    n = (width - 1) // 2
+    # column 0 is X_0, column t >= 1 the innovation Z_t
+    codes = _inverse_cdf(model.pi, u[:, 0::2])
+    # x_t is the code at the last refresh step s <= t (step 0 being X_0)
+    refresh = np.zeros((m, n + 1), dtype=np.intp)
+    np.multiply(np.arange(1, n + 1), u[:, 1::2] >= model.alpha, out=refresh[:, 1:])
+    np.maximum.accumulate(refresh, axis=1, out=refresh)
+    return np.take_along_axis(codes, refresh, axis=1)
 
 
 def simulate(model: DarModel, n: int, seed: int) -> CatSeries:
@@ -135,8 +141,8 @@ def simulate(model: DarModel, n: int, seed: int) -> CatSeries:
     if n < 1:
         raise DarcatError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    path = _draw_path(model, n, rng)
-    return CatSeries(model.space, tuple(int(v) for v in path))
+    path = draw_paths(model, rng.random((1, 2 * n + 1)))[0]
+    return CatSeries(model.space, tuple(path.tolist()))
 
 
 def simulate_with_missing(model: MissingDarModel, n: int, seed: int) -> CatSeries:
@@ -148,10 +154,9 @@ def simulate_with_missing(model: MissingDarModel, n: int, seed: int) -> CatSerie
     if n < 1:
         raise DarcatError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
-    path = _draw_path(model.base, n, rng)
-    hide = rng.random(n + 1) < model.beta
-    path = np.where(hide, MISSING, path)
-    return CatSeries(model.base.space, tuple(int(v) for v in path))
+    path = draw_paths(model.base, rng.random((1, 2 * n + 1)))[0]
+    path[rng.random(n + 1) < model.beta] = MISSING
+    return CatSeries(model.base.space, tuple(path.tolist()))
 
 
 def augmented_transition_matrix(model: MissingDarModel) -> np.ndarray:

@@ -6,7 +6,10 @@ form), and ``beta`` by the missing fraction.  The likelihood reads the
 per-gap pair counts of :func:`~darcat.core.pair_counts`, raising the
 persistence to the power of each observed gap, so it accepts complete and
 gapped series alike; on a complete series it is the root of a monotone
-score, found by bisection.
+score, found by bisection.  On complete series both alpha estimators run
+row-batched over stacked jump tables (:func:`alpha_mle_rows`,
+:func:`alpha_ls_rows`); the per-series entry points call them with a
+batch of one.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CatSeries, DarcatError, empirical_transition_matrix, pair_counts
+from .core import CatSeries, DarcatError, jump_frequencies, pair_counts, transition_counts
 
 __all__ = [
     "AllMissing",
@@ -30,14 +33,24 @@ __all__ = [
     "pi_variance_limit",
     "pi_covariance_limit",
     "alpha_mle_equation",
+    "alpha_mle_rows",
     "estimate_alpha_mle",
     "alpha_ls_from_matrix",
+    "alpha_ls_rows",
     "estimate_alpha_ls",
     "estimate_alpha_mle_gapped",
     "estimate_beta",
 ]
 
 _ALPHA_HI = 1.0 - 1e-9
+
+# Why a row of :func:`alpha_mle_rows` or :func:`alpha_ls_rows` is not
+# admissible; the empty string marks an admissible estimate.
+ADMISSIBLE = ""
+BOUNDARY = "boundary"  # estimate outside [0, 1), or the MLE's score negative at 0
+ALL_REPEATS = "all_repeats"  # nothing but repeats: the MLE is 1
+FEW_STATES = "fewer_than_2_states"
+UNDEFINED_ROW = "undefined_row"  # an observed state never seen as a jump origin
 
 
 class AllMissing(DarcatError):
@@ -100,19 +113,27 @@ def estimate_pi(series: CatSeries) -> PiEstimate:
 def vn(alpha: float, n: int) -> float:
     """The weighted geometric sum sum_{h=1..n} (n-h) * alpha**h.
 
-    Uses the closed form (n - alpha**n)/(1-alpha) - alpha(1-alpha**(n-1))/(1-alpha)**2 - n,
-    falling back to the direct sum near alpha = 1 where the closed form
-    cancels catastrophically.
+    Equals alpha * (alpha**n - 1 + n*d) / d**2 with d = 1 - alpha.  For
+    n*d > 1 that closed form loses at most a factor e to cancellation;
+    below, the bracket is summed as its binomial expansion
+    sum_{j>=2} C(n, j) (-d)**j, whose terms fall at least geometrically.
+    Both stay within a few ulps of the exact sum, also near alpha = 1.
     """
     if not 0.0 <= alpha < 1.0:
         raise DarcatError(f"alpha must lie in [0, 1), got {alpha}")
     if n < 1:
         raise DarcatError(f"n must be >= 1, got {n}")
-    if 1.0 - alpha < 1e-6:
-        h = np.arange(1, n + 1)
-        return float(np.sum((n - h) * alpha**h))
-    a_n = alpha**n
-    return (n - a_n) / (1.0 - alpha) - alpha * (1.0 - alpha ** (n - 1)) / (1.0 - alpha) ** 2 - n
+    d = 1.0 - alpha
+    if n * d > 1.0:
+        return alpha * (alpha**n - 1.0 + n * d) / d**2
+    # sum_{j=2..n} C(n, j) (-d)**(j-2)
+    term = total = n * (n - 1) / 2.0
+    for j in range(2, n):
+        term *= -(n - j) * d / (j + 1)
+        total += term
+        if abs(term) <= 1e-17 * total:
+            break
+    return alpha * total
 
 
 def pi_hat_variance(pi_j: float, alpha: float, n: int) -> float:
@@ -135,9 +156,11 @@ def pi_covariance_limit(pi_j: float, pi_jp: float, alpha: float) -> float:
     return -2.0 * alpha / (1.0 - alpha) * pi_j * pi_jp
 
 
-def _score(alpha: float, repeats: np.ndarray, pi: np.ndarray, n_pairs: int) -> float:
-    """:func:`alpha_mle_equation` over cells already restricted to repeats > 0."""
-    return float((repeats / (alpha + (1.0 - alpha) * pi)).sum()) / n_pairs - 1.0
+def _scores(alpha: np.ndarray, repeats: np.ndarray, pi: np.ndarray, n_pairs: np.ndarray) -> np.ndarray:
+    """:func:`alpha_mle_equation` per row: ``alpha`` and ``n_pairs`` (m,), ``repeats`` and ``pi`` (m, k)."""
+    a = alpha[:, None]
+    terms = np.divide(repeats, a + (1.0 - a) * pi, out=np.zeros(repeats.shape), where=repeats > 0)
+    return terms.sum(axis=1) / n_pairs - 1.0
 
 
 def alpha_mle_equation(alpha: float, diag_counts: np.ndarray, pi_hat: np.ndarray, n_trans: int) -> float:
@@ -146,32 +169,41 @@ def alpha_mle_equation(alpha: float, diag_counts: np.ndarray, pi_hat: np.ndarray
     f(alpha) = (1/n) sum_j N_jj / (alpha + (1-alpha)*pi_j) - 1.  Strictly
     decreasing in alpha whenever some N_jj > 0 and some pi_j < 1.
     """
-    mask = diag_counts > 0
+    repeats, pi = np.asarray(diag_counts)[None], np.asarray(pi_hat, dtype=float)[None]
     with np.errstate(divide="ignore"):
-        return _score(alpha, diag_counts[mask], pi_hat[mask], n_trans)
+        return float(_scores(np.array([alpha]), repeats, pi, np.array([n_trans]))[0])
 
 
-def _bisect_score(repeats: np.ndarray, pi_hat: np.ndarray, n_pairs: int) -> AlphaEstimate:
-    """Root of :func:`alpha_mle_equation` on [0, 1) from one-step repeat counts."""
-    if repeats.sum() == n_pairs:
-        # nothing but repeats: likelihood increases all the way to alpha = 1
-        return AlphaEstimate(alpha_hat=1.0, method="MLE", converged=False)
-    mask = repeats > 0
-    args = (repeats[mask], pi_hat[mask], n_pairs)
+def alpha_mle_rows(jumps: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Likelihood alpha from one-step jump tables, one estimate per row.
+
+    ``jumps`` is an ``(m, k, k)`` count table with at least one jump per
+    row and ``pi`` the ``(m, k)`` state frequencies.  The root of
+    :func:`alpha_mle_equation` on [0, 1) is bisected in every row at once,
+    each row stopping on its own bracket width.  Returns ``(alpha_hat,
+    iterations, why)``: a row of nothing but repeats gets 1 and
+    ``ALL_REPEATS``, one whose root would be negative gets 0 and
+    ``BOUNDARY``, an admissible one ``ADMISSIBLE``.
+    """
+    repeats = np.diagonal(jumps, axis1=1, axis2=2)
+    n_pairs = jumps.sum(axis=(1, 2))
+    m = n_pairs.size
+    all_repeats = repeats.sum(axis=1) == n_pairs
     with np.errstate(divide="ignore"):
-        if _score(0.0, *args) < 0.0:
-            # root would be negative
-            return AlphaEstimate(alpha_hat=0.0, method="MLE", converged=False)
-        lo, hi = 0.0, _ALPHA_HI
-        iters = 0
-        while hi - lo > 1e-10:
+        negative = ~all_repeats & (_scores(np.zeros(m), repeats, pi, n_pairs) < 0.0)
+        lo, hi = np.zeros(m), np.full(m, _ALPHA_HI)
+        iterations = np.zeros(m, dtype=np.int64)
+        active = ~(all_repeats | negative)
+        while active.any():
             mid = 0.5 * (lo + hi)
-            if _score(mid, *args) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            iters += 1
-    return AlphaEstimate(alpha_hat=0.5 * (lo + hi), method="MLE", converged=True, iterations=iters)
+            up = _scores(mid, repeats, pi, n_pairs) > 0.0
+            lo = np.where(active & up, mid, lo)
+            hi = np.where(active & ~up, mid, hi)
+            iterations += active
+            active &= hi - lo > 1e-10
+    alpha_hat = np.select([all_repeats, negative], [1.0, 0.0], 0.5 * (lo + hi))
+    why = np.select([all_repeats, negative], [ALL_REPEATS, BOUNDARY], ADMISSIBLE)
+    return alpha_hat, iterations, why
 
 
 def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> AlphaEstimate:
@@ -189,9 +221,15 @@ def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> Alpha
     n_pairs = int(table.sum())
     if n_pairs == 0:
         raise InsufficientTransitions("no consecutive pair of observed values")
-    repeats = np.diagonal(table, axis1=1, axis2=2)
     if gaps.tolist() == [1]:
-        return _bisect_score(repeats[0], pi_hat, n_pairs)
+        alpha_hat, iterations, why = alpha_mle_rows(table, pi_hat[None])
+        return AlphaEstimate(
+            alpha_hat=float(alpha_hat[0]),
+            method="MLE",
+            converged=bool(why[0] == ADMISSIBLE),
+            iterations=int(iterations[0]),
+        )
+    repeats = np.diagonal(table, axis1=1, axis2=2)
     jumps = table.sum(axis=(1, 2)) - repeats.sum(axis=1)
     g, y = np.nonzero(repeats)
     n_rep, pi_rep = repeats[g, y], pi_hat[y]
@@ -240,6 +278,24 @@ def estimate_alpha_mle(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     return _alpha_mle(*pair_counts(series), np.asarray(pi_hat, dtype=float))
 
 
+def _ls_closed_form(p_hat: np.ndarray, pi: np.ndarray, used: np.ndarray) -> np.ndarray:
+    """Least-squares alpha per row over the states flagged in ``used``.
+
+    ``p_hat`` is ``(m, k, k)``, ``pi`` and ``used`` are ``(m, k)``; states
+    not used add exact zeros to every sum, so each row equals the formula
+    on its used sub-space.
+    """
+    m, k = pi.shape
+    pi = np.where(used, pi, 0.0)
+    q = np.where(used, 1.0 - pi, 0.0)
+    resid = np.where(used[:, :, None] & used[:, None, :], p_hat - pi[:, None, :], 0.0)
+    diag = np.diagonal(resid, axis1=1, axis2=2)
+    cross = (pi[:, None, :] * resid).reshape(m, k * k).sum(axis=1)
+    num = (q * diag).sum(axis=1) - (cross - (pi * diag).sum(axis=1))
+    den = (used.sum(axis=1) - 1) * (pi**2).sum(axis=1) + (q**2).sum(axis=1)
+    return num / den
+
+
 def alpha_ls_from_matrix(p_hat: np.ndarray, pi: np.ndarray) -> float:
     """Closed-form least-squares alpha from a transition matrix estimate.
 
@@ -249,12 +305,29 @@ def alpha_ls_from_matrix(p_hat: np.ndarray, pi: np.ndarray) -> float:
     """
     p_hat = np.asarray(p_hat, dtype=float)
     pi = np.asarray(pi, dtype=float)
-    k = pi.size
-    resid = p_hat - np.tile(pi, (k, 1))
-    diag = np.diag(resid)
-    num = float(np.sum((1.0 - pi) * diag)) - float(np.sum(pi * resid) - np.sum(pi * diag))
-    den = (k - 1) * float(np.sum(pi**2)) + float(np.sum((1.0 - pi) ** 2))
-    return num / den
+    return float(_ls_closed_form(p_hat[None], pi[None], np.ones((1, pi.size), dtype=bool))[0])
+
+
+def alpha_ls_rows(jumps: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Least-squares alpha from one-step jump tables, one estimate per row.
+
+    ``jumps`` is an ``(m, k, k)`` count table and ``pi`` the ``(m, k)``
+    state frequencies; states with pi = 0 are left out of the sums.
+    Returns ``(alpha_hat, why)``: NaN with ``FEW_STATES`` for a row with
+    fewer than 2 observed states, NaN with ``UNDEFINED_ROW`` for one where
+    an observed state is never a jump origin, the raw value with
+    ``BOUNDARY`` when it falls outside [0, 1), else ``ADMISSIBLE``.
+    """
+    probs, defined = jump_frequencies(jumps)
+    visited = pi > 0
+    few = visited.sum(axis=1) < 2
+    undefined = ~few & (visited & ~defined).any(axis=1)
+    ok = ~(few | undefined)
+    alpha_hat = np.full(pi.shape[0], np.nan)
+    alpha_hat[ok] = _ls_closed_form(probs[ok], pi[ok], visited[ok])
+    outside = ~((0.0 <= alpha_hat) & (alpha_hat < 1.0))
+    why = np.select([few, undefined, outside], [FEW_STATES, UNDEFINED_ROW, BOUNDARY], ADMISSIBLE)
+    return alpha_hat, why
 
 
 def estimate_alpha_ls(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
@@ -267,16 +340,14 @@ def estimate_alpha_ls(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     clamped.
     """
     pi_hat = np.asarray(pi_hat, dtype=float)
-    etm = empirical_transition_matrix(series)
-    visited = pi_hat > 0
-    if visited.sum() < 2:
+    jumps = transition_counts(series).matrix
+    alpha_hat, why = alpha_ls_rows(jumps[None], pi_hat[None])
+    if why[0] == FEW_STATES:
         raise InsufficientTransitions("least squares needs at least 2 observed states")
-    if np.any(visited & ~etm.defined):
-        bad = np.flatnonzero(visited & ~etm.defined) + 1
+    if why[0] == UNDEFINED_ROW:
+        bad = np.flatnonzero((pi_hat > 0) & (jumps.sum(axis=1) == 0)) + 1
         raise UndefinedTransitionRow(f"states {bad.tolist()} observed but never as a jump origin")
-    idx = np.flatnonzero(visited)
-    value = alpha_ls_from_matrix(etm.probs[np.ix_(idx, idx)], pi_hat[idx])
-    return AlphaEstimate(alpha_hat=value, method="LeastSquares", converged=0.0 <= value < 1.0)
+    return AlphaEstimate(alpha_hat=float(alpha_hat[0]), method="LeastSquares", converged=bool(why[0] == ADMISSIBLE))
 
 
 def estimate_alpha_mle_gapped(series: CatSeries) -> AlphaEstimate:

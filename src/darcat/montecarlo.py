@@ -2,10 +2,22 @@
 
 For every cell of a (pi, alpha, n) grid, m chains are simulated and the
 three estimators computed per chain.  Replicates whose persistence
-estimate falls outside [0, 1) are counted out (m1 for the likelihood
+estimate is not admissible are counted out (m1 for the likelihood
 estimator, m2 for the least-squares one) and excluded from that
 estimator's mean, while the marginal frequencies are averaged over all
-replicates.  Everything is deterministic given the master seed.
+replicates.  ``CellResult.dropped`` counts why each replicate was
+counted out.  Everything is deterministic given the master seed.
+
+Replicate r of cell c draws its 2n+1 uniforms from its own generator,
+seeded with entry c*m + r of the master seed's uint32 stream.  All later
+steps run on the whole cell at once: its replicates are the rows of one
+(m, n+1) array of paths (:func:`~darcat.dar.draw_paths`), counted by
+:func:`~darcat.core.path_counts` and estimated by
+:func:`~darcat.estimate.alpha_mle_rows` and
+:func:`~darcat.estimate.alpha_ls_rows`.  :func:`~darcat.dar.simulate` and
+the per-series estimators call the same kernels with a batch of one, so
+each row's arithmetic is theirs and the tables equal a
+replicate-by-replicate loop exactly.
 """
 
 from __future__ import annotations
@@ -15,9 +27,9 @@ from itertools import product
 
 import numpy as np
 
-from .core import DarcatError
-from .dar import DarModel, simulate
-from .estimate import estimate_alpha_ls, estimate_alpha_mle, estimate_pi
+from .core import DarcatError, path_counts
+from .dar import DarModel, draw_paths
+from .estimate import ADMISSIBLE, alpha_ls_rows, alpha_mle_rows
 
 __all__ = [
     "SimGrid",
@@ -53,7 +65,14 @@ class SimGrid:
 
 @dataclass(frozen=True)
 class CellResult:
-    """Per-cell averages and the counts of admissible replicates."""
+    """Per-cell averages and the counts of admissible replicates.
+
+    ``dropped`` holds ``(estimator, reason, count)`` for every reason that
+    removed replicates from m1 (estimator ``"alpha1"``) or m2
+    (``"alpha2"``), sorted by reason; the reasons are the non-empty
+    ``why`` codes of :mod:`darcat.estimate`, and the counts of one
+    estimator sum to m - m1 or m - m2.
+    """
 
     pi: tuple[float, ...]
     alpha: float
@@ -64,6 +83,7 @@ class CellResult:
     m1: int
     mean_alpha2: float | None
     m2: int
+    dropped: tuple[tuple[str, str, int], ...] = ()
 
 
 def _replicate_seeds(master: int, total: int) -> np.ndarray:
@@ -73,43 +93,47 @@ def _replicate_seeds(master: int, total: int) -> np.ndarray:
     return np.random.SeedSequence(master).generate_state(total, dtype=np.uint32)
 
 
+def _estimate_paths(paths: np.ndarray, k: int):
+    """Per-row pi_hat, then (alpha_hat, why) of the likelihood and the least-squares estimator."""
+    counts, jumps = path_counts(paths, k)
+    pi_hat = counts / paths.shape[1]
+    alpha1, _, why1 = alpha_mle_rows(jumps, pi_hat)
+    return pi_hat, (alpha1, why1), alpha_ls_rows(jumps, pi_hat)
+
+
+def _admissible_mean(alpha_hat: np.ndarray, why: np.ndarray) -> tuple[float | None, int]:
+    kept = alpha_hat[why == ADMISSIBLE]
+    return (float(np.mean(kept)) if kept.size else None), int(kept.size)
+
+
+def _dropped(estimator: str, why: np.ndarray) -> tuple[tuple[str, str, int], ...]:
+    reasons, counts = np.unique(why[why != ADMISSIBLE], return_counts=True)
+    return tuple((estimator, str(r), int(c)) for r, c in zip(reasons, counts))
+
+
 def run_grid(grid: SimGrid) -> tuple[CellResult, ...]:
     """Simulate every cell of the grid and summarise the estimators."""
     cells = list(product(grid.pis, grid.alphas, grid.ns))
-    seeds = _replicate_seeds(grid.seed, len(cells) * grid.m)
+    seeds = _replicate_seeds(grid.seed, len(cells) * grid.m).reshape(len(cells), grid.m)
     results = []
-    for c, (pi, alpha, n) in enumerate(cells):
+    for (pi, alpha, n), cell_seeds in zip(cells, seeds):
         model = DarModel.from_pi(alpha, np.asarray(pi, dtype=float))
-        pi_hats = np.empty((grid.m, len(pi)))
-        a1: list[float] = []
-        a2: list[float] = []
-        for r in range(grid.m):
-            series = simulate(model, n, int(seeds[c * grid.m + r]))
-            pi_est = estimate_pi(series)
-            pi_hats[r] = pi_est.pi_hat
-            try:
-                est1 = estimate_alpha_mle(series, pi_est.pi_hat)
-                if est1.converged:
-                    a1.append(est1.alpha_hat)
-            except DarcatError:
-                pass
-            try:
-                est2 = estimate_alpha_ls(series, pi_est.pi_hat)
-                if est2.converged:
-                    a2.append(est2.alpha_hat)
-            except DarcatError:
-                pass
+        u = np.stack([np.random.default_rng(int(s)).random(2 * n + 1) for s in cell_seeds])
+        pi_hat, (alpha1, why1), (alpha2, why2) = _estimate_paths(draw_paths(model, u), model.k)
+        mean_alpha1, m1 = _admissible_mean(alpha1, why1)
+        mean_alpha2, m2 = _admissible_mean(alpha2, why2)
         results.append(
             CellResult(
                 pi=tuple(pi),
                 alpha=alpha,
                 n=n,
                 m=grid.m,
-                mean_pi_hat=tuple(pi_hats.mean(axis=0)),
-                mean_alpha1=float(np.mean(a1)) if a1 else None,
-                m1=len(a1),
-                mean_alpha2=float(np.mean(a2)) if a2 else None,
-                m2=len(a2),
+                mean_pi_hat=tuple(pi_hat.mean(axis=0)),
+                mean_alpha1=mean_alpha1,
+                m1=m1,
+                mean_alpha2=mean_alpha2,
+                m2=m2,
+                dropped=_dropped("alpha1", why1) + _dropped("alpha2", why2),
             )
         )
     return tuple(results)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darcat.core import MISSING, CatSeries, StateSpace, TooShort, pair_counts
+from darcat.core import MISSING, CatSeries, StateSpace, TooShort, pair_counts, path_counts
 from darcat.independence import runs_summary
 
 
@@ -128,3 +128,27 @@ def test_longest_complete_segment_matches_reference(series):
     segment = series.longest_complete_segment()
     assert segment.obs == series.obs[start : start + length]
     assert segment.space == series.space
+
+
+@st.composite
+def path_batches(draw):
+    """Rows of equal length over k in 2..20 states, some rows using one state only."""
+    k = draw(st.integers(2, 20))
+    length = draw(st.integers(2, 40))
+    rows = draw(st.lists(st.lists(st.integers(1, k), min_size=length, max_size=length), min_size=1, max_size=6))
+    return k, np.array(rows)
+
+
+@given(batch=path_batches())
+@example(batch=(3, np.array([[2, 2, 2], [1, 2, 3], [3, 3, 1]])))
+@settings(max_examples=200, deadline=None)
+def test_path_counts_matches_reference(batch):
+    k, paths = batch
+    states, jumps = path_counts(paths, k)
+    assert states.shape == (len(paths), k) and jumps.shape == (len(paths), k, k)
+    for r, row in enumerate(paths.tolist()):
+        assert states[r].tolist() == [row.count(j) for j in range(1, k + 1)]
+        expected = np.zeros((k, k), dtype=int)
+        for x, y, _ in observed_pairs_reference(row):
+            expected[x - 1, y - 1] += 1
+        assert np.array_equal(jumps[r], expected)

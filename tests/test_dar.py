@@ -7,6 +7,7 @@ from darcat.dar import (
     MissingDarModel,
     augmented_transition_matrix,
     autocorrelation,
+    draw_paths,
     simulate,
     simulate_with_missing,
     transition_matrix,
@@ -156,3 +157,26 @@ def test_augmented_matrix_rows_sum_to_one():
 def test_simulated_series_has_no_missing_without_beta():
     s = simulate(model(0.5, [0.5, 0.5]), 1000, seed=1)
     assert MISSING not in s.obs
+
+
+def path_reference(model, u):
+    """Step-by-step DAR(1) path from one row of 2n+1 uniforms."""
+    def code(v):
+        return min(int(np.searchsorted(np.cumsum(model.pi), v, side="right")), model.k - 1) + 1
+
+    path = [code(u[0])]
+    for t in range(1, (len(u) - 1) // 2 + 1):
+        path.append(path[-1] if u[2 * t - 1] < model.alpha else code(u[2 * t]))
+    return path
+
+
+@pytest.mark.parametrize("alpha, pi", [(0.0, [0.5, 0.5]), (0.6, [0.2, 0.3, 0.5]), (0.95, [0.1] * 10)])
+def test_draw_paths_rows_follow_the_recursion(alpha, pi):
+    m = model(alpha, pi)
+    u = np.random.default_rng(4).random((5, 2 * 40 + 1))
+    paths = draw_paths(m, u)
+    assert paths.shape == (5, 41)
+    assert [path_reference(m, row) for row in u] == paths.tolist()
+    # a row does not depend on the others, and simulate is a batch of one
+    assert draw_paths(m, u[2:3]).tolist() == paths[2:3].tolist()
+    assert simulate(m, 40, 9).obs == tuple(draw_paths(m, np.random.default_rng(9).random((1, 81)))[0].tolist())

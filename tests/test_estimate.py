@@ -1,13 +1,24 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from darcat.core import MISSING, CatSeries, StateSpace
+from darcat.core import MISSING, CatSeries, StateSpace, path_counts
 from darcat.dar import DarModel, MissingDarModel, simulate, simulate_with_missing
 from darcat.estimate import (
+    ADMISSIBLE,
+    ALL_REPEATS,
+    BOUNDARY,
+    FEW_STATES,
+    UNDEFINED_ROW,
     AllMissing,
     InsufficientTransitions,
     alpha_ls_from_matrix,
+    alpha_ls_rows,
     alpha_mle_equation,
+    alpha_mle_rows,
     estimate_alpha_ls,
     estimate_alpha_mle,
     estimate_alpha_mle_gapped,
@@ -29,6 +40,22 @@ def series(obs, k=2):
 
 def vn_brute(alpha, n):
     return sum((n - h) * alpha**h for h in range(1, n + 1))
+
+
+def vn_exact(alpha, n):
+    """sum_{h=1..n-1} (n-h) * alpha**h as an exact Fraction.
+
+    With alpha = p/q exactly, q**(n-2) * sum_{h} (n-h) (p/q)**(h-1) is an
+    integer, accumulated by Horner's rule from the highest power down.
+    """
+    if n < 2:
+        return Fraction(0)
+    p, q = alpha.as_integer_ratio()
+    acc, qpow = 1, 1
+    for c in range(2, n):
+        qpow *= q
+        acc = acc * p + c * qpow
+    return Fraction(acc * p, q ** (n - 1))
 
 
 class TestPi:
@@ -81,6 +108,26 @@ class TestVn:
     def test_near_one_guard(self):
         alpha = 1 - 1e-8
         assert vn(alpha, 50) == pytest.approx(vn_brute(alpha, 50), rel=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        alpha=st.one_of(
+            st.floats(0.0, 1.0 - 1e-9),
+            st.floats(-9.0, 0.0).map(lambda e: 1.0 - 10.0**e),  # 1 - alpha spread over decades
+        ),
+        n=st.integers(1, 2000),
+    )
+    @example(alpha=0.999998, n=10)
+    @example(alpha=0.9999989, n=10)
+    @example(alpha=1.0 - 1e-9, n=2000)
+    @example(alpha=0.999, n=1000)
+    def test_matches_exact_sum(self, alpha, n):
+        exact = vn_exact(alpha, n)
+        value = vn(alpha, n)
+        if exact == 0:
+            assert value == 0.0
+        else:
+            assert abs(Fraction(value) - exact) <= exact / 10**12
 
 
 class TestVariance:
@@ -159,6 +206,83 @@ class TestAlphaMle:
                 values.append(est.alpha_hat)
         assert len(values) == 100
         assert np.mean(values) == pytest.approx(0.494, abs=0.02)
+
+
+def bisect_reference(repeats, pi, n_pairs):
+    """Scalar bisection on the gap-1 score: ``(alpha_hat, why, iterations)``."""
+    if repeats.sum() == n_pairs:
+        return 1.0, ALL_REPEATS, 0
+    mask = repeats > 0
+
+    def score(a):
+        return float((repeats[mask] / (a + (1.0 - a) * pi[mask])).sum()) / n_pairs - 1.0
+
+    if score(0.0) < 0.0:
+        return 0.0, BOUNDARY, 0
+    lo, hi, iterations = 0.0, 1.0 - 1e-9, 0
+    while hi - lo > 1e-10:
+        mid = 0.5 * (lo + hi)
+        if score(mid) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+        iterations += 1
+    return 0.5 * (lo + hi), ADMISSIBLE, iterations
+
+
+def ls_reference(jumps, pi):
+    """Least squares on the sub-matrix of observed states: ``(alpha_hat, why)``."""
+    visited = pi > 0
+    rows = jumps.sum(axis=1)
+    if visited.sum() < 2:
+        return None, FEW_STATES
+    if np.any(visited & (rows == 0)):
+        return None, UNDEFINED_ROW
+    idx = np.flatnonzero(visited)
+    p, q = jumps[np.ix_(idx, idx)] / rows[idx, None], pi[idx]
+    resid = p - np.tile(q, (idx.size, 1))
+    diag = np.diag(resid)
+    num = float(np.sum((1.0 - q) * diag)) - float(np.sum(q * resid) - np.sum(q * diag))
+    den = (idx.size - 1) * float(np.sum(q**2)) + float(np.sum((1.0 - q) ** 2))
+    value = num / den
+    return value, ADMISSIBLE if 0.0 <= value < 1.0 else BOUNDARY
+
+
+@st.composite
+def path_rows(draw):
+    """Equal-length complete paths over k <= 7 states, runs of repeats likely."""
+    k = draw(st.integers(2, 7))
+    length = draw(st.integers(2, 60))
+    row = st.lists(st.tuples(st.integers(1, k), st.integers(1, 8)), min_size=1, max_size=length)
+    rows = [[v for v, r in runs for _ in range(r)] for runs in draw(st.lists(row, min_size=1, max_size=5))]
+    rows = [(r * length)[:length] for r in rows]
+    return k, np.array(rows)
+
+
+class TestBatchedRows:
+    """The row-batched estimators against scalar per-row references, exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(batch=path_rows())
+    @example(batch=(3, np.array([[2, 2, 2, 2], [1, 2, 1, 2], [1, 1, 2, 3], [3, 3, 1, 2]])))
+    def test_rows_equal_scalar_references(self, batch):
+        k, paths = batch
+        states, jumps = path_counts(paths, k)
+        pi = states / paths.shape[1]
+        alpha1, iterations, why1 = alpha_mle_rows(jumps, pi)
+        alpha2, why2 = alpha_ls_rows(jumps, pi)
+        for r in range(len(paths)):
+            repeats = np.diagonal(jumps[r]).copy()
+            assert (alpha1[r], why1[r], iterations[r]) == bisect_reference(repeats, pi[r], paths.shape[1] - 1)
+            value, why = ls_reference(jumps[r], pi[r])
+            assert why2[r] == why
+            if value is None:
+                continue
+            if k <= 3 or pi[r].all():
+                assert alpha2[r] == value
+            else:
+                # zeros for unvisited states regroup numpy's pairwise sum of k*k >= 16 terms
+                assert alpha2[r] == pytest.approx(value, rel=1e-12, abs=1e-15)
 
 
 class TestAlphaLs:
