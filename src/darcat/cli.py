@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -40,21 +41,27 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
+def _read_text(path: str) -> str:
+    """A text input file; a UTF-8 byte-order mark is skipped."""
+    try:
+        return Path(path).read_text(encoding="utf-8-sig")
+    except UnicodeDecodeError as exc:
+        raise DarcatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+
+
 def _read_states(path: str) -> StateSpace:
     """States file: one label per line, file order = ordinal order."""
-    labels = [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+    labels = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
     return StateSpace(tuple(labels), ordinal=True)
 
 
 def _load_series(paths: list[str], space: StateSpace) -> CatSeries:
     """Parse one or more CSV files; several files are concatenated in order."""
-    obs: list[int] = []
-    times: list[str] = []
-    for p in paths:
-        s = parse_series(Path(p).read_text(encoding="utf-8"), space)
-        obs.extend(s.obs)
-        times.extend(s.time_labels or ())
-    return CatSeries(space, tuple(obs), tuple(times) if len(times) == len(obs) else None)
+    parts = [parse_series(_read_text(p), space) for p in paths]
+    if len(parts) == 1:
+        return parts[0]
+    times = tuple(chain.from_iterable(s.time_labels for s in parts))
+    return CatSeries(space, np.concatenate([s.obs for s in parts]), times)
 
 
 def _parse_pi(text: str) -> np.ndarray:
@@ -69,6 +76,16 @@ def _parse_pi(text: str) -> np.ndarray:
     return values / values.sum()
 
 
+def _parse_lags(text: str) -> tuple[int, ...]:
+    try:
+        lags = {int(v) for v in text.split(",")}
+    except ValueError:
+        lags = None
+    if lags is None or not lags <= {0, 1, 2}:
+        raise DarcatError(f"--lags must be a comma list from {{0,1,2}}, got {text!r}")
+    return tuple(sorted(lags))
+
+
 def _apply_policy(series: CatSeries, policy: str) -> tuple[CatSeries, str]:
     if not series.has_missing:
         return series, "series complete, no missing-value policy needed"
@@ -78,24 +95,9 @@ def _apply_policy(series: CatSeries, policy: str) -> tuple[CatSeries, str]:
     return kept, f"policy longest-segment: testing the longest complete run ({len(kept)} positions)"
 
 
-def _restrict_to_observed(series: CatSeries) -> tuple[CatSeries, str | None]:
-    """Re-express the series on the categories actually observed.
-
-    Tests need strictly positive state probabilities, so categories that
-    never occur are projected out (as when a field protocol's top class is
-    never recorded).
-    """
-    values = sorted(set(v for v in series.obs if v > 0))
-    if len(values) < 2:
-        raise DarcatError("only one category observed; independence tests are undefined")
-    if len(values) == series.space.k:
-        return series, None
-    labels = tuple(series.space.label_of(v) for v in values)
-    remap = {v: i + 1 for i, v in enumerate(values)}
-    sub = StateSpace(labels, ordinal=series.space.ordinal)
-    obs = tuple(remap.get(v, -1) for v in series.obs)
-    gone = [series.space.label_of(v) for v in range(1, series.space.k + 1) if v not in values]
-    return CatSeries(sub, obs, series.time_labels), f"unobserved categories {gone} projected out for testing"
+def _unobserved_note(gone: tuple[str, ...]) -> str:
+    """Tests need strictly positive state probabilities, so unobserved categories are projected out."""
+    return f"unobserved categories {list(gone)} projected out for testing"
 
 
 def _fmt_report(rep: TestReport | None, reason: str | None = None) -> str:
@@ -207,9 +209,9 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
         a1_label = "alpha1 (MLE)"
     try:
         policy_series, policy_note = _apply_policy(series, args.missing_policy)
-        test_series, restrict_note = _restrict_to_observed(policy_series)
+        test_series, gone = policy_series.restrict_to_observed()
     except DarcatError as exc:
-        test_series, restrict_note = None, None
+        test_series, gone = None, ()
         policy_note = f"policy {args.missing_policy}: unusable ({exc})"
     if test_series is not None:
         try:
@@ -231,8 +233,8 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
             f"  {len(series)} positions, k={space.k} categories, {series.n_missing} missing",
             f"  {policy_note}",
         ]
-        if restrict_note:
-            lines.append(f"  {restrict_note}")
+        if gone:
+            lines.append(f"  {_unobserved_note(gone)}")
         lines += [
             "estimates (full series):",
             "  pi_hat: (" + ";".join(f"{v:.3f}" for v in pi_est.pi_hat) + f")  [n_obs={pi_est.n_obs}]",
@@ -264,10 +266,10 @@ def cmd_test(args: argparse.Namespace) -> int:
     space = _read_states(args.states)
     series = _load_series(args.input, space)
     policy_series, policy_note = _apply_policy(series, args.missing_policy)
-    test_series, restrict_note = _restrict_to_observed(policy_series)
+    test_series, gone = policy_series.restrict_to_observed()
     _err(policy_note)
-    if restrict_note:
-        _err(restrict_note)
+    if gone:
+        _err(_unobserved_note(gone))
     tests = _run_tests(test_series, args.level, None)
     lines = [f"independence tests at level {args.level}:"]
     for name in ("chi_square", "runs_count", "longest_run"):
@@ -280,7 +282,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 def cmd_fit_glm(args: argparse.Namespace) -> int:
     space = _read_states(args.states)
     series = _load_series(args.input, space)
-    lags = tuple(sorted({int(v) for v in args.lags.split(",")}))
+    lags = _parse_lags(args.lags)
     families = ["categorical", "ordinal"] if args.family == "both" else [args.family]
     chunks = []
     for family in families:
@@ -381,12 +383,12 @@ def main(argv: list[str] | None = None) -> int:
     if getattr(args, "command", None) in ("fit-dar", "test", "fit-glm") and not args.states:
         _err("error: --states is required for this command")
         return 2
+    if getattr(args, "command", None) in ("fit-dar", "test") and not 0.0 < args.level < 1.0:
+        _err(f"error: --level must lie in (0, 1), got {args.level}")
+        return 2
     try:
         return args.func(args)
-    except DarcatError as exc:
-        _err(f"error: {exc}")
-        return 2
-    except FileNotFoundError as exc:
+    except (DarcatError, OSError) as exc:
         _err(f"error: {exc}")
         return 2
 

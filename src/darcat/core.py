@@ -1,15 +1,17 @@
 """State spaces, categorical series containers and shared counting primitives.
 
 Categories are coded 1..k internally, whatever their text labels are.
-Missing observations are coded with the sentinel ``MISSING`` (-1).  All
-containers are immutable after construction and safe to share across
+Missing observations are coded with the sentinel ``MISSING`` (-1).  A
+series is stored once, as the read-only int64 array ``CatSeries.obs``,
+and the series operations work on it without a per-observation loop.
+All containers are immutable after construction and safe to share across
 threads; every operation here is a pure function.
 """
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -98,33 +100,42 @@ class StateSpace:
         return self.labels[code - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CatSeries:
     """A time-indexed sequence of category codes, possibly with missing values.
 
-    ``obs`` holds codes in 1..k or ``MISSING``; its length is n+1 for a
-    series observed at times 0..n.  ``time_labels``, when present, carries
-    one opaque stamp per index (no date parsing is attempted).
+    ``obs``, the one stored form of the series, is a read-only int64 copy
+    of the codes given: 1..k or ``MISSING``, n+1 of them for times 0..n.
+    ``time_labels``, when present, carries one opaque stamp per index (no
+    date parsing is attempted).
     """
 
     space: StateSpace
-    obs: tuple[int, ...]
+    obs: np.ndarray
     time_labels: tuple[str, ...] | None = None
 
     def __post_init__(self) -> None:
-        obs = tuple(int(v) for v in self.obs)
+        obs = np.array(self.obs, dtype=np.int64)
+        obs.setflags(write=False)
         object.__setattr__(self, "obs", obs)
         if len(obs) < 2:
             raise TooShort(f"series needs at least 2 observations, got {len(obs)}")
         k = self.space.k
-        for i, v in enumerate(obs):
-            if v != MISSING and not 1 <= v <= k:
-                raise DarcatError(f"observation {v} at index {i} outside {{-1}} U 1..{k}")
+        bad = np.flatnonzero(((obs < 1) | (obs > k)) & (obs != MISSING))
+        if bad.size:
+            i = int(bad[0])
+            raise DarcatError(f"observation {obs[i]} at index {i} outside {{-1}} U 1..{k}")
         if self.time_labels is not None:
-            tl = tuple(str(x) for x in self.time_labels)
+            tl = tuple(map(str, self.time_labels))
             if len(tl) != len(obs):
                 raise DarcatError("time_labels length must match obs length")
             object.__setattr__(self, "time_labels", tl)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, CatSeries):
+            return NotImplemented
+        same = (self.space, self.time_labels) == (other.space, other.time_labels)
+        return same and np.array_equal(self.obs, other.obs)
 
     def __len__(self) -> int:
         return len(self.obs)
@@ -140,27 +151,22 @@ class CatSeries:
 
     @property
     def n_missing(self) -> int:
-        return self.obs.count(MISSING)
-
-    def values(self) -> np.ndarray:
-        """Observations as an int array (missing kept as -1)."""
-        return np.asarray(self.obs, dtype=np.int64)
+        return int(np.count_nonzero(self.obs == MISSING))
 
     def observed_values(self) -> np.ndarray:
-        v = self.values()
-        return v[v != MISSING]
+        return self.obs[self.obs != MISSING]
 
     def drop_missing(self) -> "CatSeries":
         """Remove missing entries, closing the gaps (changes adjacency)."""
-        keep = [i for i, v in enumerate(self.obs) if v != MISSING]
-        if len(keep) < 2:
+        keep = self.obs != MISSING
+        if np.count_nonzero(keep) < 2:
             raise TooShort("fewer than 2 observed values after dropping missing")
-        tl = tuple(self.time_labels[i] for i in keep) if self.time_labels else None
-        return CatSeries(self.space, tuple(self.obs[i] for i in keep), tl)
+        tl = tuple(compress(self.time_labels, keep.tolist())) if self.time_labels else None
+        return CatSeries(self.space, self.obs[keep], tl)
 
     def longest_complete_segment(self) -> "CatSeries":
         """Longest run of consecutive non-missing observations, ties to the earliest."""
-        observed, starts, lengths = run_lengths(self.values() != MISSING)
+        observed, starts, lengths = run_lengths(self.obs != MISSING)
         lengths = np.where(observed, lengths, 0)
         best = int(np.argmax(lengths))
         if lengths[best] < 2:
@@ -168,6 +174,19 @@ class CatSeries:
         sl = slice(starts[best], starts[best] + lengths[best])
         tl = self.time_labels[sl] if self.time_labels else None
         return CatSeries(self.space, self.obs[sl], tl)
+
+    def restrict_to_observed(self) -> tuple["CatSeries", tuple[str, ...]]:
+        """The series on the sub-space of its observed categories (as is if all are), and the labels dropped."""
+        present = np.unique(self.observed_values())
+        if present.size < 2:
+            raise DarcatError("only one category observed; independence tests are undefined")
+        if present.size == self.space.k:
+            return self, ()
+        labels = np.array(self.space.labels, dtype=object)
+        sub = StateSpace(tuple(labels[present - 1]), ordinal=self.space.ordinal)
+        codes = np.searchsorted(present, self.obs) + 1
+        codes[self.obs == MISSING] = MISSING
+        return CatSeries(sub, codes, self.time_labels), tuple(np.delete(labels, present - 1))
 
 
 def run_lengths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -186,7 +205,7 @@ def pair_counts(series: CatSeries) -> tuple[np.ndarray, np.ndarray]:
     probability alpha**h * 1{x=y} + (1 - alpha**h) * pi_y, so the table is
     a sufficient statistic for alpha given pi.
     """
-    x = series.values()
+    x = series.obs
     at = np.flatnonzero(x != MISSING)
     steps = np.diff(at)
     gaps = np.flatnonzero(np.bincount(steps))
@@ -224,6 +243,7 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     header = [c.strip() for c in lines[0].split(",")]
     if len(header) != 2:
         raise MalformedRow(f"expected 2 header columns, got {len(header)}")
+    code_of = dict(zip(space.labels, range(1, space.k + 1)), NA=MISSING)
     obs: list[int] = []
     times: list[str] = []
     for lineno, ln in enumerate(lines[1:], start=2):
@@ -232,21 +252,17 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
             raise MalformedRow(f"line {lineno}: expected 2 columns, got {len(cells)}")
         t, value = cells
         times.append(t)
-        obs.append(MISSING if value == "NA" else space.code_of(value))
+        obs.append(code_of[value] if value in code_of else space.code_of(value))  # raises UnknownLabel
     if len(obs) < 2:
         raise TooShort(f"need at least 2 data rows, got {len(obs)}")
-    return CatSeries(space, tuple(obs), tuple(times))
+    return CatSeries(space, obs, tuple(times))
 
 
 def serialize_series(series: CatSeries) -> str:
     """Inverse of :func:`parse_series` (parse -> serialize -> parse round-trips)."""
-    out = io.StringIO()
-    out.write("t,value\n")
-    times = series.time_labels or tuple(str(i) for i in range(len(series)))
-    for t, v in zip(times, series.obs):
-        cell = "NA" if v == MISSING else series.space.label_of(v)
-        out.write(f"{t},{cell}\n")
-    return out.getvalue()
+    label_of = {MISSING: "NA", **dict(enumerate(series.space.labels, start=1))}
+    times = series.time_labels or range(len(series))
+    return "t,value\n" + "".join([f"{t},{label_of[v]}\n" for t, v in zip(times, series.obs.tolist())])
 
 
 @dataclass(frozen=True)

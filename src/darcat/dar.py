@@ -142,7 +142,7 @@ def simulate(model: DarModel, n: int, seed: int) -> CatSeries:
         raise DarcatError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(seed)
     path = draw_paths(model, rng.random((1, 2 * n + 1)))[0]
-    return CatSeries(model.space, tuple(path.tolist()))
+    return CatSeries(model.space, path)
 
 
 def simulate_with_missing(model: MissingDarModel, n: int, seed: int) -> CatSeries:
@@ -156,7 +156,7 @@ def simulate_with_missing(model: MissingDarModel, n: int, seed: int) -> CatSerie
     rng = np.random.default_rng(seed)
     path = draw_paths(model.base, rng.random((1, 2 * n + 1)))[0]
     path[rng.random(n + 1) < model.beta] = MISSING
-    return CatSeries(model.base.space, tuple(path.tolist()))
+    return CatSeries(model.base.space, path)
 
 
 def augmented_transition_matrix(model: MissingDarModel) -> np.ndarray:

@@ -283,7 +283,8 @@ def _ls_closed_form(p_hat: np.ndarray, pi: np.ndarray, used: np.ndarray) -> np.n
 
     ``p_hat`` is ``(m, k, k)``, ``pi`` and ``used`` are ``(m, k)``; states
     not used add exact zeros to every sum, so each row equals the formula
-    on its used sub-space.
+    on its used sub-space.  A numerator that is 0 up to rounding gives
+    exactly 0, an admissible estimate.
     """
     m, k = pi.shape
     pi = np.where(used, pi, 0.0)
@@ -292,6 +293,9 @@ def _ls_closed_form(p_hat: np.ndarray, pi: np.ndarray, used: np.ndarray) -> np.n
     diag = np.diagonal(resid, axis1=1, axis2=2)
     cross = (pi[:, None, :] * resid).reshape(m, k * k).sum(axis=1)
     num = (q * diag).sum(axis=1) - (cross - (pi * diag).sum(axis=1))
+    # every summed term lies in [-1, 1]: a numerator within 8k^2 ulps of 0
+    # is the rounding of an exact 0 (say, all states equally frequent)
+    num[np.abs(num) <= 8 * k * k * np.finfo(float).eps] = 0.0
     den = (used.sum(axis=1) - 1) * (pi**2).sum(axis=1) + (q**2).sum(axis=1)
     return num / den
 
@@ -312,10 +316,13 @@ def alpha_ls_rows(jumps: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.nda
     """Least-squares alpha from one-step jump tables, one estimate per row.
 
     ``jumps`` is an ``(m, k, k)`` count table and ``pi`` the ``(m, k)``
-    state frequencies; states with pi = 0 are left out of the sums.
-    Returns ``(alpha_hat, why)``: NaN with ``FEW_STATES`` for a row with
-    fewer than 2 observed states, NaN with ``UNDEFINED_ROW`` for one where
-    an observed state is never a jump origin, the raw value with
+    state frequencies; states with pi = 0 are left out of the sums.  That
+    mask stays here rather than in
+    :meth:`~darcat.core.CatSeries.restrict_to_observed` because the rows
+    of a batched Monte Carlo cell are plain arrays, not series.  Returns
+    ``(alpha_hat, why)``: NaN with ``FEW_STATES`` for a row with fewer
+    than 2 observed states, NaN with ``UNDEFINED_ROW`` for one where an
+    observed state is never a jump origin, the raw value with
     ``BOUNDARY`` when it falls outside [0, 1), else ``ADMISSIBLE``.
     """
     probs, defined = jump_frequencies(jumps)

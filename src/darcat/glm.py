@@ -114,25 +114,17 @@ def build_design(series: CatSeries, lag: int) -> Design:
     if len(series) <= lag:
         raise NoUsableRows(f"series of length {len(series)} cannot support lag {lag}")
     k = series.space.k
-    obs = series.values()
-    rows = []
-    t_used = []
-    for t in range(lag, len(obs)):
-        window = obs[t - lag : t + 1]
-        if np.any(window == MISSING):
-            continue
-        x = [1.0]
-        for d in range(1, lag + 1):
-            x.extend(1.0 if obs[t - d] == j else 0.0 for j in range(1, k))
-        rows.append(x)
-        t_used.append(t)
-    if not rows:
+    obs = series.obs
+    # window i covers times i..i+lag, so a fully observed window i gives row t = i + lag
+    t_index = np.flatnonzero(np.lib.stride_tricks.sliding_window_view(obs != MISSING, lag + 1).all(axis=1)) + lag
+    if t_index.size == 0:
         raise NoUsableRows("every candidate row touches a missing value")
+    states = np.arange(1, k)
+    blocks = [obs[t_index - d, None] == states for d in range(1, lag + 1)]
     names = ["intercept"] + [f"lag{d}_state{j}" for d in range(1, lag + 1) for j in range(1, k)]
-    t_index = np.array(t_used, dtype=np.int64)
     return Design(
-        X=np.asarray(rows, dtype=float),
-        y=obs[t_index].copy(),
+        X=np.concatenate([np.ones((t_index.size, 1)), *blocks], axis=1),
+        y=obs[t_index],
         lag=lag,
         k=k,
         column_names=tuple(names),
@@ -141,14 +133,20 @@ def build_design(series: CatSeries, lag: int) -> Design:
 
 
 def _collapse_categories(y: np.ndarray, k: int) -> tuple[np.ndarray, list[int], list[str]]:
-    """Relabel responses to 1..k_eff over the categories actually present."""
-    present = sorted(set(int(v) for v in y))
+    """Relabel responses to 1..k_eff over the categories actually present.
+
+    The set is that of the responses at the design's rows, not of the
+    series (:meth:`~darcat.core.CatSeries.restrict_to_observed`): a
+    category seen only in the first ``lag`` positions, or only next to a
+    missing value, never appears as a response and would otherwise leave
+    an empty response class, whose coefficients diverge (``Separation``).
+    """
+    present, inverse = np.unique(y, return_inverse=True)
     notes = []
-    if len(present) < k:
-        gone = sorted(set(range(1, k + 1)) - set(present))
+    if present.size < k:
+        gone = np.setdiff1d(np.arange(1, k + 1), present).tolist()
         notes.append(f"empty response categories {gone} collapsed out")
-    remap = {c: i + 1 for i, c in enumerate(present)}
-    return np.array([remap[int(v)] for v in y]), present, notes
+    return inverse + 1, present.tolist(), notes
 
 
 def _prune_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
@@ -509,18 +507,18 @@ def aic_table(
         raise DarcatError(f"family must be one of {sorted(_FITTERS)}, got {family!r}")
     fitter = _FITTERS[family]
     lags = tuple(sorted(set(lags)))
-    common_t: set[int] | None = None
+    common_t: np.ndarray | None = None
     if common_rows:
         try:
-            common_t = set(build_design(series, max(lags)).t_index.tolist())
+            common_t = build_design(series, max(lags)).t_index
         except NoUsableRows:
-            common_t = set()
+            common_t = np.empty(0, dtype=np.int64)
     rows: list[AicRow] = []
     for lag in lags:
         try:
             design = build_design(series, lag)
             if common_t is not None:
-                keep = np.isin(design.t_index, sorted(common_t))
+                keep = np.isin(design.t_index, common_t)
                 if not keep.any():
                     raise NoUsableRows("no rows in the common usable set")
                 design = Design(

@@ -62,7 +62,7 @@ def runs_summary(series: CatSeries) -> RunsSummary:
     """Count maximal runs over the whole observation sequence."""
     if series.has_missing:
         raise MissingValuePresent("runs_summary requires a complete series")
-    state, _, length = run_lengths(series.values())
+    state, _, length = run_lengths(series.obs)
     k1 = series.space.k + 1
     cells, n_cells = np.unique(length * k1 + state, return_counts=True)
     states, n_states = np.unique(state, return_counts=True)

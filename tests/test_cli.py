@@ -171,3 +171,25 @@ def test_unknown_label_errors(tmp_path, capsys, states2):
     f.write_text("t,value\n0,1\n1,Z\n")
     code, _, err = run(capsys, "fit-dar", str(f), "--states", states2)
     assert code == 2 and "error" in err
+
+
+@pytest.mark.parametrize(
+    "args, code, message",
+    [
+        (["fit-dar", "{dir}/latin1.csv"], 2, "not UTF-8"),
+        (["fit-dar", "{dir}"], 2, "Is a directory"),
+        (["fit-glm", "{dir}/s.csv", "--lags", "0,x"], 2, "--lags"),
+        (["fit-glm", "{dir}/s.csv", "--lags", "5"], 2, "--lags"),
+        (["fit-dar", "{dir}/s.csv", "--level", "2"], 2, "--level"),
+        (["test", "{dir}/s.csv", "--level", "-1"], 2, "--level"),
+        (["fit-dar", "{dir}/s.csv"], 0, ""),  # the states file starts with a byte-order mark
+    ],
+)
+def test_bad_input_exits_2_with_named_error_and_bom_is_skipped(tmp_path, capsys, args, code, message):
+    (tmp_path / "s.csv").write_text("t,value\n0,A\n1,B\n2,A\n3,B\n4,B\n5,A\n")
+    (tmp_path / "latin1.csv").write_bytes("t,value\n0,A\n1,\u00e9\n".encode("latin-1"))
+    (tmp_path / "states.txt").write_bytes(b"\xef\xbb\xbfA\nB\n")
+    got, _, err = run(capsys, *[a.format(dir=tmp_path) for a in args], "--states", str(tmp_path / "states.txt"))
+    assert got == code
+    assert message in err
+    assert err.startswith("error: ") == (code == 2)

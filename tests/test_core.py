@@ -38,13 +38,13 @@ def test_state_space_rejects_small_or_duplicate():
 
 def test_parse_label_mapping():
     s = parse_series("t,value\n1975,A\n1976,B\n", AB)
-    assert s.obs == (1, 2)
+    assert s.obs.tolist() == [1, 2]
     assert s.time_labels == ("1975", "1976")
 
 
 def test_parse_missing_sentinel():
     s = parse_series("t,value\n1,A\n2,NA\n3,A\n", AB)
-    assert s.obs == (1, MISSING, 1)
+    assert s.obs.tolist() == [1, MISSING, 1]
 
 
 def test_parse_rejections():
@@ -144,10 +144,10 @@ def test_defined_rows_sum_to_one(values):
 def test_drop_missing_and_longest_segment():
     s = CatSeries(AB, (1, MISSING, 1, 2, 2, MISSING, 1), tuple("abcdefg"))
     dropped = s.drop_missing()
-    assert dropped.obs == (1, 1, 2, 2, 1)
+    assert dropped.obs.tolist() == [1, 1, 2, 2, 1]
     assert dropped.time_labels == ("a", "c", "d", "e", "g")
     segment = s.longest_complete_segment()
-    assert segment.obs == (1, 2, 2)
+    assert segment.obs.tolist() == [1, 2, 2]
     assert segment.time_labels == ("c", "d", "e")
 
 

@@ -126,7 +126,7 @@ def test_longest_complete_segment_matches_reference(series):
             series.longest_complete_segment()
         return
     segment = series.longest_complete_segment()
-    assert segment.obs == series.obs[start : start + length]
+    assert np.array_equal(segment.obs, series.obs[start : start + length])
     assert segment.space == series.space
 
 

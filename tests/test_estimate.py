@@ -163,7 +163,7 @@ class TestAlphaMle:
     def test_score_is_decreasing(self):
         s = simulate(DarModel.from_pi(0.4, [0.3, 0.3, 0.4]), 300, seed=2)
         pi_hat = estimate_pi(s).pi_hat
-        x = s.values()
+        x = s.obs
         diag = np.bincount(x[:-1][x[:-1] == x[1:]] - 1, minlength=3)
         grid = [alpha_mle_equation(a, diag, pi_hat, x.size - 1) for a in np.linspace(0, 0.999, 200)]
         assert all(b < a for a, b in zip(grid, grid[1:]))
@@ -243,6 +243,8 @@ def ls_reference(jumps, pi):
     resid = p - np.tile(q, (idx.size, 1))
     diag = np.diag(resid)
     num = float(np.sum((1.0 - q) * diag)) - float(np.sum(q * resid) - np.sum(q * diag))
+    if abs(num) <= 8 * pi.size**2 * np.finfo(float).eps:
+        num = 0.0  # the rounding of an exact 0, as in the kernel
     den = (idx.size - 1) * float(np.sum(q**2)) + float(np.sum((1.0 - q) ** 2))
     value = num / den
     return value, ADMISSIBLE if 0.0 <= value < 1.0 else BOUNDARY
@@ -294,6 +296,14 @@ class TestAlphaLs:
             alpha = float(rng.uniform(0, 0.999))
             p = alpha * np.eye(k) + (1 - alpha) * np.tile(pi, (k, 1))
             assert alpha_ls_from_matrix(p, pi) == pytest.approx(alpha, abs=1e-12)
+
+    def test_exact_zero_is_admissible(self):
+        # all states equally frequent: the numerator is exactly 0 and used to round to -1.4e-17
+        s = series([3, 1, 1, 2, 2, 3], k=3)
+        est = estimate_alpha_ls(s, estimate_pi(s).pi_hat)
+        assert est.alpha_hat == 0.0 and est.converged
+        alpha_hat, why = alpha_ls_rows(np.array([[[1, 1, 0], [0, 1, 1], [1, 0, 0]]]), np.full((1, 3), 1 / 3))
+        assert alpha_hat.tolist() == [0.0] and why.tolist() == [ADMISSIBLE]
 
     def test_out_of_interval_reported_raw(self):
         s = series([1, 2] * 20)  # strong anti-persistence
