@@ -7,13 +7,27 @@ ones.  Both are fitted by Newton-Raphson with analytic gradient and
 Hessian and a step-halving line search; the cumulative-logit fit keeps
 its cutpoints ordered, which is the iterative weighted least squares
 scheme in Newton form.
+
+Each family's likelihood is written once, in design-matrix form, and its
+gradient and Hessian come from the same per-row pieces:
+
+* multinomial logit: with p_t the probabilities of the non-reference
+  categories at row t, the gradient is sum_t (e_{y_t} - p_t) (x) x_t and
+  the Hessian -sum_t W_t (x) x_t x_t', W_t = diag(p_t) - p_t p_t';
+* proportional odds: P(Y = y_t | x_t) = F(D_hi v)_t - F(D_lo v)_t for the
+  parameters v = (cutpoints, slopes) and F the logistic function, where
+  row t of D_hi (D_lo) is the one-hot of the cutpoint above (below) y_t
+  followed by -x_t.  With L_t that probability and G the per-row
+  gradients, the Hessian is
+  D_hi' diag(F''_hi / L) D_hi - D_lo' diag(F''_lo / L) D_lo - G'G.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
+from scipy.special import expit
 
 from .core import MISSING, CatSeries, DarcatError
 
@@ -101,6 +115,7 @@ class GlmFit:
     column_names: tuple[str, ...]
     cutpoints: np.ndarray | None = None
     notes: tuple[str, ...] = ()
+    iterations: int = 0  # Newton steps taken
 
     @property
     def aic(self) -> float:
@@ -173,6 +188,15 @@ def _prune_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, t
     return X[:, keep], tuple(names[i] for i in keep), notes
 
 
+def _multinomial_probs(params: np.ndarray, X: np.ndarray, k_eff: int):
+    """Linear predictors, log-normalisers and probabilities of the k_eff-1 non-reference categories."""
+    eta = X @ params.reshape(k_eff - 1, X.shape[1]).T
+    # log-sum-exp against the implicit zero of the reference category
+    mx = eta.max(axis=1, initial=0.0)
+    lse = mx + np.log(np.exp(-mx) + np.exp(eta - mx[:, None]).sum(axis=1))
+    return eta, lse, np.exp(eta - lse[:, None])
+
+
 def multinomial_loglik_grad(
     params: np.ndarray, X: np.ndarray, y: np.ndarray, k_eff: int
 ) -> tuple[float, np.ndarray]:
@@ -181,39 +205,19 @@ def multinomial_loglik_grad(
     ``params`` is the (k_eff-1, p) coefficient matrix flattened row-wise;
     category k_eff is the reference.
     """
-    m, p = X.shape
-    b = params.reshape(k_eff - 1, p)
-    eta = X @ b.T
-    # log-sum-exp against the implicit zero of the reference category
-    mx = np.maximum(eta.max(axis=1, initial=0.0), 0.0)
-    lse = mx + np.log(np.exp(-mx) + np.exp(eta - mx[:, None]).sum(axis=1))
-    own = np.where(y < k_eff, eta[np.arange(m), np.minimum(y, k_eff - 1) - 1], 0.0)
-    ll = float((own - lse).sum())
-    probs = np.exp(eta - lse[:, None])
-    ind = np.zeros((m, k_eff - 1))
-    sel = y < k_eff
-    ind[np.flatnonzero(sel), y[sel] - 1] = 1.0
-    grad = ((ind - probs).T @ X).ravel()
-    return ll, grad
+    eta, lse, probs = _multinomial_probs(params, X, k_eff)
+    ind = np.eye(k_eff, k_eff - 1)[y - 1]  # one-hot response; the reference row is zero
+    ll = float(((ind * eta).sum(axis=1) - lse).sum())
+    return ll, ((ind - probs).T @ X).ravel()
 
 
 def _multinomial_hessian(params: np.ndarray, X: np.ndarray, k_eff: int) -> np.ndarray:
-    m, p = X.shape
-    b = params.reshape(k_eff - 1, p)
-    eta = X @ b.T
-    mx = np.maximum(eta.max(axis=1, initial=0.0), 0.0)
-    lse = mx + np.log(np.exp(-mx) + np.exp(eta - mx[:, None]).sum(axis=1))
-    probs = np.exp(eta - lse[:, None])
-    q = k_eff - 1
-    h = np.empty((q * p, q * p))
-    for a in range(q):
-        for c in range(a, q):
-            w = probs[:, a] * ((1.0 if a == c else 0.0) - probs[:, c])
-            block = -(X * w[:, None]).T @ X
-            h[a * p : (a + 1) * p, c * p : (c + 1) * p] = block
-            if c != a:
-                h[c * p : (c + 1) * p, a * p : (a + 1) * p] = block.T
-    return h
+    """-sum_t W_t (x) x_t x_t' with W_t = diag(p_t) - p_t p_t', in the row-wise order of ``params``."""
+    _, _, probs = _multinomial_probs(params, X, k_eff)
+    q, p = k_eff - 1, X.shape[1]
+    w = probs[:, :, None] * (np.eye(q) - probs[:, None, :])
+    h = np.tensordot(w, X[:, :, None] * X[:, None, :], axes=(0, 0))  # (q, q, p, p)
+    return -h.transpose(0, 2, 1, 3).reshape(q * p, q * p)
 
 
 def _newton(loglik_grad, hessian, params, ordered_head: int = 0):
@@ -221,7 +225,8 @@ def _newton(loglik_grad, hessian, params, ordered_head: int = 0):
 
     ``ordered_head`` marks a leading block of parameters that must stay
     strictly increasing (the ordinal cutpoints); steps breaking the order
-    are halved away.
+    are halved away.  Returns the optimum, its log-likelihood and the
+    number of Newton steps taken.
     """
 
     def ordered(v: np.ndarray) -> bool:
@@ -229,9 +234,8 @@ def _newton(loglik_grad, hessian, params, ordered_head: int = 0):
         return ordered_head < 2 or bool(np.all(np.diff(head) > 1e-10))
 
     ll, grad = loglik_grad(params)
-    for _ in range(MAX_ITER):
-        if np.max(np.abs(grad)) < GRAD_TOL:
-            break
+    steps = 0
+    while steps < MAX_ITER and np.max(np.abs(grad)) >= GRAD_TOL:
         try:
             step = np.linalg.solve(hessian(params), -grad)
         except np.linalg.LinAlgError as exc:
@@ -250,11 +254,23 @@ def _newton(loglik_grad, hessian, params, ordered_head: int = 0):
         if not accepted:
             if not any_ordered:
                 raise NonmonotoneCutpoints("no step length keeps the cutpoints ordered")
-            break  # line search stalled; the caller's gradient check decides
+            break  # line search stalled; the gradient check below decides
         params, ll, grad = cand, cand_ll, cand_grad
+        steps += 1
         if np.max(np.abs(params)) > MAX_COEF:
             raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
-    return params, ll, grad
+    if np.max(np.abs(grad)) > 1e-5:
+        raise SingularHessian("Newton iteration stalled before reaching the optimum")
+    return params, ll, steps
+
+
+def _prepare(design: Design):
+    """Collapse the response categories, refuse fewer than 2, and prune the covariate columns."""
+    y, categories, notes = _collapse_categories(design.y, design.k)
+    if len(categories) < 2:
+        raise DarcatError("response takes fewer than 2 distinct values")
+    X, names, more_notes = _prune_columns(design.X, design.column_names)
+    return y, categories, X, names, notes + more_notes
 
 
 def fit_multinomial(design: Design) -> GlmFit:
@@ -264,21 +280,14 @@ def fit_multinomial(design: Design) -> GlmFit:
     the highest retained category as reference.  Starts at zero, which is
     the closed-form optimum direction for the intercept-only model.
     """
-    y, categories, notes = _collapse_categories(design.y, design.k)
-    if len(categories) < 2:
-        raise DarcatError("response takes fewer than 2 distinct values")
-    X, names, more_notes = _prune_columns(design.X, design.column_names)
-    notes += more_notes
+    y, categories, X, names, notes = _prepare(design)
     k_eff = len(categories)
     p = X.shape[1]
-    params = np.zeros((k_eff - 1) * p)
-    params, ll, grad = _newton(
+    params, ll, steps = _newton(
         lambda v: multinomial_loglik_grad(v, X, y, k_eff),
         lambda v: _multinomial_hessian(v, X, k_eff),
-        params,
+        np.zeros((k_eff - 1) * p),
     )
-    if np.max(np.abs(grad)) > 1e-5:
-        raise SingularHessian("Newton iteration stalled before reaching the optimum")
     return GlmFit(
         family="MultinomialLogit",
         lag=design.lag,
@@ -289,40 +298,34 @@ def fit_multinomial(design: Design) -> GlmFit:
         categories=tuple(categories),
         column_names=names,
         notes=tuple(notes),
+        iterations=steps,
     )
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def _po_pieces(params: np.ndarray, X: np.ndarray, y: np.ndarray, k_eff: int):
-    """Per-observation cumulative-logit quantities at the two active cutpoints.
+    """Per-row pieces of P(Y = y_t | x_t) = L_t = F(D_hi v)_t - F(D_lo v)_t, F the logistic function.
 
-    The cutpoint above the response is absent when y = k_eff (cumulative
-    probability 1), the one below when y = 1 (probability 0); the masks
-    at_hi / at_lo mark where each exists.
+    Row t of D_hi (D_lo) is the one-hot of the cutpoint above (below) y_t
+    followed by -x_t.  The cutpoint above y = k_eff and the one below y = 1
+    do not exist: they sit at +inf and -inf, where F is 1 and 0 and its
+    derivatives F' = F(1-F) and F'' = F'(1-2F) vanish, so those rows drop
+    out of the gradient and Hessian with no mask.  Returns L, the per-row
+    gradients G of log L and, per side, D with F''/L; None if some L_t <= 0.
     """
     q = k_eff - 1
-    theta, b = params[:q], params[q:]
-    w = X @ b
-    at_hi = y <= q
-    at_lo = y >= 2
-    s_hi = _sigmoid(np.where(at_hi, theta[np.minimum(y, q) - 1] - w, 0.0))
-    cum_hi = np.where(at_hi, s_hi, 1.0)
-    f_hi = np.where(at_hi, s_hi * (1.0 - s_hi), 0.0)
-    fp_hi = np.where(at_hi, f_hi * (1.0 - 2.0 * s_hi), 0.0)
-    s_lo = _sigmoid(np.where(at_lo, theta[np.maximum(y - 1, 1) - 1] - w, 0.0))
-    cum_lo = np.where(at_lo, s_lo, 0.0)
-    f_lo = np.where(at_lo, s_lo * (1.0 - s_lo), 0.0)
-    fp_lo = np.where(at_lo, f_lo * (1.0 - 2.0 * s_lo), 0.0)
-    lik = cum_hi - cum_lo
-    return f_hi, fp_hi, f_lo, fp_lo, lik, at_hi, at_lo
+    theta = np.concatenate([[-np.inf], params[:q], [np.inf]])
+    w = X @ params[q:]
+    f_hi = expit(theta[y] - w)
+    f_lo = expit(theta[y - 1] - w)
+    lik = f_hi - f_lo
+    if np.any(lik <= 0):
+        return None
+    d_hi = np.hstack([np.eye(q + 1, q)[y - 1], -X])
+    d_lo = np.hstack([np.eye(q + 1, q, -1)[y - 1], -X])
+    fp_hi = f_hi * (1.0 - f_hi) / lik
+    fp_lo = f_lo * (1.0 - f_lo) / lik
+    g = d_hi * fp_hi[:, None] - d_lo * fp_lo[:, None]
+    return lik, g, (d_hi, fp_hi * (1.0 - 2.0 * f_hi)), (d_lo, fp_lo * (1.0 - 2.0 * f_lo))
 
 
 def proportional_odds_loglik_grad(
@@ -334,52 +337,17 @@ def proportional_odds_loglik_grad(
     the covariates without an intercept column.  P(Y <= j) is the logistic
     function of theta_j - x'b.
     """
-    q = k_eff - 1
-    f_hi, _, f_lo, _, lik, at_hi, at_lo = _po_pieces(params, X, y, k_eff)
-    if np.any(lik <= 0):
+    pieces = _po_pieces(params, X, y, k_eff)
+    if pieces is None:
         return -np.inf, np.zeros_like(params)
-    inv = 1.0 / lik
-    g_theta = np.zeros(q)
-    np.add.at(g_theta, np.minimum(y, q)[at_hi] - 1, (f_hi * inv)[at_hi])
-    np.add.at(g_theta, (y[at_lo] - 1) - 1, (-f_lo * inv)[at_lo])
-    g_b = -X.T @ ((f_hi - f_lo) * inv)
-    return float(np.log(lik).sum()), np.concatenate([g_theta, g_b])
+    lik, g, _, _ = pieces
+    return float(np.log(lik).sum()), g.sum(axis=0)
 
 
 def _po_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray, k_eff: int) -> np.ndarray:
-    q = k_eff - 1
-    p = X.shape[1]
-    f_hi, fp_hi, f_lo, fp_lo, lik, at_hi, at_lo = _po_pieces(params, X, y, k_eff)
-    inv = 1.0 / lik
-    inv2 = inv * inv
-    h = np.zeros((q + p, q + p))
-    hi_idx = np.minimum(y, q) - 1
-    lo_idx = y - 2  # valid where at_lo
-
-    # theta-theta block
-    d_hi = fp_hi * inv - f_hi**2 * inv2
-    d_lo = -fp_lo * inv - f_lo**2 * inv2
-    cross = f_hi * f_lo * inv2
-    np.add.at(h, (hi_idx[at_hi], hi_idx[at_hi]), d_hi[at_hi])
-    np.add.at(h, (lo_idx[at_lo], lo_idx[at_lo]), d_lo[at_lo])
-    both = at_hi & at_lo
-    np.add.at(h, (hi_idx[both], lo_idx[both]), cross[both])
-    np.add.at(h, (lo_idx[both], hi_idx[both]), cross[both])
-
-    # theta-b blocks
-    dw = f_hi - f_lo
-    c_hi = -fp_hi * inv + f_hi * dw * inv2
-    c_lo = fp_lo * inv - f_lo * dw * inv2
-    rows_hi = np.zeros((q, p))
-    np.add.at(rows_hi, hi_idx[at_hi], (X[at_hi] * c_hi[at_hi, None]))
-    np.add.at(rows_hi, lo_idx[at_lo], (X[at_lo] * c_lo[at_lo, None]))
-    h[:q, q:] = rows_hi
-    h[q:, :q] = rows_hi.T
-
-    # b-b block
-    d_ww = (fp_hi - fp_lo) * inv - dw**2 * inv2
-    h[q:, q:] = (X * d_ww[:, None]).T @ X
-    return h
+    """D_hi' diag(F''_hi / L) D_hi - D_lo' diag(F''_lo / L) D_lo - G'G."""
+    _, g, (d_hi, c_hi), (d_lo, c_lo) = _po_pieces(params, X, y, k_eff)
+    return (d_hi.T * c_hi) @ d_hi - (d_lo.T * c_lo) @ d_lo - g.T @ g
 
 
 def fit_proportional_odds(design: Design) -> GlmFit:
@@ -390,26 +358,17 @@ def fit_proportional_odds(design: Design) -> GlmFit:
     throughout.  Empty response categories are collapsed out first and
     flagged in the notes.
     """
-    y, categories, notes = _collapse_categories(design.y, design.k)
-    if len(categories) < 2:
-        raise DarcatError("response takes fewer than 2 distinct values")
-    X_full, names, more_notes = _prune_columns(design.X, design.column_names)
-    notes += more_notes
+    y, categories, X_full, names, notes = _prepare(design)
     X = X_full[:, 1:]  # cutpoints take the intercept's role
-    slope_names = names[1:]
     k_eff = len(categories)
     q = k_eff - 1
-    freqs = np.bincount(y - 1, minlength=k_eff) / y.size
-    cum = np.cumsum(freqs)[:q]
-    params = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(X.shape[1])])
-    params, ll, grad = _newton(
+    cum = np.cumsum(np.bincount(y - 1) / y.size)[:q]
+    params, ll, steps = _newton(
         lambda v: proportional_odds_loglik_grad(v, X, y, k_eff),
         lambda v: _po_hessian(v, X, y, k_eff),
-        params,
+        np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(X.shape[1])]),
         ordered_head=q,
     )
-    if np.max(np.abs(grad)) > 1e-5:
-        raise SingularHessian("Newton iteration stalled before reaching the optimum")
     theta = params[:q]
     if np.any(np.diff(theta) <= 0):
         raise NonmonotoneCutpoints("fitted cutpoints are not strictly increasing")
@@ -421,9 +380,10 @@ def fit_proportional_odds(design: Design) -> GlmFit:
         n_params=q + X.shape[1],
         n_used=design.n_used,
         categories=tuple(categories),
-        column_names=slope_names,
+        column_names=names[1:],
         cutpoints=theta,
         notes=tuple(notes),
+        iterations=steps,
     )
 
 
@@ -501,51 +461,33 @@ def aic_table(
     missingness shrinks the sample as the lag grows; ``common_rows``
     restricts every lag to the rows usable at the largest one, since AIC
     across different sample sizes is not formally comparable.  Failed fits
-    become NA rows instead of aborting the table.
+    become NA rows instead of aborting the table; their n is that of the
+    rows the fit was attempted on.
     """
     if family not in _FITTERS:
         raise DarcatError(f"family must be one of {sorted(_FITTERS)}, got {family!r}")
     fitter = _FITTERS[family]
     lags = tuple(sorted(set(lags)))
-    common_t: np.ndarray | None = None
-    if common_rows:
-        try:
-            common_t = build_design(series, max(lags)).t_index
-        except NoUsableRows:
-            common_t = np.empty(0, dtype=np.int64)
+    # largest lag first: under common_rows its usable rows are the common set
+    common_t = np.empty(0, dtype=np.int64)
     rows: list[AicRow] = []
-    for lag in lags:
+    for lag in reversed(lags):
+        design = None
         try:
             design = build_design(series, lag)
-            if common_t is not None:
+            if common_rows:
+                if lag == lags[-1]:
+                    common_t = design.t_index
                 keep = np.isin(design.t_index, common_t)
-                if not keep.any():
+                design = replace(design, X=design.X[keep], y=design.y[keep], t_index=design.t_index[keep])
+                if design.n_used == 0:
                     raise NoUsableRows("no rows in the common usable set")
-                design = Design(
-                    X=design.X[keep],
-                    y=design.y[keep],
-                    lag=lag,
-                    k=design.k,
-                    column_names=design.column_names,
-                    t_index=design.t_index[keep],
-                )
             fit = fitter(design)
-            rows.append(
-                AicRow(
-                    lag=lag,
-                    n_params=fit.n_params,
-                    aic=fit.aic,
-                    log_pl=fit.log_pl,
-                    n_used=fit.n_used,
-                )
-            )
+            rows.append(AicRow(lag=lag, n_params=fit.n_params, aic=fit.aic, log_pl=fit.log_pl, n_used=fit.n_used))
         except DarcatError as exc:
-            n_used = None
-            try:
-                n_used = build_design(series, lag).n_used
-            except DarcatError:
-                pass
+            n_used = None if design is None else design.n_used
             rows.append(AicRow(lag=lag, n_params=None, aic=None, log_pl=None, n_used=n_used, error=str(exc)))
+    rows.reverse()
     fitted = [r for r in rows if r.aic is not None]
     best = min(fitted, key=lambda r: r.aic).lag if fitted else None
     return AicTable(family=family, rows=tuple(rows), best_lag=best)

@@ -1,11 +1,15 @@
 import numpy as np
 import pytest
 
+from darcat import glm
 from darcat.core import MISSING, CatSeries, StateSpace
 from darcat.dar import DarModel, simulate
 from darcat.glm import (
+    MAX_ITER,
     NoUsableRows,
     Separation,
+    _multinomial_hessian,
+    _po_hessian,
     aic_table,
     build_design,
     fit_multinomial,
@@ -26,6 +30,25 @@ def fd_gradient(f, x, h=1e-5):
         e[i] = h
         g[i] = (f(x + e) - f(x - e)) / (2 * h)
     return g
+
+
+def fd_jacobian(grad, x, h=1e-5):
+    """Central differences of a vector-valued gradient, one column per coordinate."""
+    return np.column_stack([(grad(x + e) - grad(x - e)) / (2 * h) for e in h * np.eye(x.size)])
+
+
+def assert_hessian_matches(hessian, grad, x):
+    h = hessian(x)
+    hf = fd_jacobian(grad, x)
+    assert np.max(np.abs(h - h.T)) <= 1e-12 * max(1.0, np.max(np.abs(h)))
+    assert np.max(np.abs(h - hf)) <= 1e-6 * max(1.0, np.max(np.abs(hf)))
+
+
+def hessian_design(k, lag):
+    """A design whose responses cover every category, both ends of the scale included."""
+    d = build_design(simulate(DarModel.from_pi(0.4, np.full(k, 1.0 / k)), 300, seed=40 + k), lag)
+    assert set(d.y.tolist()) == set(range(1, k + 1))
+    return d
 
 
 MNL_TRUE = np.array([[0.5, 0.8, -0.4], [-0.3, 0.2, 0.6]])
@@ -145,6 +168,36 @@ class TestMultinomial:
         fit = fit_multinomial(build_design(generate_mnl_chain(200, seed=3), 1))
         assert fit.aic == -2.0 * fit.log_pl + 2 * fit.n_params
 
+    @pytest.mark.parametrize("lag", [0, 1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_hessian_matches_finite_differences(self, k, lag):
+        d = hessian_design(k, lag)
+        rng = np.random.default_rng(10 * k + lag)
+        fit = fit_multinomial(d)
+        assert fit.column_names == d.column_names and fit.categories == tuple(range(1, k + 1))
+        points = [rng.normal(0, 0.5, (k - 1) * d.X.shape[1]) for _ in range(3)] + [fit.coefficients.ravel()]
+        for params in points:
+            assert_hessian_matches(
+                lambda v: _multinomial_hessian(v, d.X, k),
+                lambda v: multinomial_loglik_grad(v, d.X, d.y, k)[1],
+                params,
+            )
+
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_saturated_lag1_closed_form(self, k):
+        # one free probability per (previous, current) pair: log PL = sum N_jj' log(N_jj' / N_j.)
+        rng = np.random.default_rng(k)
+        obs = rng.integers(1, k + 1, 400)
+        obs[rng.random(400) < 0.15] = MISSING
+        d = build_design(series(obs.tolist(), k=k), 1)
+        counts = np.zeros((k, k))
+        np.add.at(counts, (obs[d.t_index - 1] - 1, d.y - 1), 1)
+        assert np.all(counts > 0) and counts.sum() == d.n_used
+        expected = float(np.sum(counts * np.log(counts / counts.sum(axis=1, keepdims=True))))
+        fit = fit_multinomial(d)
+        assert fit.n_params == k * (k - 1)
+        assert fit.log_pl == pytest.approx(expected, abs=1e-8)
+
     def test_beats_nested_intercept_model_on_same_rows(self):
         s = generate_mnl_chain(300, seed=4)
         d1 = build_design(s, 1)
@@ -198,6 +251,26 @@ class TestProportionalOdds:
             gf = fd_gradient(lambda v: proportional_odds_loglik_grad(v, X, d.y, 4)[0], params)
             assert np.max(np.abs(g - gf)) <= 1e-4 * max(1.0, np.max(np.abs(gf)))
 
+    @pytest.mark.parametrize("lag", [0, 1, 2])
+    @pytest.mark.parametrize("k", [2, 3, 4])
+    def test_hessian_matches_finite_differences(self, k, lag):
+        # y = 1 has no cutpoint below and y = k none above; both occur in every case
+        d = hessian_design(k, lag)
+        rng = np.random.default_rng(10 * k + lag)
+        X = d.X[:, 1:]
+        fit = fit_proportional_odds(d)
+        assert fit.column_names == d.column_names[1:] and fit.categories == tuple(range(1, k + 1))
+        points = [
+            np.concatenate([np.sort(rng.normal(0, 1, k - 1)) + 0.05 * np.arange(k - 1), rng.normal(0, 0.5, X.shape[1])])
+            for _ in range(3)
+        ] + [np.concatenate([fit.cutpoints, fit.coefficients])]
+        for params in points:
+            assert_hessian_matches(
+                lambda v: _po_hessian(v, X, d.y, k),
+                lambda v: proportional_odds_loglik_grad(v, X, d.y, k)[1],
+                params,
+            )
+
     def test_cutpoints_ordered_and_cumulative_monotone(self):
         fit = fit_proportional_odds(build_design(generate_po_chain(1000, seed=9), 1))
         assert np.all(np.diff(fit.cutpoints) > 0)
@@ -242,6 +315,46 @@ class TestAicTable:
         table = aic_table(s, "ordinal", lags=(0, 1, 2), common_rows=True)
         sizes = {r.n_used for r in table.rows if r.n_used is not None and r.aic is not None}
         assert len(sizes) == 1
+
+    @pytest.mark.parametrize("family", ["categorical", "ordinal"])
+    def test_common_rows_failed_lag_reports_attempted_rows(self, family):
+        # the 3 rows usable at lag 2 all have response 1, so every lag fails on those same 3 rows
+        s = series([1, 2, MISSING, 1, 1, 1, 1, 1, MISSING, 2], k=2)
+        table = aic_table(s, family, lags=(0, 1, 2), common_rows=True)
+        assert [(r.lag, r.n_used, r.aic) for r in table.rows] == [(0, 3, None), (1, 3, None), (2, 3, None)]
+        assert all("fewer than 2" in r.error for r in table.rows)
+        per_lag = aic_table(s, family, lags=(0, 1, 2))
+        assert [r.n_used for r in per_lag.rows] == [8, 5, 3]
+
+    def test_common_rows_empty_common_set(self):
+        # nothing is usable at lag 2, so no row is attempted at any lag
+        s = series([1, 2, MISSING, 1, 2, MISSING, 2, 1], k=2)
+        table = aic_table(s, "categorical", lags=(0, 1, 2), common_rows=True)
+        assert [(r.n_used, r.aic) for r in table.rows] == [(0, None), (0, None), (None, None)]
+        assert table.rows[0].error == "no rows in the common usable set"
+        assert isinstance(table.rows[2].error, str) and table.best_lag is None
+
+    @pytest.mark.parametrize("family", ["categorical", "ordinal"])
+    @pytest.mark.parametrize("common_rows", [False, True])
+    def test_every_fit_reports_its_newton_steps(self, monkeypatch, family, common_rows):
+        fits = []
+        fitter = glm._FITTERS[family]
+
+        def recording(design):
+            fits.append(fitter(design))
+            return fits[-1]
+
+        monkeypatch.setitem(glm._FITTERS, family, recording)
+        obs = simulate(DarModel.from_pi(0.5, [0.2, 0.3, 0.5]), 400, seed=31).obs.copy()
+        obs[np.random.default_rng(31).random(obs.size) < 0.1] = MISSING
+        table = aic_table(series(obs.tolist(), k=3, ordinal=True), family, common_rows=common_rows)
+        assert len(fits) == 3 and all(r.aic is not None for r in table.rows)
+        for fit in fits:
+            if family == "ordinal" and fit.lag == 0:
+                # the cutpoints start at the empirical cumulative logits, the closed-form optimum
+                assert fit.iterations == 0
+            else:
+                assert 1 <= fit.iterations <= MAX_ITER
 
     def test_unknown_family_rejected(self):
         with pytest.raises(Exception):
