@@ -207,17 +207,17 @@ def multinomial_loglik_grad(
     """
     eta, lse, probs = _multinomial_probs(params, X, k_eff)
     ind = np.eye(k_eff, k_eff - 1)[y - 1]  # one-hot response; the reference row is zero
-    ll = float(((ind * eta).sum(axis=1) - lse).sum())
-    return ll, ((ind - probs).T @ X).ravel()
+    return float(np.vdot(ind, eta) - lse.sum()), ((ind - probs).T @ X).ravel()
 
 
 def _multinomial_hessian(params: np.ndarray, X: np.ndarray, k_eff: int) -> np.ndarray:
     """-sum_t W_t (x) x_t x_t' with W_t = diag(p_t) - p_t p_t', in the row-wise order of ``params``."""
     _, _, probs = _multinomial_probs(params, X, k_eff)
-    q, p = k_eff - 1, X.shape[1]
+    (m, p), q = X.shape, k_eff - 1
     w = probs[:, :, None] * (np.eye(q) - probs[:, None, :])
-    h = np.tensordot(w, X[:, :, None] * X[:, None, :], axes=(0, 0))  # (q, q, p, p)
-    return -h.transpose(0, 2, 1, 3).reshape(q * p, q * p)
+    # one product sums over the rows: (q*q, m) @ (m, p*p) holds the (a, c, i, j) entries
+    h = w.reshape(m, q * q).T @ (X[:, :, None] * X[:, None, :]).reshape(m, p * p)
+    return -h.reshape(q, q, p, p).transpose(0, 2, 1, 3).reshape(q * p, q * p)
 
 
 def _newton(loglik_grad, hessian, params, ordered_head: int = 0):
