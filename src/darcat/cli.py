@@ -15,13 +15,14 @@ Every command is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
-from . import montecarlo
+from . import montecarlo, render
 from .core import CatSeries, DarcatError, StateSpace, parse_series, serialize_series
 from .dar import DarModel, MissingDarModel, simulate, simulate_with_missing
 from .estimate import (
@@ -136,6 +137,16 @@ def _run_tests(series: CatSeries, level: float, alpha1: float | None):
     return out
 
 
+def _test_lines(tests, heading: str, with_notes: bool) -> list[str]:
+    """The heading, then one line per test, each followed by its notes when ``with_notes``."""
+    lines = [heading]
+    for name, (rep, reason) in tests.items():
+        lines.append(f"  {name}: {_fmt_report(rep, reason)}")
+        if with_notes and rep is not None:
+            lines.extend(f"    note: {note}" for note in rep.notes)
+    return lines
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     pi = _parse_pi(args.pi)
     space = _read_states(args.states) if args.states else StateSpace.from_k(pi.size)
@@ -158,42 +169,36 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fit_dar_csv(pi_hat, a1, a2, beta, obs_frac, tests) -> str:
-    def cell(rep_err, attr):
-        rep, _ = rep_err
-        if rep is None:
-            return "NA"
-        val = getattr(rep, attr)
+def _fit_dar_csv(pi_hat, a1, a2, beta, tests) -> str:
+    """The one-row csv table of ``fit-dar``: floats to six decimals, flags as 0/1, NA where absent."""
+
+    def num(val) -> str:
         if val is None:
             return "NA"
         return f"{val:.6f}" if isinstance(val, float) else str(int(val))
+
+    def test(name, *attrs) -> list[str]:
+        rep = tests[name][0]
+        return [num(None if rep is None else getattr(rep, attr)) for attr in attrs]
 
     header = (
         "pi_hat,alpha1,alpha1_converged,alpha2,alpha2_converged,beta_missing,observed_fraction,"
         "chi2_stat,chi2_p,chi2_reject,runs_stat,runs_p,runs_reject,"
         "longest_stat,longest_reject,longest_power"
-    )
-    row = ",".join(
-        [
-            "(" + ";".join(f"{v:.3f}" for v in pi_hat) + ")",
-            f"{a1.alpha_hat:.6f}",
-            str(int(a1.converged)),
-            f"{a2.alpha_hat:.6f}" if a2 is not None else "NA",
-            str(int(a2.converged)) if a2 is not None else "NA",
-            f"{beta:.6f}",
-            f"{obs_frac:.6f}",
-            cell(tests["chi_square"], "statistic"),
-            cell(tests["chi_square"], "p_value"),
-            cell(tests["chi_square"], "reject"),
-            cell(tests["runs_count"], "statistic"),
-            cell(tests["runs_count"], "p_value"),
-            cell(tests["runs_count"], "reject"),
-            cell(tests["longest_run"], "statistic"),
-            cell(tests["longest_run"], "reject"),
-            cell(tests["longest_run"], "power"),
-        ]
-    )
-    return header + "\n" + row + "\n"
+    ).split(",")
+    row = [
+        "(" + ";".join(f"{v:.3f}" for v in pi_hat) + ")",
+        num(a1.alpha_hat),
+        num(a1.converged),
+        num(None if a2 is None else a2.alpha_hat),
+        num(None if a2 is None else a2.converged),
+        num(beta),
+        num(1.0 - beta),
+        *test("chi_square", "statistic", "p_value", "reject"),
+        *test("runs_count", "statistic", "p_value", "reject"),
+        *test("longest_run", "statistic", "reject", "power"),
+    ]
+    return render.table("csv", header, [row])
 
 
 def cmd_fit_dar(args: argparse.Namespace) -> int:
@@ -225,8 +230,9 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
         a2, a2_err = None, "no usable test series"
         tests = {name: (None, "no usable test series") for name in ("chi_square", "runs_count", "longest_run")}
 
+    csv = _fit_dar_csv(pi_est.pi_hat, a1, a2, beta, tests)
     if args.format == "csv":
-        sys.stdout.write(_fit_dar_csv(pi_est.pi_hat, a1, a2, beta, 1.0 - beta, tests))
+        sys.stdout.write(csv)
     else:
         lines = [
             f"series: {', '.join(args.input)}",
@@ -248,17 +254,10 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
         else:
             lines.append(f"  alpha2 (least squares): NA ({a2_err})")
         lines.append(f"  beta_hat (missing probability): {beta:.4f}   observed fraction: {1 - beta:.4f}")
-        lines.append(f"independence tests at level {args.level} (on policy series):")
-        for name in ("chi_square", "runs_count", "longest_run"):
-            rep, reason = tests[name]
-            lines.append(f"  {name}: {_fmt_report(rep, reason)}")
-            if rep is not None and rep.notes:
-                lines.extend(f"    note: {note}" for note in rep.notes)
+        lines += _test_lines(tests, f"independence tests at level {args.level} (on policy series):", with_notes=True)
         sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
-        Path(args.out).write_text(
-            _fit_dar_csv(pi_est.pi_hat, a1, a2, beta, 1.0 - beta, tests), encoding="utf-8"
-        )
+        Path(args.out).write_text(csv, encoding="utf-8")
     return 0
 
 
@@ -271,10 +270,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     if gone:
         _err(_unobserved_note(gone))
     tests = _run_tests(test_series, args.level, None)
-    lines = [f"independence tests at level {args.level}:"]
-    for name in ("chi_square", "runs_count", "longest_run"):
-        rep, reason = tests[name]
-        lines.append(f"  {name}: {_fmt_report(rep, reason)}")
+    lines = _test_lines(tests, f"independence tests at level {args.level}:", with_notes=False)
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -284,16 +280,9 @@ def cmd_fit_glm(args: argparse.Namespace) -> int:
     series = _load_series(args.input, space)
     lags = _parse_lags(args.lags)
     families = ["categorical", "ordinal"] if args.family == "both" else [args.family]
-    chunks = []
-    for family in families:
-        table = aic_table(series, family, lags=lags, common_rows=args.common_rows)
-        if args.format == "csv":
-            chunks.append(f"# family: {family}\n" + table.to_csv())
-        elif args.format == "md":
-            chunks.append(table.to_markdown())
-        else:
-            chunks.append(table.to_text())
-    out_text = "\n".join(chunks)
+    out_text = "\n".join(
+        aic_table(series, family, lags=lags, common_rows=args.common_rows).render(args.format) for family in families
+    )
     sys.stdout.write(out_text)
     if args.out:
         Path(args.out).write_text(out_text, encoding="utf-8")
@@ -301,25 +290,17 @@ def cmd_fit_glm(args: argparse.Namespace) -> int:
 
 
 def cmd_reproduce_tables(args: argparse.Namespace) -> int:
-    if args.markdown:
-        args.format = "md"
     grid = montecarlo.study_grid(m=args.m, seed=args.seed)
     results = montecarlo.run_grid(grid)
     grouped = montecarlo.results_by_pi(results)
-    formats = {
-        "csv": (montecarlo.format_cells_csv, "csv"),
-        "md": (montecarlo.format_cells_markdown, "md"),
-        "txt": (montecarlo.format_cells_text, "txt"),
-    }
-    fmt, ext = formats[args.format]
     outdir = Path(args.out) if args.out else None
     if outdir:
         outdir.mkdir(parents=True, exist_ok=True)
     for i, (pi, cells) in enumerate(grouped.items(), start=1):
         title = "pi=(" + ";".join(f"{v:g}" for v in pi) + f"), m={grid.m}"
-        body = fmt(cells)
+        body = montecarlo.format_cells(cells, args.format)
         if outdir:
-            path = outdir / f"table{i}.{ext}"
+            path = outdir / f"table{i}.{args.format}"
             path.write_text(body, encoding="utf-8")
             _err(f"wrote {path} ({title})")
         else:
@@ -327,39 +308,49 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="darcat", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--states", help="states file: one label per line, file order = ordinal order")
-    common.add_argument("--level", type=float, default=0.05, help="test level (default 0.05)")
-    common.add_argument("--seed", type=int, default=0, help="random seed (default 0)")
-    common.add_argument("--out", help="output file (or directory for reproduce-tables)")
-    common.add_argument(
+    def option(*args, **kwargs) -> argparse.ArgumentParser:
+        parent = argparse.ArgumentParser(add_help=False)
+        parent.add_argument(*args, **kwargs)
+        return parent
+
+    # each subcommand takes only the options it reads
+    states = option("--states", help="states file: one label per line, file order = ordinal order")
+    level = option("--level", type=float, default=0.05, help="test level (default 0.05)")
+    seed = option("--seed", type=int, default=montecarlo.DEFAULT_SEED, help="random seed (default %(default)s)")
+    out = option("--out", help="output file (or directory for reproduce-tables)")
+    policy = option(
         "--missing-policy",
         choices=("drop", "longest-segment"),
         default="longest-segment",
         help="how tests handle missing values (default longest-segment)",
     )
-    common.add_argument("--format", choices=("csv", "md", "txt"), default="txt")
+    csv_txt = option("--format", choices=("csv", "txt"), default="txt")
+    tables = option("--format", choices=render.FORMATS, default="txt")
 
-    p = sub.add_parser("simulate", parents=[common], help="simulate a DAR(1) series to CSV")
+    p = sub.add_parser("simulate", parents=[states, seed, out], help="simulate a DAR(1) series to CSV")
     p.add_argument("--alpha", type=float, required=True, help="persistence in [0,1)")
     p.add_argument("--pi", required=True, help="comma list of state probabilities")
     p.add_argument("--n", type=int, required=True, help="number of steps (writes n+1 rows)")
     p.add_argument("--beta", type=float, default=None, help="missing-value probability")
     p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("fit-dar", parents=[common], help="fit the DAR(1) model and run the tests")
+    p = sub.add_parser(
+        "fit-dar", parents=[states, level, out, policy, csv_txt], help="fit the DAR(1) model and run the tests"
+    )
     p.add_argument("input", nargs="+", help="series CSV file(s); several files are concatenated")
     p.set_defaults(func=cmd_fit_dar)
 
-    p = sub.add_parser("test", parents=[common], help="run the three independence tests")
+    p = sub.add_parser("test", parents=[states, level, policy], help="run the three independence tests")
     p.add_argument("input", nargs="+")
     p.set_defaults(func=cmd_test)
 
-    p = sub.add_parser("fit-glm", parents=[common], help="lagged regression with AIC comparison")
+    p = sub.add_parser("fit-glm", parents=[states, out, tables], help="lagged regression with AIC comparison")
     p.add_argument("input", nargs="+")
     p.add_argument("--family", choices=("categorical", "ordinal", "both"), default="both")
     p.add_argument("--lags", default="0,1,2", help="comma list from {0,1,2} (default 0,1,2)")
@@ -370,10 +361,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.set_defaults(func=cmd_fit_glm)
 
-    p = sub.add_parser("reproduce-tables", parents=[common], help="run the simulation study grid")
+    p = sub.add_parser("reproduce-tables", parents=[seed, out, tables], help="run the simulation study grid")
     p.add_argument("--m", type=int, default=100, help="replicates per cell (default 100)")
-    p.add_argument("--markdown", action="store_true", help="shorthand for --format md")
-    p.set_defaults(func=cmd_reproduce_tables, seed=montecarlo.DEFAULT_SEED)
+    p.set_defaults(func=cmd_reproduce_tables)
 
     return parser
 

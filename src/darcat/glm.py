@@ -20,6 +20,10 @@ gradient and Hessian come from the same per-row pieces:
   followed by -x_t.  With L_t that probability and G the per-row
   gradients, the Hessian is
   D_hi' diag(F''_hi / L) D_hi - D_lo' diag(F''_lo / L) D_lo - G'G.
+
+:func:`aic_table` fits one family at each lag order and ranks the lags by
+AIC; :meth:`AicTable.render` writes that table as csv, md or txt through
+:func:`darcat.render.table`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.special import expit
 
+from . import render
 from .core import MISSING, CatSeries, DarcatError
 
 __all__ = [
@@ -409,44 +414,39 @@ class AicTable:
     rows: tuple[AicRow, ...]
     best_lag: int | None
 
-    def to_csv(self) -> str:
-        lines = ["lag,n_params,log_pl,aic,n_used,best"]
-        for r in self.rows:
-            if r.error is not None:
-                lines.append(f"{r.lag},NA,NA,NA,{r.n_used if r.n_used is not None else 'NA'},")
-            else:
-                best = "*" if r.lag == self.best_lag else ""
-                lines.append(f"{r.lag},{r.n_params},{r.log_pl:.6f},{r.aic:.6f},{r.n_used},{best}")
-        return "\n".join(lines) + "\n"
+    def render(self, fmt: str) -> str:
+        """The table as csv, md or txt text under a family title.
 
-    def to_text(self) -> str:
-        lines = [f"family: {self.family}", f"{'lag':>4} {'params':>7} {'logPL':>12} {'AIC':>12} {'n':>6}"]
+        csv has six decimals, NA for an unknown n and a ``best`` column;
+        md and txt have four decimals and ``-`` for an unknown n, md bolds
+        the minimum AIC and txt marks it, or a failed fit's error, after
+        the row.
+        """
+        digits = 6 if fmt == "csv" else 4
+        missing = "NA" if fmt == "csv" else "-"
+        rows = []
         for r in self.rows:
+            best = r.lag == self.best_lag
             if r.error is not None:
-                n = r.n_used if r.n_used is not None else "-"
-                lines.append(f"{r.lag:>4} {'NA':>7} {'NA':>12} {'NA':>12} {n:>6}   ({r.error})")
+                row = [r.lag, "NA", "NA", "NA", missing if r.n_used is None else r.n_used]
             else:
-                mark = " <- min AIC" if r.lag == self.best_lag else ""
-                lines.append(
-                    f"{r.lag:>4} {r.n_params:>7} {r.log_pl:>12.4f} {r.aic:>12.4f} {r.n_used:>6}{mark}"
-                )
-        return "\n".join(lines) + "\n"
-
-    def to_markdown(self) -> str:
-        lines = [
-            f"**family: {self.family}**",
-            "",
-            "| lag | params | logPL | AIC | n |",
-            "|---|---|---|---|---|",
-        ]
-        for r in self.rows:
-            if r.error is not None:
-                n = r.n_used if r.n_used is not None else "-"
-                lines.append(f"| {r.lag} | NA | NA | NA | {n} |")
-            else:
-                aic = f"**{r.aic:.4f}**" if r.lag == self.best_lag else f"{r.aic:.4f}"
-                lines.append(f"| {r.lag} | {r.n_params} | {r.log_pl:.4f} | {aic} | {r.n_used} |")
-        return "\n".join(lines) + "\n"
+                aic = f"{r.aic:.{digits}f}"
+                aic = f"**{aic}**" if best and fmt == "md" else aic
+                row = [r.lag, r.n_params, f"{r.log_pl:.{digits}f}", aic, r.n_used]
+            if fmt == "csv":
+                row.append("*" if best else "")
+            elif fmt == "txt" and r.error is not None:
+                row.append(f"   ({r.error})")
+            elif fmt == "txt" and best:
+                row.append(" <- min AIC")
+            rows.append(row)
+        if fmt == "csv":
+            title = f"# family: {self.family}\n"
+            header = ("lag", "n_params", "log_pl", "aic", "n_used", "best")
+        else:
+            title = f"**family: {self.family}**\n\n" if fmt == "md" else f"family: {self.family}\n"
+            header = ("lag", "params", "logPL", "AIC", "n")
+        return title + render.table(fmt, header, rows, (4, 7, 12, 12, 6))
 
 
 def aic_table(

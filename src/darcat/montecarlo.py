@@ -17,7 +17,8 @@ steps run on the whole cell at once: its replicates are the rows of one
 :func:`~darcat.estimate.alpha_ls_rows`.  :func:`~darcat.dar.simulate` and
 the per-series estimators call the same kernels with a batch of one, so
 each row's arithmetic is theirs and the tables equal a
-replicate-by-replicate loop exactly.
+replicate-by-replicate loop exactly.  :func:`format_cells` writes one
+table per marginal configuration through :func:`darcat.render.table`.
 """
 
 from __future__ import annotations
@@ -27,6 +28,7 @@ from itertools import product
 
 import numpy as np
 
+from . import render
 from .core import DarcatError, path_counts
 from .dar import DarModel, draw_paths
 from .estimate import ADMISSIBLE, alpha_ls_rows, alpha_mle_rows
@@ -37,9 +39,7 @@ __all__ = [
     "run_grid",
     "study_grid",
     "results_by_pi",
-    "format_cells_csv",
-    "format_cells_markdown",
-    "format_cells_text",
+    "format_cells",
 ]
 
 DEFAULT_SEED = 2
@@ -171,34 +171,11 @@ def _fmt_opt(x: float | None) -> str:
     return "NA" if x is None else f"{x:.3f}"
 
 
-def format_cells_csv(cells: list[CellResult]) -> str:
-    lines = ["alpha,n,pi_hat,alpha1,m1,alpha2,m2"]
-    for c in cells:
-        lines.append(
-            f"{c.alpha},{c.n},{_fmt_pi(c.mean_pi_hat)},{_fmt_opt(c.mean_alpha1)},{c.m1},"
-            f"{_fmt_opt(c.mean_alpha2)},{c.m2}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def format_cells_markdown(cells: list[CellResult]) -> str:
-    lines = [
-        "| alpha | n | pi_hat | alpha1 | m1 | alpha2 | m2 |",
-        "|---|---|---|---|---|---|---|",
+def format_cells(cells: list[CellResult], fmt: str) -> str:
+    """One study table as csv, md or txt text: a row per cell, NA where no replicate was admissible."""
+    header = ("alpha", "n", "pi_hat", "alpha1", "m1", "alpha2", "m2")
+    rows = [
+        (c.alpha, c.n, _fmt_pi(c.mean_pi_hat), _fmt_opt(c.mean_alpha1), c.m1, _fmt_opt(c.mean_alpha2), c.m2)
+        for c in cells
     ]
-    for c in cells:
-        lines.append(
-            f"| {c.alpha} | {c.n} | {_fmt_pi(c.mean_pi_hat)} | {_fmt_opt(c.mean_alpha1)} | {c.m1} "
-            f"| {_fmt_opt(c.mean_alpha2)} | {c.m2} |"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def format_cells_text(cells: list[CellResult]) -> str:
-    lines = [f"{'alpha':>6} {'n':>5} {'pi_hat':>24} {'alpha1':>7} {'m1':>4} {'alpha2':>7} {'m2':>4}"]
-    for c in cells:
-        lines.append(
-            f"{c.alpha:>6} {c.n:>5} {_fmt_pi(c.mean_pi_hat):>24} {_fmt_opt(c.mean_alpha1):>7} {c.m1:>4} "
-            f"{_fmt_opt(c.mean_alpha2):>7} {c.m2:>4}"
-        )
-    return "\n".join(lines) + "\n"
+    return render.table(fmt, header, rows, (6, 5, 24, 7, 4, 7, 4))

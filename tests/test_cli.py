@@ -193,3 +193,83 @@ def test_bad_input_exits_2_with_named_error_and_bom_is_skipped(tmp_path, capsys,
     assert got == code
     assert message in err
     assert err.startswith("error: ") == (code == 2)
+
+
+COMMANDS = {
+    "simulate": ["simulate", "--alpha", "0", "--pi", "0.5,0.5", "--n", "10"],
+    "fit-dar": ["fit-dar", "{dir}/s.csv", "--states", "{dir}/states.txt"],
+    "test": ["test", "{dir}/s.csv", "--states", "{dir}/states.txt"],
+    "fit-glm": ["fit-glm", "{dir}/s.csv", "--states", "{dir}/states.txt"],
+    "reproduce-tables": ["reproduce-tables", "--m", "1"],
+}
+
+
+@pytest.mark.parametrize(
+    "command, option",
+    [
+        ("simulate", ["--level", "0.1"]),
+        ("simulate", ["--missing-policy", "drop"]),
+        ("simulate", ["--format", "csv"]),
+        ("fit-dar", ["--seed", "3"]),
+        ("fit-dar", ["--format", "md"]),
+        ("test", ["--seed", "3"]),
+        ("test", ["--out", "{dir}/x.txt"]),
+        ("test", ["--format", "csv"]),
+        ("fit-glm", ["--level", "0.1"]),
+        ("fit-glm", ["--seed", "3"]),
+        ("fit-glm", ["--missing-policy", "drop"]),
+        ("reproduce-tables", ["--states", "{dir}/states.txt"]),
+        ("reproduce-tables", ["--level", "0.1"]),
+        ("reproduce-tables", ["--missing-policy", "drop"]),
+        ("reproduce-tables", ["--markdown"]),
+    ],
+)
+def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, command, option):
+    (tmp_path / "s.csv").write_text("t,value\n0,A\n1,B\n2,A\n3,B\n4,B\n5,A\n")
+    (tmp_path / "states.txt").write_text("A\nB\n")
+    argv = [a.format(dir=tmp_path) for a in COMMANDS[command] + option]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and option[0] in err
+    assert not (tmp_path / "x.txt").exists()
+
+
+@pytest.mark.parametrize(
+    "command, series, states, code, message, count",
+    [
+        ("fit-dar", "t,value\r\n0,A\r\n1,B\r\n2,A\r\n3,B\r\n4,B\r\n5,A\r\n", "A\nB\n", 0, "6 positions", 1),
+        ("fit-dar", "t,value\n0,A\n1,B\n", "A\nB\nA\n", 2, "pairwise distinct", 1),
+        ("fit-dar", 't,value\n"0,5",A\n1,B\n', "A\nB\n", 2, "line 2: expected 2 columns, got 3", 1),
+        ("fit-dar", "t,value\n0,NA\n1,NA\n2,NA\n", "A\nB\n", 2, "series has no observed value", 1),
+        ("fit-glm", "t,value\n0,NA\n1,NA\n2,NA\n", "A\nB\n", 0, "NA      -   (every candidate row touches a missing value)", 6),
+        # alpha2 and the three tests
+        ("fit-dar", "t,value\n0,A\n1,A\n2,A\n3,A\n4,A\n", "A\nB\n", 0, ": NA (no usable test series)", 4),
+        ("test", "t,value\n0,A\n1,A\n2,A\n3,A\n4,A\n", "A\nB\n", 2, "only one category observed", 1),
+    ],
+    ids=[
+        "crlf",
+        "duplicate-label",
+        "quoted-comma",
+        "all-missing-fit-dar",
+        "all-missing-fit-glm",
+        "one-category-fit-dar",
+        "one-category-test",
+    ],
+)
+def test_edge_case_inputs(tmp_path, capsys, command, series, states, code, message, count):
+    (tmp_path / "s.csv").write_bytes(series.encode())
+    (tmp_path / "states.txt").write_text(states)
+    got, out, err = run(capsys, command, str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"))
+    assert got == code
+    assert (out + err).count(message) == count
+    assert err.startswith("error: ") == (code == 2)
+
+
+def test_seed_help_names_the_seed_used(capsys):
+    with pytest.raises(SystemExit):
+        main(["simulate", "--help"])
+    assert "random seed (default 2)" in capsys.readouterr().out
+    _, _, err = run(capsys, "simulate", "--alpha", "0", "--pi", "0.5,0.5", "--n", "3")
+    assert "seed=2;" in err

@@ -306,7 +306,7 @@ class TestAicTable:
         assert by_lag[1].aic is None and by_lag[1].error is not None
         assert by_lag[0].aic is not None
         assert table.best_lag == 0
-        assert "NA" in table.to_text() and "NA" in table.to_csv()
+        assert "NA" in table.render("txt") and "NA" in table.render("csv")
 
     def test_common_rows_mode_aligns_samples(self):
         obs = [1 + (i % 2) for i in range(40)]

@@ -15,9 +15,7 @@ from darcat.estimate import (
 )
 from darcat.montecarlo import (
     SimGrid,
-    format_cells_csv,
-    format_cells_markdown,
-    format_cells_text,
+    format_cells,
     study_grid,
     results_by_pi,
     run_grid,
@@ -161,11 +159,11 @@ def test_validation():
 
 def test_formatters():
     cells = list(run_grid(SMALL))[:2]
-    csv = format_cells_csv(cells)
+    csv = format_cells(cells, "csv")
     assert csv.splitlines()[0] == "alpha,n,pi_hat,alpha1,m1,alpha2,m2"
     assert len(csv.splitlines()) == 3
-    md = format_cells_markdown(cells)
+    md = format_cells(cells, "md")
     assert md.startswith("| alpha | n |")
     assert md.count("\n") == 4
-    txt = format_cells_text(cells)
+    txt = format_cells(cells, "txt")
     assert "alpha1" in txt.splitlines()[0]
