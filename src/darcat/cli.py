@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import sys
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -61,8 +60,8 @@ def _load_series(paths: list[str], space: StateSpace) -> CatSeries:
     parts = [parse_series(_read_text(p), space) for p in paths]
     if len(parts) == 1:
         return parts[0]
-    times = tuple(chain.from_iterable(s.time_labels for s in parts))
-    return CatSeries(space, np.concatenate([s.obs for s in parts]), times)
+    times = [np.arange(len(s)).astype(str) if s.time_labels is None else np.array(s.time_labels) for s in parts]
+    return CatSeries(space, np.concatenate([s.obs for s in parts]), np.concatenate(times))
 
 
 def _parse_pi(text: str) -> np.ndarray:
@@ -137,12 +136,12 @@ def _run_tests(series: CatSeries, level: float, alpha1: float | None):
     return out
 
 
-def _test_lines(tests, heading: str, with_notes: bool) -> list[str]:
-    """The heading, then one line per test, each followed by its notes when ``with_notes``."""
+def _test_lines(tests, heading: str) -> list[str]:
+    """The heading, then one line per test, each followed by its notes."""
     lines = [heading]
     for name, (rep, reason) in tests.items():
         lines.append(f"  {name}: {_fmt_report(rep, reason)}")
-        if with_notes and rep is not None:
+        if rep is not None:
             lines.extend(f"    note: {note}" for note in rep.notes)
     return lines
 
@@ -254,7 +253,7 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
         else:
             lines.append(f"  alpha2 (least squares): NA ({a2_err})")
         lines.append(f"  beta_hat (missing probability): {beta:.4f}   observed fraction: {1 - beta:.4f}")
-        lines += _test_lines(tests, f"independence tests at level {args.level} (on policy series):", with_notes=True)
+        lines += _test_lines(tests, f"independence tests at level {args.level} (on policy series):")
         sys.stdout.write("\n".join(lines) + "\n")
     if args.out:
         Path(args.out).write_text(csv, encoding="utf-8")
@@ -270,7 +269,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     if gone:
         _err(_unobserved_note(gone))
     tests = _run_tests(test_series, args.level, None)
-    lines = _test_lines(tests, f"independence tests at level {args.level}:", with_notes=False)
+    lines = _test_lines(tests, f"independence tests at level {args.level}:")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -308,11 +307,21 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
     return 0
 
 
+class _SubcommandParser(argparse.ArgumentParser):
+    """A subcommand's parser: an argument it does not take is reported with its own usage line."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(prog="darcat", description=__doc__.splitlines()[0])
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_SubcommandParser)
 
     def option(*args, **kwargs) -> argparse.ArgumentParser:
         parent = argparse.ArgumentParser(add_help=False)

@@ -4,6 +4,10 @@ Categories are coded 1..k internally, whatever their text labels are.
 Missing observations are coded with the sentinel ``MISSING`` (-1).  A
 series is stored once, as the read-only int64 array ``CatSeries.obs``,
 and the series operations work on it without a per-observation loop.
+Time labels are stored only when they differ from the implicit '0', '1',
+..., str(n) (``CatSeries.time_labels`` is ``None`` otherwise), and
+:func:`parse_series` / :func:`serialize_series` read and write a series
+through whole-text string operations, not a loop over its rows.
 All containers are immutable after construction and safe to share across
 threads; every operation here is a pure function.
 """
@@ -11,7 +15,7 @@ threads; every operation here is a pure function.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import compress
+from itertools import compress, islice
 
 import numpy as np
 
@@ -107,7 +111,11 @@ class CatSeries:
     ``obs``, the one stored form of the series, is a read-only int64 copy
     of the codes given: 1..k or ``MISSING``, n+1 of them for times 0..n.
     ``time_labels``, when present, carries one opaque stamp per index (no
-    date parsing is attempted).
+    date parsing is attempted).  It is ``None`` exactly when the stamps
+    are the implicit '0', '1', ..., str(n): labels given in that form are
+    stored as ``None``, so a series equals itself written and read back.
+    Series derived by dropping observations keep ``None`` (their stamps
+    count from 0 again).
     """
 
     space: StateSpace
@@ -129,7 +137,7 @@ class CatSeries:
             tl = tuple(map(str, self.time_labels))
             if len(tl) != len(obs):
                 raise DarcatError("time_labels length must match obs length")
-            object.__setattr__(self, "time_labels", tl)
+            object.__setattr__(self, "time_labels", None if _is_default_stamps(tl) else tl)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatSeries):
@@ -230,39 +238,137 @@ def path_counts(paths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return states, jumps.reshape(m, k, k)
 
 
+_LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks a line besides "\n"
+_ASCII_SPACES = " \t\x1f"  # what str.strip removes from ASCII text besides line breaks
+
+
 def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     """Parse a two-column ``t,value`` CSV into a CatSeries.
 
     Value cells must be labels of ``space`` or the literal ``NA`` for a
-    missing observation.  Rows are kept in file order; the ``t`` column is
-    stored verbatim as time labels.
+    missing observation.  Rows are kept in file order; blank lines are
+    skipped and every cell is stripped of surrounding whitespace.  The
+    ``t`` column is kept as the time labels (``None`` when it is the
+    implicit '0', '1', ..., see :class:`CatSeries`).
+
+    The whole text is tokenised and checked at once; only a text that
+    fails the check is read again row by row, by :func:`_first_error`,
+    to name its first bad row.
+    """
+    cells = _cells(csv_text)
+    if cells is not None and len(cells) >= 6:  # a header and at least two data rows
+        code_of = dict(zip(space.labels, range(1, space.k + 1)), NA=MISSING)
+        try:
+            obs = np.fromiter(map(code_of.__getitem__, islice(cells, 3, None, 2)), np.int64, len(cells) // 2 - 1)
+        except KeyError:
+            pass
+        else:
+            times = cells[2::2]
+            del cells  # frees the value cells before the stamps are checked
+            return CatSeries(space, obs, None if _is_default_stamps(times) else times)
+    raise _first_error(csv_text, space)
+
+
+def _cells(csv_text: str) -> list[str] | None:
+    """The stripped cells of the non-blank lines in file order, or None unless each such line has two.
+
+    Lines break where :meth:`str.splitlines` breaks them and cells are
+    stripped as :meth:`str.strip` strips them, but without a loop over
+    the lines: every line break becomes "\\n" and then so does every
+    comma, so that cell j of the split text ends at the j-th of the
+    original separators, and the order of those separators alone tells
+    which lines hold one cell and which more than two.
+    """
+    text = csv_text.replace("\r\n", "\n")
+    for brk in _LINE_BREAKS:
+        if brk in text:
+            text = text.replace(brk, "\n")
+    if not text.endswith("\n"):
+        text += "\n"
+    buf = np.frombuffer(text.encode(), np.uint8)
+    comma = buf[np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))] == ord(",")
+    del buf  # a byte per character, not needed while the cells are made
+    if (comma[1:] & comma[:-1]).any():
+        return None  # a line with three or more cells
+    cells = text.replace(",", "\n").split("\n")
+    cells.pop()  # the empty tail after the last line break
+    if not text.isascii() or any(c in text for c in _ASCII_SPACES):
+        cells = list(map(str.strip, cells))
+    whole = np.flatnonzero(~comma & ~np.append(False, comma[:-1])).tolist()  # lines without a comma
+    if any(map(cells.__getitem__, whole)):
+        return None  # a line with one cell that is not blank
+    if whole:
+        keep = np.ones(len(cells), bool)
+        keep[whole] = False
+        cells = list(compress(cells, keep.tolist()))
+    return cells
+
+
+def _first_error(csv_text: str, space: StateSpace) -> DarcatError:
+    """The error that reading ``csv_text`` row by row meets first.
+
+    This is the original per-row parser, kept to report errors only: it
+    runs after :func:`parse_series` has found the text invalid, so each
+    error keeps its type and message, and line numbers count the
+    non-blank lines.
     """
     lines = [ln for ln in csv_text.splitlines() if ln.strip() != ""]
     if not lines:
-        raise TooShort("empty input")
-    header = [c.strip() for c in lines[0].split(",")]
+        return TooShort("empty input")
+    header = lines[0].split(",")
     if len(header) != 2:
-        raise MalformedRow(f"expected 2 header columns, got {len(header)}")
-    code_of = dict(zip(space.labels, range(1, space.k + 1)), NA=MISSING)
-    obs: list[int] = []
-    times: list[str] = []
+        return MalformedRow(f"expected 2 header columns, got {len(header)}")
     for lineno, ln in enumerate(lines[1:], start=2):
         cells = [c.strip() for c in ln.split(",")]
         if len(cells) != 2:
-            raise MalformedRow(f"line {lineno}: expected 2 columns, got {len(cells)}")
-        t, value = cells
-        times.append(t)
-        obs.append(code_of[value] if value in code_of else space.code_of(value))  # raises UnknownLabel
-    if len(obs) < 2:
-        raise TooShort(f"need at least 2 data rows, got {len(obs)}")
-    return CatSeries(space, obs, tuple(times))
+            return MalformedRow(f"line {lineno}: expected 2 columns, got {len(cells)}")
+        if cells[1] != "NA":
+            try:
+                space.code_of(cells[1])
+            except UnknownLabel as exc:
+                return exc
+    if len(lines) < 3:
+        return TooShort(f"need at least 2 data rows, got {len(lines) - 1}")
+    raise AssertionError("parse_series rejected a text that reads row by row without error")
+
+
+def _default_stamps(n: int) -> str:
+    """The implicit time labels of a series of n >= 1 observations, one per line: '0', '1', ..., str(n - 1).
+
+    Built per number of digits d without a loop over the numbers: the
+    d-digit numbers are the rows of a table with one axis per digit, so
+    each digit column is one broadcast assignment of '0'..'9'.
+    """
+    blocks = []
+    lo = 0
+    for d in range(1, len(str(n - 1)) + 1):
+        hi, step = min(10**d, n), 10 ** (d - 1)
+        first, last = lo // step, -(-hi // step)  # the leading digits in use
+        table = np.empty((last - first,) + (10,) * (d - 1) + (d + 1,), np.uint8)
+        table[..., 0] = np.arange(ord("0") + first, ord("0") + last).reshape((-1,) + (1,) * (d - 1))
+        for p in range(1, d):
+            table[..., p] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (d - 1 - p))
+        table[..., d] = ord("\n")
+        blocks.append(table.reshape(-1, d + 1)[lo - first * step : hi - first * step].ravel())
+        lo = hi
+    return np.concatenate(blocks)[:-1].tobytes().decode()
+
+
+def _is_default_stamps(stamps: list[str] | tuple[str, ...]) -> bool:
+    """Whether the time labels ``stamps`` (a sequence of str) are '0', '1', ..., in order."""
+    n = len(stamps)
+    return stamps[0] == "0" and stamps[-1] == str(n - 1) and "\n".join(stamps) == _default_stamps(n)
 
 
 def serialize_series(series: CatSeries) -> str:
-    """Inverse of :func:`parse_series` (parse -> serialize -> parse round-trips)."""
-    label_of = {MISSING: "NA", **dict(enumerate(series.space.labels, start=1))}
-    times = series.time_labels or range(len(series))
-    return "t,value\n" + "".join([f"{t},{label_of[v]}\n" for t, v in zip(times, series.obs.tolist())])
+    """Inverse of :func:`parse_series`: ``parse_series(serialize_series(s), s.space) == s``."""
+    # code c is written as cells[c]; MISSING (-1) wraps to the last cell
+    cells = np.array(["", *(f",{label}\n" for label in series.space.labels), ",NA\n"], dtype=object)
+    rows = [None] * (2 * len(series) + 1)
+    rows[0] = "t,value\n"
+    rows[1::2] = series.time_labels or _default_stamps(len(series)).split("\n")
+    rows[2::2] = cells[series.obs].tolist()
+    return "".join(rows)
 
 
 @dataclass(frozen=True)

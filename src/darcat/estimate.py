@@ -263,7 +263,7 @@ def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> Alpha
             fd = f(d)
         iters += 1
     alpha_hat = 0.5 * (a + b)
-    converged = 1e-7 < alpha_hat < _ALPHA_HI - 1e-7
+    converged = bool(1e-7 < alpha_hat < _ALPHA_HI - 1e-7)  # not np.bool_, which json cannot write
     return AlphaEstimate(alpha_hat=float(alpha_hat), method="MLE", converged=converged, iterations=iters)
 
 

@@ -233,6 +233,7 @@ def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, com
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "error: " in err and option[0] in err
+    assert err.startswith(f"usage: darcat {command} ")
     assert not (tmp_path / "x.txt").exists()
 
 
@@ -273,3 +274,23 @@ def test_seed_help_names_the_seed_used(capsys):
     assert "random seed (default 2)" in capsys.readouterr().out
     _, _, err = run(capsys, "simulate", "--alpha", "0", "--pi", "0.5,0.5", "--n", "3")
     assert "seed=2;" in err
+
+
+def test_fit_dar_reads_a_million_rows_of_text_labels_with_missing_cells(tmp_path, capsys):
+    rng = np.random.default_rng(1)
+    k, n = 20, 10**6
+    labels = [f"species {chr(ord('a') + j)}" for j in range(k)]
+    cells = np.array(labels + ["NA"])[np.where(rng.random(n + 1) < 0.01, k, rng.integers(0, k, n + 1))]
+    (tmp_path / "states.txt").write_text("\n".join(labels) + "\n")
+    (tmp_path / "s.csv").write_text("t,value\n" + "".join(f"{t},{v}\n" for t, v in enumerate(cells.tolist())))
+    code, out, err = run(capsys, "fit-dar", str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"))
+    assert code == 0 and err == ""
+    assert f"  {n + 1} positions, k={k} categories, {np.count_nonzero(cells == 'NA')} missing\n" in out
+
+
+def test_blank_lines_in_the_states_file_are_skipped(tmp_path, capsys):
+    (tmp_path / "s.csv").write_text("t,value\n0,A\n1,B\n2,A\n3,B\n4,B\n5,A\n")
+    (tmp_path / "states.txt").write_text("\nA\n\n \t\nB\n\n")
+    code, out, err = run(capsys, "fit-dar", str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"))
+    assert code == 0 and err == ""
+    assert "  6 positions, k=2 categories, 0 missing\n" in out

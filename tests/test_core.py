@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from darcat import core
 from darcat.core import (
     MISSING,
     CatSeries,
@@ -18,8 +21,36 @@ from darcat.core import (
     serialize_series,
     transition_counts,
 )
+from darcat.dar import DarModel, MissingDarModel, simulate, simulate_with_missing
 
 AB = StateSpace(("A", "B"))
+
+
+def parse_reference(csv_text, space):
+    """``(codes, time labels)`` read row by row, as ``parse_series`` did before it was vectorised."""
+    lines = [ln for ln in csv_text.splitlines() if ln.strip() != ""]
+    if not lines:
+        raise TooShort("empty input")
+    header = [c.strip() for c in lines[0].split(",")]
+    if len(header) != 2:
+        raise MalformedRow(f"expected 2 header columns, got {len(header)}")
+    code_of = dict(zip(space.labels, range(1, space.k + 1)), NA=MISSING)
+    obs, times = [], []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        cells = [c.strip() for c in ln.split(",")]
+        if len(cells) != 2:
+            raise MalformedRow(f"line {lineno}: expected 2 columns, got {len(cells)}")
+        t, value = cells
+        times.append(t)
+        obs.append(code_of[value] if value in code_of else space.code_of(value))
+    if len(obs) < 2:
+        raise TooShort(f"need at least 2 data rows, got {len(obs)}")
+    return obs, tuple(times)
+
+
+def counting_locator():
+    """Wraps the row-by-row error locator of ``parse_series`` to count how often it runs."""
+    return mock.patch.object(core, "_first_error", wraps=core._first_error)
 
 
 def test_state_space_codes_are_label_order():
@@ -63,6 +94,135 @@ def test_series_validation():
         CatSeries(AB, (1, 5))
     with pytest.raises(DarcatError):
         CatSeries(AB, (1, 0))
+
+
+@st.composite
+def written_series(draw):
+    """A series and a text that must read back as it.
+
+    Labels may hold inner spaces, cells may be NA and stamps are implicit,
+    custom or the implicit ones spelt out; the text is the series as written
+    by ``serialize_series``, then with blank lines, spaces around cells, CRLF
+    line ends and no final line break mixed in.
+    """
+    k = draw(st.integers(2, 20))
+    label = st.text(alphabet="ab é\t", min_size=1, max_size=6).map(str.strip).filter(lambda x: x not in ("", "NA"))
+    space = StateSpace(tuple(draw(st.lists(label, min_size=k, max_size=k, unique=True))), ordinal=draw(st.booleans()))
+    values = draw(st.lists(st.sampled_from([*range(1, k + 1), MISSING]), min_size=2, max_size=40))
+    stamp = st.text(alphabet="0123456789-:T x", max_size=8).map(str.strip)
+    stamps = draw(
+        st.one_of(
+            st.none(),
+            st.just(tuple(str(i) for i in range(len(values)))),
+            st.lists(stamp, min_size=len(values), max_size=len(values)),
+        )
+    )
+    series = CatSeries(space, values, stamps)
+    blank = st.sampled_from(["", " ", "\t", "  \t "])
+    pad = st.sampled_from(["", " ", "  ", "\t"])
+    lines = []
+    for line in serialize_series(series).splitlines():
+        lines.extend(draw(st.lists(blank, max_size=2)))
+        t, value = line.split(",")
+        lines.append(f"{draw(pad)}{t}{draw(pad)},{draw(pad)}{value}{draw(pad)}")
+    lines.extend(draw(st.lists(blank, max_size=2)))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    return series, end.join(lines) + draw(st.sampled_from(["", end]))
+
+
+def simulated(missing):
+    model = DarModel.from_pi(0.6, [0.2, 0.3, 0.5])
+    if missing:
+        return simulate_with_missing(MissingDarModel(model, 0.3), 60, seed=4)
+    return simulate(model, 60, seed=4)
+
+
+@given(written=written_series())
+@example(written=(simulated(missing=False), serialize_series(simulated(missing=False))))
+@example(written=(simulated(missing=True), serialize_series(simulated(missing=True))))
+@settings(max_examples=300, deadline=None)
+def test_series_reads_back_from_its_text(written):
+    series, text = written
+    with counting_locator() as locator:
+        parsed = parse_series(text, series.space)
+        assert parse_series(serialize_series(series), series.space) == series
+    assert parsed == series
+    assert locator.call_count == 0  # valid text never reaches the row-by-row reading
+    obs, times = parse_reference(text, series.space)
+    assert parsed.obs.tolist() == obs
+    assert (parsed.time_labels or tuple(str(i) for i in range(len(parsed)))) == times
+
+
+@pytest.mark.parametrize("missing", [False, True], ids=["simulate", "simulate_with_missing"])
+def test_simulated_series_round_trips(missing):
+    series = simulated(missing)
+    assert series.time_labels is None
+    assert parse_series(serialize_series(series), series.space) == series
+
+
+def rows(n, bad_at=None):
+    return "t,value\n" + "".join(f"{i},{'Z' if i == bad_at else 'AB'[i % 2]}\n" for i in range(n))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "t,value\n0,A\n1\n2,B\n",
+        "t,value\n0,A,x\n1,B\n",
+        't,value\n"0,5",A\n1,B\n',
+        "t,value,x\n0,A\n1,B\n",
+        "t\n0,A\n1,B\n",
+        "",
+        " \n\t\r\n  ",
+        "t,value\n0,A\n",
+        "t,value\n\n0,A\n  \n",
+        rows(2 * 10**5, bad_at=10**5),
+        "t,value\n0,A\n\n1,B,C\n2,A\n",
+        "\r\n t,value\r\n\r\n0,A\r\n \t\r\n1,B\r\n2,\r\n",
+        "t,value\n0,Z\n1,A,B\n",
+        "t,value\n0,A,B\n1,Z\n",
+        "t,value\n0,A\x0b1,B\x1c2\n",
+    ],
+    ids=[
+        "one-column",
+        "three-columns",
+        "quoted-comma",
+        "three-column-header",
+        "one-column-header",
+        "empty",
+        "whitespace-only",
+        "one-data-row",
+        "one-data-row-between-blank-lines",
+        "unknown-label-at-row-1e5-of-2e5",
+        "malformed-after-blank-line",
+        "empty-cell-crlf",
+        "unknown-label-before-malformed-row",
+        "malformed-row-before-unknown-label",
+        "other-line-breaks",
+    ],
+)
+def test_errors_match_row_by_row_reading(text):
+    with pytest.raises(DarcatError) as expected:
+        parse_reference(text, AB)
+    with counting_locator() as locator, pytest.raises(DarcatError) as got:
+        parse_series(text, AB)
+    assert type(got.value) is type(expected.value)
+    assert str(got.value) == str(expected.value)
+    assert locator.call_count == 1
+
+
+def test_implicit_stamps_are_stored_as_none():
+    assert CatSeries(AB, (1, 2, 1), ("0", "1", "2")).time_labels is None
+    assert CatSeries(AB, (1, 2, 1), range(3)) == CatSeries(AB, (1, 2, 1))
+    assert CatSeries(AB, (1, 2, 1), ("0", "1", "3")).time_labels == ("0", "1", "3")
+    assert CatSeries(AB, (1, 2, 1), ("0", "01", "2")).time_labels == ("0", "01", "2")
+    assert CatSeries(AB, (1, 2, 1), ("0", "1\n2", "2")).time_labels == ("0", "1\n2", "2")
+    assert parse_series("t,value\n0,A\n1,B\n", AB).time_labels is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 10, 11, 99, 100, 101, 1000, 12345, 10**5 + 1])
+def test_default_stamps_count_from_zero(n):
+    assert core._default_stamps(n) == "\n".join(map(str, range(n)))
 
 
 @given(st.lists(st.sampled_from([1, 2, 3, MISSING]), min_size=2, max_size=60))

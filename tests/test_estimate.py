@@ -1,3 +1,5 @@
+import dataclasses
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -352,6 +354,21 @@ class TestAlphaGapped:
     def test_no_observed_pair(self):
         with pytest.raises(InsufficientTransitions):
             estimate_alpha_mle_gapped(series([1, MISSING]))
+
+
+@pytest.mark.parametrize("path", ["complete", "gapped", "least squares"])
+def test_converged_is_a_plain_bool(path):
+    # an np.bool_ flag would make the estimate unwritable as JSON
+    model = DarModel.from_pi(0.5, [0.5, 0.5])
+    complete = simulate(model, 500, seed=5)
+    gapped = simulate_with_missing(MissingDarModel(model, 0.3), 500, seed=5)
+    est = {
+        "complete": lambda: estimate_alpha_mle(complete, estimate_pi(complete).pi_hat),
+        "gapped": lambda: estimate_alpha_mle_gapped(gapped),
+        "least squares": lambda: estimate_alpha_ls(complete, estimate_pi(complete).pi_hat),
+    }[path]()
+    assert type(est.converged) is bool
+    assert json.loads(json.dumps(dataclasses.asdict(est)))["converged"] == est.converged
 
 
 class TestBeta:
