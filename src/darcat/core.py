@@ -333,25 +333,29 @@ def _first_error(csv_text: str, space: StateSpace) -> DarcatError:
 
 
 def _default_stamps(n: int) -> str:
-    """The implicit time labels of a series of n >= 1 observations, one per line: '0', '1', ..., str(n - 1).
+    """The implicit time labels of n >= 1 observations, one per line: '0', '1', ..., str(n - 1).
 
-    Built per number of digits d without a loop over the numbers: the
-    d-digit numbers are the rows of a table with one axis per digit, so
-    each digit column is one broadcast assignment of '0'..'9'.
+    Built one digit count at a time, without a loop over the numbers:
+    the (d+1)-digit numbers 10q + r are the d-digit numbers q, each
+    followed by every last digit r.
     """
-    blocks = []
-    lo = 0
-    for d in range(1, len(str(n - 1)) + 1):
-        hi, step = min(10**d, n), 10 ** (d - 1)
-        first, last = lo // step, -(-hi // step)  # the leading digits in use
-        table = np.empty((last - first,) + (10,) * (d - 1) + (d + 1,), np.uint8)
-        table[..., 0] = np.arange(ord("0") + first, ord("0") + last).reshape((-1,) + (1,) * (d - 1))
-        for p in range(1, d):
-            table[..., p] = np.arange(ord("0"), ord("9") + 1).reshape((10,) + (1,) * (d - 1 - p))
-        table[..., d] = ord("\n")
-        blocks.append(table.reshape(-1, d + 1)[lo - first * step : hi - first * step].ravel())
-        lo = hi
-    return np.concatenate(blocks)[:-1].tobytes().decode()
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
+    rows = np.stack([digit, np.full(10, ord("\n"), np.uint8)], axis=1)  # the numbers 0..9
+    blocks = [rows[:n]]
+    prefixes = rows[1:, :1]  # the numbers 1..9, without their line break
+    d = 1
+    while 10**d < n:
+        hi = min(10 ** (d + 1), n)
+        q = prefixes[: -(-hi // 10) - 10 ** (d - 1)]  # those that start a number below hi
+        table = np.empty((len(q), 10, d + 2), np.uint8)
+        table[:, :, :d] = q[:, None]
+        table[:, :, d] = digit
+        table[:, :, d + 1] = ord("\n")
+        rows = table.reshape(-1, d + 2)
+        blocks.append(rows[: hi - 10**d])
+        prefixes = rows[:, : d + 1]
+        d += 1
+    return np.concatenate(blocks, axis=None)[:-1].tobytes().decode()
 
 
 def _is_default_stamps(stamps: list[str] | tuple[str, ...]) -> bool:

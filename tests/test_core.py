@@ -211,6 +211,39 @@ def test_errors_match_row_by_row_reading(text):
     assert locator.call_count == 1
 
 
+@st.composite
+def any_text(draw):
+    """Mostly valid rows, with some blank, one-cell, three-cell or unknown-label lines, split by every line break str.splitlines knows."""
+    pad = st.sampled_from(["", " ", "\t", "\x1f", "\xa0", "\u3000"])
+
+    def padded(cells):
+        return st.builds(lambda a, c, b: a + c + b, pad, st.sampled_from(cells), pad)
+
+    row = st.builds(lambda t, v: f"{t},{v}", padded(["", "0", "17", "A B"]), padded(["A", "B", "NA"]))
+    odd = padded(["", "A", "1,Z", "1,A,B"])
+    lines = draw(st.lists(st.one_of(*[row] * 8, odd), max_size=8))
+    breaks = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    header = draw(st.sampled_from(["t,value", " t , value ", ""]))
+    return "".join(f"{ln}{draw(breaks)}" for ln in [header, *lines]) + draw(st.sampled_from(["", "0,A"]))
+
+
+@given(any_text())
+@example("t,value\n0,A\x1f\n1,B\n")  # the only whitespace is one that is not a line break
+@example("t,value\x850,\xa0A\u20281,B")
+@settings(max_examples=500, deadline=None)
+def test_any_text_reads_as_row_by_row(text):
+    try:
+        obs, times = parse_reference(text, AB)
+    except DarcatError as exc:
+        with pytest.raises(DarcatError) as got:
+            parse_series(text, AB)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    series = parse_series(text, AB)
+    assert series.obs.tolist() == obs
+    assert (series.time_labels or tuple(str(i) for i in range(len(series)))) == times
+
+
 def test_implicit_stamps_are_stored_as_none():
     assert CatSeries(AB, (1, 2, 1), ("0", "1", "2")).time_labels is None
     assert CatSeries(AB, (1, 2, 1), range(3)) == CatSeries(AB, (1, 2, 1))
