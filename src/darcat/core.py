@@ -265,6 +265,7 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
         else:
             times = cells[2::2]
             del cells  # frees the value cells before the stamps are checked
+            # checked here too, so that implicit stamps are never copied into a tuple
             return CatSeries(space, obs, None if _is_default_stamps(times) else times)
     raise _first_error(csv_text, space)
 
