@@ -60,8 +60,7 @@ def _load_series(paths: list[str], space: StateSpace) -> CatSeries:
     parts = [parse_series(_read_text(p), space) for p in paths]
     if len(parts) == 1:
         return parts[0]
-    times = [np.arange(len(s)).astype(str) if s.time_labels is None else np.array(s.time_labels) for s in parts]
-    return CatSeries(space, np.concatenate([s.obs for s in parts]), np.concatenate(times))
+    return CatSeries(space, np.concatenate([s.obs for s in parts]), np.concatenate([s.stamps() for s in parts]))
 
 
 def _parse_pi(text: str) -> np.ndarray:

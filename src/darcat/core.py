@@ -114,8 +114,8 @@ class CatSeries:
     date parsing is attempted).  It is ``None`` exactly when the stamps
     are the implicit '0', '1', ..., str(n): labels given in that form are
     stored as ``None``, so a series equals itself written and read back.
-    Series derived by dropping observations keep ``None`` (their stamps
-    count from 0 again).
+    Series derived by dropping observations keep the stamps of the
+    observations kept, implicit ones included.
     """
 
     space: StateSpace
@@ -164,13 +164,18 @@ class CatSeries:
     def observed_values(self) -> np.ndarray:
         return self.obs[self.obs != MISSING]
 
+    def stamps(self) -> np.ndarray:
+        """Every time label as an array of str, the implicit '0'..'n' included."""
+        if self.time_labels is None:
+            return np.arange(len(self)).astype(str)
+        return np.array(self.time_labels, dtype=object)
+
     def drop_missing(self) -> "CatSeries":
         """Remove missing entries, closing the gaps (changes adjacency)."""
         keep = self.obs != MISSING
         if np.count_nonzero(keep) < 2:
             raise TooShort("fewer than 2 observed values after dropping missing")
-        tl = tuple(compress(self.time_labels, keep.tolist())) if self.time_labels else None
-        return CatSeries(self.space, self.obs[keep], tl)
+        return CatSeries(self.space, self.obs[keep], self.stamps()[keep])
 
     def longest_complete_segment(self) -> "CatSeries":
         """Longest run of consecutive non-missing observations, ties to the earliest."""
@@ -180,8 +185,7 @@ class CatSeries:
         if lengths[best] < 2:
             raise TooShort("no complete segment of length >= 2")
         sl = slice(starts[best], starts[best] + lengths[best])
-        tl = self.time_labels[sl] if self.time_labels else None
-        return CatSeries(self.space, self.obs[sl], tl)
+        return CatSeries(self.space, self.obs[sl], self.stamps()[sl])
 
     def restrict_to_observed(self) -> tuple["CatSeries", tuple[str, ...]]:
         """The series on the sub-space of its observed categories (as is if all are), and the labels dropped."""

@@ -8,18 +8,25 @@ Hessian and a step-halving line search; the cumulative-logit fit keeps
 its cutpoints ordered, which is the iterative weighted least squares
 scheme in Newton form.
 
-Each family's likelihood is written once, in design-matrix form, and its
-gradient and Hessian come from the same per-row pieces:
+Each fit runs on count-weighted cells, not on rows.  With indicator
+covariates a row is fixed by its lagged states, so the usable rows fall
+into few distinct (covariate row, response) cells c with counts n_c, and
+every sum over rows is a sum over cells weighted by n_c.  Each family has
+one evaluation function per fit, which returns the log partial
+likelihood, the gradient and a Hessian thunk from the same pieces of one
+point; the constants of the fit (the weighted response one-hots, the
+x x' products, D_hi and D_lo) are built once, and a Hessian is built only
+at the points Newton steps from:
 
-* multinomial logit: with p_t the probabilities of the non-reference
-  categories at row t, the gradient is sum_t (e_{y_t} - p_t) (x) x_t and
-  the Hessian -sum_t W_t (x) x_t x_t', W_t = diag(p_t) - p_t p_t';
-* proportional odds: P(Y = y_t | x_t) = F(D_hi v)_t - F(D_lo v)_t for the
+* multinomial logit: with p_c the probabilities of the non-reference
+  categories at cell c, the gradient is sum_c n_c (e_{y_c} - p_c) (x) x_c
+  and the Hessian -sum_c n_c W_c (x) x_c x_c', W_c = diag(p_c) - p_c p_c';
+* proportional odds: P(Y = y_c | x_c) = F(D_hi v)_c - F(D_lo v)_c for the
   parameters v = (cutpoints, slopes) and F the logistic function, where
-  row t of D_hi (D_lo) is the one-hot of the cutpoint above (below) y_t
-  followed by -x_t.  With L_t that probability and G the per-row
-  gradients, the Hessian is
-  D_hi' diag(F''_hi / L) D_hi - D_lo' diag(F''_lo / L) D_lo - G'G.
+  row c of D_hi (D_lo) is the one-hot of the cutpoint above (below) y_c
+  followed by -x_c.  With L_c that probability, G the per-cell gradients
+  of log L and N = diag(n_c), the Hessian is
+  D_hi' N diag(F''_hi / L) D_hi - D_lo' N diag(F''_lo / L) D_lo - G'N G.
 
 :func:`aic_table` fits one family at each lag order and ranks the lags by
 AIC; :meth:`AicTable.render` writes that table as csv, md or txt through
@@ -193,6 +200,25 @@ def _prune_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, t
     return X[:, keep], tuple(names[i] for i in keep), notes
 
 
+def _cells(design: Design) -> tuple[np.ndarray, np.ndarray]:
+    """One representative row per distinct (covariate row, response) cell, and the cell counts.
+
+    A row's covariates are fixed by its lagged states: block d of k-1
+    indicators encodes the state ``block @ (1..k-1)``, 0 for the reference
+    state k.  Rows are grouped by sorting on those integer states and the
+    response, which is exact for every k.
+    """
+    m, k = design.n_used, design.k
+    states = design.X[:, 1:].reshape(m * design.lag, k - 1) @ np.arange(1.0, k)
+    keys = np.column_stack([states.reshape(m, design.lag), design.y])
+    order = np.lexsort(keys.T)
+    ordered = keys[order]
+    new = np.ones(m, dtype=bool)
+    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
+    starts = np.flatnonzero(new)
+    return order[starts], np.diff(np.append(starts, m)).astype(float)
+
+
 def _multinomial_probs(params: np.ndarray, X: np.ndarray, k_eff: int):
     """Linear predictors, log-normalisers and probabilities of the k_eff-1 non-reference categories."""
     eta = X @ params.reshape(k_eff - 1, X.shape[1]).T
@@ -202,47 +228,69 @@ def _multinomial_probs(params: np.ndarray, X: np.ndarray, k_eff: int):
     return eta, lse, np.exp(eta - lse[:, None])
 
 
+def _multinomial_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np.ndarray):
+    """The evaluation function of one multinomial fit on the cells ``X``, ``y`` with ``counts``.
+
+    It maps ``params`` to the log partial likelihood, the gradient and a
+    thunk that builds the Hessian from the same probabilities.
+    """
+    q = k_eff - 1
+    ind = np.eye(k_eff, q)[y - 1] * counts[:, None]  # count-weighted one-hot response; the reference row is zero
+    xx = X[:, :, None] * X[:, None, :]
+
+    def evaluate(params: np.ndarray):
+        eta, lse, probs = _multinomial_probs(params, X, k_eff)
+        weighted = probs * counts[:, None]
+        grad = ((ind - weighted).T @ X).ravel()
+        return float(np.vdot(ind, eta) - counts @ lse), grad, lambda: _multinomial_hessian(probs, weighted, xx)
+
+    return evaluate
+
+
+def _multinomial_hessian(probs: np.ndarray, weighted: np.ndarray, xx: np.ndarray) -> np.ndarray:
+    """-sum_c n_c W_c (x) x_c x_c' with W_c = diag(p_c) - p_c p_c', in the row-wise order of ``params``.
+
+    ``weighted`` is n_c p_c and ``xx`` holds the x_c x_c'.
+    """
+    (m, q), p = probs.shape, xx.shape[1]
+    w = weighted[:, :, None] * (np.eye(q) - probs[:, None, :])
+    # one product sums over the cells: (q*q, m) @ (m, p*p) holds the (a, c, i, j) entries
+    h = w.reshape(m, q * q).T @ xx.reshape(m, p * p)
+    return -h.reshape(q, q, p, p).transpose(0, 2, 1, 3).reshape(q * p, q * p)
+
+
 def multinomial_loglik_grad(
     params: np.ndarray, X: np.ndarray, y: np.ndarray, k_eff: int
 ) -> tuple[float, np.ndarray]:
-    """Partial log-likelihood and gradient of the multinomial logit.
+    """Partial log-likelihood and gradient of the multinomial logit, one row per observation.
 
     ``params`` is the (k_eff-1, p) coefficient matrix flattened row-wise;
     category k_eff is the reference.
     """
-    eta, lse, probs = _multinomial_probs(params, X, k_eff)
-    ind = np.eye(k_eff, k_eff - 1)[y - 1]  # one-hot response; the reference row is zero
-    return float(np.vdot(ind, eta) - lse.sum()), ((ind - probs).T @ X).ravel()
+    ll, grad, _ = _multinomial_evaluation(X, y, k_eff, np.ones(len(y)))(params)
+    return ll, grad
 
 
-def _multinomial_hessian(params: np.ndarray, X: np.ndarray, k_eff: int) -> np.ndarray:
-    """-sum_t W_t (x) x_t x_t' with W_t = diag(p_t) - p_t p_t', in the row-wise order of ``params``."""
-    _, _, probs = _multinomial_probs(params, X, k_eff)
-    (m, p), q = X.shape, k_eff - 1
-    w = probs[:, :, None] * (np.eye(q) - probs[:, None, :])
-    # one product sums over the rows: (q*q, m) @ (m, p*p) holds the (a, c, i, j) entries
-    h = w.reshape(m, q * q).T @ (X[:, :, None] * X[:, None, :]).reshape(m, p * p)
-    return -h.reshape(q, q, p, p).transpose(0, 2, 1, 3).reshape(q * p, q * p)
-
-
-def _newton(loglik_grad, hessian, params, ordered_head: int = 0):
+def _newton(evaluate, params, ordered_head: int = 0):
     """Maximise by Newton steps with step halving.
 
-    ``ordered_head`` marks a leading block of parameters that must stay
-    strictly increasing (the ordinal cutpoints); steps breaking the order
-    are halved away.  Returns the optimum, its log-likelihood and the
-    number of Newton steps taken.
+    ``evaluate`` maps a point to its log-likelihood, gradient and Hessian
+    thunk, so each point is evaluated once and its Hessian built only when
+    a step starts there.  ``ordered_head`` marks a leading block of
+    parameters that must stay strictly increasing (the ordinal cutpoints);
+    steps breaking the order are halved away.  Returns the optimum, its
+    log-likelihood and the number of Newton steps taken.
     """
 
     def ordered(v: np.ndarray) -> bool:
         head = v[:ordered_head]
         return ordered_head < 2 or bool(np.all(np.diff(head) > 1e-10))
 
-    ll, grad = loglik_grad(params)
+    ll, grad, hessian = evaluate(params)
     steps = 0
-    while steps < MAX_ITER and np.max(np.abs(grad)) >= GRAD_TOL:
+    while steps < MAX_ITER and np.abs(grad).max() >= GRAD_TOL:
         try:
-            step = np.linalg.solve(hessian(params), -grad)
+            step = np.linalg.solve(hessian(), -grad)
         except np.linalg.LinAlgError as exc:
             raise SingularHessian(str(exc)) from None
         scale = 1.0
@@ -251,7 +299,7 @@ def _newton(loglik_grad, hessian, params, ordered_head: int = 0):
             cand = params + scale * step
             if ordered(cand):
                 any_ordered = True
-                cand_ll, cand_grad = loglik_grad(cand)
+                cand_ll, cand_grad, cand_hessian = evaluate(cand)
                 if cand_ll > ll - 1e-12:
                     accepted = True
                     break
@@ -260,22 +308,27 @@ def _newton(loglik_grad, hessian, params, ordered_head: int = 0):
             if not any_ordered:
                 raise NonmonotoneCutpoints("no step length keeps the cutpoints ordered")
             break  # line search stalled; the gradient check below decides
-        params, ll, grad = cand, cand_ll, cand_grad
+        params, ll, grad, hessian = cand, cand_ll, cand_grad, cand_hessian
         steps += 1
-        if np.max(np.abs(params)) > MAX_COEF:
+        if np.abs(params).max() > MAX_COEF:
             raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
-    if np.max(np.abs(grad)) > 1e-5:
+    if np.abs(grad).max() > 1e-5:
         raise SingularHessian("Newton iteration stalled before reaching the optimum")
     return params, ll, steps
 
 
 def _prepare(design: Design):
-    """Collapse the response categories, refuse fewer than 2, and prune the covariate columns."""
-    y, categories, notes = _collapse_categories(design.y, design.k)
+    """Group the rows into cells, collapse the response categories, refuse fewer than 2, and prune the covariate columns.
+
+    Returns the cells' collapsed responses, the categories kept, the
+    cells' pruned covariates, their names, the notes and the cell counts.
+    """
+    first, counts = _cells(design)
+    y, categories, notes = _collapse_categories(design.y[first], design.k)
     if len(categories) < 2:
         raise DarcatError("response takes fewer than 2 distinct values")
     X, names, more_notes = _prune_columns(design.X, design.column_names)
-    return y, categories, X, names, notes + more_notes
+    return y, categories, X[first], names, notes + more_notes, counts
 
 
 def fit_multinomial(design: Design) -> GlmFit:
@@ -285,14 +338,10 @@ def fit_multinomial(design: Design) -> GlmFit:
     the highest retained category as reference.  Starts at zero, which is
     the closed-form optimum direction for the intercept-only model.
     """
-    y, categories, X, names, notes = _prepare(design)
+    y, categories, X, names, notes, counts = _prepare(design)
     k_eff = len(categories)
     p = X.shape[1]
-    params, ll, steps = _newton(
-        lambda v: multinomial_loglik_grad(v, X, y, k_eff),
-        lambda v: _multinomial_hessian(v, X, k_eff),
-        np.zeros((k_eff - 1) * p),
-    )
+    params, ll, steps = _newton(_multinomial_evaluation(X, y, k_eff, counts), np.zeros((k_eff - 1) * p))
     return GlmFit(
         family="MultinomialLogit",
         lag=design.lag,
@@ -307,52 +356,71 @@ def fit_multinomial(design: Design) -> GlmFit:
     )
 
 
-def _po_pieces(params: np.ndarray, X: np.ndarray, y: np.ndarray, k_eff: int):
-    """Per-row pieces of P(Y = y_t | x_t) = L_t = F(D_hi v)_t - F(D_lo v)_t, F the logistic function.
+def _po_pieces(params: np.ndarray, X: np.ndarray, ends: np.ndarray, q: int):
+    """The pieces of P(Y = y_c | x_c) = L_c = F(D_hi v)_c - F(D_lo v)_c, F the logistic function.
 
-    Row t of D_hi (D_lo) is the one-hot of the cutpoint above (below) y_t
-    followed by -x_t.  The cutpoint above y = k_eff and the one below y = 1
-    do not exist: they sit at +inf and -inf, where F is 1 and 0 and its
-    derivatives F' = F(1-F) and F'' = F'(1-2F) vanish, so those rows drop
-    out of the gradient and Hessian with no mask.  Returns L, the per-row
-    gradients G of log L and, per side, D with F''/L; None if some L_t <= 0.
+    ``ends`` holds, per cell, the index into (-inf, cutpoints, +inf) of the
+    cutpoint above y_c (row 0) and below it (row 1).  The cutpoint above
+    y = k_eff and the one below y = 1 do not exist: they sit at +inf and
+    -inf, where F is 1 and 0 and its derivatives F' = F(1-F) and
+    F'' = F'(1-2F) vanish, so those cells drop out of the gradient and
+    Hessian with no mask.  Returns L and, for both sides stacked, F and
+    F'/L; None if some L_c <= 0.
     """
-    q = k_eff - 1
     theta = np.concatenate([[-np.inf], params[:q], [np.inf]])
-    w = X @ params[q:]
-    f_hi = expit(theta[y] - w)
-    f_lo = expit(theta[y - 1] - w)
-    lik = f_hi - f_lo
+    f = expit(theta[ends] - X @ params[q:])
+    lik = f[0] - f[1]
     if np.any(lik <= 0):
         return None
-    d_hi = np.hstack([np.eye(q + 1, q)[y - 1], -X])
-    d_lo = np.hstack([np.eye(q + 1, q, -1)[y - 1], -X])
-    fp_hi = f_hi * (1.0 - f_hi) / lik
-    fp_lo = f_lo * (1.0 - f_lo) / lik
-    g = d_hi * fp_hi[:, None] - d_lo * fp_lo[:, None]
-    return lik, g, (d_hi, fp_hi * (1.0 - 2.0 * f_hi)), (d_lo, fp_lo * (1.0 - 2.0 * f_lo))
+    return lik, f, f * (1.0 - f) / lik
+
+
+def _po_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np.ndarray):
+    """The evaluation function of one proportional-odds fit on the cells ``X``, ``y`` with ``counts``.
+
+    It maps ``params`` to the log partial likelihood, the gradient and a
+    thunk that builds the Hessian from the same pieces; a point with some
+    L_c <= 0 has log-likelihood -inf, a zero gradient and no Hessian.
+    """
+    q = k_eff - 1
+    ends = np.stack([y, y - 1])
+    # D_hi over D_lo, and their signed count weights
+    d = np.vstack([np.hstack([np.eye(q + 1, q)[y - 1], -X]), np.hstack([np.eye(q + 1, q, -1)[y - 1], -X])])
+    signed = np.concatenate([counts, -counts])
+
+    def evaluate(params: np.ndarray):
+        pieces = _po_pieces(params, X, ends, q)
+        if pieces is None:
+            return -np.inf, np.zeros_like(params), None
+        lik, f, fp = pieces
+        grad = (fp.ravel() * signed) @ d
+        return float(counts @ np.log(lik)), grad, lambda: _po_hessian(d, signed, f, fp)
+
+    return evaluate
+
+
+def _po_hessian(d: np.ndarray, signed: np.ndarray, f: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """D_hi' N diag(F''_hi / L) D_hi - D_lo' N diag(F''_lo / L) D_lo - G'N G.
+
+    ``d`` stacks D_hi over D_lo, ``signed`` stacks the counts n_c over
+    -n_c, and ``f`` and ``fp`` stack F and F'/L of both sides.
+    """
+    m = f.shape[1]
+    g = d[:m] * fp[0][:, None] - d[m:] * fp[1][:, None]
+    return (d.T * (signed * (fp * (1.0 - 2.0 * f)).ravel())) @ d - (g.T * signed[:m]) @ g
 
 
 def proportional_odds_loglik_grad(
     params: np.ndarray, X: np.ndarray, y: np.ndarray, k_eff: int
 ) -> tuple[float, np.ndarray]:
-    """Partial log-likelihood and gradient of the cumulative-logit model.
+    """Partial log-likelihood and gradient of the cumulative-logit model, one row per observation.
 
     ``params`` stacks the k_eff-1 cutpoints then the slopes; ``X`` holds
     the covariates without an intercept column.  P(Y <= j) is the logistic
     function of theta_j - x'b.
     """
-    pieces = _po_pieces(params, X, y, k_eff)
-    if pieces is None:
-        return -np.inf, np.zeros_like(params)
-    lik, g, _, _ = pieces
-    return float(np.log(lik).sum()), g.sum(axis=0)
-
-
-def _po_hessian(params: np.ndarray, X: np.ndarray, y: np.ndarray, k_eff: int) -> np.ndarray:
-    """D_hi' diag(F''_hi / L) D_hi - D_lo' diag(F''_lo / L) D_lo - G'G."""
-    _, g, (d_hi, c_hi), (d_lo, c_lo) = _po_pieces(params, X, y, k_eff)
-    return (d_hi.T * c_hi) @ d_hi - (d_lo.T * c_lo) @ d_lo - g.T @ g
+    ll, grad, _ = _po_evaluation(X, y, k_eff, np.ones(len(y)))(params)
+    return ll, grad
 
 
 def fit_proportional_odds(design: Design) -> GlmFit:
@@ -363,14 +431,13 @@ def fit_proportional_odds(design: Design) -> GlmFit:
     throughout.  Empty response categories are collapsed out first and
     flagged in the notes.
     """
-    y, categories, X_full, names, notes = _prepare(design)
+    y, categories, X_full, names, notes, counts = _prepare(design)
     X = X_full[:, 1:]  # cutpoints take the intercept's role
     k_eff = len(categories)
     q = k_eff - 1
-    cum = np.cumsum(np.bincount(y - 1) / y.size)[:q]
+    cum = np.cumsum(np.bincount(y - 1, weights=counts) / design.n_used)[:q]
     params, ll, steps = _newton(
-        lambda v: proportional_odds_loglik_grad(v, X, y, k_eff),
-        lambda v: _po_hessian(v, X, y, k_eff),
+        _po_evaluation(X, y, k_eff, counts),
         np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(X.shape[1])]),
         ordered_head=q,
     )
@@ -406,6 +473,8 @@ class AicRow:
     log_pl: float | None
     n_used: int | None
     error: str | None = None
+    iterations: int = 0  # Newton steps of the fit
+    notes: tuple[str, ...] = ()  # the fit's notes: categories collapsed, columns dropped
 
 
 @dataclass(frozen=True)
@@ -483,7 +552,17 @@ def aic_table(
                 if design.n_used == 0:
                     raise NoUsableRows("no rows in the common usable set")
             fit = fitter(design)
-            rows.append(AicRow(lag=lag, n_params=fit.n_params, aic=fit.aic, log_pl=fit.log_pl, n_used=fit.n_used))
+            rows.append(
+                AicRow(
+                    lag=lag,
+                    n_params=fit.n_params,
+                    aic=fit.aic,
+                    log_pl=fit.log_pl,
+                    n_used=fit.n_used,
+                    iterations=fit.iterations,
+                    notes=fit.notes,
+                )
+            )
         except DarcatError as exc:
             n_used = None if design is None else design.n_used
             rows.append(AicRow(lag=lag, n_params=None, aic=None, log_pl=None, n_used=n_used, error=str(exc)))

@@ -344,6 +344,17 @@ def test_drop_missing_and_longest_segment():
     assert segment.time_labels == ("c", "d", "e")
 
 
+def test_dropping_keeps_implicit_stamps():
+    s = CatSeries(AB, (1, MISSING, 2, 2, 1, MISSING))
+    assert s.time_labels is None
+    assert s.drop_missing().time_labels == ("0", "2", "3", "4")
+    assert s.longest_complete_segment().time_labels == ("2", "3", "4")
+    # stamps that count from 0 again are the implicit ones
+    head = CatSeries(AB, (1, 2, 2, MISSING, 1))
+    assert head.longest_complete_segment().time_labels is None
+    assert head.drop_missing().time_labels == ("0", "1", "2", "4")
+
+
 def test_observed_pairs_gaps():
     s = CatSeries(AB, (1, MISSING, MISSING, 2, 2))
     gaps, table = pair_counts(s)

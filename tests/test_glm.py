@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from darcat import glm
-from darcat.core import MISSING, CatSeries, StateSpace
+from darcat.core import MISSING, CatSeries, DarcatError, StateSpace
 from darcat.dar import DarModel, simulate
 from darcat.glm import (
     MAX_ITER,
     NoUsableRows,
     Separation,
-    _multinomial_hessian,
-    _po_hessian,
     aic_table,
     build_design,
     fit_multinomial,
@@ -178,7 +178,7 @@ class TestMultinomial:
         points = [rng.normal(0, 0.5, (k - 1) * d.X.shape[1]) for _ in range(3)] + [fit.coefficients.ravel()]
         for params in points:
             assert_hessian_matches(
-                lambda v: _multinomial_hessian(v, d.X, k),
+                lambda v: glm._multinomial_evaluation(d.X, d.y, k, np.ones(d.n_used))(v)[2](),
                 lambda v: multinomial_loglik_grad(v, d.X, d.y, k)[1],
                 params,
             )
@@ -266,7 +266,7 @@ class TestProportionalOdds:
         ] + [np.concatenate([fit.cutpoints, fit.coefficients])]
         for params in points:
             assert_hessian_matches(
-                lambda v: _po_hessian(v, X, d.y, k),
+                lambda v: glm._po_evaluation(X, d.y, k, np.ones(d.n_used))(v)[2](),
                 lambda v: proportional_odds_loglik_grad(v, X, d.y, k)[1],
                 params,
             )
@@ -356,6 +356,114 @@ class TestAicTable:
             else:
                 assert 1 <= fit.iterations <= MAX_ITER
 
+    def test_rows_keep_each_fits_steps_and_notes(self):
+        obs = [v if v != 3 else 4 for v in generate_po_chain(400, seed=12).obs]
+        table = aic_table(series(obs, k=4, ordinal=True), "ordinal", lags=(0, 1))
+        fit = fit_proportional_odds(build_design(series(obs, k=4, ordinal=True), 1))
+        row = table.rows[1]
+        assert row.iterations == fit.iterations >= 1 and row.notes == fit.notes
+        assert any("collapsed" in note for note in row.notes)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(Exception):
             aic_table(series([1, 2, 1, 2], k=2), "poisson")
+
+
+def unit_cells(design):
+    """One cell per row, each of count 1: fitting on rows."""
+    return np.arange(design.n_used), np.ones(design.n_used)
+
+
+def ordered_params(rng, q, p):
+    return np.concatenate([np.sort(rng.normal(0, 1, q)) + 0.05 * np.arange(q), rng.normal(0, 0.5, p)])
+
+
+class TestCells:
+    @pytest.mark.parametrize("family", ["categorical", "ordinal"])
+    def test_each_point_is_evaluated_once(self, monkeypatch, family):
+        """One evaluation per point, its pieces computed once, and one Hessian per Newton step."""
+        names = {
+            "categorical": ("_multinomial_evaluation", "_multinomial_probs", "_multinomial_hessian"),
+            "ordinal": ("_po_evaluation", "_po_pieces", "_po_hessian"),
+        }[family]
+        evaluated, pieced, hessians = [], [], []
+        evaluation, pieces, hessian = (getattr(glm, name) for name in names)
+
+        def counting_evaluation(*constants):
+            evaluate = evaluation(*constants)
+
+            def counted(params):
+                evaluated.append(params.tobytes())
+                return evaluate(params)
+
+            return counted
+
+        def counting_pieces(params, *args):
+            pieced.append(params.tobytes())
+            return pieces(params, *args)
+
+        def counting_hessian(*args):
+            hessians.append(None)
+            return hessian(*args)
+
+        for name, counter in zip(names, (counting_evaluation, counting_pieces, counting_hessian)):
+            monkeypatch.setattr(glm, name, counter)
+        s = generate_mnl_chain(600, seed=8) if family == "categorical" else generate_po_chain(600, seed=9)
+        for lag in (0, 1, 2):
+            evaluated.clear(), pieced.clear(), hessians.clear()
+            fit = glm._FITTERS[family](build_design(s, lag))
+            assert len(hessians) == fit.iterations
+            assert pieced == evaluated and len(set(evaluated)) == len(evaluated) >= fit.iterations + 1
+
+    @given(
+        k=st.integers(2, 6),
+        share=st.floats(0.0, 0.5),
+        lag=st.integers(0, 2),
+        family=st.sampled_from(["categorical", "ordinal"]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_cells_equal_rows(self, k, share, lag, family, seed):
+        """Log-PL, gradient and Hessian on count-weighted cells equal those on rows."""
+        rng = np.random.default_rng(seed)
+        obs = rng.integers(1, k + 1, int(rng.integers(3, 300)))
+        obs[rng.random(obs.size) < share] = MISSING
+        try:
+            design = build_design(series(obs.tolist(), k=k), lag)
+            y, categories, X, _, _, counts = glm._prepare(design)
+        except DarcatError:
+            return
+        y_rows, _, _ = glm._collapse_categories(design.y, k)
+        X_rows, _, _ = glm._prune_columns(design.X, design.column_names)
+        assert counts.sum() == design.n_used and len(np.unique(np.column_stack([X, y]), axis=0)) == len(y)
+        k_eff = len(categories)
+        if family == "categorical":
+            evaluation, params = glm._multinomial_evaluation, rng.normal(0, 1, (k_eff - 1) * X.shape[1])
+        else:
+            X, X_rows = X[:, 1:], X_rows[:, 1:]
+            evaluation, params = glm._po_evaluation, ordered_params(rng, k_eff - 1, X.shape[1])
+        ll, grad, hessian = evaluation(X, y, k_eff, counts)(params)
+        ll_rows, grad_rows, hessian_rows = evaluation(X_rows, y_rows, k_eff, np.ones(design.n_used))(params)
+        assert abs(ll - ll_rows) <= 1e-12 * abs(ll_rows)
+        assert np.max(np.abs(grad - grad_rows)) <= 1e-12 * max(1.0, np.max(np.abs(grad_rows)))
+        h, h_rows = hessian(), hessian_rows()
+        assert np.max(np.abs(h - h_rows)) <= 1e-12 * max(1.0, np.max(np.abs(h_rows)))
+
+    @pytest.mark.parametrize("family", ["categorical", "ordinal"])
+    @pytest.mark.parametrize("common_rows", [False, True])
+    def test_k20_tables_equal_row_level_fits(self, monkeypatch, family, common_rows):
+        """39 covariate columns at lag 2: the same rows, NA pattern and errors as fitting on rows."""
+        obs = simulate(DarModel.from_pi(0.5, np.full(20, 0.05)), 500, seed=7).obs.copy()
+        obs[np.random.default_rng(7).random(obs.size) < 0.05] = MISSING
+        s = series(obs.tolist(), k=20, ordinal=True)
+        assert build_design(s, 2).X.shape[1] == 39
+        table = aic_table(s, family, common_rows=common_rows)
+        monkeypatch.setattr(glm, "_cells", unit_cells)
+        rows = aic_table(s, family, common_rows=common_rows)
+        assert table.best_lag == rows.best_lag
+        for got, want in zip(table.rows, rows.rows, strict=True):
+            assert (got.lag, got.n_params, got.n_used, got.error) == (want.lag, want.n_params, want.n_used, want.error)
+            assert (got.iterations, got.notes) == (want.iterations, want.notes)
+            if want.error is None:
+                assert got.log_pl == pytest.approx(want.log_pl, rel=1e-12)
+        assert any(r.error is not None for r in table.rows) == (family == "categorical")
