@@ -88,6 +88,8 @@ class Design:
     The covariate matrix carries an intercept column followed by k-1
     state indicators per lag (state k is the reference), giving
     1 + lag*(k-1) columns.  Rows touching a missing value are dropped.
+    The fits group the rows by the states these blocks encode, so ``X``
+    must keep this layout.
     """
 
     X: np.ndarray
@@ -236,13 +238,19 @@ def _multinomial_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np
     """
     q = k_eff - 1
     ind = np.eye(k_eff, q)[y - 1] * counts[:, None]  # count-weighted one-hot response; the reference row is zero
-    xx = X[:, :, None] * X[:, None, :]
+    xx = None
+
+    def hessian(probs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
+        nonlocal xx
+        if xx is None:  # at the first Newton step, so a gradient alone never builds it
+            xx = X[:, :, None] * X[:, None, :]
+        return _multinomial_hessian(probs, weighted, xx)
 
     def evaluate(params: np.ndarray):
         eta, lse, probs = _multinomial_probs(params, X, k_eff)
         weighted = probs * counts[:, None]
         grad = ((ind - weighted).T @ X).ravel()
-        return float(np.vdot(ind, eta) - counts @ lse), grad, lambda: _multinomial_hessian(probs, weighted, xx)
+        return float(np.vdot(ind, eta) - counts @ lse), grad, lambda: hessian(probs, weighted)
 
     return evaluate
 
@@ -318,7 +326,7 @@ def _newton(evaluate, params, ordered_head: int = 0):
 
 
 def _prepare(design: Design):
-    """Group the rows into cells, collapse the response categories, refuse fewer than 2, and prune the covariate columns.
+    """Group the rows into cells, collapse the responses, refuse fewer than 2, and prune the columns.
 
     Returns the cells' collapsed responses, the categories kept, the
     cells' pruned covariates, their names, the notes and the cell counts.

@@ -410,7 +410,8 @@ class TestCells:
             monkeypatch.setattr(glm, name, counter)
         s = generate_mnl_chain(600, seed=8) if family == "categorical" else generate_po_chain(600, seed=9)
         for lag in (0, 1, 2):
-            evaluated.clear(), pieced.clear(), hessians.clear()
+            for calls in (evaluated, pieced, hessians):
+                calls.clear()
             fit = glm._FITTERS[family](build_design(s, lag))
             assert len(hessians) == fit.iterations
             assert pieced == evaluated and len(set(evaluated)) == len(evaluated) >= fit.iterations + 1
@@ -466,4 +467,6 @@ class TestCells:
             assert (got.iterations, got.notes) == (want.iterations, want.notes)
             if want.error is None:
                 assert got.log_pl == pytest.approx(want.log_pl, rel=1e-12)
-        assert any(r.error is not None for r in table.rows) == (family == "categorical")
+        # 19 * 20 and 19 * 39 multinomial coefficients on about 450 rows diverge; every ordinal lag fits
+        fitted = [True, False, False] if family == "categorical" else [True, True, True]
+        assert [r.error is None for r in table.rows] == fitted
