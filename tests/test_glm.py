@@ -369,15 +369,6 @@ class TestAicTable:
             aic_table(series([1, 2, 1, 2], k=2), "poisson")
 
 
-def unit_cells(design):
-    """One cell per row, each of count 1: fitting on rows."""
-    return np.arange(design.n_used), np.ones(design.n_used)
-
-
-def ordered_params(rng, q, p):
-    return np.concatenate([np.sort(rng.normal(0, 1, q)) + 0.05 * np.arange(q), rng.normal(0, 0.5, p)])
-
-
 class TestCells:
     @pytest.mark.parametrize("family", ["categorical", "ordinal"])
     def test_each_point_is_evaluated_once(self, monkeypatch, family):
@@ -442,7 +433,8 @@ class TestCells:
             evaluation, params = glm._multinomial_evaluation, rng.normal(0, 1, (k_eff - 1) * X.shape[1])
         else:
             X, X_rows = X[:, 1:], X_rows[:, 1:]
-            evaluation, params = glm._po_evaluation, ordered_params(rng, k_eff - 1, X.shape[1])
+            theta = np.sort(rng.normal(0, 1, k_eff - 1)) + 0.05 * np.arange(k_eff - 1)
+            evaluation, params = glm._po_evaluation, np.concatenate([theta, rng.normal(0, 0.5, X.shape[1])])
         ll, grad, hessian = evaluation(X, y, k_eff, counts)(params)
         ll_rows, grad_rows, hessian_rows = evaluation(X_rows, y_rows, k_eff, np.ones(design.n_used))(params)
         assert abs(ll - ll_rows) <= 1e-12 * abs(ll_rows)
@@ -459,7 +451,8 @@ class TestCells:
         s = series(obs.tolist(), k=20, ordinal=True)
         assert build_design(s, 2).X.shape[1] == 39
         table = aic_table(s, family, common_rows=common_rows)
-        monkeypatch.setattr(glm, "_cells", unit_cells)
+        # one cell per row, each of count 1
+        monkeypatch.setattr(glm, "_cells", lambda design: (np.arange(design.n_used), np.ones(design.n_used)))
         rows = aic_table(s, family, common_rows=common_rows)
         assert table.best_lag == rows.best_lag
         for got, want in zip(table.rows, rows.rows, strict=True):
