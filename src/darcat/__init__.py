@@ -37,7 +37,7 @@ from .estimate import (
     estimate_pi,
     vn,
 )
-from .glm import AicTable, Design, GlmFit, aic_table, build_design, fit_multinomial, fit_proportional_odds
+from .glm import AicTable, Design, GlmFit, aic_table, aic_tables, build_design, fit_multinomial, fit_proportional_odds
 from .independence import (
     RunsSummary,
     TestReport,
@@ -88,6 +88,7 @@ __all__ = [
     "fit_multinomial",
     "fit_proportional_odds",
     "aic_table",
+    "aic_tables",
     "SimGrid",
     "CellResult",
     "run_grid",

@@ -31,7 +31,7 @@ from .estimate import (
     estimate_beta,
     estimate_pi,
 )
-from .glm import aic_table
+from .glm import aic_tables
 from .independence import TestReport, chi_square_test, longest_run_test, runs_count_test
 
 __all__ = ["main"]
@@ -277,10 +277,9 @@ def cmd_fit_glm(args: argparse.Namespace) -> int:
     space = _read_states(args.states)
     series = _load_series(args.input, space)
     lags = _parse_lags(args.lags)
-    families = ["categorical", "ordinal"] if args.family == "both" else [args.family]
-    out_text = "\n".join(
-        aic_table(series, family, lags=lags, common_rows=args.common_rows).render(args.format) for family in families
-    )
+    families = ("categorical", "ordinal") if args.family == "both" else (args.family,)
+    tables = aic_tables(series, families, lags=lags, common_rows=args.common_rows)
+    out_text = "\n".join(table.render(args.format) for table in tables)
     sys.stdout.write(out_text)
     if args.out:
         Path(args.out).write_text(out_text, encoding="utf-8")

@@ -28,16 +28,25 @@ at the points Newton steps from:
   of log L and N = diag(n_c), the Hessian is
   D_hi' N diag(F''_hi / L) D_hi - D_lo' N diag(F''_lo / L) D_lo - G'N G.
 
-:func:`aic_table` fits one family at each lag order and ranks the lags by
-AIC; :meth:`AicTable.render` writes that table as csv, md or txt through
+Newton steps are solved by LAPACK ``gesv`` directly: the systems have 2 to
+a few dozen unknowns, where ``np.linalg.solve``'s wrapper costs more than
+the factorisation.
+
+One prepared design per lag serves every family.  :func:`aic_tables`
+builds each lag's design once and fits every requested family on it; the
+design groups, collapses and prunes itself once (``Design._preparation``),
+however many fitters read it.  :func:`aic_table` is the one-family case.
+:meth:`AicTable.render` writes a table as csv, md or txt through
 :func:`darcat.render.table`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dgesv
 from scipy.special import expit
 
 from . import render
@@ -58,6 +67,7 @@ __all__ = [
     "multinomial_loglik_grad",
     "proportional_odds_loglik_grad",
     "aic_table",
+    "aic_tables",
 ]
 
 MAX_COEF = 30.0
@@ -107,6 +117,14 @@ class Design:
     @property
     def n_used(self) -> int:
         return int(self.y.size)
+
+    @cached_property
+    def _preparation(self) -> tuple | DarcatError:
+        """:func:`_prepare`'s result, or the error it raised, computed once however many fits read it."""
+        try:
+            return _prepare(self)
+        except DarcatError as exc:
+            return exc
 
 
 @dataclass(frozen=True)
@@ -297,10 +315,9 @@ def _newton(evaluate, params, ordered_head: int = 0):
     ll, grad, hessian = evaluate(params)
     steps = 0
     while steps < MAX_ITER and np.abs(grad).max() >= GRAD_TOL:
-        try:
-            step = np.linalg.solve(hessian(), -grad)
-        except np.linalg.LinAlgError as exc:
-            raise SingularHessian(str(exc)) from None
+        *_, step, info = dgesv(hessian(), -grad)
+        if info != 0:  # info > 0: an exactly zero pivot
+            raise SingularHessian("Singular matrix")
         scale = 1.0
         accepted = any_ordered = False
         for _half in range(40):
@@ -336,7 +353,18 @@ def _prepare(design: Design):
     if len(categories) < 2:
         raise DarcatError("response takes fewer than 2 distinct values")
     X, names, more_notes = _prune_columns(design.X, design.column_names)
-    return y, categories, X[first], names, notes + more_notes, counts
+    X = X[first]
+    for a in (y, X, counts):  # shared by every fit of the design
+        a.setflags(write=False)
+    return y, categories, X, names, notes + more_notes, counts
+
+
+def _prepared(design: Design):
+    """The design's :func:`_prepare` result, prepared once per design; raises its error on every read."""
+    prepared = design._preparation
+    if isinstance(prepared, DarcatError):
+        raise prepared.with_traceback(None)
+    return prepared
 
 
 def fit_multinomial(design: Design) -> GlmFit:
@@ -346,7 +374,7 @@ def fit_multinomial(design: Design) -> GlmFit:
     the highest retained category as reference.  Starts at zero, which is
     the closed-form optimum direction for the intercept-only model.
     """
-    y, categories, X, names, notes, counts = _prepare(design)
+    y, categories, X, names, notes, counts = _prepared(design)
     k_eff = len(categories)
     p = X.shape[1]
     params, ll, steps = _newton(_multinomial_evaluation(X, y, k_eff, counts), np.zeros((k_eff - 1) * p))
@@ -439,7 +467,7 @@ def fit_proportional_odds(design: Design) -> GlmFit:
     throughout.  Empty response categories are collapsed out first and
     flagged in the notes.
     """
-    y, categories, X_full, names, notes, counts = _prepare(design)
+    y, categories, X_full, names, notes, counts = _prepared(design)
     X = X_full[:, 1:]  # cutpoints take the intercept's role
     k_eff = len(categories)
     q = k_eff - 1
@@ -532,22 +560,33 @@ def aic_table(
     lags: tuple[int, ...] = (0, 1, 2),
     common_rows: bool = False,
 ) -> AicTable:
-    """Fit one model per lag order and rank them by AIC.
+    """Fit one model per lag order and rank them by AIC: :func:`aic_tables` for one family."""
+    return aic_tables(series, (family,), lags=lags, common_rows=common_rows)[0]
+
+
+def aic_tables(
+    series: CatSeries,
+    families: tuple[str, ...],
+    lags: tuple[int, ...] = (0, 1, 2),
+    common_rows: bool = False,
+) -> tuple[AicTable, ...]:
+    """One AIC table per family, every family fitted on the same design at each lag.
 
     Each lag keeps its own usable-row set by default, matching how mixed
     missingness shrinks the sample as the lag grows; ``common_rows``
     restricts every lag to the rows usable at the largest one, since AIC
     across different sample sizes is not formally comparable.  Failed fits
     become NA rows instead of aborting the table; their n is that of the
-    rows the fit was attempted on.
+    rows the fit was attempted on.  A design that cannot be built is the
+    same NA row in every family.
     """
-    if family not in _FITTERS:
-        raise DarcatError(f"family must be one of {sorted(_FITTERS)}, got {family!r}")
-    fitter = _FITTERS[family]
+    for family in families:
+        if family not in _FITTERS:
+            raise DarcatError(f"family must be one of {sorted(_FITTERS)}, got {family!r}")
     lags = tuple(sorted(set(lags)))
     # largest lag first: under common_rows its usable rows are the common set
     common_t = np.empty(0, dtype=np.int64)
-    rows: list[AicRow] = []
+    rows: list[list[AicRow]] = [[] for _ in families]
     for lag in reversed(lags):
         design = None
         try:
@@ -559,8 +598,18 @@ def aic_table(
                 design = replace(design, X=design.X[keep], y=design.y[keep], t_index=design.t_index[keep])
                 if design.n_used == 0:
                     raise NoUsableRows("no rows in the common usable set")
-            fit = fitter(design)
-            rows.append(
+        except DarcatError as exc:
+            failed = _na_row(lag, design, exc)
+            for family_rows in rows:
+                family_rows.append(failed)
+            continue
+        for family, family_rows in zip(families, rows):
+            try:
+                fit = _FITTERS[family](design)
+            except DarcatError as exc:
+                family_rows.append(_na_row(lag, design, exc))
+                continue
+            family_rows.append(
                 AicRow(
                     lag=lag,
                     n_params=fit.n_params,
@@ -571,10 +620,16 @@ def aic_table(
                     notes=fit.notes,
                 )
             )
-        except DarcatError as exc:
-            n_used = None if design is None else design.n_used
-            rows.append(AicRow(lag=lag, n_params=None, aic=None, log_pl=None, n_used=n_used, error=str(exc)))
-    rows.reverse()
-    fitted = [r for r in rows if r.aic is not None]
-    best = min(fitted, key=lambda r: r.aic).lag if fitted else None
-    return AicTable(family=family, rows=tuple(rows), best_lag=best)
+    tables = []
+    for family, family_rows in zip(families, rows):
+        family_rows.reverse()
+        fitted = [r for r in family_rows if r.aic is not None]
+        best = min(fitted, key=lambda r: r.aic).lag if fitted else None
+        tables.append(AicTable(family=family, rows=tuple(family_rows), best_lag=best))
+    return tuple(tables)
+
+
+def _na_row(lag: int, design: Design | None, exc: DarcatError) -> AicRow:
+    """The NA row of a lag whose design or fit failed, with the n it was tried on."""
+    n_used = None if design is None else design.n_used
+    return AicRow(lag=lag, n_params=None, aic=None, log_pl=None, n_used=n_used, error=str(exc))

@@ -268,6 +268,23 @@ def test_edge_case_inputs(tmp_path, capsys, command, series, states, code, messa
     assert err.startswith("error: ") == (code == 2)
 
 
+def test_alpha_just_below_one(tmp_path, capsys, states2):
+    """alpha = 1 - 1e-9 freezes the chain in its first state: named NA results, never a crash."""
+    path = str(tmp_path / "f.csv")
+    code, _, _ = run(capsys, "simulate", "--alpha", "0.999999999", "--pi", "0.3,0.7", "--n", "500", "--seed", "3", "--out", path)
+    assert code == 0
+    code, out, _ = run(capsys, "fit-dar", path, "--states", states2)
+    assert code == 0
+    assert "  alpha1 (MLE): 1.0000  [not admissible]\n" in out
+    for test in ("chi_square", "runs_count", "longest_run"):
+        assert f"  {test}: NA (no usable test series)\n" in out
+    code, out, _ = run(capsys, "fit-glm", path, "--states", states2, "--family", "both", "--format", "txt")
+    assert code == 0
+    na_rows = [line.split() for line in out.splitlines() if "NA" in line]
+    assert [row[:5] for row in na_rows] == [[str(lag), "NA", "NA", "NA", str(501 - lag)] for lag in (0, 1, 2)] * 2
+    assert out.count("(response takes fewer than 2 distinct values)") == 6
+
+
 def test_seed_help_names_the_seed_used(capsys):
     with pytest.raises(SystemExit):
         main(["simulate", "--help"])

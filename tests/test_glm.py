@@ -3,14 +3,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darcat import glm
+from darcat import cli, glm
 from darcat.core import MISSING, CatSeries, DarcatError, StateSpace
 from darcat.dar import DarModel, simulate
 from darcat.glm import (
     MAX_ITER,
     NoUsableRows,
     Separation,
+    SingularHessian,
     aic_table,
+    aic_tables,
     build_design,
     fit_multinomial,
     fit_proportional_odds,
@@ -367,6 +369,59 @@ class TestAicTable:
     def test_unknown_family_rejected(self):
         with pytest.raises(Exception):
             aic_table(series([1, 2, 1, 2], k=2), "poisson")
+
+
+class TestSharedDesign:
+    @given(
+        k=st.integers(2, 5),
+        share=st.floats(0.0, 0.5),
+        lags=st.sets(st.integers(0, 2), min_size=1),
+        common_rows=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_families_on_one_design_equal_one_family_tables(self, k, share, lags, common_rows, seed):
+        """Every row field, NA pattern and best lag as when each family builds its own designs."""
+        rng = np.random.default_rng(seed)
+        obs = rng.integers(1, k + 1, int(rng.integers(3, 200)))
+        obs[rng.random(obs.size) < share] = MISSING
+        s = series(obs.tolist(), k=k, ordinal=True)
+        lags = tuple(lags)
+        got = aic_tables(s, ("categorical", "ordinal"), lags=lags, common_rows=common_rows)
+        want = tuple(aic_table(s, family, lags=lags, common_rows=common_rows) for family in ("categorical", "ordinal"))
+        assert got == want
+
+    @pytest.mark.parametrize("common_rows", [[], ["--common-rows"]])
+    def test_fit_glm_builds_and_prepares_each_design_once(self, monkeypatch, tmp_path, capsys, common_rows):
+        builds, prepared = [], []
+        build, prepare = glm.build_design, glm._prepare
+
+        def counting_build(series, lag):
+            builds.append(lag)
+            return build(series, lag)
+
+        def counting_prepare(design):
+            prepared.append(design)
+            return prepare(design)
+
+        monkeypatch.setattr(glm, "build_design", counting_build)
+        monkeypatch.setattr(glm, "_prepare", counting_prepare)
+        obs = simulate(DarModel.from_pi(0.5, [0.2, 0.3, 0.5]), 300, seed=33).obs.copy()
+        obs[np.random.default_rng(33).random(obs.size) < 0.1] = MISSING
+        (tmp_path / "states.txt").write_text("1\n2\n3\n")
+        (tmp_path / "s.csv").write_text("t,value\n" + "".join(f"{t},{'NA' if v == MISSING else v}\n" for t, v in enumerate(obs)))
+        argv = ["fit-glm", str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"), "--family", "both"]
+        assert cli.main(argv + common_rows) == 0
+        assert "NA" not in capsys.readouterr().out
+        assert sorted(builds) == [0, 1, 2]
+        assert len(prepared) == len({id(d) for d in prepared}) == 3
+
+    def test_exactly_singular_hessian_keeps_its_error_text(self):
+        def evaluate(params):
+            return 0.0, np.array([1.0, 0.0]), lambda: np.array([[1.0, 1.0], [1.0, 1.0]])
+
+        with pytest.raises(SingularHessian, match="^Singular matrix$"):
+            glm._newton(evaluate, np.zeros(2))
 
 
 class TestCells:
