@@ -68,6 +68,8 @@ def _parse_pi(text: str) -> np.ndarray:
         values = np.array([float(v) for v in text.split(",")], dtype=float)
     except ValueError:
         raise DarcatError(f"--pi must be a comma list of numbers, got {text!r}") from None
+    if not np.isfinite(values).all():
+        raise DarcatError(f"--pi components must be finite, got {text!r}")
     if values.size < 2 or np.any(values <= 0):
         raise DarcatError("--pi needs at least two positive components")
     if abs(values.sum() - 1.0) > 1e-3:

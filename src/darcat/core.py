@@ -9,12 +9,16 @@ Time labels are stored only when they differ from the implicit '0', '1',
 :func:`parse_series` / :func:`serialize_series` read and write a series
 through whole-text string operations, not a loop over its rows.
 All containers are immutable after construction and safe to share across
-threads; every operation here is a pure function.
+threads; every operation here is a pure function.  The facts that the
+estimators and tests read off a series (its state counts, per-gap pair
+table and runs) are cached properties, computed on first read; two
+threads reading one at once at most compute it twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import compress, islice
 
 import numpy as np
@@ -34,7 +38,6 @@ __all__ = [
     "EmpiricalTransitionMatrix",
     "parse_series",
     "serialize_series",
-    "pair_counts",
     "path_counts",
     "run_lengths",
     "transition_counts",
@@ -69,7 +72,10 @@ class StateSpace:
 
     Internal codes are exactly 1..k in label order.  ``ordinal`` records
     whether the category order is meaningful (it changes nothing here but
-    drives which regression family is appropriate downstream).
+    drives which regression family is appropriate downstream).  Every
+    label must read back from a series file as itself, so none may be
+    ``NA`` or empty, hold a comma or a line break, or have whitespace
+    around it.
     """
 
     labels: tuple[str, ...]
@@ -82,6 +88,12 @@ class StateSpace:
             raise DarcatError(f"state space needs at least 2 categories, got {len(labels)}")
         if len(set(labels)) != len(labels):
             raise DarcatError("state space labels must be pairwise distinct")
+        for label in labels:
+            if label in ("", "NA") or label != label.strip() or any(c in label for c in ",\n" + _LINE_BREAKS):
+                raise DarcatError(
+                    f"state label {label!r} would not read back from a series file: "
+                    "a label may not be NA or empty, hold a comma or a line break, or have whitespace around it"
+                )
 
     @property
     def k(self) -> int:
@@ -155,14 +167,43 @@ class CatSeries:
 
     @property
     def has_missing(self) -> bool:
-        return MISSING in self.obs
+        return self.n_missing > 0
 
     @property
     def n_missing(self) -> int:
-        return int(np.count_nonzero(self.obs == MISSING))
+        return len(self) - int(self.state_counts.sum())
 
-    def observed_values(self) -> np.ndarray:
-        return self.obs[self.obs != MISSING]
+    @cached_property
+    def state_counts(self) -> np.ndarray:
+        """Occurrences of each category 1..k among the observed values, a read-only (k,) int64 array."""
+        counts = np.bincount(self.obs + 1, minlength=self.space.k + 2)[2:]  # MISSING counts in bin 0
+        counts.setflags(write=False)
+        return counts
+
+    @cached_property
+    def pairs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Consecutive observed pairs, counted per time gap.
+
+        ``(gaps, table)``, both read-only: the distinct gaps h >= 1 between
+        consecutive observed values in ascending order, and an int table of
+        shape ``(len(gaps), k, k)`` whose cell ``[g, x-1, y-1]`` counts pairs
+        x -> y observed ``gaps[g]`` steps apart.  Under DAR(1) such a pair
+        has probability alpha**h * 1{x=y} + (1 - alpha**h) * pi_y, so the
+        table is a sufficient statistic for alpha given pi.
+        """
+        x = self.obs
+        at = np.flatnonzero(x != MISSING)
+        steps = np.diff(at)
+        gaps = np.flatnonzero(np.bincount(steps))
+        k = self.space.k
+        cells = (np.searchsorted(gaps, steps) * k + x[at[:-1]] - 1) * k + x[at[1:]] - 1
+        table = np.bincount(cells, minlength=gaps.size * k * k).reshape(gaps.size, k, k)
+        return _read_only(gaps, table)
+
+    @cached_property
+    def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """:func:`run_lengths` of ``obs``: its maximal runs as read-only arrays (value, start, length)."""
+        return _read_only(*run_lengths(self.obs))
 
     def stamps(self) -> np.ndarray:
         """Every time label as an array of str, the implicit '0'..'n' included."""
@@ -189,7 +230,7 @@ class CatSeries:
 
     def restrict_to_observed(self) -> tuple["CatSeries", tuple[str, ...]]:
         """The series on the sub-space of its observed categories (as is if all are), and the labels dropped."""
-        present = np.unique(self.observed_values())
+        present = np.flatnonzero(self.state_counts) + 1
         if present.size < 2:
             raise DarcatError("only one category observed; independence tests are undefined")
         if present.size == self.space.k:
@@ -201,29 +242,16 @@ class CatSeries:
         return CatSeries(sub, codes, self.time_labels), tuple(np.delete(labels, present - 1))
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
+
+
 def run_lengths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximal runs of equal entries as arrays (value, start, length), in order."""
     starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
     return values[starts], starts, np.diff(starts, append=values.size)
-
-
-def pair_counts(series: CatSeries) -> tuple[np.ndarray, np.ndarray]:
-    """Consecutive observed pairs, counted per time gap.
-
-    Returns ``(gaps, table)``: the distinct gaps h >= 1 between consecutive
-    observed values in ascending order, and an int table of shape
-    ``(len(gaps), k, k)`` whose cell ``[g, x-1, y-1]`` counts pairs x -> y
-    observed ``gaps[g]`` steps apart.  Under DAR(1) such a pair has
-    probability alpha**h * 1{x=y} + (1 - alpha**h) * pi_y, so the table is
-    a sufficient statistic for alpha given pi.
-    """
-    x = series.obs
-    at = np.flatnonzero(x != MISSING)
-    steps = np.diff(at)
-    gaps = np.flatnonzero(np.bincount(steps))
-    k = series.space.k
-    cells = (np.searchsorted(gaps, steps) * k + x[at[:-1]] - 1) * k + x[at[1:]] - 1
-    return gaps, np.bincount(cells, minlength=gaps.size * k * k).reshape(gaps.size, k, k)
 
 
 def path_counts(paths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -232,7 +260,7 @@ def path_counts(paths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     ``paths`` is an ``(m, n+1)`` array of codes 1..k.  Returns the
     ``(m, k)`` count of each state per row and the ``(m, k, k)`` table
     whose cell ``[r, x-1, y-1]`` counts jumps x -> y in row r: per row,
-    the gap-1 table of :func:`pair_counts`.  Each comes from one bincount
+    the gap-1 table of :attr:`CatSeries.pairs`.  Each comes from one bincount
     over cell indices offset by row.
     """
     m = paths.shape[0]
@@ -390,9 +418,7 @@ class TransitionCounts:
     n_transitions: int
 
     def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
-        self.row_sums.setflags(write=False)
-        self.col_sums.setflags(write=False)
+        _read_only(self.matrix, self.row_sums, self.col_sums)
 
 
 def transition_counts(series: CatSeries) -> TransitionCounts:
@@ -402,7 +428,7 @@ def transition_counts(series: CatSeries) -> TransitionCounts:
     """
     if series.has_missing:
         raise MissingValuePresent("transition_counts requires a complete series")
-    mat = pair_counts(series)[1][0]
+    mat = series.pairs[1][0]
     return TransitionCounts(
         matrix=mat,
         row_sums=mat.sum(axis=1),
@@ -425,8 +451,7 @@ class EmpiricalTransitionMatrix:
     counts: TransitionCounts = field(repr=False)
 
     def __post_init__(self) -> None:
-        self.probs.setflags(write=False)
-        self.defined.setflags(write=False)
+        _read_only(self.probs, self.defined)
 
 
 def jump_frequencies(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -33,6 +33,8 @@ def _validate_pi(pi: np.ndarray) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or pi.size < 2:
         raise DarcatError("pi must be a probability vector of length >= 2")
+    if not np.isfinite(pi).all():
+        raise DarcatError(f"pi components must be finite, got {pi.tolist()}")
     if np.any(pi < 0):
         raise DarcatError("pi components must be nonnegative")
     if abs(pi.sum() - 1.0) > _PI_TOL:

@@ -3,13 +3,15 @@
 ``pi`` is estimated by state frequencies, ``alpha`` either by maximum
 likelihood or by least squares on the empirical transition matrix (closed
 form), and ``beta`` by the missing fraction.  The likelihood reads the
-per-gap pair counts of :func:`~darcat.core.pair_counts`, raising the
+per-gap pair counts :attr:`~darcat.core.CatSeries.pairs`, raising the
 persistence to the power of each observed gap, so it accepts complete and
 gapped series alike; on a complete series it is the root of a monotone
 score, found by bisection.  On complete series both alpha estimators run
 row-batched over stacked jump tables (:func:`alpha_mle_rows`,
 :func:`alpha_ls_rows`); the per-series entry points call them with a
 batch of one.
+The per-series entry points count nothing themselves: they read the
+state counts and the pair table cached on the series (:mod:`darcat.core`).
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import CatSeries, DarcatError, jump_frequencies, pair_counts, transition_counts
+from .core import CatSeries, DarcatError, jump_frequencies, transition_counts
 
 __all__ = [
     "AllMissing",
@@ -103,11 +105,11 @@ def estimate_pi(series: CatSeries) -> PiEstimate:
     All observations are counted, index 0 included; ``n_obs`` reports the
     denominator actually used.
     """
-    values = series.observed_values()
-    if values.size == 0:
+    counts = series.state_counts
+    n_obs = int(counts.sum())
+    if n_obs == 0:
         raise AllMissing("series has no observed value")
-    counts = np.bincount(values - 1, minlength=series.space.k)
-    return PiEstimate(pi_hat=counts / values.size, n_obs=int(values.size), counts=counts)
+    return PiEstimate(pi_hat=counts / n_obs, n_obs=n_obs, counts=counts)
 
 
 def vn(alpha: float, n: int) -> float:
@@ -207,7 +209,7 @@ def alpha_mle_rows(jumps: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.nd
 
 
 def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> AlphaEstimate:
-    """Maximise the likelihood of the per-gap pair counts of :func:`pair_counts`.
+    """Maximise the likelihood of the per-gap pair counts :attr:`~darcat.core.CatSeries.pairs`.
 
     A pair x -> y observed h steps apart contributes
     log(alpha**h * 1{x=y} + (1 - alpha**h) * pi_y).  With gap 1 only, the
@@ -275,7 +277,7 @@ def estimate_alpha_mle(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     gap.  Boundary estimates carry ``converged=False``; such estimates are
     the ones a simulation study must discard.
     """
-    return _alpha_mle(*pair_counts(series), np.asarray(pi_hat, dtype=float))
+    return _alpha_mle(*series.pairs, np.asarray(pi_hat, dtype=float))
 
 
 def _ls_closed_form(p_hat: np.ndarray, pi: np.ndarray, used: np.ndarray) -> np.ndarray:
@@ -363,7 +365,7 @@ def estimate_alpha_mle_gapped(series: CatSeries) -> AlphaEstimate:
     Equals :func:`estimate_alpha_mle` given the state frequencies of the
     series; kept as its own entry point for series with missing runs.
     """
-    return _alpha_mle(*pair_counts(series), estimate_pi(series).pi_hat)
+    return _alpha_mle(*series.pairs, estimate_pi(series).pi_hat)
 
 
 def estimate_beta(series: CatSeries) -> float:

@@ -256,13 +256,14 @@ def _multinomial_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np
     """
     q = k_eff - 1
     ind = np.eye(k_eff, q)[y - 1] * counts[:, None]  # count-weighted one-hot response; the reference row is zero
+    eye = np.eye(q)
     xx = None
 
     def hessian(probs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
         nonlocal xx
         if xx is None:  # at the first Newton step, so a gradient alone never builds it
             xx = X[:, :, None] * X[:, None, :]
-        return _multinomial_hessian(probs, weighted, xx)
+        return _multinomial_hessian(probs, weighted, xx, eye)
 
     def evaluate(params: np.ndarray):
         eta, lse, probs = _multinomial_probs(params, X, k_eff)
@@ -273,13 +274,14 @@ def _multinomial_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np
     return evaluate
 
 
-def _multinomial_hessian(probs: np.ndarray, weighted: np.ndarray, xx: np.ndarray) -> np.ndarray:
+def _multinomial_hessian(probs: np.ndarray, weighted: np.ndarray, xx: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """-sum_c n_c W_c (x) x_c x_c' with W_c = diag(p_c) - p_c p_c', in the row-wise order of ``params``.
 
-    ``weighted`` is n_c p_c and ``xx`` holds the x_c x_c'.
+    ``weighted`` is n_c p_c, ``xx`` holds the x_c x_c' and ``eye`` is the
+    (q, q) identity, built once per fit.
     """
     (m, q), p = probs.shape, xx.shape[1]
-    w = weighted[:, :, None] * (np.eye(q) - probs[:, None, :])
+    w = weighted[:, :, None] * (eye - probs[:, None, :])
     # one product sums over the cells: (q*q, m) @ (m, p*p) holds the (a, c, i, j) entries
     h = w.reshape(m, q * q).T @ xx.reshape(m, p * p)
     return -h.reshape(q, q, p, p).transpose(0, 2, 1, 3).reshape(q * p, q * p)

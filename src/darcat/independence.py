@@ -4,7 +4,9 @@ Three tests are provided: a chi-square contingency test on the one-step
 jump table, a normal test on the total run count, and an acceptance-band
 test on the longest run, the only one of the three with an analytic
 power.  All of them refuse missing values; apply a missing-value policy
-first (drop or longest complete segment).
+first (drop or longest complete segment).  They read the jump table, the
+runs and the state frequencies cached on the series (see
+:mod:`darcat.core`), so running all three counts each of them once.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import stats
 
-from .core import CatSeries, DarcatError, MissingValuePresent, run_lengths, transition_counts
+from .core import CatSeries, DarcatError, MissingValuePresent, transition_counts
 from .estimate import estimate_pi
 
 __all__ = [
@@ -62,7 +64,7 @@ def runs_summary(series: CatSeries) -> RunsSummary:
     """Count maximal runs over the whole observation sequence."""
     if series.has_missing:
         raise MissingValuePresent("runs_summary requires a complete series")
-    state, _, length = run_lengths(series.obs)
+    state, _, length = series.runs
     k1 = series.space.k + 1
     cells, n_cells = np.unique(length * k1 + state, return_counts=True)
     states, n_states = np.unique(state, return_counts=True)
@@ -131,9 +133,21 @@ def _check_pi(pi: np.ndarray, k: int) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.size != k:
         raise DarcatError(f"pi has length {pi.size}, state space has k={k}")
+    if not np.isfinite(pi).all():
+        raise DarcatError(f"pi must be finite, got {pi.tolist()}")
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
         raise DegenerateDistribution("runs statistics need 0 < pi_j < 1 for every state")
     return pi
+
+
+def _runs_and_pi(series: CatSeries, pi: np.ndarray | None) -> tuple[RunsSummary, np.ndarray, list[str]]:
+    """The runs of a runs test, its checked ``pi`` (the state frequencies when None) and its notes."""
+    summary = runs_summary(series)
+    notes: list[str] = []
+    if pi is None:
+        pi = estimate_pi(series).pi_hat
+        notes.append("pi estimated from the series")
+    return summary, _check_pi(pi, series.space.k), notes
 
 
 def runs_count_test(
@@ -150,16 +164,10 @@ def runs_count_test(
     frequencies (flagged in the notes).  The p-value is two sided, since
     persistence deflates and anti-persistence inflates the run count.
     """
-    summary = runs_summary(series)
-    k = series.space.k
-    notes: list[str] = []
-    if pi is None:
-        pi = estimate_pi(series).pi_hat
-        notes.append("pi estimated from the series")
-    pi = _check_pi(pi, k)
+    summary, pi, notes = _runs_and_pi(series, pi)
     n = summary.n_scanned
     r = summary.total
-    if k == 2:
+    if pi.size == 2:
         prod = pi[0] * pi[1]
         mean = 2.0 * n * prod
         sd = 2.0 * math.sqrt(n * prod * (1.0 - 3.0 * prod))
@@ -219,13 +227,7 @@ def longest_run_test(
     When ``alpha1`` is given, the analytic power at that alternative is
     attached to the report.
     """
-    summary = runs_summary(series)
-    k = series.space.k
-    notes: list[str] = []
-    if pi is None:
-        pi = estimate_pi(series).pi_hat
-        notes.append("pi estimated from the series")
-    pi = _check_pi(pi, k)
+    summary, pi, notes = _runs_and_pi(series, pi)
     n = summary.n_scanned
     rho0, pi_rho0 = _rho_and_mass(pi)
     lo, hi = _band(rho0, pi_rho0, n, level)
@@ -262,9 +264,7 @@ def longest_run_power(pi: np.ndarray, alpha1: float, n: int, level: float = 0.05
     the states attaining it keep the same total mass.  The result is
     clamped to [0, 1]; at alpha1 = 0 it equals the level exactly.
     """
-    pi = np.asarray(pi, dtype=float)
-    if np.any(pi <= 0.0) or np.any(pi >= 1.0):
-        raise DegenerateDistribution("power needs 0 < pi_j < 1 for every state")
+    pi = _check_pi(pi, np.size(pi))
     if not 0.0 <= alpha1 < 1.0:
         raise DarcatError(f"alpha1 must lie in [0, 1), got {alpha1}")
     rho0, pi_rho0 = _rho_and_mass(pi)

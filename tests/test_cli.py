@@ -311,3 +311,21 @@ def test_blank_lines_in_the_states_file_are_skipped(tmp_path, capsys):
     code, out, err = run(capsys, "fit-dar", str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"))
     assert code == 0 and err == ""
     assert "  6 positions, k=2 categories, 0 missing\n" in out
+
+
+@pytest.mark.parametrize("pi", ["nan,0.5", "0.5,nan", "inf,0.5", "0.25,-inf,0.75"])
+def test_simulate_refuses_a_non_finite_pi(tmp_path, capsys, pi):
+    code, out, err = run(capsys, "simulate", "--alpha", "0.5", "--pi", pi, "--n", "5", "--out", str(tmp_path / "s.csv"))
+    assert code == 2 and out == ""
+    assert err == f"error: --pi components must be finite, got {pi!r}\n"
+    assert not (tmp_path / "s.csv").exists()
+
+
+@pytest.mark.parametrize("command", ["fit-dar", "test", "fit-glm"])
+@pytest.mark.parametrize("label", ["NA", "a,b"])
+def test_states_file_label_that_cannot_round_trip_exits_2(tmp_path, capsys, command, label):
+    (tmp_path / "s.csv").write_text("t,value\n0,low\n1,NA\n2,low\n3,low\n")
+    (tmp_path / "states.txt").write_text(f"low\n{label}\n")
+    code, out, err = run(capsys, command, str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"))
+    assert code == 2 and out == ""
+    assert err.startswith(f"error: state label {label!r} would not read back from a series file")

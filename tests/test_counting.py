@@ -4,12 +4,17 @@ The references below are the straightforward per-observation scans; the
 kernels in ``darcat.core`` must agree with them exactly on every input.
 """
 
+import dataclasses
+import sys
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darcat.core import MISSING, CatSeries, StateSpace, TooShort, pair_counts, path_counts
+from darcat import cli, core
+from darcat.core import MISSING, CatSeries, StateSpace, TooShort, path_counts
 from darcat.independence import runs_summary
 
 
@@ -87,7 +92,7 @@ def with_edge_cases(test):
 @with_edge_cases
 @settings(max_examples=200, deadline=None)
 def test_pair_counts_matches_reference(series):
-    gaps, table = pair_counts(series)
+    gaps, table = series.pairs
     k = series.space.k
     pairs = observed_pairs_reference(series.obs)
     assert gaps.tolist() == sorted({h for _, _, h in pairs})
@@ -105,6 +110,10 @@ def test_pair_counts_matches_reference(series):
 def test_runs_summary_matches_reference(series):
     summary = runs_summary(series)
     by_sl, by_state, total, longest = runs_reference(series.obs)
+    values, starts, lengths = series.runs
+    assert Counter(zip(values.tolist(), lengths.tolist())) == by_sl
+    assert values.size == total and lengths.max() == longest
+    assert np.array_equal(starts, np.cumsum(lengths) - lengths)
     assert summary.by_state_and_length == by_sl
     assert summary.by_state == by_state
     assert summary.total == total
@@ -152,3 +161,52 @@ def test_path_counts_matches_reference(batch):
         for x, y, _ in observed_pairs_reference(row):
             expected[x - 1, y - 1] += 1
         assert np.array_equal(jumps[r], expected)
+
+
+FACTS = ("state_counts", "pairs", "runs")
+
+
+def test_fit_dar_computes_each_series_fact_once(tmp_path, monkeypatch, capsys):
+    computed = Counter()
+    for name in FACTS:
+        prop = vars(CatSeries)[name]
+
+        def counting(series, func=prop.func, name=name):
+            computed[name] += 1
+            return func(series)
+
+        monkeypatch.setattr(prop, "func", counting)
+    real = core.run_lengths
+
+    def counting_runs(values):
+        computed["run_lengths of codes" if values.dtype != bool else "run_lengths of a mask"] += 1
+        return real(values)
+
+    for mod in [m for name, m in sys.modules.items() if name.split(".")[0] == "darcat"]:
+        if vars(mod).get("run_lengths") is real:
+            monkeypatch.setattr(mod, "run_lengths", counting_runs)
+    cells = ["a", "b", "b", "c", "a", "a", "c", "b", "c", "c"] * 6  # complete, every category occurs
+    (tmp_path / "s.csv").write_text("t,value\n" + "".join(f"{t},{v}\n" for t, v in enumerate(cells)))
+    (tmp_path / "states.txt").write_text("a\nb\nc\n")
+    for fmt in ("csv", "txt"):
+        computed.clear()
+        argv = ["fit-dar", str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"), "--format", fmt]
+        assert cli.main(argv) == 0
+        assert "NA" not in capsys.readouterr().out  # every estimator and test ran
+        assert computed == {"state_counts": 1, "pairs": 1, "runs": 1, "run_lengths of codes": 1}
+
+
+@given(series=gapped_series())
+@with_edge_cases
+@settings(max_examples=50, deadline=None)
+def test_series_facts_are_read_only_and_read_once(series):
+    for name in FACTS:
+        fact = getattr(series, name)
+        assert getattr(series, name) is fact
+        arrays = fact if isinstance(fact, tuple) else (fact,)
+        assert all(not a.flags.writeable for a in arrays)
+        with pytest.raises(ValueError):
+            arrays[-1][...] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(series, name, None)
+    assert series.state_counts.tolist() == [series.obs.tolist().count(j) for j in range(1, series.space.k + 1)]

@@ -30,6 +30,12 @@ def test_model_validation():
         MissingDarModel(model(0.5, [0.5, 0.5]), 1.0)
 
 
+@pytest.mark.parametrize("pi", [[np.nan, 0.5], [np.inf, 0.5], [0.5, 0.5, -np.inf]])
+def test_non_finite_pi_is_refused(pi):
+    with pytest.raises(DarcatError, match="pi components must be finite"):
+        DarModel.from_pi(0.5, pi)
+
+
 def test_transition_matrix_iid_case():
     p = transition_matrix(model(0.0, [0.3, 0.7]))
     assert np.allclose(p, [[0.3, 0.7], [0.3, 0.7]])
@@ -124,7 +130,7 @@ def test_missing_fraction():
 def test_missing_observed_values_keep_marginal():
     mm = MissingDarModel(model(0.0, [0.3, 0.7]), 0.5)
     s = simulate_with_missing(mm, 100_000, seed=13)
-    seen = s.observed_values()
+    seen = s.obs[s.obs != MISSING]
     freq = np.bincount(seen - 1, minlength=2) / seen.size
     assert np.allclose(freq, [0.3, 0.7], atol=0.01)
 

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darcat.core import MISSING, CatSeries, MissingValuePresent, StateSpace
+from darcat.core import MISSING, CatSeries, DarcatError, MissingValuePresent, StateSpace
 from darcat.dar import DarModel, simulate
 from darcat.independence import (
     DegenerateDistribution,
@@ -126,6 +126,12 @@ class TestRunsCount:
         with pytest.raises(DegenerateDistribution):
             runs_count_test(series([1, 1, 1], k=2), pi=np.array([1.0, 0.0]))
 
+    @pytest.mark.parametrize("test", [runs_count_test, longest_run_test])
+    @pytest.mark.parametrize("pi", [[np.nan, 0.5], [0.5, np.inf]])
+    def test_non_finite_pi_is_refused(self, test, pi):
+        with pytest.raises(DarcatError, match=r"pi must be finite, got \[(nan|0.5), (0.5|inf)\]"):
+            test(series([1, 2, 2, 1, 2], k=2), pi=np.array(pi))
+
     def test_two_state_formula_agrees_with_general(self):
         # Mood's k=2 variance 4*p1*p2*(1-3*p1*p2) equals the general
         # sigma2 formula evaluated at (p1, p2)
@@ -195,3 +201,7 @@ class TestLongestRunPower:
 
     def test_clamped_to_unit_interval(self):
         assert 0.0 <= longest_run_power(np.array([0.9, 0.1]), 0.99, 10_000) <= 1.0
+
+    def test_non_finite_pi_is_refused(self):
+        with pytest.raises(DarcatError, match=r"pi must be finite, got \[nan, 0.5\]"):
+            longest_run_power(np.array([np.nan, 0.5]), 0.3, 100)
