@@ -15,9 +15,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 from .core import CatSeries, DarcatError, MissingValuePresent, transition_counts
+from .dar import _PI_TOL
 from .estimate import estimate_pi
 
 __all__ = [
@@ -100,6 +101,7 @@ def chi_square_test(series: CatSeries, level: float = 0.05) -> TestReport:
     degrees of freedom.  Cells whose expected share falls below the usual
     5% practical floor are flagged in the notes.
     """
+    _check_level(level)
     counts = transition_counts(series)
     k = series.space.k
     if np.any(counts.row_sums == 0) or np.any(counts.col_sums == 0):
@@ -112,7 +114,7 @@ def chi_square_test(series: CatSeries, level: float = 0.05) -> TestReport:
     expected = np.outer(counts.row_sums, counts.col_sums) / t
     c2 = float(np.sum((counts.matrix - expected) ** 2 / expected))
     df = (k - 1) ** 2
-    p = float(stats.chi2.sf(c2, df))
+    p = float(chdtrc(df, c2))
     notes = []
     low = np.argwhere(expected / t < 0.05)
     if low.size:
@@ -129,12 +131,20 @@ def chi_square_test(series: CatSeries, level: float = 0.05) -> TestReport:
     )
 
 
+def _check_level(level: float) -> None:
+    """Refuse a test level outside (0, 1), nan included."""
+    if not 0.0 < level < 1.0:
+        raise DarcatError(f"level must lie in (0, 1), got {level}")
+
+
 def _check_pi(pi: np.ndarray, k: int) -> np.ndarray:
     pi = np.asarray(pi, dtype=float)
     if pi.size != k:
         raise DarcatError(f"pi has length {pi.size}, state space has k={k}")
     if not np.isfinite(pi).all():
         raise DarcatError(f"pi must be finite, got {pi.tolist()}")
+    if abs(pi.sum() - 1.0) > _PI_TOL:
+        raise DarcatError(f"pi must sum to 1 within {_PI_TOL}, got {float(pi.sum())}")
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
         raise DegenerateDistribution("runs statistics need 0 < pi_j < 1 for every state")
     return pi
@@ -164,6 +174,7 @@ def runs_count_test(
     frequencies (flagged in the notes).  The p-value is two sided, since
     persistence deflates and anti-persistence inflates the run count.
     """
+    _check_level(level)
     summary, pi, notes = _runs_and_pi(series, pi)
     n = summary.n_scanned
     r = summary.total
@@ -177,7 +188,7 @@ def runs_count_test(
         sigma2 = s2 + 2.0 * float(np.sum(pi**3)) - 3.0 * s2**2
         sd = math.sqrt(n * sigma2)
     z = (r - mean) / sd
-    p = 2.0 * float(stats.norm.sf(abs(z)))
+    p = 2.0 * float(ndtr(-abs(z)))
     return TestReport(
         name="runs_count",
         statistic=z,
@@ -227,6 +238,7 @@ def longest_run_test(
     When ``alpha1`` is given, the analytic power at that alternative is
     attached to the report.
     """
+    _check_level(level)
     summary, pi, notes = _runs_and_pi(series, pi)
     n = summary.n_scanned
     rho0, pi_rho0 = _rho_and_mass(pi)
@@ -264,6 +276,7 @@ def longest_run_power(pi: np.ndarray, alpha1: float, n: int, level: float = 0.05
     the states attaining it keep the same total mass.  The result is
     clamped to [0, 1]; at alpha1 = 0 it equals the level exactly.
     """
+    _check_level(level)
     pi = _check_pi(pi, np.size(pi))
     if not 0.0 <= alpha1 < 1.0:
         raise DarcatError(f"alpha1 must lie in [0, 1), got {alpha1}")

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import stats
+from scipy.special import chdtrc, ndtr
 
 from darcat.core import MISSING, CatSeries, DarcatError, MissingValuePresent, StateSpace
 from darcat.dar import DarModel, simulate
@@ -132,6 +134,11 @@ class TestRunsCount:
         with pytest.raises(DarcatError, match=r"pi must be finite, got \[(nan|0.5), (0.5|inf)\]"):
             test(series([1, 2, 2, 1, 2], k=2), pi=np.array(pi))
 
+    @pytest.mark.parametrize("test", [runs_count_test, longest_run_test])
+    def test_pi_not_summing_to_one_is_refused(self, test):
+        with pytest.raises(DarcatError, match=r"pi must sum to 1 within 1e-12, got 0\.4"):
+            test(series([1, 2, 2, 1, 2], k=2), pi=np.array([0.2, 0.2]))
+
     def test_two_state_formula_agrees_with_general(self):
         # Mood's k=2 variance 4*p1*p2*(1-3*p1*p2) equals the general
         # sigma2 formula evaluated at (p1, p2)
@@ -205,3 +212,32 @@ class TestLongestRunPower:
     def test_non_finite_pi_is_refused(self):
         with pytest.raises(DarcatError, match=r"pi must be finite, got \[nan, 0.5\]"):
             longest_run_power(np.array([np.nan, 0.5]), 0.3, 100)
+
+    def test_pi_not_summing_to_one_is_refused(self):
+        with pytest.raises(DarcatError, match=r"pi must sum to 1 within 1e-12, got 0\.4"):
+            longest_run_power(np.array([0.2, 0.2]), 0.3, 100)
+
+
+LEVEL_CHECKED = {
+    "chi_square_test": lambda level: chi_square_test(series([1, 2, 2, 1, 2, 1], k=2), level=level),
+    "runs_count_test": lambda level: runs_count_test(series([1, 2, 2, 1, 2, 1], k=2), level=level),
+    "longest_run_test": lambda level: longest_run_test(series([1, 2, 2, 1, 2, 1], k=2), level=level),
+    "longest_run_power": lambda level: longest_run_power(np.array([0.5, 0.5]), 0.3, 100, level=level),
+}
+
+
+@pytest.mark.parametrize("level", [np.nan, 0.0, 1.0, 1.5, -0.05])
+@pytest.mark.parametrize("name", sorted(LEVEL_CHECKED))
+def test_level_outside_unit_interval_is_refused(name, level):
+    with pytest.raises(DarcatError, match=rf"level must lie in \(0, 1\), got {level}"):
+        LEVEL_CHECKED[name](level)
+
+
+def test_tail_probabilities_equal_scipy_stats_exactly():
+    # the tests call scipy.special's routines directly; scipy.stats wraps
+    # the same ones, so its p-values are the oracle, bit for bit
+    df = np.arange(1, 400)[:, None]
+    c2 = np.linspace(0.0, 1000.0, 2001)[None, :]
+    assert np.array_equal(chdtrc(df, c2), stats.chi2.sf(c2, df))
+    z = np.linspace(0.0, 40.0, 40001)
+    assert np.array_equal(ndtr(-z), stats.norm.sf(z))
