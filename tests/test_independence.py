@@ -234,8 +234,8 @@ def test_level_outside_unit_interval_is_refused(name, level):
 
 
 def test_tail_probabilities_equal_scipy_stats_exactly():
-    # the tests call scipy.special's routines directly; scipy.stats wraps
-    # the same ones, so its p-values are the oracle, bit for bit
+    # chi_square_test and runs_count_test call these scipy.special routines
+    # directly; scipy.stats wraps the same ones, so it is the oracle, bit for bit
     df = np.arange(1, 400)[:, None]
     c2 = np.linspace(0.0, 1000.0, 2001)[None, :]
     assert np.array_equal(chdtrc(df, c2), stats.chi2.sf(c2, df))
