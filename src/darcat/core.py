@@ -7,7 +7,7 @@ and the series operations work on it without a per-observation loop.
 Time labels are stored only when they differ from the implicit '0', '1',
 ..., str(n) (``CatSeries.time_labels`` is ``None`` otherwise), and
 :func:`parse_series` / :func:`serialize_series` read and write a series
-through whole-text string operations, not a loop over its rows.
+as one UTF-8 byte buffer, with no Python object per row or cell.
 All containers are immutable after construction and safe to share across
 threads; every operation here is a pure function.  The facts that the
 estimators and tests read off a series (its state counts, per-gap pair
@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import compress, islice
 
 import numpy as np
 
@@ -89,7 +88,7 @@ class StateSpace:
         if len(set(labels)) != len(labels):
             raise DarcatError("state space labels must be pairwise distinct")
         for label in labels:
-            if label in ("", "NA") or label != label.strip() or any(c in label for c in ",\n" + _LINE_BREAKS):
+            if label in ("", "NA") or _unreadable(label):
                 raise DarcatError(
                     f"state label {label!r} would not read back from a series file: "
                     "a label may not be NA or empty, hold a comma or a line break, or have whitespace around it"
@@ -149,6 +148,7 @@ class CatSeries:
             tl = tuple(map(str, self.time_labels))
             if len(tl) != len(obs):
                 raise DarcatError("time_labels length must match obs length")
+            _check_stamps(tl)
             object.__setattr__(self, "time_labels", None if _is_default_stamps(tl) else tl)
 
     def __eq__(self, other: object) -> bool:
@@ -271,7 +271,28 @@ def path_counts(paths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks a line besides "\n"
-_ASCII_SPACES = " \t\x1f"  # what str.strip removes from ASCII text besides line breaks
+# what str.strip removes besides "\n" and _LINE_BREAKS, all of which parse_series makes "\n" first
+_SPACES = " \t\x1f\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000"
+
+
+def _unreadable(cell: str) -> bool:
+    """Whether ``cell`` would not read back from a series file as itself (NA and the empty cell aside)."""
+    return cell != cell.strip() or any(c in cell for c in ",\n" + _LINE_BREAKS)
+
+
+def _check_stamps(stamps: tuple[str, ...]) -> None:
+    """Refuse time labels that would not read back, from a few scans of their joined text."""
+    text = f",{','.join(stamps)},"  # every stamp between two commas
+    if (
+        text.count(",") != len(stamps) + 1
+        or any(c in text for c in "\n" + _LINE_BREAKS)
+        or any(f",{c}" in text or f"{c}," in text for c in _SPACES if c in text)
+    ):
+        stamp = next(filter(_unreadable, stamps))
+        raise DarcatError(
+            f"time label {stamp!r} would not read back from a series file: "
+            "a time label may not hold a comma or a line break, or have whitespace around it"
+        )
 
 
 def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
@@ -283,58 +304,104 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     ``t`` column is kept as the time labels (``None`` when it is the
     implicit '0', '1', ..., see :class:`CatSeries`).
 
-    The whole text is tokenised and checked at once; only a text that
-    fails the check is read again row by row, by :func:`_first_error`,
-    to name its first bad row.
+    The text is read as one UTF-8 byte buffer, without a Python object
+    per row or cell: line breaks become "\n", numpy strips the cells and
+    finds the separators, each value cell is coded by comparing its
+    bytes and length with each label's, and the stamps are compared with
+    '0', '1', ... one digit count at a time; they are decoded only when
+    they differ.  Only a text that fails these checks is read again row
+    by row, by :func:`_first_error`, to name its first bad row.
     """
-    cells = _cells(csv_text)
-    if cells is not None and len(cells) >= 6:  # a header and at least two data rows
-        code_of = dict(zip(space.labels, range(1, space.k + 1)), NA=MISSING)
-        try:
-            obs = np.fromiter(map(code_of.__getitem__, islice(cells, 3, None, 2)), np.int64, len(cells) // 2 - 1)
-        except KeyError:
-            pass
-        else:
-            times = cells[2::2]
-            del cells  # frees the value cells before the stamps are checked
-            # checked here too, so that implicit stamps are never copied into a tuple
-            return CatSeries(space, obs, None if _is_default_stamps(times) else times)
-    raise _first_error(csv_text, space)
-
-
-def _cells(csv_text: str) -> list[str] | None:
-    """The stripped cells of the non-blank lines in file order, or None unless each such line has two.
-
-    Lines break where :meth:`str.splitlines` breaks them and cells are
-    stripped as :meth:`str.strip` strips them, but without a loop over
-    the lines: every line break becomes "\\n" and then so does every
-    comma, so that cell j of the split text ends at the j-th of the
-    original separators, and the order of those separators alone tells
-    which lines hold one cell and which more than two.
-    """
-    text = csv_text.replace("\r\n", "\n")
+    text = csv_text.replace("\r\n", "\n") if "\r" in csv_text else csv_text
     for brk in _LINE_BREAKS:
         if brk in text:
             text = text.replace(brk, "\n")
     if not text.endswith("\n"):
         text += "\n"
     buf = np.frombuffer(text.encode(), np.uint8)
-    comma = buf[np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))] == ord(",")
-    del buf  # a byte per character, not needed while the cells are made
-    if (comma[1:] & comma[:-1]).any():
-        return None  # a line with three or more cells
-    cells = text.replace(",", "\n").split("\n")
-    cells.pop()  # the empty tail after the last line break
-    if not text.isascii() or any(c in text for c in _ASCII_SPACES):
-        cells = list(map(str.strip, cells))
-    whole = np.flatnonzero(~comma & ~np.append(False, comma[:-1])).tolist()  # lines without a comma
-    if any(map(cells.__getitem__, whole)):
-        return None  # a line with one cell that is not blank
-    if whole:
-        keep = np.ones(len(cells), bool)
-        keep[whole] = False
-        cells = list(compress(cells, keep.tolist()))
-    return cells
+    spaces = [c for c in _SPACES if c in text]
+    del text
+    if spaces:
+        buf = _strip_cells(buf, spaces)
+    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))  # where each cell ends
+    comma = buf[ends] == ord(",")
+    lone = ~comma
+    lone[1:] &= ~comma[:-1]
+    blank = np.flatnonzero(lone)  # the line breaks that end a line without a comma, which must be blank
+    # no line with three or more cells, nor with one cell that is not blank
+    if not (comma[1:] & comma[:-1]).any() and (ends[blank] == np.where(blank, ends[blank - 1] + 1, 0)).all():
+        at = np.flatnonzero(comma)[1:]  # the comma of each data row, after the header's
+        if len(at) >= 2:
+            obs = _codes(buf, ends[at] + 1, ends[at + 1], space)
+            if obs.all():  # every value cell is a label or NA
+                starts, ends = ends[at - 1] + 1, ends[at]
+                implicit = _cells_are_default_stamps(buf, starts, ends)
+                return CatSeries(space, obs, None if implicit else _decode_cells(buf, starts, ends))
+    raise _first_error(csv_text, space)
+
+
+def _strip_cells(buf: np.ndarray, spaces: list[str]) -> np.ndarray:
+    """The text ``buf`` (UTF-8, "\n" line breaks, ending in one) with each cell stripped as by str.strip.
+
+    ``spaces`` are the whitespace characters in the text.  The bytes of
+    each are marked, and each run of marked bytes that touches a comma, a
+    line break or the start of the text is dropped.
+    """
+    marked = np.zeros(len(buf), bool)
+    for char in (c.encode() for c in spaces):
+        m = len(buf) - len(char) + 1
+        hit = buf[:m] == char[0]
+        for j in range(1, len(char)):
+            hit &= buf[j : m + j] == char[j]
+        for j in range(len(char)):
+            marked[j : m + j] |= hit
+    # the text's last byte, a line break, is also the one before its first
+    first = np.flatnonzero(marked & ~np.roll(marked, 1))
+    last = np.flatnonzero(marked & ~np.roll(marked, -1))
+    del marked
+    sep = (buf == ord(",")) | (buf == ord("\n"))
+    edge = sep[first - 1] | sep[last + 1]
+    del sep
+    drop = np.zeros(len(buf) + 1, np.int8)
+    drop[first[edge]] = 1
+    drop[last[edge] + 1] = -1
+    return buf[~np.cumsum(drop[:-1], dtype=np.int8).view(bool)]
+
+
+def _codes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, space: StateSpace) -> np.ndarray:
+    """The code of each cell ``buf[starts[i]:ends[i]]``: 1..k for a label, ``MISSING`` for NA, 0 for anything else."""
+    lengths = ends - starts
+    cells = [*(label.encode() for label in space.labels), b"NA"]
+    columns = [np.take(buf, starts + j, mode="clip") for j in range(max(map(len, cells)))]
+    fits = {m: lengths == m for m in set(map(len, cells))}
+    obs = np.zeros(len(starts), np.int64)
+    for code, cell in zip([*range(1, space.k + 1), MISSING], cells):
+        hit = fits[len(cell)].copy()
+        for column, byte in zip(columns, cell):
+            hit &= column == byte
+        np.copyto(obs, code, where=hit)
+    return obs
+
+
+def _cells_are_default_stamps(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> bool:
+    """Whether the cells ``buf[starts[i]:ends[i]]`` are '0', '1', ..., compared one digit count at a time."""
+    for first, digits in _digit_blocks(len(starts)):
+        at = starts[first : first + len(digits)]
+        d = digits.shape[1]
+        if not (ends[first : first + len(digits)] - at == d).all():
+            return False
+        for j in range(d):
+            if not np.array_equal(buf[at + j], digits[:, j]):
+                return False
+    return True
+
+
+def _decode_cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[str, ...]:
+    """The cells ``buf[starts[i]:ends[i]]`` as str, each of which ends at a comma."""
+    edge = np.zeros(len(buf) + 1, np.int8)
+    edge[starts] = 1
+    edge[ends + 1] = -1  # each cell is kept with its comma
+    return tuple(buf[np.cumsum(edge[:-1], dtype=np.int8).view(bool)].tobytes().decode().split(",")[:-1])
 
 
 def _first_error(csv_text: str, space: StateSpace) -> DarcatError:
@@ -365,30 +432,41 @@ def _first_error(csv_text: str, space: StateSpace) -> DarcatError:
     raise AssertionError("parse_series rejected a text that reads row by row without error")
 
 
-def _default_stamps(n: int) -> str:
-    """The implicit time labels of n >= 1 observations, one per line: '0', '1', ..., str(n - 1).
+def _digit_blocks(n: int):
+    """The numbers 0, 1, ..., n - 1 in decimal, one digit count at a time.
 
-    Built one digit count at a time, without a loop over the numbers:
-    the (d+1)-digit numbers 10q + r are the d-digit numbers q, each
-    followed by every last digit r.
+    Yields ``(first, digits)`` for d = 1, 2, ...: ``digits`` is a read-only
+    (rows, d) uint8 array of the ASCII digits of the d-digit numbers
+    ``first``, ``first + 1``, ....  Each block is built without a loop over
+    the numbers: the (d+1)-digit numbers 10q + r are the d-digit numbers q,
+    each followed by every last digit r.
     """
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    rows = np.stack([digit, np.full(10, ord("\n"), np.uint8)], axis=1)  # the numbers 0..9
-    blocks = [rows[:n]]
-    prefixes = rows[1:, :1]  # the numbers 1..9, without their line break
+    rows = digit[:, None]  # the numbers 0..9
+    rows.setflags(write=False)
+    yield 0, rows[:n]
+    prefixes = rows[1:]  # the numbers 1..9
     d = 1
     while 10**d < n:
         hi = min(10 ** (d + 1), n)
         q = prefixes[: -(-hi // 10) - 10 ** (d - 1)]  # those that start a number below hi
-        table = np.empty((len(q), 10, d + 2), np.uint8)
+        table = np.empty((len(q), 10, d + 1), np.uint8)
         table[:, :, :d] = q[:, None]
         table[:, :, d] = digit
-        table[:, :, d + 1] = ord("\n")
-        rows = table.reshape(-1, d + 2)
-        blocks.append(rows[: hi - 10**d])
-        prefixes = rows[:, : d + 1]
+        prefixes = table.reshape(-1, d + 1)
+        prefixes.setflags(write=False)
+        yield 10**d, prefixes[: hi - 10**d]
         d += 1
-    return np.concatenate(blocks, axis=None)[:-1].tobytes().decode()
+
+
+def _default_stamps(n: int) -> str:
+    """The implicit time labels of n >= 1 observations, one per line: '0', '1', ..., str(n - 1)."""
+    lines = []
+    for _, digits in _digit_blocks(n):
+        block = np.full((len(digits), digits.shape[1] + 1), ord("\n"), np.uint8)
+        block[:, :-1] = digits
+        lines.append(block.ravel())
+    return np.concatenate(lines)[:-1].tobytes().decode()
 
 
 def _is_default_stamps(stamps: list[str] | tuple[str, ...]) -> bool:
@@ -398,14 +476,42 @@ def _is_default_stamps(stamps: list[str] | tuple[str, ...]) -> bool:
 
 
 def serialize_series(series: CatSeries) -> str:
-    """Inverse of :func:`parse_series`: ``parse_series(serialize_series(s), s.space) == s``."""
+    """Inverse of :func:`parse_series`: ``parse_series(serialize_series(s), s.space) == s``.
+
+    Implicit stamps are written as one byte buffer, one digit count at a
+    time: each row of a block holds its stamp's digits and its value
+    cell's bytes, and a length mask keeps the bytes each row uses.
+    """
     # code c is written as cells[c]; MISSING (-1) wraps to the last cell
-    cells = np.array(["", *(f",{label}\n" for label in series.space.labels), ",NA\n"], dtype=object)
-    rows = [None] * (2 * len(series) + 1)
-    rows[0] = "t,value\n"
-    rows[1::2] = series.time_labels or _default_stamps(len(series)).split("\n")
-    rows[2::2] = cells[series.obs].tolist()
-    return "".join(rows)
+    cells = ["", *(f",{label}\n" for label in series.space.labels), ",NA\n"]
+    if series.time_labels is not None:
+        rows = [None] * (2 * len(series) + 1)
+        rows[0] = "t,value\n"
+        rows[1::2] = series.time_labels
+        rows[2::2] = np.array(cells, dtype=object)[series.obs].tolist()
+        return "".join(rows)
+    encoded = [cell.encode() for cell in cells]
+    table = np.zeros((len(cells), max(map(len, encoded))), np.uint8)  # each cell's bytes, padded
+    for row, cell in zip(table, encoded):
+        row[: len(cell)] = np.frombuffer(cell, np.uint8)
+    used = np.arange(table.shape[1]) < np.array([len(cell) for cell in encoded])[:, None]
+    out = [b"t,value\n"]
+    for first, digits in _digit_blocks(len(series)):
+        codes = series.obs[first : first + len(digits)]
+        d = digits.shape[1]
+        block = np.empty((len(digits), d + table.shape[1]), np.uint8)
+        block[:, :d] = digits
+        block[:, d:] = _pick_rows(table, codes)
+        keep = np.ones(block.shape, bool)
+        keep[:, d:] = _pick_rows(used, codes)
+        out.append(block[keep])
+    return b"".join(out).decode()
+
+
+def _pick_rows(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
+    """``table[codes]`` for a 2-D table, with -1 the last row, taking each row as one item (faster than fancy indexing)."""
+    rows = table.view(f"V{table.shape[1] * table.itemsize}").ravel()
+    return np.take(rows, codes, mode="wrap").view(table.dtype).reshape(len(codes), -1)
 
 
 @dataclass(frozen=True)

@@ -38,7 +38,7 @@ def _validate_pi(pi: np.ndarray) -> np.ndarray:
     if np.any(pi < 0):
         raise DarcatError("pi components must be nonnegative")
     if abs(pi.sum() - 1.0) > _PI_TOL:
-        raise DarcatError(f"pi must sum to 1 within {_PI_TOL}, got {pi.sum()!r}")
+        raise DarcatError(f"pi must sum to 1 within {_PI_TOL}, got {float(pi.sum())}")
     return pi
 
 

@@ -48,6 +48,16 @@ def parse_reference(csv_text, space):
     return obs, tuple(times)
 
 
+def serialize_reference(series):
+    """The text ``serialize_series`` wrote before it wrote a byte buffer: one str per row and cell, joined."""
+    cells = np.array(["", *(f",{label}\n" for label in series.space.labels), ",NA\n"], dtype=object)
+    rows = [None] * (2 * len(series) + 1)
+    rows[0] = "t,value\n"
+    rows[1::2] = series.time_labels or [str(i) for i in range(len(series))]
+    rows[2::2] = cells[series.obs].tolist()
+    return "".join(rows)
+
+
 def counting_locator():
     """Wraps the row-by-row error locator of ``parse_series`` to count how often it runs."""
     return mock.patch.object(core, "_first_error", wraps=core._first_error)
@@ -251,13 +261,101 @@ def test_any_text_reads_as_row_by_row(text):
     assert (series.time_labels or tuple(str(i) for i in range(len(series)))) == times
 
 
+@st.composite
+def long_series(draw):
+    """A series on k = 2..20 labels of 1-4 UTF-8 bytes, of a length at a digit boundary of its stamps.
+
+    Any share of the values may be NA; stamps are implicit or drawn from a small pool of custom ones.
+    """
+    k = draw(st.integers(2, 20))
+    label = st.text(alphabet="a1Né€\U0001d11e", min_size=1, max_size=4).filter(lambda t: len(t.encode()) <= 4)
+    space = StateSpace(tuple(draw(st.lists(label, min_size=k, max_size=k, unique=True))))
+    n = draw(st.sampled_from([2, 9, 10, 11, 99, 100, 101, 10**4 - 1, 10**4, 10**4 + 1]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    obs = np.where(rng.random(n) < draw(st.floats(0, 1)), MISSING, rng.integers(1, k + 1, n))
+    stamps = None
+    if draw(st.booleans()):
+        pool = draw(st.lists(st.text(alphabet="0123456789-:T xé", max_size=6).map(str.strip), min_size=1, max_size=4))
+        stamps = np.array(pool, dtype=object)[rng.integers(0, len(pool), n)]
+    return CatSeries(space, obs, stamps)
+
+
+@given(long_series())
+@example(CatSeries(StateSpace(("1", "10")), [1, 2, MISSING] * 4))
+@settings(max_examples=60, deadline=None)
+def test_serialize_writes_the_joined_rows(series):
+    text = serialize_series(series)
+    assert text.encode() == serialize_reference(series).encode()
+    assert parse_series(text, series.space) == series
+
+
 def test_implicit_stamps_are_stored_as_none():
     assert CatSeries(AB, (1, 2, 1), ("0", "1", "2")).time_labels is None
     assert CatSeries(AB, (1, 2, 1), range(3)) == CatSeries(AB, (1, 2, 1))
     assert CatSeries(AB, (1, 2, 1), ("0", "1", "3")).time_labels == ("0", "1", "3")
     assert CatSeries(AB, (1, 2, 1), ("0", "01", "2")).time_labels == ("0", "01", "2")
-    assert CatSeries(AB, (1, 2, 1), ("0", "1\n2", "2")).time_labels == ("0", "1\n2", "2")
+    assert CatSeries(AB, (1, 2, 1), ("0", "1 2", "2")).time_labels == ("0", "1 2", "2")
     assert parse_series("t,value\n0,A\n1,B\n", AB).time_labels is None
+
+
+@pytest.mark.parametrize(
+    "stamp", ["a,b", ",", "x\ny", "x\r\ny", *(f"x{c}y" for c in core._LINE_BREAKS), " 5", "5\t", "\x1f5", "\xa05", "5\u3000", " "]
+)
+def test_series_refuses_stamps_that_cannot_round_trip(stamp):
+    with pytest.raises(DarcatError, match=f"time label {re.escape(repr(stamp))} would not read back"):
+        CatSeries(AB, (1, 2, 1), ("0", stamp, "2"))
+    with pytest.raises(DarcatError, match=f"time label {re.escape(repr(stamp))} would not read back"):
+        CatSeries(AB, (1, 2), (stamp, "1"))
+
+
+def test_na_empty_and_inner_space_stamps_read_back():
+    series = CatSeries(AB, (1, 2, 1, 2), ("NA", "", "x y", "2\u30001"))
+    assert series.time_labels == ("NA", "", "x y", "2\u30001")
+    assert parse_series(serialize_series(series), AB) == series
+
+
+def implicit_rows(n, last=None):
+    return "t,value\n" + "".join(f"{i},a\n" for i in range(n - 1)) + f"{n - 1 if last is None else last},ab\n"
+
+
+@pytest.mark.parametrize(
+    "labels,text",
+    [
+        (("1", "10"), "t,value\n0,1\n1,10\n2,1\n3,NA\n"),
+        (("10", "1"), "t,value\n0,1\n1,10\n2,1\n"),
+        (("1", "10"), "t,value\n0,1\n1,100\n"),
+        (("1", "10"), "t,value\n0,1\n1,\n"),
+        (("a", "ab"), "t,value\n0,ab\n1,a\n2,NA\n"),
+        (("ab", "a"), "t,value\n0,ab\n1,abc\n"),
+        (("a", "ab"), "t,value\n0,a\n1,b\n"),
+        (("a", "ab"), "t,value\n0,a\n1,a-rather-long-cell\n"),
+        (("a", "ab"), "t,value\n0,NA\n1,NAN\n"),
+        (("NAN", "N"), "t,value\n0,NAN\n1,NA\n2,N\n3,NAN\n"),
+        (("a", "ab"), "t,value\n \n\t\t\n0,a\n\u3000\n1,ab\n  \n"),
+        (("a", "ab"), " \nt,value\n0,a\n\n1,ab"),
+        *((("a", "ab"), f"t,value{brk}0,a{brk}{brk}1,ab{brk}") for brk in core._LINE_BREAKS),
+        *((("a", "ab"), f"t,value{brk}0,a\n1,ab") for brk in core._LINE_BREAKS),
+        (("a", "ab"), implicit_rows(11)),
+        (("a", "ab"), implicit_rows(11, last="1O")),
+        (("a", "ab"), implicit_rows(11, last="01")),
+        (("a", "ab"), implicit_rows(11, last="11")),
+        (("a", "ab"), implicit_rows(101, last="1000")),
+        (("a", "ab"), implicit_rows(101, last=" 100")),
+    ],
+)
+def test_edge_texts_read_as_row_by_row(labels, text):
+    space = StateSpace(labels)
+    try:
+        obs, times = parse_reference(text, space)
+    except DarcatError as exc:
+        with pytest.raises(DarcatError) as got:
+            parse_series(text, space)
+        assert (type(got.value), str(got.value)) == (type(exc), str(exc))
+        return
+    series = parse_series(text, space)
+    assert series.obs.tolist() == obs
+    implicit = tuple(str(i) for i in range(len(series)))
+    assert series.time_labels == (None if times == implicit else times)
 
 
 @pytest.mark.parametrize("n", [1, 2, 10, 11, 99, 100, 101, 1000, 12345, 10**5 + 1])

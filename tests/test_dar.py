@@ -31,6 +31,8 @@ def test_model_validation():
     for pi in ([np.nan, 0.5], [np.inf, 0.5], [0.5, 0.5, -np.inf]):
         with pytest.raises(DarcatError, match="pi components must be finite"):
             model(0.5, pi)
+    with pytest.raises(DarcatError, match=r"pi must sum to 1 within 1e-12, got 0\.4$"):
+        DarModel.from_pi(0.3, [0.2, 0.2])
 
 
 def test_transition_matrix_iid_case():
