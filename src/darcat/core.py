@@ -307,9 +307,9 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     The text is read as one UTF-8 byte buffer, without a Python object
     per row or cell: line breaks become "\n", numpy strips the cells and
     finds the separators, each value cell is coded by comparing its
-    bytes and length with each label's, and the stamps are compared with
-    '0', '1', ... one digit count at a time; they are decoded only when
-    they differ.  Only a text that fails these checks is read again row
+    bytes with each label's, and the stamps are compared with '0', '1',
+    ... one digit count at a time; they are decoded only when they
+    differ.  Only a text that fails these checks is read again row
     by row, by :func:`_first_error`, to name its first bad row.
     """
     text = csv_text.replace("\r\n", "\n") if "\r" in csv_text else csv_text
@@ -324,19 +324,21 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     if spaces:
         buf = _strip_cells(buf, spaces)
     ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))  # where each cell ends
-    comma = buf[ends] == ord(",")
-    lone = ~comma
-    lone[1:] &= ~comma[:-1]
-    blank = np.flatnonzero(lone)  # the line breaks that end a line without a comma, which must be blank
-    # no line with three or more cells, nor with one cell that is not blank
-    if not (comma[1:] & comma[:-1]).any() and (ends[blank] == np.where(blank, ends[blank - 1] + 1, 0)).all():
-        at = np.flatnonzero(comma)[1:]  # the comma of each data row, after the header's
-        if len(at) >= 2:
-            obs = _codes(buf, ends[at] + 1, ends[at + 1], space)
-            if obs.all():  # every value cell is a label or NA
-                starts, ends = ends[at - 1] + 1, ends[at]
-                implicit = _cells_are_default_stamps(buf, starts, ends)
-                return CatSeries(space, obs, None if implicit else _decode_cells(buf, starts, ends))
+    at = np.flatnonzero(buf[ends] == ord(","))  # the comma of each line with more than one cell
+    # each such line has two cells, and each other line is blank: its line break follows the one before
+    two = not (buf[ends[at + 1]] == ord(",")).any()
+    if two and len(ends) > 2 * len(at):
+        lone = np.ones(len(ends), bool)
+        lone[at] = lone[at + 1] = False
+        two = not (np.diff(ends, prepend=-1)[lone] > 1).any()
+    if two and len(at) >= 3:  # a header and at least two data rows
+        at = at[1:]
+        obs = _codes(buf, ends[at] + 1, space)
+        if obs.all():  # every value cell is a label or NA
+            starts = ends[at - 1] + 1
+            lengths = ends[at] - starts
+            implicit = _cells_are_default_stamps(buf, starts, lengths)
+            return CatSeries(space, obs, None if implicit else _decode_cells(buf, starts, lengths))
     raise _first_error(csv_text, space)
 
 
@@ -368,39 +370,38 @@ def _strip_cells(buf: np.ndarray, spaces: list[str]) -> np.ndarray:
     return buf[~np.cumsum(drop[:-1], dtype=np.int8).view(bool)]
 
 
-def _codes(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray, space: StateSpace) -> np.ndarray:
-    """The code of each cell ``buf[starts[i]:ends[i]]``: 1..k for a label, ``MISSING`` for NA, 0 for anything else."""
-    lengths = ends - starts
-    cells = [*(label.encode() for label in space.labels), b"NA"]
-    columns = [np.take(buf, starts + j, mode="clip") for j in range(max(map(len, cells)))]
-    fits = {m: lengths == m for m in set(map(len, cells))}
+def _codes(buf: np.ndarray, starts: np.ndarray, space: StateSpace) -> np.ndarray:
+    """The code of each value cell of ``buf`` at ``starts``: 1..k for a label, ``MISSING`` for NA, 0 for anything else.
+
+    A value cell ends at a line break, which no label holds, so it is the
+    label exactly when the bytes from its start are the label's and "\n".
+    """
+    cells = [*(f"{label}\n".encode() for label in space.labels), b"NA\n"]
+    columns = np.empty((max(map(len, cells)), len(starts)), np.uint8)
+    for j, column in enumerate(columns):
+        buf[j:].take(starts, out=column, mode="clip")  # a clipped read lies past the cell's line break
     obs = np.zeros(len(starts), np.int64)
     for code, cell in zip([*range(1, space.k + 1), MISSING], cells):
-        hit = fits[len(cell)].copy()
-        for column, byte in zip(columns, cell):
-            hit &= column == byte
-        np.copyto(obs, code, where=hit)
+        np.copyto(obs, code, where=(columns[: len(cell)] == np.frombuffer(cell, np.uint8)[:, None]).all(axis=0))
     return obs
 
 
-def _cells_are_default_stamps(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> bool:
-    """Whether the cells ``buf[starts[i]:ends[i]]`` are '0', '1', ..., compared one digit count at a time."""
+def _cells_are_default_stamps(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
+    """Whether the cells of ``buf`` at ``starts`` are '0', '1', ..., compared one digit count at a time."""
     for first, digits in _digit_blocks(len(starts)):
         at = starts[first : first + len(digits)]
-        d = digits.shape[1]
-        if not (ends[first : first + len(digits)] - at == d).all():
+        if not (lengths[first : first + len(digits)] == digits.shape[1]).all():
             return False
-        for j in range(d):
-            if not np.array_equal(buf[at + j], digits[:, j]):
-                return False
+        if not (np.array([buf[j:].take(at) for j in range(digits.shape[1])]) == digits.T).all():
+            return False
     return True
 
 
-def _decode_cells(buf: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> tuple[str, ...]:
-    """The cells ``buf[starts[i]:ends[i]]`` as str, each of which ends at a comma."""
+def _decode_cells(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
+    """The cells of ``buf`` at ``starts`` as str, each of which is followed by a comma."""
     edge = np.zeros(len(buf) + 1, np.int8)
     edge[starts] = 1
-    edge[ends + 1] = -1  # each cell is kept with its comma
+    edge[starts + lengths + 1] = -1  # each cell is kept with its comma
     return tuple(buf[np.cumsum(edge[:-1], dtype=np.int8).view(bool)].tobytes().decode().split(",")[:-1])
 
 
@@ -435,7 +436,7 @@ def _first_error(csv_text: str, space: StateSpace) -> DarcatError:
 def _digit_blocks(n: int):
     """The numbers 0, 1, ..., n - 1 in decimal, one digit count at a time.
 
-    Yields ``(first, digits)`` for d = 1, 2, ...: ``digits`` is a read-only
+    Yields ``(first, digits)`` for d = 1, 2, ...: ``digits`` is a
     (rows, d) uint8 array of the ASCII digits of the d-digit numbers
     ``first``, ``first + 1``, ....  Each block is built without a loop over
     the numbers: the (d+1)-digit numbers 10q + r are the d-digit numbers q,
@@ -443,7 +444,6 @@ def _digit_blocks(n: int):
     """
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     rows = digit[:, None]  # the numbers 0..9
-    rows.setflags(write=False)
     yield 0, rows[:n]
     prefixes = rows[1:]  # the numbers 1..9
     d = 1
@@ -454,7 +454,6 @@ def _digit_blocks(n: int):
         table[:, :, :d] = q[:, None]
         table[:, :, d] = digit
         prefixes = table.reshape(-1, d + 1)
-        prefixes.setflags(write=False)
         yield 10**d, prefixes[: hi - 10**d]
         d += 1
 
