@@ -364,10 +364,7 @@ def _strip_cells(buf: np.ndarray, spaces: list[str]) -> np.ndarray:
     sep = (buf == ord(",")) | (buf == ord("\n"))
     edge = sep[first - 1] | sep[last + 1]
     del sep
-    drop = np.zeros(len(buf) + 1, np.int8)
-    drop[first[edge]] = 1
-    drop[last[edge] + 1] = -1
-    return buf[~np.cumsum(drop[:-1], dtype=np.int8).view(bool)]
+    return buf[~_spans(len(buf), first[edge], last[edge] + 1)]
 
 
 def _codes(buf: np.ndarray, starts: np.ndarray, space: StateSpace) -> np.ndarray:
@@ -399,10 +396,16 @@ def _cells_are_default_stamps(buf: np.ndarray, starts: np.ndarray, lengths: np.n
 
 def _decode_cells(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
     """The cells of ``buf`` at ``starts`` as str, each of which is followed by a comma."""
-    edge = np.zeros(len(buf) + 1, np.int8)
+    cells = buf[_spans(len(buf), starts, starts + lengths + 1)]  # each cell with its comma
+    return tuple(cells.tobytes().decode().split(",")[:-1])
+
+
+def _spans(size: int, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
+    """A (size,) bool mask of the disjoint spans [starts[i], stops[i]), none of which starts where another stops."""
+    edge = np.zeros(size + 1, np.int8)
     edge[starts] = 1
-    edge[starts + lengths + 1] = -1  # each cell is kept with its comma
-    return tuple(buf[np.cumsum(edge[:-1], dtype=np.int8).view(bool)].tobytes().decode().split(",")[:-1])
+    edge[stops] = -1
+    return np.cumsum(edge[:-1], dtype=np.int8).view(bool)
 
 
 def _first_error(csv_text: str, space: StateSpace) -> DarcatError:

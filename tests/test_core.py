@@ -1,4 +1,5 @@
 import re
+import sys
 from unittest import mock
 
 import numpy as np
@@ -157,6 +158,7 @@ def simulated(missing):
 @example(written=(simulated(missing=False), serialize_series(simulated(missing=False))))
 @example(written=(simulated(missing=True), serialize_series(simulated(missing=True))))
 @example(written=(CatSeries(StateSpace(("N A", "na")), (1, 2, MISSING)), "t,value\n0,N A\n1,na\n2,NA\n"))
+@example(written=(CatSeries(AB, (1, 2, 1, 2), ("NA", "", "x y", "2\u30001")), "t,value\nNA,A\n,B\nx y,A\n2\u30001,B\n"))
 @settings(max_examples=300, deadline=None)
 def test_series_reads_back_from_its_text(written):
     series, text = written
@@ -308,10 +310,9 @@ def test_series_refuses_stamps_that_cannot_round_trip(stamp):
         CatSeries(AB, (1, 2), (stamp, "1"))
 
 
-def test_na_empty_and_inner_space_stamps_read_back():
-    series = CatSeries(AB, (1, 2, 1, 2), ("NA", "", "x y", "2\u30001"))
-    assert series.time_labels == ("NA", "", "x y", "2\u30001")
-    assert parse_series(serialize_series(series), AB) == series
+def test_spaces_are_what_strip_removes_besides_line_breaks():
+    every = {chr(c) for c in range(sys.maxunicode + 1) if chr(c).isspace()}
+    assert set(core._SPACES) == every - set("\n" + core._LINE_BREAKS)
 
 
 def implicit_rows(n, last=None):
