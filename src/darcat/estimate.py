@@ -6,8 +6,15 @@ form), and ``beta`` by the missing fraction.  The likelihood reads the
 per-gap pair counts :attr:`~darcat.core.CatSeries.pairs`, raising the
 persistence to the power of each observed gap, so it accepts complete and
 gapped series alike; on a complete series it is the root of a monotone
-score, found by bisection.  On complete series both alpha estimators run
-row-batched over stacked jump tables (:func:`alpha_mle_rows`,
+score, found by bisection.  On a gapped series it may have several local
+maxima, so its first maximum on a grid of 10^4 points is refined.  That
+grid point is the dense scan's argmax, found while evaluating about a
+sixth of the grid: each repeat term of the likelihood is non-decreasing
+in alpha and each jump term non-increasing, so on a block [a, b] of the
+grid it is at most rep(b) + jump(a), and a block whose bound falls below
+the best block end value, less a slack of 1e-9 of it for rounding, is
+skipped (:func:`_grid_argmax`).  On complete series both alpha estimators
+run row-batched over stacked jump tables (:func:`alpha_mle_rows`,
 :func:`alpha_ls_rows`); the per-series entry points call them with a
 batch of one.
 The per-series entry points count nothing themselves: they read the
@@ -208,17 +215,74 @@ def alpha_mle_rows(jumps: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.nd
     return alpha_hat, iterations, why
 
 
+def _gapped_loglik(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray):
+    """The gap-aware log-likelihood of a pair table as ``alphas -> (rep, jump)``.
+
+    ``rep`` sums the repeat terms log(pi_y + (1 - pi_y) * alpha**h), each
+    non-decreasing in alpha; ``jump`` sums the jump terms
+    log1p(-alpha**h), each non-increasing.  The log-likelihood is
+    ``rep + jump``, less the log pi_y of every jump, which does not depend
+    on alpha and is left out.
+    """
+    repeats = np.diagonal(table, axis1=1, axis2=2)
+    jumps = table.sum(axis=(1, 2)) - repeats.sum(axis=1)
+    g, y = np.nonzero(repeats)
+    n_rep, pi_rep = repeats[g, y], pi_hat[y]
+
+    def parts(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        t = alphas[:, None] ** gaps
+        rep = t[:, g]
+        return np.log(rep + (1.0 - rep) * pi_rep) @ n_rep, np.log1p(-t) @ jumps
+
+    return parts
+
+
+_GRID = np.arange(0.0, 1.0, 1e-4)  # 10^4 points, the last 0.9999
+_GRID.setflags(write=False)
+_BLOCKS = _GRID.reshape(-1, 100)  # one row per block of 100 consecutive points
+_BLOCK_ENDS = np.ascontiguousarray(_BLOCKS[:, [0, -1]]).ravel()  # first, last point of block 0, of block 1, ...
+# relative to |best|: every term is <= 0, so rounding moves a bound or a
+# value by about 1e-14 of it
+_SLACK = 1e-9
+
+
+def _grid_argmax(parts) -> int:
+    """Index into ``_GRID`` of the first maximum of the log-likelihood ``parts``.
+
+    Equals ``np.argmax(rep + jump)`` over the whole grid, while evaluating
+    only the blocks of 100 consecutive points that can hold the maximum.
+    On a block [a, b] the repeat part is at most rep(b) and the jump part
+    at most jump(a), so the log-likelihood is at most rep(b) + jump(a).
+    Both parts are evaluated at every block's two end points, and ``best``
+    is the largest log-likelihood among those points.  A block whose
+    bound falls below ``best`` by more than the slack, 1e-9 of |best|,
+    cannot hold a grid point that reaches ``best``, so it is skipped.
+    Every other block is evaluated point by point, and the first maximum
+    over the kept points in grid order is the dense scan's.
+    """
+    rep, jump = parts(_BLOCK_ENDS)
+    best = np.max(rep + jump)
+    bound = rep[1::2] + jump[0::2]
+    kept = np.flatnonzero(bound >= best - _SLACK * abs(best))
+    rep, jump = parts(_BLOCKS[kept].ravel())
+    i = int(np.argmax(rep + jump))
+    width = _BLOCKS.shape[1]
+    return int(kept[i // width]) * width + i % width
+
+
 def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> AlphaEstimate:
     """Maximise the likelihood of the per-gap pair counts :attr:`~darcat.core.CatSeries.pairs`.
 
     A pair x -> y observed h steps apart contributes
-    log(alpha**h * 1{x=y} + (1 - alpha**h) * pi_y).  With gap 1 only, the
-    score is monotone and bisection finds its unique root; when it has no
-    root in [0, 1) (no repeated value at all, or nothing but repeats) the
-    nearest boundary is returned with ``converged=False``.  With longer
-    gaps the likelihood need not be unimodal, so it is scanned on a grid
-    (step 1e-4) and refined by golden-section search; an optimum within
-    1e-7 of either end is reported with ``converged=False``.
+    log(alpha**h * 1{x=y} + (1 - alpha**h) * pi_y).  When there is no
+    repeated value at all, or nothing but repeats, the likelihood has no
+    maximum inside [0, 1): the nearest boundary, 0 or 1, is returned with
+    ``converged=False``.  With gap 1 only, the score is monotone and
+    bisection finds its unique root.  With longer gaps the likelihood need
+    not be unimodal, so the first maximum on a grid of step 1e-4 is found
+    (:func:`_grid_argmax`, which skips the blocks of the grid that cannot
+    hold it) and refined by golden-section search; an optimum within 1e-7
+    of either end is reported with ``converged=False``.
     """
     n_pairs = int(table.sum())
     if n_pairs == 0:
@@ -231,22 +295,18 @@ def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> Alpha
             converged=bool(why[0] == ADMISSIBLE),
             iterations=int(iterations[0]),
         )
-    repeats = np.diagonal(table, axis1=1, axis2=2)
-    jumps = table.sum(axis=(1, 2)) - repeats.sum(axis=1)
-    g, y = np.nonzero(repeats)
-    n_rep, pi_rep = repeats[g, y], pi_hat[y]
-
-    def loglik(alphas: np.ndarray) -> np.ndarray:
-        # the log pi_y of every jump does not depend on alpha and is left out
-        t = alphas[:, None] ** gaps
-        rep = t[:, g]
-        return np.log(rep + (1.0 - rep) * pi_rep) @ n_rep + np.log1p(-t) @ jumps
-
-    grid = np.arange(0.0, 1.0, 1e-4)
-    best = grid[int(np.argmax(loglik(grid)))]
+    n_repeats = int(np.trace(table, axis1=1, axis2=2).sum())
+    if n_repeats in (0, n_pairs):
+        # nothing but jumps: the likelihood falls from alpha = 0; nothing but
+        # repeats (one observed category): it is flat, and 1 is the value
+        # the gap-1 path gives (ALL_REPEATS)
+        return AlphaEstimate(alpha_hat=0.0 if n_repeats == 0 else 1.0, method="MLE", converged=False)
+    parts = _gapped_loglik(gaps, table, pi_hat)
+    best = _GRID[_grid_argmax(parts)]
 
     def f(alpha: float) -> float:
-        return float(loglik(np.array([alpha]))[0])
+        rep, jump = parts(np.array([alpha]))
+        return float((rep + jump)[0])
 
     invphi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = max(0.0, best - 1e-4), min(_ALPHA_HI, best + 1e-4)

@@ -7,14 +7,15 @@ kernels in ``darcat.core`` must agree with them exactly on every input.
 import dataclasses
 import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darcat import cli, core
-from darcat.core import MISSING, CatSeries, StateSpace, TooShort, path_counts
+from darcat import cli, core, estimate
+from darcat.core import MISSING, CatSeries, StateSpace, TooShort, parse_series, path_counts
 from darcat.independence import runs_summary
 
 
@@ -210,3 +211,26 @@ def test_series_facts_are_read_only_and_read_once(series):
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(series, name, None)
     assert series.state_counts.tolist() == [series.obs.tolist().count(j) for j in range(1, series.space.k + 1)]
+
+
+def test_gapped_mle_evaluates_fewer_than_half_the_grid(monkeypatch):
+    evaluated = []
+    real = estimate._gapped_loglik
+
+    def counting(*args):
+        parts = real(*args)
+
+        def counted(alphas):
+            evaluated.append(alphas.size)
+            return parts(alphas)
+
+        return counted
+
+    monkeypatch.setattr(estimate, "_gapped_loglik", counting)
+    inputs = Path(__file__).parent / "golden" / "inputs"
+    space = StateSpace(tuple((inputs / "states3.txt").read_text().split()))
+    series = parse_series((inputs / "gapped.csv").read_text(), space)
+    assert series.pairs[0].tolist() != [1]  # a gap longer than 1: the grid path
+    assert estimate.estimate_alpha_mle_gapped(series).converged
+    # every point the likelihood is evaluated at, the golden-section refinement's included
+    assert 0 < sum(evaluated) < estimate._GRID.size // 2

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from darcat import estimate
 from darcat.core import MISSING, CatSeries, StateSpace, path_counts
 from darcat.dar import DarModel, MissingDarModel, simulate, simulate_with_missing
 from darcat.estimate import (
@@ -354,6 +355,94 @@ class TestAlphaGapped:
     def test_no_observed_pair(self):
         with pytest.raises(InsufficientTransitions):
             estimate_alpha_mle_gapped(series([1, MISSING]))
+
+    def test_one_observed_category_gives_one_not_converged(self):
+        # every pair is a repeat, so the likelihood is flat: the gap-1 path's ALL_REPEATS
+        est = estimate_alpha_mle_gapped(series([1, MISSING, 1, 1]))
+        assert (est.alpha_hat, est.converged, est.iterations) == (1.0, False, 0)
+        complete = estimate_alpha_mle_gapped(series([1, 1, 1]))
+        assert (complete.alpha_hat, complete.converged) == (1.0, False)
+
+    def test_no_repeat_gives_exactly_zero_not_converged(self):
+        est = estimate_alpha_mle_gapped(series([1, MISSING, 2, MISSING, 1, 2, 1]))
+        assert (est.alpha_hat, est.converged, est.iterations) == (0.0, False, 0)
+
+
+def grid_loglik(s):
+    return estimate._gapped_loglik(*s.pairs, estimate_pi(s).pi_hat)
+
+
+def dense_grid_argmax(parts):
+    """The first maximum of the log-likelihood over every grid point."""
+    rep, jump = parts(estimate._GRID)
+    return int(np.argmax(rep + jump))
+
+
+def grid_local_maxima(parts):
+    rep, jump = parts(estimate._GRID)
+    v = np.concatenate([[-np.inf], rep + jump, [-np.inf]])
+    return np.flatnonzero((v[1:-1] > v[:-2]) & (v[1:-1] > v[2:])).tolist()
+
+
+def field_sized_gapped(seed):
+    """A gapped DAR(1) series of the field sizes: n 50-500, beta <= 0.3, k 2-5."""
+    rng = np.random.default_rng(seed)
+    k = int(rng.integers(2, 6))
+    n = int(rng.choice([50, 100, 500]))
+    beta = float(rng.choice([0.1, 0.2, 0.3]))
+    model = DarModel.from_pi(float(rng.uniform(0.0, 0.9)), rng.dirichlet(np.ones(k)))
+    return simulate_with_missing(MissingDarModel(model, beta), n, seed=seed)
+
+
+class TestGridScan:
+    """The blocked scan of the gap-aware likelihood against the dense one."""
+
+    def test_equals_dense_argmax_on_field_sized_series(self):
+        checked = 0
+        for seed in range(260):
+            s = field_sized_gapped(seed)
+            gaps, table = s.pairs
+            if gaps.tolist() == [1] or np.trace(table, axis1=1, axis2=2).sum() in (0, table.sum()):
+                continue  # these never reach the scan
+            parts = grid_loglik(s)
+            assert estimate._grid_argmax(parts) == dense_grid_argmax(parts), seed
+            checked += 1
+        assert checked >= 200
+
+    @pytest.mark.parametrize("seed, maxima", [(3988, [0, 2230]), (1761, [0, 3386])])
+    def test_equals_dense_argmax_with_two_local_maxima(self, seed, maxima):
+        # global maximum at 0 with a near one inside (3988), and the reverse (1761)
+        parts = grid_loglik(field_sized_gapped(seed))
+        assert grid_local_maxima(parts) == maxima
+        assert estimate._grid_argmax(parts) == dense_grid_argmax(parts)
+
+    @pytest.mark.parametrize(
+        "obs, expected",
+        [
+            ((1, 2, 1, 2, 2, 1, MISSING, 2, 1, 2, 1, MISSING, 1, 2, 1, 2), 0),  # fewer repeats than independence gives
+            ((1,) * 15000 + (MISSING,) + (2,) * 15000, 9999),  # one jump among 29,998 repeats: 0.9999
+        ],
+    )
+    def test_equals_dense_argmax_at_the_grid_ends(self, obs, expected):
+        parts = grid_loglik(series(obs))
+        assert estimate._grid_argmax(parts) == dense_grid_argmax(parts) == expected
+
+    def test_finds_a_maximum_no_block_end_shows(self):
+        # a repeat part stepping up at grid point 7050 and a jump part stepping
+        # down right after it: a one-point spike above a falling line, while
+        # the best block end is alpha = 0
+        def parts(alphas):
+            i = np.rint(alphas * 1e4)
+            return 10.0 * alphas + 10.0 * (i >= 7050), -20.0 * alphas - 10.0 * (i > 7050)
+
+        assert estimate._grid_argmax(parts) == dense_grid_argmax(parts) == 7050
+
+    def test_ties_go_to_the_first_maximum(self):
+        def parts(alphas):
+            i = np.rint(alphas * 1e4)
+            return 1.0 * (i >= 2050) + 1.0 * (i >= 6050), -1.0 * (i > 2050) - 1.0 * (i > 6050)
+
+        assert estimate._grid_argmax(parts) == dense_grid_argmax(parts) == 2050
 
 
 @pytest.mark.parametrize("path", ["complete", "gapped", "least squares"])
