@@ -28,6 +28,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CatSeries, DarcatError, jump_frequencies, transition_counts
+from .dar import _validate_pi
 
 __all__ = [
     "AllMissing",
@@ -240,9 +241,10 @@ def _gapped_loglik(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray):
 _GRID = np.arange(0.0, 1.0, 1e-4)  # 10^4 points, the last 0.9999
 _GRID.setflags(write=False)
 _BLOCKS = _GRID.reshape(-1, 100)  # one row per block of 100 consecutive points
-_BLOCK_ENDS = np.ascontiguousarray(_BLOCKS[:, [0, -1]]).ravel()  # first, last point of block 0, of block 1, ...
+_BLOCK_ENDS = _BLOCKS[:, [0, -1]].ravel()  # first, last point of block 0, of block 1, ...
+_BLOCK_ENDS.setflags(write=False)
 # relative to |best|: every term is <= 0, so rounding moves a bound or a
-# value by about 1e-14 of it
+# value by a few ulps per term, far below 1e-9 of it
 _SLACK = 1e-9
 
 
@@ -274,9 +276,9 @@ def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> Alpha
     """Maximise the likelihood of the per-gap pair counts :attr:`~darcat.core.CatSeries.pairs`.
 
     A pair x -> y observed h steps apart contributes
-    log(alpha**h * 1{x=y} + (1 - alpha**h) * pi_y).  When there is no
-    repeated value at all, or nothing but repeats, the likelihood has no
-    maximum inside [0, 1): the nearest boundary, 0 or 1, is returned with
+    log(alpha**h * 1{x=y} + (1 - alpha**h) * pi_y).  With no repeated value
+    at all the likelihood falls from alpha = 0, so 0 is returned; with
+    nothing but repeats it is flat, and 1 is returned; both with
     ``converged=False``.  With gap 1 only, the score is monotone and
     bisection finds its unique root.  With longer gaps the likelihood need
     not be unimodal, so the first maximum on a grid of step 1e-4 is found
@@ -297,9 +299,8 @@ def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> Alpha
         )
     n_repeats = int(np.trace(table, axis1=1, axis2=2).sum())
     if n_repeats in (0, n_pairs):
-        # nothing but jumps: the likelihood falls from alpha = 0; nothing but
-        # repeats (one observed category): it is flat, and 1 is the value
-        # the gap-1 path gives (ALL_REPEATS)
+        # nothing but repeats means one observed category; 1 is what the
+        # gap-1 path gives it (ALL_REPEATS)
         return AlphaEstimate(alpha_hat=0.0 if n_repeats == 0 else 1.0, method="MLE", converged=False)
     parts = _gapped_loglik(gaps, table, pi_hat)
     best = _GRID[_grid_argmax(parts)]
@@ -335,9 +336,14 @@ def estimate_alpha_mle(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     Complete and gapped series are both accepted: every consecutive pair
     of observed values counts, through the transition probability over its
     gap.  Boundary estimates carry ``converged=False``; such estimates are
-    the ones a simulation study must discard.
+    the ones a simulation study must discard.  A ``pi_hat`` that is not a
+    probability vector over the series' k states raises
+    :class:`~darcat.core.DarcatError`.
     """
-    return _alpha_mle(*series.pairs, np.asarray(pi_hat, dtype=float))
+    pi_hat = _validate_pi(pi_hat)
+    if pi_hat.size != series.space.k:
+        raise DarcatError(f"pi_hat has length {pi_hat.size}, state space has k={series.space.k}")
+    return _alpha_mle(*series.pairs, pi_hat)
 
 
 def _ls_closed_form(p_hat: np.ndarray, pi: np.ndarray, used: np.ndarray) -> np.ndarray:

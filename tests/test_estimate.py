@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darcat import estimate
-from darcat.core import MISSING, CatSeries, StateSpace, path_counts
+from darcat.core import MISSING, CatSeries, DarcatError, StateSpace, path_counts
 from darcat.dar import DarModel, MissingDarModel, simulate, simulate_with_missing
 from darcat.estimate import (
     ADMISSIBLE,
@@ -184,6 +184,15 @@ class TestAlphaMle:
     def test_no_pairs(self):
         with pytest.raises(InsufficientTransitions):
             estimate_alpha_mle(series([MISSING, 1, MISSING]), np.array([0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "pi, cause",
+        [([-0.1, 1.1], "nonnegative"), ([0.7, 0.7], "sum to 1"), ([np.nan, 0.5], "finite"), ([0.5, 0.25, 0.25], "k=2")],
+    )
+    def test_pi_that_is_no_probability_vector_is_named(self, pi, cause):
+        s = series([1, 1, 2, MISSING, 2, 1, 1, 2, 2, 1])
+        with pytest.raises(DarcatError, match=cause):
+            estimate_alpha_mle(s, np.array(pi))
 
     def test_pair_across_gap_is_used(self):
         s = series([1, MISSING, 2])
