@@ -187,7 +187,7 @@ def _fit_dar_csv(pi_hat, a1, a2, beta, tests) -> str:
         "longest_stat,longest_reject,longest_power"
     ).split(",")
     row = [
-        "(" + ";".join(f"{v:.3f}" for v in pi_hat) + ")",
+        render.pi_vector(pi_hat),
         num(a1.alpha_hat),
         num(a1.converged),
         num(None if a2 is None else a2.alpha_hat),
@@ -243,7 +243,7 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
             lines.append(f"  {_unobserved_note(gone)}")
         lines += [
             "estimates (full series):",
-            "  pi_hat: (" + ";".join(f"{v:.3f}" for v in pi_est.pi_hat) + f")  [n_obs={pi_est.n_obs}]",
+            f"  pi_hat: {render.pi_vector(pi_est.pi_hat)}  [n_obs={pi_est.n_obs}]",
             f"  {a1_label}: {a1.alpha_hat:.4f}" + ("" if a1.converged else "  [not admissible]"),
         ]
         if a2 is not None:

@@ -13,10 +13,11 @@ sixth of the grid: each repeat term of the likelihood is non-decreasing
 in alpha and each jump term non-increasing, so on a block [a, b] of the
 grid it is at most rep(b) + jump(a), and a block whose bound falls below
 the best block end value, less a slack of 1e-9 of it for rounding, is
-skipped (:func:`_grid_argmax`).  On complete series both alpha estimators
-run row-batched over stacked jump tables (:func:`alpha_mle_rows`,
-:func:`alpha_ls_rows`); the per-series entry points call them with a
-batch of one.
+skipped (:func:`_grid_argmax`).  Two scans of 201 points, at step 1e-6
+and then 1e-8 around the best point so far, refine it.  On complete
+series both alpha estimators run row-batched over stacked jump tables
+(:func:`alpha_mle_rows`, :func:`alpha_ls_rows`); the per-series entry
+points call them with a batch of one.
 The per-series entry points count nothing themselves: they read the
 state counts and the pair table cached on the series (:mod:`darcat.core`).
 """
@@ -95,6 +96,7 @@ class PiEstimate:
         self.counts.setflags(write=False)
 
     def with_alpha(self, alpha: float) -> "PiEstimate":
+        _check_alpha(alpha)
         scale = (1.0 + alpha) / (1.0 - alpha) * self.pi_hat * (1.0 - self.pi_hat)
         return replace(self, var_asymptotic=scale)
 
@@ -104,7 +106,7 @@ class AlphaEstimate:
     alpha_hat: float
     method: str  # "MLE" or "LeastSquares"
     converged: bool
-    iterations: int = 0
+    iterations: int = 0  # MLE: bisection steps at gap 1, 2 refining scans with gaps, 0 at a boundary by rule
 
 
 def estimate_pi(series: CatSeries) -> PiEstimate:
@@ -120,6 +122,11 @@ def estimate_pi(series: CatSeries) -> PiEstimate:
     return PiEstimate(pi_hat=counts / n_obs, n_obs=n_obs, counts=counts)
 
 
+def _check_alpha(alpha: float) -> None:
+    if not 0.0 <= alpha < 1.0:
+        raise DarcatError(f"alpha must lie in [0, 1), got {alpha}")
+
+
 def vn(alpha: float, n: int) -> float:
     """The weighted geometric sum sum_{h=1..n} (n-h) * alpha**h.
 
@@ -129,8 +136,7 @@ def vn(alpha: float, n: int) -> float:
     sum_{j>=2} C(n, j) (-d)**j, whose terms fall at least geometrically.
     Both stay within a few ulps of the exact sum, also near alpha = 1.
     """
-    if not 0.0 <= alpha < 1.0:
-        raise DarcatError(f"alpha must lie in [0, 1), got {alpha}")
+    _check_alpha(alpha)
     if n < 1:
         raise DarcatError(f"n must be >= 1, got {n}")
     d = 1.0 - alpha
@@ -158,11 +164,13 @@ def pi_hat_covariance(pi_j: float, pi_jp: float, alpha: float, n: int) -> float:
 
 def pi_variance_limit(pi_j: float, alpha: float) -> float:
     """Limit of n*Var: (1+alpha)/(1-alpha) * pi_j*(1-pi_j)."""
+    _check_alpha(alpha)
     return (1.0 + alpha) / (1.0 - alpha) * pi_j * (1.0 - pi_j)
 
 
 def pi_covariance_limit(pi_j: float, pi_jp: float, alpha: float) -> float:
     """Limit of n*Cov: -2*alpha/(1-alpha) * pi_j*pi_j'."""
+    _check_alpha(alpha)
     return -2.0 * alpha / (1.0 - alpha) * pi_j * pi_jp
 
 
@@ -283,8 +291,11 @@ def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> Alpha
     bisection finds its unique root.  With longer gaps the likelihood need
     not be unimodal, so the first maximum on a grid of step 1e-4 is found
     (:func:`_grid_argmax`, which skips the blocks of the grid that cannot
-    hold it) and refined by golden-section search; an optimum within 1e-7
-    of either end is reported with ``converged=False``.
+    hold it) and refined by two 201-point scans, at step 1e-6 and then
+    1e-8 around the best point so far, each clipped to [0, 1 - 1e-9] and
+    taking its first maximum; ``iterations`` counts those 2 scans, or the
+    bisection steps on gap 1.  An optimum within 1e-7 of either end is
+    reported with ``converged=False``.
     """
     n_pairs = int(table.sum())
     if n_pairs == 0:
@@ -303,31 +314,21 @@ def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> Alpha
         # gap-1 path gives it (ALL_REPEATS)
         return AlphaEstimate(alpha_hat=0.0 if n_repeats == 0 else 1.0, method="MLE", converged=False)
     parts = _gapped_loglik(gaps, table, pi_hat)
-    best = _GRID[_grid_argmax(parts)]
-
-    def f(alpha: float) -> float:
-        rep, jump = parts(np.array([alpha]))
-        return float((rep + jump)[0])
-
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = max(0.0, best - 1e-4), min(_ALPHA_HI, best + 1e-4)
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    iters = 0
-    while b - a > 1e-8:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        iters += 1
-    alpha_hat = 0.5 * (a + b)
+    alpha_hat = _GRID[_grid_argmax(parts)]
+    for step in (1e-6, 1e-8):  # 201 points centred on the best so far: +-1e-4, then +-1e-6
+        alphas = np.clip(alpha_hat + step * np.arange(-100, 101), 0.0, _ALPHA_HI)
+        rep, jump = parts(alphas)
+        alpha_hat = alphas[np.argmax(rep + jump)]
     converged = bool(1e-7 < alpha_hat < _ALPHA_HI - 1e-7)  # not np.bool_, which json cannot write
-    return AlphaEstimate(alpha_hat=float(alpha_hat), method="MLE", converged=converged, iterations=iters)
+    return AlphaEstimate(alpha_hat=float(alpha_hat), method="MLE", converged=converged, iterations=2)
+
+
+def _checked_pi(pi_hat: np.ndarray, series: CatSeries) -> np.ndarray:
+    """``pi_hat`` as floats, or a DarcatError unless it is a probability vector over the series' k states."""
+    pi_hat = _validate_pi(pi_hat)
+    if pi_hat.size != series.space.k:
+        raise DarcatError(f"pi_hat has length {pi_hat.size}, state space has k={series.space.k}")
+    return pi_hat
 
 
 def estimate_alpha_mle(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
@@ -340,10 +341,7 @@ def estimate_alpha_mle(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     probability vector over the series' k states raises
     :class:`~darcat.core.DarcatError`.
     """
-    pi_hat = _validate_pi(pi_hat)
-    if pi_hat.size != series.space.k:
-        raise DarcatError(f"pi_hat has length {pi_hat.size}, state space has k={series.space.k}")
-    return _alpha_mle(*series.pairs, pi_hat)
+    return _alpha_mle(*series.pairs, _checked_pi(pi_hat, series))
 
 
 def _ls_closed_form(p_hat: np.ndarray, pi: np.ndarray, used: np.ndarray) -> np.ndarray:
@@ -412,9 +410,10 @@ def estimate_alpha_ls(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     estimate then lives on the observed sub-space).  An observed state with
     an undefined matrix row raises :class:`UndefinedTransitionRow`.  Values
     outside [0, 1) are reported raw with ``converged=False`` rather than
-    clamped.
+    clamped.  A ``pi_hat`` that is not a probability vector over the
+    series' k states raises :class:`~darcat.core.DarcatError`.
     """
-    pi_hat = np.asarray(pi_hat, dtype=float)
+    pi_hat = _checked_pi(pi_hat, series)
     jumps = transition_counts(series).matrix
     alpha_hat, why = alpha_ls_rows(jumps[None], pi_hat[None])
     if why[0] == FEW_STATES:

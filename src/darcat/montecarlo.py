@@ -163,10 +163,6 @@ def results_by_pi(results: tuple[CellResult, ...]) -> dict[tuple[float, ...], li
     return grouped
 
 
-def _fmt_pi(values, digits: int = 3) -> str:
-    return "(" + ";".join(f"{v:.{digits}f}" for v in values) + ")"
-
-
 def _fmt_opt(x: float | None) -> str:
     return "NA" if x is None else f"{x:.3f}"
 
@@ -175,7 +171,7 @@ def format_cells(cells: list[CellResult], fmt: str) -> str:
     """One study table as csv, md or txt text: a row per cell, NA where no replicate was admissible."""
     header = ("alpha", "n", "pi_hat", "alpha1", "m1", "alpha2", "m2")
     rows = [
-        (c.alpha, c.n, _fmt_pi(c.mean_pi_hat), _fmt_opt(c.mean_alpha1), c.m1, _fmt_opt(c.mean_alpha2), c.m2)
+        (c.alpha, c.n, render.pi_vector(c.mean_pi_hat), _fmt_opt(c.mean_alpha1), c.m1, _fmt_opt(c.mean_alpha2), c.m2)
         for c in cells
     ]
     return render.table(fmt, header, rows, (6, 5, 24, 7, 4, 7, 4))

@@ -150,6 +150,22 @@ class TestVariance:
             pi_covariance_limit(0.3, 0.4, 0.5), abs=1e-2
         )
 
+    @pytest.mark.parametrize("alpha", [1.0, 1.5, -0.1, np.nan])
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda a: estimate_pi(series([1, 1, 2, 2])).with_alpha(a),
+            lambda a: pi_variance_limit(0.3, a),
+            lambda a: pi_covariance_limit(0.3, 0.4, a),
+            lambda a: vn(a, 50),
+        ],
+        ids=["with_alpha", "pi_variance_limit", "pi_covariance_limit", "vn"],
+    )
+    def test_alpha_outside_unit_interval_is_refused(self, call, alpha):
+        # 1.0 is what the MLE gives a series of nothing but repeats
+        with pytest.raises(DarcatError, match=r"alpha must lie in \[0, 1\)"):
+            call(alpha)
+
 
 class TestAlphaMle:
     def test_expected_count_fixed_point(self):
@@ -317,6 +333,20 @@ class TestAlphaLs:
         alpha_hat, why = alpha_ls_rows(np.array([[[1, 1, 0], [0, 1, 1], [1, 0, 0]]]), np.full((1, 3), 1 / 3))
         assert alpha_hat.tolist() == [0.0] and why.tolist() == [ADMISSIBLE]
 
+    @pytest.mark.parametrize(
+        "pi, cause",
+        [
+            ([0.2, 0.2, 0.2], "sum to 1"),
+            ([np.nan, 0.5, 0.5], "finite"),
+            ([-0.5, 0.5, 1.0], "nonnegative"),
+            ([0.5, 0.5], "k=3"),
+        ],
+    )
+    def test_pi_that_is_no_probability_vector_is_named(self, pi, cause):
+        s = series([1, 2, 3, 3, 1, 2, 2, 3, 1, 1], k=3)
+        with pytest.raises(DarcatError, match=cause):
+            estimate_alpha_ls(s, np.array(pi))
+
     def test_out_of_interval_reported_raw(self):
         s = series([1, 2] * 20)  # strong anti-persistence
         est = estimate_alpha_ls(s, estimate_pi(s).pi_hat)
@@ -403,20 +433,25 @@ def field_sized_gapped(seed):
     return simulate_with_missing(MissingDarModel(model, beta), n, seed=seed)
 
 
+def field_sized_on_the_grid_path():
+    """(seed, series) for the field-sized series of seeds 0-259 that reach the grid scan."""
+    out = []
+    for seed in range(260):
+        s = field_sized_gapped(seed)
+        gaps, table = s.pairs
+        if gaps.tolist() != [1] and np.trace(table, axis1=1, axis2=2).sum() not in (0, table.sum()):
+            out.append((seed, s))
+    assert len(out) >= 200
+    return out
+
+
 class TestGridScan:
     """The blocked scan of the gap-aware likelihood against the dense one."""
 
     def test_equals_dense_argmax_on_field_sized_series(self):
-        checked = 0
-        for seed in range(260):
-            s = field_sized_gapped(seed)
-            gaps, table = s.pairs
-            if gaps.tolist() == [1] or np.trace(table, axis1=1, axis2=2).sum() in (0, table.sum()):
-                continue  # these never reach the scan
+        for seed, s in field_sized_on_the_grid_path():
             parts = grid_loglik(s)
             assert estimate._grid_argmax(parts) == dense_grid_argmax(parts), seed
-            checked += 1
-        assert checked >= 200
 
     @pytest.mark.parametrize("seed, maxima", [(3988, [0, 2230]), (1761, [0, 3386])])
     def test_equals_dense_argmax_with_two_local_maxima(self, seed, maxima):
@@ -452,6 +487,24 @@ class TestGridScan:
             return 1.0 * (i >= 2050) + 1.0 * (i >= 6050), -1.0 * (i > 2050) - 1.0 * (i > 6050)
 
         assert estimate._grid_argmax(parts) == dense_grid_argmax(parts) == 2050
+
+    def test_refinement_reaches_a_dense_scan_around_the_grid_point(self):
+        # alpha_hat is as good as a 1e-8 scan of the grid point +-1e-4, to 1e-12 of its value
+        for seed, s in field_sized_on_the_grid_path():
+            parts = grid_loglik(s)
+            point = estimate._GRID[estimate._grid_argmax(parts)]
+            dense = np.clip(point + 1e-8 * np.arange(-10_000, 10_001), 0.0, estimate._ALPHA_HI)
+            best = np.max(np.add(*parts(dense)))
+            est = estimate_alpha_mle_gapped(s)
+            assert float(np.add(*parts(np.array([est.alpha_hat])))[0]) >= best - 1e-12 * abs(best), seed
+            assert est.iterations == 2
+
+    def test_likelihood_flat_to_rounding_gives_its_first_maximum(self):
+        # every pair 5 steps apart, 2 repeats among 11: near 0 the likelihood
+        # moves by alpha**5, below rounding, so the first maximum is 0 itself
+        obs = [v for x in (1, 2, 1, 2, 2, 1, 2, 1, 1, 2, 1, 2) for v in (x, *[MISSING] * 4)][:-4]
+        est = estimate_alpha_mle_gapped(series(obs))
+        assert (est.alpha_hat, est.converged, est.iterations) == (0.0, False, 2)
 
 
 @pytest.mark.parametrize("path", ["complete", "gapped", "least squares"])
