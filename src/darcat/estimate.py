@@ -5,17 +5,19 @@ likelihood or by least squares on the empirical transition matrix (closed
 form), and ``beta`` by the missing fraction.  The likelihood reads the
 per-gap pair counts :attr:`~darcat.core.CatSeries.pairs`, raising the
 persistence to the power of each observed gap, so it accepts complete and
-gapped series alike; on a complete series it is the root of a monotone
-score, found by bisection.  On a gapped series it may have several local
-maxima, so its first maximum on a grid of 10^4 points is refined.  That
-grid point is the dense scan's argmax, found while evaluating about a
-sixth of the grid: each repeat term of the likelihood is non-decreasing
-in alpha and each jump term non-increasing, so on a block [a, b] of the
-grid it is at most rep(b) + jump(a), and a block whose bound falls below
-the best block end value, less a slack of 1e-9 of it for rounding, is
-skipped (:func:`_grid_argmax`).  Two scans of 201 points, at step 1e-6
-and then 1e-8 around the best point so far, refine it.  On complete
-series both alpha estimators run row-batched over stacked jump tables
+gapped series alike.  On a complete series it is the root of a score
+that is convex and decreasing in alpha, found by Newton's method from a
+lower bound of the root, which it climbs to without overshooting.  On a
+gapped series it may have several local maxima, so its first maximum on
+a grid of 10^4 points is refined.  That grid point is the dense scan's
+argmax, found while evaluating about a sixth of the grid: each repeat
+term of the likelihood is non-decreasing in alpha and each jump term
+non-increasing, so on a block [a, b] of the grid it is at most rep(b) +
+jump(a), and a block whose bound falls below the best block end value,
+less a slack of 1e-9 of it for rounding, is skipped
+(:func:`_grid_argmax`).  Two scans of 201 points, at step 1e-6 and then
+1e-8 around the best point so far, refine it.  On complete series both
+alpha estimators run row-batched over stacked jump tables
 (:func:`alpha_mle_rows`, :func:`alpha_ls_rows`); the per-series entry
 points call them with a batch of one.
 The per-series entry points count nothing themselves: they read the
@@ -106,7 +108,7 @@ class AlphaEstimate:
     alpha_hat: float
     method: str  # "MLE" or "LeastSquares"
     converged: bool
-    iterations: int = 0  # MLE: bisection steps at gap 1, 2 refining scans with gaps, 0 at a boundary by rule
+    iterations: int = 0  # MLE: Newton steps at gap 1, 2 refining scans with gaps, 0 at a boundary by rule
 
 
 def estimate_pi(series: CatSeries) -> PiEstimate:
@@ -197,11 +199,19 @@ def alpha_mle_rows(jumps: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.nd
 
     ``jumps`` is an ``(m, k, k)`` count table with at least one jump per
     row and ``pi`` the ``(m, k)`` state frequencies.  The root of
-    :func:`alpha_mle_equation` on [0, 1) is bisected in every row at once,
-    each row stopping on its own bracket width.  Returns ``(alpha_hat,
-    iterations, why)``: a row of nothing but repeats gets 1 and
-    ``ALL_REPEATS``, one whose root would be negative gets 0 and
-    ``BOUNDARY``, an admissible one ``ADMISSIBLE``.
+    :func:`alpha_mle_equation` on [0, 1) is found by Newton's method in
+    every row at once.  Each term r_j / (pi_j + alpha*(1 - pi_j)), with
+    r_j = N_jj / n, is convex and decreasing in alpha, so the score is
+    too, and Newton started left of the root climbs to it without
+    overshooting.  The start is the lower bound L = max(0, max_j (r_j -
+    pi_j) / (1 - pi_j)) over the repeated states with pi_j < 1: at the
+    root no term exceeds 1, so none can at any alpha below L, and from L
+    on every denominator is at least r_j > 0, past a pole at 0 of a
+    repeated state with pi_j = 0.  A row stops once its step is at most
+    1e-13 or it reaches 1 - 1e-9.  Returns ``(alpha_hat, iterations,
+    why)``: a row of nothing but repeats gets 1 and ``ALL_REPEATS``, one
+    whose root would be negative gets 0 and ``BOUNDARY``, an admissible
+    one ``ADMISSIBLE``.
     """
     repeats = np.diagonal(jumps, axis1=1, axis2=2)
     n_pairs = jumps.sum(axis=(1, 2))
@@ -209,17 +219,24 @@ def alpha_mle_rows(jumps: np.ndarray, pi: np.ndarray) -> tuple[np.ndarray, np.nd
     all_repeats = repeats.sum(axis=1) == n_pairs
     with np.errstate(divide="ignore"):
         negative = ~all_repeats & (_scores(np.zeros(m), repeats, pi, n_pairs) < 0.0)
-        lo, hi = np.zeros(m), np.full(m, _ALPHA_HI)
-        iterations = np.zeros(m, dtype=np.int64)
-        active = ~(all_repeats | negative)
-        while active.any():
-            mid = 0.5 * (lo + hi)
-            up = _scores(mid, repeats, pi, n_pairs) > 0.0
-            lo = np.where(active & up, mid, lo)
-            hi = np.where(active & ~up, mid, hi)
-            iterations += active
-            active &= hi - lo > 1e-10
-    alpha_hat = np.select([all_repeats, negative], [1.0, 0.0], 0.5 * (lo + hi))
+    r = repeats / n_pairs[:, None]
+    p = np.where(r > 0, pi, 1.0)  # a state that never repeats: denominator 1, term 0
+    q = 1.0 - p
+    # the start: each row's lower bound L
+    alpha_hat = np.divide(r - p, q, out=np.zeros(r.shape), where=q > 0).max(axis=1, initial=0.0)
+    iterations = np.zeros(m, dtype=np.int64)
+    rows = np.flatnonzero(~(all_repeats | negative))
+    alpha, r, p, q = alpha_hat[rows], r[rows], p[rows], q[rows]
+    while rows.size:
+        d = p + alpha[:, None] * q
+        t = r / d
+        step = (t.sum(axis=1) - 1.0) / (t * q / d).sum(axis=1)  # score over minus its slope
+        alpha = np.minimum(alpha + step, _ALPHA_HI)
+        alpha_hat[rows] = alpha
+        iterations[rows] += 1
+        go = (step > 1e-13) & (alpha < _ALPHA_HI)
+        rows, alpha, r, p, q = rows[go], alpha[go], r[go], p[go], q[go]
+    alpha_hat = np.select([all_repeats, negative], [1.0, 0.0], alpha_hat)
     why = np.select([all_repeats, negative], [ALL_REPEATS, BOUNDARY], ADMISSIBLE)
     return alpha_hat, iterations, why
 
@@ -287,14 +304,15 @@ def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> Alpha
     log(alpha**h * 1{x=y} + (1 - alpha**h) * pi_y).  With no repeated value
     at all the likelihood falls from alpha = 0, so 0 is returned; with
     nothing but repeats it is flat, and 1 is returned; both with
-    ``converged=False``.  With gap 1 only, the score is monotone and
-    bisection finds its unique root.  With longer gaps the likelihood need
+    ``converged=False``.  With gap 1 only, the score is convex and
+    decreasing, and Newton's method from a lower bound finds its unique
+    root (:func:`alpha_mle_rows`).  With longer gaps the likelihood need
     not be unimodal, so the first maximum on a grid of step 1e-4 is found
     (:func:`_grid_argmax`, which skips the blocks of the grid that cannot
     hold it) and refined by two 201-point scans, at step 1e-6 and then
     1e-8 around the best point so far, each clipped to [0, 1 - 1e-9] and
     taking its first maximum; ``iterations`` counts those 2 scans, or the
-    bisection steps on gap 1.  An optimum within 1e-7 of either end is
+    Newton steps on gap 1.  An optimum within 1e-7 of either end is
     reported with ``converged=False``.
     """
     n_pairs = int(table.sum())

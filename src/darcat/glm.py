@@ -354,8 +354,8 @@ def _prepare(design: Design):
     y, categories, notes = _collapse_categories(design.y[first], design.k)
     if len(categories) < 2:
         raise DarcatError("response takes fewer than 2 distinct values")
-    X, names, more_notes = _prune_columns(design.X, design.column_names)
-    X = X[first]
+    # linear dependence between columns shows on the distinct covariate rows alone
+    X, names, more_notes = _prune_columns(design.X[first], design.column_names)
     for a in (y, X, counts):  # shared by every fit of the design
         a.setflags(write=False)
     return y, categories, X, names, notes + more_notes, counts
@@ -373,13 +373,19 @@ def fit_multinomial(design: Design) -> GlmFit:
     """Fit the multinomial logit by maximising the partial likelihood.
 
     Category probabilities are exp(b_j'x) / (1 + sum_q exp(b_q'x)) with
-    the highest retained category as reference.  Starts at zero, which is
-    the closed-form optimum direction for the intercept-only model.
+    the highest retained category as reference.  Starts at zero, or, when
+    only the intercept is left after pruning, at its closed-form optimum
+    log(N_j / N_ref), where Newton then takes no step.
     """
     y, categories, X, names, notes, counts = _prepared(design)
     k_eff = len(categories)
     p = X.shape[1]
-    params, ll, steps = _newton(_multinomial_evaluation(X, y, k_eff, counts), np.zeros((k_eff - 1) * p))
+    if p == 1:
+        n_j = np.bincount(y - 1, weights=counts)
+        start = np.log(n_j[:-1] / n_j[-1])
+    else:
+        start = np.zeros((k_eff - 1) * p)
+    params, ll, steps = _newton(_multinomial_evaluation(X, y, k_eff, counts), start)
     return GlmFit(
         family="MultinomialLogit",
         lag=design.lag,

@@ -202,6 +202,21 @@ class TestAlphaMle:
             estimate_alpha_mle(series([MISSING, 1, MISSING]), np.array([0.5, 0.5]))
 
     @pytest.mark.parametrize(
+        "pi, root",
+        [
+            ([0.0, 0.5, 0.5], (31**0.5 - 2) / 9),
+            ([1e-300, 0.5, 0.5], (31**0.5 - 2) / 9),
+            ([1.0, 0.0, 0.0], 1 / 6),
+        ],
+    )
+    def test_zero_or_tiny_pi_at_a_repeated_state(self, pi, root):
+        # N_11 = 3, N_22 = 1 over 9 pairs: the score has a pole at alpha = 0 (or nearly one, at 1e-300)
+        # and roots 3/a + 2/(1+a) = 9, that is 9a^2 + 4a - 3 = 0, and 3 + 1/a = 9
+        s = series([1, 1, 2, 3, 2, 2, 3, 1, 1, 1], k=3)
+        est = estimate_alpha_mle(s, np.array(pi))
+        assert est.converged and abs(est.alpha_hat - root) <= 1e-10
+
+    @pytest.mark.parametrize(
         "pi, cause",
         [([-0.1, 1.1], "nonnegative"), ([0.7, 0.7], "sum to 1"), ([np.nan, 0.5], "finite"), ([0.5, 0.25, 0.25], "k=2")],
     )
@@ -236,26 +251,18 @@ class TestAlphaMle:
         assert np.mean(values) == pytest.approx(0.494, abs=0.02)
 
 
-def bisect_reference(repeats, pi, n_pairs):
-    """Scalar bisection on the gap-1 score: ``(alpha_hat, why, iterations)``."""
+def mle_why_reference(repeats, pi, n_pairs):
+    """The ``why`` code of the gap-1 MLE of one row, from the score at 0."""
     if repeats.sum() == n_pairs:
-        return 1.0, ALL_REPEATS, 0
+        return ALL_REPEATS
     mask = repeats > 0
+    return BOUNDARY if float((repeats[mask] / pi[mask]).sum()) / n_pairs - 1.0 < 0.0 else ADMISSIBLE
 
-    def score(a):
-        return float((repeats[mask] / (a + (1.0 - a) * pi[mask])).sum()) / n_pairs - 1.0
 
-    if score(0.0) < 0.0:
-        return 0.0, BOUNDARY, 0
-    lo, hi, iterations = 0.0, 1.0 - 1e-9, 0
-    while hi - lo > 1e-10:
-        mid = 0.5 * (lo + hi)
-        if score(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        iterations += 1
-    return 0.5 * (lo + hi), ADMISSIBLE, iterations
+def exact_score(alpha, repeats, pi, n_pairs):
+    """The gap-1 score of :func:`alpha_mle_equation` in exact arithmetic at the rational ``alpha``."""
+    terms = (Fraction(int(c)) / (alpha + (1 - alpha) * Fraction(float(p))) for c, p in zip(repeats, pi) if c > 0)
+    return sum(terms) / n_pairs - 1
 
 
 def ls_reference(jumps, pi):
@@ -290,7 +297,11 @@ def path_rows(draw):
 
 
 class TestBatchedRows:
-    """The row-batched estimators against scalar per-row references, exactly."""
+    """The row-batched estimators against scalar per-row references.
+
+    Least squares and every ``why`` code must match exactly; the MLE must
+    bracket the exact root of its score within 1e-10.
+    """
 
     @settings(max_examples=200, deadline=None)
     @given(batch=path_rows())
@@ -302,8 +313,18 @@ class TestBatchedRows:
         alpha1, iterations, why1 = alpha_mle_rows(jumps, pi)
         alpha2, why2 = alpha_ls_rows(jumps, pi)
         for r in range(len(paths)):
-            repeats = np.diagonal(jumps[r]).copy()
-            assert (alpha1[r], why1[r], iterations[r]) == bisect_reference(repeats, pi[r], paths.shape[1] - 1)
+            repeats, n_pairs = np.diagonal(jumps[r]).copy(), paths.shape[1] - 1
+            assert why1[r] == mle_why_reference(repeats, pi[r], n_pairs)
+            if why1[r] != ADMISSIBLE:
+                assert (alpha1[r], iterations[r]) == ((1.0 if why1[r] == ALL_REPEATS else 0.0), 0)
+            else:
+                assert 1 <= iterations[r] <= 34
+                a, tol = Fraction(float(alpha1[r])), Fraction(1, 10**10)
+                if alpha1[r] == estimate._ALPHA_HI:  # the root lies at or above the upper end
+                    assert exact_score(a, repeats, pi[r], n_pairs) >= 0
+                else:  # the exact root lies within 1e-10, tighter than a 1e-10 bisection bracket
+                    assert exact_score(a - tol, repeats, pi[r], n_pairs) > 0
+                    assert exact_score(a + tol, repeats, pi[r], n_pairs) < 0
             value, why = ls_reference(jumps[r], pi[r])
             assert why2[r] == why
             if value is None:

@@ -352,8 +352,9 @@ class TestAicTable:
         table = aic_table(series(obs.tolist(), k=3, ordinal=True), family, common_rows=common_rows)
         assert len(fits) == 3 and all(r.aic is not None for r in table.rows)
         for fit in fits:
-            if family == "ordinal" and fit.lag == 0:
-                # the cutpoints start at the empirical cumulative logits, the closed-form optimum
+            if fit.lag == 0:
+                # both families start at the closed-form optimum of the intercept-only model:
+                # the empirical cumulative logits, or the log odds log(N_j / N_ref)
                 assert fit.iterations == 0
             else:
                 assert 1 <= fit.iterations <= MAX_ITER
