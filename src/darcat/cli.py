@@ -60,7 +60,8 @@ def _load_series(paths: list[str], space: StateSpace) -> CatSeries:
     parts = [parse_series(_read_text(p), space) for p in paths]
     if len(parts) == 1:
         return parts[0]
-    return CatSeries(space, np.concatenate([s.obs for s in parts]), np.concatenate([s.stamps() for s in parts]))
+    obs = np.concatenate([s.obs for s in parts])
+    return CatSeries(space, obs, np.concatenate([s.stamps() for s in parts]).tolist())
 
 
 def _parse_pi(text: str) -> np.ndarray:

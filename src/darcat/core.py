@@ -4,20 +4,20 @@ Categories are coded 1..k internally, whatever their text labels are.
 Missing observations are coded with the sentinel ``MISSING`` (-1).  A
 series is stored once, as the read-only int64 array ``CatSeries.obs``,
 and the series operations work on it without a per-observation loop.
-Time labels are stored only when they differ from the implicit '0', '1',
-..., str(n) (``CatSeries.time_labels`` is ``None`` otherwise), and
-:func:`parse_series` / :func:`serialize_series` read and write a series
-as one UTF-8 byte buffer, with no Python object per row or cell.
-All containers are immutable after construction and safe to share across
-threads; every operation here is a pure function.  The facts that the
-estimators and tests read off a series (its state counts, per-gap pair
-table and runs) are cached properties, computed on first read; two
-threads reading one at once at most compute it twice.
+Its time labels are checked once, where they enter, and derived series
+index their one stored array; text is made from them only where they are
+read or written.  :func:`parse_series` / :func:`serialize_series` read
+and write a series as one UTF-8 byte buffer, with no Python object per
+row or cell.  All containers are immutable after construction and safe
+to share across threads; every operation here is a pure function.  The
+facts that the estimators and tests read off a series (its state counts,
+per-gap pair table and runs) are cached properties, computed on first
+read; two threads reading one at once at most compute it twice.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -121,21 +121,20 @@ class CatSeries:
 
     ``obs``, the one stored form of the series, is a read-only int64 copy
     of the codes given: 1..k or ``MISSING``, n+1 of them for times 0..n.
-    ``time_labels``, when present, carries one opaque stamp per index (no
-    date parsing is attempted).  It is ``None`` exactly when the stamps
-    are the implicit '0', '1', ..., str(n): labels given in that form are
-    stored as ``None``, so a series equals itself written and read back.
-    Series derived by dropping observations keep the stamps of the
-    observations kept, implicit ones included.
+    ``times``, if given, are opaque stamps, one per index, checked here to
+    read back from a series file.  ``time_labels`` is ``None`` exactly
+    when they are the implicit '0', '1', ..., str(n), so a series equals
+    itself written and read back.  Series derived by dropping observations
+    index the one stored stamp array (:func:`_set_stamps`) and check nothing.
     """
 
     space: StateSpace
     obs: np.ndarray
-    time_labels: tuple[str, ...] | None = None
+    times: InitVar[tuple[str, ...] | None] = None
+    _stamps: np.ndarray | None = field(default=None, init=False, repr=False)
 
-    def __post_init__(self) -> None:
-        obs = np.array(self.obs, dtype=np.int64)
-        obs.setflags(write=False)
+    def __post_init__(self, times: tuple[str, ...] | None) -> None:
+        obs = _read_only(np.array(self.obs, dtype=np.int64))[0]
         object.__setattr__(self, "obs", obs)
         if len(obs) < 2:
             raise TooShort(f"series needs at least 2 observations, got {len(obs)}")
@@ -144,18 +143,18 @@ class CatSeries:
         if bad.size:
             i = int(bad[0])
             raise DarcatError(f"observation {obs[i]} at index {i} outside {{-1}} U 1..{k}")
-        if self.time_labels is not None:
-            tl = tuple(map(str, self.time_labels))
-            if len(tl) != len(obs):
+        if times is not None:
+            labels = tuple(map(str, times))
+            if len(labels) != len(obs):
                 raise DarcatError("time_labels length must match obs length")
-            _check_stamps(tl)
-            object.__setattr__(self, "time_labels", None if _is_default_stamps(tl) else tl)
+            _check_stamps(labels)
+            _set_stamps(self, np.array(labels, dtype=object))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatSeries):
             return NotImplemented
-        same = (self.space, self.time_labels) == (other.space, other.time_labels)
-        return same and np.array_equal(self.obs, other.obs)
+        same = self.space == other.space and np.array_equal(self.obs, other.obs)
+        return same and self.time_labels == other.time_labels
 
     def __len__(self) -> int:
         return len(self.obs)
@@ -176,9 +175,7 @@ class CatSeries:
     @cached_property
     def state_counts(self) -> np.ndarray:
         """Occurrences of each category 1..k among the observed values, a read-only (k,) int64 array."""
-        counts = np.bincount(self.obs + 1, minlength=self.space.k + 2)[2:]  # MISSING counts in bin 0
-        counts.setflags(write=False)
-        return counts
+        return _read_only(np.bincount(self.obs + 1, minlength=self.space.k + 2)[2:])[0]  # MISSING counts in bin 0
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -205,18 +202,23 @@ class CatSeries:
         """:func:`run_lengths` of ``obs``: its maximal runs as read-only arrays (value, start, length)."""
         return _read_only(*run_lengths(self.obs))
 
+    @property
+    def time_labels(self) -> tuple[str, ...] | None:
+        """Every time label as a tuple of str, or ``None`` when they are the implicit '0'..'n'."""
+        return None if self._stamps is None else tuple(self.stamps().tolist())
+
     def stamps(self) -> np.ndarray:
-        """Every time label as an array of str, the implicit '0'..'n' included."""
-        if self.time_labels is None:
+        """Every time label as an array of str, the implicit '0'..'n' included; stored labels come read-only."""
+        if self._stamps is None:
             return np.arange(len(self)).astype(str)
-        return np.array(self.time_labels, dtype=object)
+        return self._stamps if self._stamps.dtype == object else self._stamps.astype(str)
 
     def drop_missing(self) -> "CatSeries":
         """Remove missing entries, closing the gaps (changes adjacency)."""
-        keep = self.obs != MISSING
-        if np.count_nonzero(keep) < 2:
+        kept = np.flatnonzero(self.obs != MISSING)
+        if kept.size < 2:
             raise TooShort("fewer than 2 observed values after dropping missing")
-        return CatSeries(self.space, self.obs[keep], self.stamps()[keep])
+        return self._at(kept)
 
     def longest_complete_segment(self) -> "CatSeries":
         """Longest run of consecutive non-missing observations, ties to the earliest."""
@@ -225,8 +227,11 @@ class CatSeries:
         best = int(np.argmax(lengths))
         if lengths[best] < 2:
             raise TooShort("no complete segment of length >= 2")
-        sl = slice(starts[best], starts[best] + lengths[best])
-        return CatSeries(self.space, self.obs[sl], self.stamps()[sl])
+        return self._at(np.arange(starts[best], starts[best] + lengths[best]))
+
+    def _at(self, kept: np.ndarray) -> "CatSeries":
+        """The observations at the rising time indices ``kept``, with their stamps."""
+        return _set_stamps(CatSeries(self.space, self.obs[kept]), kept if self._stamps is None else self._stamps[kept])
 
     def restrict_to_observed(self) -> tuple["CatSeries", tuple[str, ...]]:
         """The series on the sub-space of its observed categories (as is if all are), and the labels dropped."""
@@ -239,7 +244,19 @@ class CatSeries:
         sub = StateSpace(tuple(labels[present - 1]), ordinal=self.space.ordinal)
         codes = np.searchsorted(present, self.obs) + 1
         codes[self.obs == MISSING] = MISSING
-        return CatSeries(sub, codes, self.time_labels), tuple(np.delete(labels, present - 1))
+        return _set_stamps(CatSeries(sub, codes), self._stamps), tuple(np.delete(labels, present - 1))
+
+
+def _set_stamps(series: CatSeries, stamps: np.ndarray | None) -> CatSeries:
+    """``series`` holding ``stamps`` (rising time indices or labels) read-only and unchecked, as None if 0..len-1."""
+    if stamps is not None:
+        n = len(stamps)
+        if stamps.dtype == object:  # compared in full only if the first and last match
+            implicit = stamps[0] == "0" and stamps[-1] == str(n - 1) and stamps.tolist() == list(map(str, range(n)))
+        else:  # rising indices count from 0 exactly when the last is n - 1
+            implicit = stamps[-1] == n - 1
+        object.__setattr__(series, "_stamps", None if implicit else _read_only(stamps)[0])
+    return series
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -309,8 +326,9 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     finds the separators, each value cell is coded by comparing its
     bytes with each label's, and the stamps are compared with '0', '1',
     ... one digit count at a time; they are decoded only when they
-    differ.  Only a text that fails these checks is read again row
-    by row, by :func:`_first_error`, to name its first bad row.
+    differ, and not checked again, as these scans show that they read
+    back.  Only a text that fails them is read again row by row, by
+    :func:`_first_error`, to name its first bad row.
     """
     text = csv_text.replace("\r\n", "\n") if "\r" in csv_text else csv_text
     for brk in _LINE_BREAKS:
@@ -338,7 +356,7 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
             starts = ends[at - 1] + 1
             lengths = ends[at] - starts
             implicit = _cells_are_default_stamps(buf, starts, lengths)
-            return CatSeries(space, obs, None if implicit else _decode_cells(buf, starts, lengths))
+            return _set_stamps(CatSeries(space, obs), None if implicit else _decode_cells(buf, starts, lengths))
     raise _first_error(csv_text, space)
 
 
@@ -394,10 +412,10 @@ def _cells_are_default_stamps(buf: np.ndarray, starts: np.ndarray, lengths: np.n
     return True
 
 
-def _decode_cells(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> tuple[str, ...]:
-    """The cells of ``buf`` at ``starts`` as str, each of which is followed by a comma."""
+def _decode_cells(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The cells of ``buf`` at ``starts`` as an object array of str, each of which is followed by a comma."""
     cells = buf[_spans(len(buf), starts, starts + lengths + 1)]  # each cell with its comma
-    return tuple(cells.tobytes().decode().split(",")[:-1])
+    return np.array(cells.tobytes().decode().split(",")[:-1], dtype=object)
 
 
 def _spans(size: int, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
@@ -439,11 +457,10 @@ def _first_error(csv_text: str, space: StateSpace) -> DarcatError:
 def _digit_blocks(n: int):
     """The numbers 0, 1, ..., n - 1 in decimal, one digit count at a time.
 
-    Yields ``(first, digits)`` for d = 1, 2, ...: ``digits`` is a
-    (rows, d) uint8 array of the ASCII digits of the d-digit numbers
-    ``first``, ``first + 1``, ....  Each block is built without a loop over
-    the numbers: the (d+1)-digit numbers 10q + r are the d-digit numbers q,
-    each followed by every last digit r.
+    Yields ``(first, digits)`` for d = 1, 2, ...: ``digits`` is a (rows, d)
+    uint8 array of the ASCII digits of the d-digit numbers ``first``, ...,
+    built without a loop over the numbers: the (d+1)-digit numbers 10q + r
+    are the d-digit numbers q, each followed by every last digit r.
     """
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     rows = digit[:, None]  # the numbers 0..9
@@ -461,22 +478,6 @@ def _digit_blocks(n: int):
         d += 1
 
 
-def _default_stamps(n: int) -> str:
-    """The implicit time labels of n >= 1 observations, one per line: '0', '1', ..., str(n - 1)."""
-    lines = []
-    for _, digits in _digit_blocks(n):
-        block = np.full((len(digits), digits.shape[1] + 1), ord("\n"), np.uint8)
-        block[:, :-1] = digits
-        lines.append(block.ravel())
-    return np.concatenate(lines)[:-1].tobytes().decode()
-
-
-def _is_default_stamps(stamps: list[str] | tuple[str, ...]) -> bool:
-    """Whether the time labels ``stamps`` (a sequence of str) are '0', '1', ..., in order."""
-    n = len(stamps)
-    return stamps[0] == "0" and stamps[-1] == str(n - 1) and "\n".join(stamps) == _default_stamps(n)
-
-
 def serialize_series(series: CatSeries) -> str:
     """Inverse of :func:`parse_series`: ``parse_series(serialize_series(s), s.space) == s``.
 
@@ -486,12 +487,10 @@ def serialize_series(series: CatSeries) -> str:
     """
     # code c is written as cells[c]; MISSING (-1) wraps to the last cell
     cells = ["", *(f",{label}\n" for label in series.space.labels), ",NA\n"]
-    if series.time_labels is not None:
-        rows = [None] * (2 * len(series) + 1)
-        rows[0] = "t,value\n"
-        rows[1::2] = series.time_labels
-        rows[2::2] = np.array(cells, dtype=object)[series.obs].tolist()
-        return "".join(rows)
+    if series._stamps is not None:
+        rows = [None] * (2 * len(series))
+        rows[::2], rows[1::2] = series.stamps().tolist(), np.array(cells, dtype=object)[series.obs].tolist()
+        return "t,value\n" + "".join(rows)
     encoded = [cell.encode() for cell in cells]
     table = np.zeros((len(cells), max(map(len, encoded))), np.uint8)  # each cell's bytes, padded
     for row, cell in zip(table, encoded):

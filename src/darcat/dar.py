@@ -42,6 +42,12 @@ def _validate_pi(pi: np.ndarray) -> np.ndarray:
     return pi
 
 
+def _check_unit_interval(name: str, value: float) -> None:
+    """Refuse a persistence or rate ``name`` outside [0, 1), nan included."""
+    if not 0.0 <= value < 1.0:
+        raise DarcatError(f"{name} must lie in [0, 1), got {value}")
+
+
 @dataclass(frozen=True)
 class DarModel:
     """Parameter pair (alpha, pi) on a given state space.
@@ -55,8 +61,7 @@ class DarModel:
     space: StateSpace
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.alpha < 1.0:
-            raise DarcatError(f"alpha must lie in [0, 1), got {self.alpha}")
+        _check_unit_interval("alpha", self.alpha)
         pi = _validate_pi(self.pi)
         if pi.size != self.space.k:
             raise DarcatError(f"pi has length {pi.size}, state space has k={self.space.k}")
@@ -82,8 +87,7 @@ class MissingDarModel:
     beta: float
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.beta < 1.0:
-            raise DarcatError(f"beta must lie in [0, 1), got {self.beta}")
+        _check_unit_interval("beta", self.beta)
 
 
 def transition_matrix(model: DarModel) -> np.ndarray:

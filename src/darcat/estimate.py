@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .core import CatSeries, DarcatError, jump_frequencies, transition_counts
-from .dar import _validate_pi
+from .dar import _check_unit_interval, _validate_pi
 
 __all__ = [
     "AllMissing",
@@ -98,7 +98,7 @@ class PiEstimate:
         self.counts.setflags(write=False)
 
     def with_alpha(self, alpha: float) -> "PiEstimate":
-        _check_alpha(alpha)
+        _check_unit_interval("alpha", alpha)
         scale = (1.0 + alpha) / (1.0 - alpha) * self.pi_hat * (1.0 - self.pi_hat)
         return replace(self, var_asymptotic=scale)
 
@@ -124,11 +124,6 @@ def estimate_pi(series: CatSeries) -> PiEstimate:
     return PiEstimate(pi_hat=counts / n_obs, n_obs=n_obs, counts=counts)
 
 
-def _check_alpha(alpha: float) -> None:
-    if not 0.0 <= alpha < 1.0:
-        raise DarcatError(f"alpha must lie in [0, 1), got {alpha}")
-
-
 def vn(alpha: float, n: int) -> float:
     """The weighted geometric sum sum_{h=1..n} (n-h) * alpha**h.
 
@@ -138,7 +133,7 @@ def vn(alpha: float, n: int) -> float:
     sum_{j>=2} C(n, j) (-d)**j, whose terms fall at least geometrically.
     Both stay within a few ulps of the exact sum, also near alpha = 1.
     """
-    _check_alpha(alpha)
+    _check_unit_interval("alpha", alpha)
     if n < 1:
         raise DarcatError(f"n must be >= 1, got {n}")
     d = 1.0 - alpha
@@ -166,13 +161,13 @@ def pi_hat_covariance(pi_j: float, pi_jp: float, alpha: float, n: int) -> float:
 
 def pi_variance_limit(pi_j: float, alpha: float) -> float:
     """Limit of n*Var: (1+alpha)/(1-alpha) * pi_j*(1-pi_j)."""
-    _check_alpha(alpha)
+    _check_unit_interval("alpha", alpha)
     return (1.0 + alpha) / (1.0 - alpha) * pi_j * (1.0 - pi_j)
 
 
 def pi_covariance_limit(pi_j: float, pi_jp: float, alpha: float) -> float:
     """Limit of n*Cov: -2*alpha/(1-alpha) * pi_j*pi_j'."""
-    _check_alpha(alpha)
+    _check_unit_interval("alpha", alpha)
     return -2.0 * alpha / (1.0 - alpha) * pi_j * pi_jp
 
 

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .core import CatSeries, DarcatError, MissingValuePresent, transition_counts
-from .dar import _PI_TOL
+from .dar import _PI_TOL, _check_unit_interval
 from .estimate import estimate_pi
 
 __all__ = [
@@ -278,8 +278,7 @@ def longest_run_power(pi: np.ndarray, alpha1: float, n: int, level: float = 0.05
     """
     _check_level(level)
     pi = _check_pi(pi, np.size(pi))
-    if not 0.0 <= alpha1 < 1.0:
-        raise DarcatError(f"alpha1 must lie in [0, 1), got {alpha1}")
+    _check_unit_interval("alpha1", alpha1)
     rho0, pi_rho0 = _rho_and_mass(pi)
     lo, hi = _band(rho0, pi_rho0, n, level)
     rho1 = alpha1 + (1.0 - alpha1) * rho0

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import render
 from .core import DarcatError, path_counts
-from .dar import DarModel, draw_paths
+from .dar import DarModel, _check_unit_interval, draw_paths
 from .estimate import ADMISSIBLE, alpha_ls_rows, alpha_mle_rows
 
 __all__ = [
@@ -59,8 +59,7 @@ class SimGrid:
         if self.m < 1:
             raise DarcatError(f"m must be >= 1, got {self.m}")
         for a in self.alphas:
-            if not 0.0 <= a < 1.0:
-                raise DarcatError(f"alpha must lie in [0, 1), got {a}")
+            _check_unit_interval("alpha", a)
 
 
 @dataclass(frozen=True)

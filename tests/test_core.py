@@ -361,7 +361,10 @@ def test_edge_texts_read_as_row_by_row(labels, text):
 
 @pytest.mark.parametrize("n", [1, 2, 10, 11, 99, 100, 101, 1000, 12345, 10**5 + 1])
 def test_default_stamps_count_from_zero(n):
-    assert core._default_stamps(n) == "\n".join(map(str, range(n)))
+    """``_digit_blocks``, which the reader and the writer share, spells 0..n-1 one digit count at a time."""
+    blocks = list(core._digit_blocks(n))
+    assert [first for first, _ in blocks] == [0, *(10**d for d in range(1, len(blocks)))]
+    assert [row.tobytes().decode() for _, digits in blocks for row in digits] == list(map(str, range(n)))
 
 
 @given(st.lists(st.sampled_from([1, 2, 3, MISSING]), min_size=2, max_size=60))
@@ -459,6 +462,39 @@ def test_dropping_keeps_implicit_stamps():
     head = CatSeries(AB, (1, 2, 2, MISSING, 1))
     assert head.longest_complete_segment().time_labels is None
     assert head.drop_missing().time_labels == ("0", "1", "2", "4")
+
+
+@pytest.mark.parametrize("derive", ["longest_complete_segment", "drop_missing"])
+def test_derived_stamps_that_count_from_zero_read_back_as_implicit(derive):
+    series = getattr(CatSeries(AB, (1, 2, MISSING, 1), ("0", "1", "x", "y")), derive)()
+    assert series.time_labels == (None if derive == "longest_complete_segment" else ("0", "1", "y"))
+    assert parse_series(serialize_series(series), AB) == series
+    head = getattr(CatSeries(AB, (1, 2, 1, MISSING), ("0", "1", "2", "x")), derive)()
+    assert head.time_labels is None
+    assert head == CatSeries(AB, (1, 2, 1)) == parse_series(serialize_series(head), AB)
+
+
+def test_series_derived_from_implicit_stamps_keep_their_indices():
+    series = CatSeries(StateSpace(("A", "B", "C")), (1, MISSING, 2, 2, 1, MISSING)).drop_missing()
+    restricted, gone = series.restrict_to_observed()
+    assert restricted.time_labels == series.time_labels == ("0", "2", "3", "4")
+    assert (restricted.stamps().tolist(), gone) == (["0", "2", "3", "4"], ("C",))
+    assert restricted.drop_missing() == restricted.longest_complete_segment() == restricted
+    assert parse_series(serialize_series(restricted), restricted.space) == restricted
+
+
+def test_derived_series_check_no_stamp_again(monkeypatch):
+    space = StateSpace(("A", "B", "C"))
+    series = parse_series("t,value\n1975,A\n1976,NA\n1977,B\n1978,A\n1979,B\n", space)
+    checks = mock.Mock(wraps=core._check_stamps)
+    monkeypatch.setattr(core, "_check_stamps", checks)
+    dropped = series.drop_missing()
+    segment = series.longest_complete_segment()
+    restricted, gone = series.restrict_to_observed()
+    assert checks.call_count == 0
+    assert dropped.time_labels == ("1975", "1977", "1978", "1979")
+    assert segment.time_labels == ("1977", "1978", "1979")
+    assert (restricted.time_labels, gone) == (series.time_labels, ("C",))
 
 
 def test_observed_pairs_gaps():
