@@ -4,19 +4,20 @@ Categories are coded 1..k internally, whatever their text labels are.
 Missing observations are coded with the sentinel ``MISSING`` (-1).  A
 series is stored once, as the read-only int64 array ``CatSeries.obs``,
 and the series operations work on it without a per-observation loop.
-Its time labels are checked once, where they enter, and derived series
-index their one stored array; text is made from them only where they are
-read or written.  :func:`parse_series` / :func:`serialize_series` read
-and write a series as one UTF-8 byte buffer, with no Python object per
-row or cell.  All containers are immutable after construction and safe
-to share across threads; every operation here is a pure function.  The
-facts that the estimators and tests read off a series (its state counts,
-per-gap pair table and runs) are cached properties, computed on first
-read; two threads reading one at once at most compute it twice.
+Time labels are checked once, where they enter; derived series index
+their one stored array, and text is made of them only when they are read
+or written.  :func:`parse_series` / :func:`serialize_series` read and
+write a series as one UTF-8 byte buffer, with no Python object per row or
+cell.  All containers are immutable after construction and safe to share
+across threads; every operation here is a pure function.  The facts that
+the estimators and tests read off a series (its state counts, per-gap
+pair table and runs) are cached properties, computed on first read; two
+threads reading one at once at most compute it twice.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
 from functools import cached_property
 
@@ -115,26 +116,38 @@ class StateSpace:
         return self.labels[code - 1]
 
 
+class _TimeLabels:
+    """``CatSeries.time_labels``: read on the class, ``None``, the constructor's default; on a series, its stamps."""
+
+    def __get__(self, series: CatSeries | None, owner: type | None = None) -> tuple[str, ...] | None:
+        return None if series is None or series._stamps is None else tuple(series.stamps().tolist())
+
+
 @dataclass(frozen=True, eq=False)
 class CatSeries:
     """A time-indexed sequence of category codes, possibly with missing values.
 
     ``obs``, the one stored form of the series, is a read-only int64 copy
     of the codes given: 1..k or ``MISSING``, n+1 of them for times 0..n.
-    ``times``, if given, are opaque stamps, one per index, checked here to
-    read back from a series file.  ``time_labels`` is ``None`` exactly
-    when they are the implicit '0', '1', ..., str(n), so a series equals
-    itself written and read back.  Series derived by dropping observations
-    index the one stored stamp array (:func:`_set_stamps`) and check nothing.
+    ``time_labels``, when given, carries one opaque stamp per index (no
+    date parsing is attempted), checked here to read back from a series
+    file.  Read, it is a tuple of str made on each read, or ``None``
+    exactly when the stamps are the implicit '0', '1', ..., str(n), so a
+    series equals itself written and read back.  The stamps are stored
+    once: ``_stamps`` is ``None`` for the implicit ones, else a read-only
+    array of the labels or of the time indices kept from implicit ones.
+    Series derived by dropping observations, and :func:`parse_series`,
+    pass it in unchecked.
     """
 
     space: StateSpace
     obs: np.ndarray
-    times: InitVar[tuple[str, ...] | None] = None
-    _stamps: np.ndarray | None = field(default=None, init=False, repr=False)
+    time_labels: InitVar[Sequence[str] | None] = _TimeLabels()
+    _stamps: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
-    def __post_init__(self, times: tuple[str, ...] | None) -> None:
-        obs = _read_only(np.array(self.obs, dtype=np.int64))[0]
+    def __post_init__(self, time_labels: Sequence[str] | None) -> None:
+        obs = np.array(self.obs, dtype=np.int64)
+        obs.setflags(write=False)
         object.__setattr__(self, "obs", obs)
         if len(obs) < 2:
             raise TooShort(f"series needs at least 2 observations, got {len(obs)}")
@@ -143,18 +156,25 @@ class CatSeries:
         if bad.size:
             i = int(bad[0])
             raise DarcatError(f"observation {obs[i]} at index {i} outside {{-1}} U 1..{k}")
-        if times is not None:
-            labels = tuple(map(str, times))
-            if len(labels) != len(obs):
+        if time_labels is not None:
+            tl = tuple(map(str, time_labels))
+            if len(tl) != len(obs):
                 raise DarcatError("time_labels length must match obs length")
-            _check_stamps(labels)
-            _set_stamps(self, np.array(labels, dtype=object))
+            _check_stamps(tl)
+            object.__setattr__(self, "_stamps", _unless_implicit(np.array(tl, dtype=object)))
+        if self._stamps is not None:
+            self._stamps.setflags(write=False)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CatSeries):
             return NotImplemented
         same = self.space == other.space and np.array_equal(self.obs, other.obs)
-        return same and self.time_labels == other.time_labels
+        mine, theirs = self._stamps, other._stamps
+        if mine is None or theirs is None:  # stored stamps are never the implicit ones
+            return same and mine is theirs
+        if mine.dtype == theirs.dtype:
+            return same and np.array_equal(mine, theirs)
+        return same and self.time_labels == other.time_labels  # time indices against labels
 
     def __len__(self) -> int:
         return len(self.obs)
@@ -175,7 +195,9 @@ class CatSeries:
     @cached_property
     def state_counts(self) -> np.ndarray:
         """Occurrences of each category 1..k among the observed values, a read-only (k,) int64 array."""
-        return _read_only(np.bincount(self.obs + 1, minlength=self.space.k + 2)[2:])[0]  # MISSING counts in bin 0
+        counts = np.bincount(self.obs + 1, minlength=self.space.k + 2)[2:]  # MISSING counts in bin 0
+        counts.setflags(write=False)
+        return counts
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -202,11 +224,6 @@ class CatSeries:
         """:func:`run_lengths` of ``obs``: its maximal runs as read-only arrays (value, start, length)."""
         return _read_only(*run_lengths(self.obs))
 
-    @property
-    def time_labels(self) -> tuple[str, ...] | None:
-        """Every time label as a tuple of str, or ``None`` when they are the implicit '0'..'n'."""
-        return None if self._stamps is None else tuple(self.stamps().tolist())
-
     def stamps(self) -> np.ndarray:
         """Every time label as an array of str, the implicit '0'..'n' included; stored labels come read-only."""
         if self._stamps is None:
@@ -230,8 +247,9 @@ class CatSeries:
         return self._at(np.arange(starts[best], starts[best] + lengths[best]))
 
     def _at(self, kept: np.ndarray) -> "CatSeries":
-        """The observations at the rising time indices ``kept``, with their stamps."""
-        return _set_stamps(CatSeries(self.space, self.obs[kept]), kept if self._stamps is None else self._stamps[kept])
+        """The observations at the rising time indices ``kept``, with their stamps, unchecked."""
+        stamps = kept if self._stamps is None else self._stamps[kept]
+        return CatSeries(self.space, self.obs[kept], _stamps=_unless_implicit(stamps))
 
     def restrict_to_observed(self) -> tuple["CatSeries", tuple[str, ...]]:
         """The series on the sub-space of its observed categories (as is if all are), and the labels dropped."""
@@ -244,19 +262,17 @@ class CatSeries:
         sub = StateSpace(tuple(labels[present - 1]), ordinal=self.space.ordinal)
         codes = np.searchsorted(present, self.obs) + 1
         codes[self.obs == MISSING] = MISSING
-        return _set_stamps(CatSeries(sub, codes), self._stamps), tuple(np.delete(labels, present - 1))
+        return CatSeries(sub, codes, _stamps=self._stamps), tuple(np.delete(labels, present - 1))
 
 
-def _set_stamps(series: CatSeries, stamps: np.ndarray | None) -> CatSeries:
-    """``series`` holding ``stamps`` (rising time indices or labels) read-only and unchecked, as None if 0..len-1."""
-    if stamps is not None:
-        n = len(stamps)
-        if stamps.dtype == object:  # compared in full only if the first and last match
-            implicit = stamps[0] == "0" and stamps[-1] == str(n - 1) and stamps.tolist() == list(map(str, range(n)))
-        else:  # rising indices count from 0 exactly when the last is n - 1
-            implicit = stamps[-1] == n - 1
-        object.__setattr__(series, "_stamps", None if implicit else _read_only(stamps)[0])
-    return series
+def _unless_implicit(stamps: np.ndarray) -> np.ndarray | None:
+    """``stamps`` (rising time indices or an object array of labels), or ``None`` if they count 0, 1, ..., len - 1."""
+    n = len(stamps)
+    if stamps.dtype != object:  # rising indices count from 0 exactly when the last is n - 1
+        return None if stamps[-1] == n - 1 else stamps
+    # the labels are compared in full only if the first and last match
+    implicit = stamps[0] == "0" and stamps[-1] == str(n - 1) and stamps.tolist() == list(map(str, range(n)))
+    return None if implicit else stamps
 
 
 def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -326,9 +342,8 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     finds the separators, each value cell is coded by comparing its
     bytes with each label's, and the stamps are compared with '0', '1',
     ... one digit count at a time; they are decoded only when they
-    differ, and not checked again, as these scans show that they read
-    back.  Only a text that fails them is read again row by row, by
-    :func:`_first_error`, to name its first bad row.
+    differ.  Only a text that fails these checks is read again row
+    by row, by :func:`_first_error`, to name its first bad row.
     """
     text = csv_text.replace("\r\n", "\n") if "\r" in csv_text else csv_text
     for brk in _LINE_BREAKS:
@@ -356,7 +371,7 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
             starts = ends[at - 1] + 1
             lengths = ends[at] - starts
             implicit = _cells_are_default_stamps(buf, starts, lengths)
-            return _set_stamps(CatSeries(space, obs), None if implicit else _decode_cells(buf, starts, lengths))
+            return CatSeries(space, obs, _stamps=None if implicit else _decode_cells(buf, starts, lengths))
     raise _first_error(csv_text, space)
 
 
@@ -457,10 +472,11 @@ def _first_error(csv_text: str, space: StateSpace) -> DarcatError:
 def _digit_blocks(n: int):
     """The numbers 0, 1, ..., n - 1 in decimal, one digit count at a time.
 
-    Yields ``(first, digits)`` for d = 1, 2, ...: ``digits`` is a (rows, d)
-    uint8 array of the ASCII digits of the d-digit numbers ``first``, ...,
-    built without a loop over the numbers: the (d+1)-digit numbers 10q + r
-    are the d-digit numbers q, each followed by every last digit r.
+    Yields ``(first, digits)`` for d = 1, 2, ...: ``digits`` is a
+    (rows, d) uint8 array of the ASCII digits of the d-digit numbers
+    ``first``, ``first + 1``, ....  Each block is built without a loop over
+    the numbers: the (d+1)-digit numbers 10q + r are the d-digit numbers q,
+    each followed by every last digit r.
     """
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
     rows = digit[:, None]  # the numbers 0..9
@@ -488,9 +504,11 @@ def serialize_series(series: CatSeries) -> str:
     # code c is written as cells[c]; MISSING (-1) wraps to the last cell
     cells = ["", *(f",{label}\n" for label in series.space.labels), ",NA\n"]
     if series._stamps is not None:
-        rows = [None] * (2 * len(series))
-        rows[::2], rows[1::2] = series.stamps().tolist(), np.array(cells, dtype=object)[series.obs].tolist()
-        return "t,value\n" + "".join(rows)
+        rows = [None] * (2 * len(series) + 1)
+        rows[0] = "t,value\n"
+        rows[1::2] = series.stamps().tolist()
+        rows[2::2] = np.array(cells, dtype=object)[series.obs].tolist()
+        return "".join(rows)
     encoded = [cell.encode() for cell in cells]
     table = np.zeros((len(cells), max(map(len, encoded))), np.uint8)  # each cell's bytes, padded
     for row, cell in zip(table, encoded):

@@ -1,3 +1,4 @@
+import dataclasses
 import re
 import sys
 from unittest import mock
@@ -495,6 +496,32 @@ def test_derived_series_check_no_stamp_again(monkeypatch):
     assert dropped.time_labels == ("1975", "1977", "1978", "1979")
     assert segment.time_labels == ("1977", "1978", "1979")
     assert (restricted.time_labels, gone) == (series.time_labels, ("C",))
+
+
+LABELLED = CatSeries(AB, (1, MISSING, 2, 2, 1), time_labels=("a", "b", "c", "d", "e"))
+
+
+@pytest.mark.parametrize(
+    "series",
+    [LABELLED, LABELLED.drop_missing(), CatSeries(AB, (1, MISSING, 2, 2, 1)).drop_missing(), CatSeries(AB, (1, 2, 2))],
+    ids=["labelled", "derived-from-labels", "derived-from-implicit", "implicit"],
+)
+def test_replace_keeps_the_stamps(series):
+    copy = dataclasses.replace(series, obs=series.obs[::-1])
+    assert copy.obs.tolist() == series.obs[::-1].tolist()
+    assert copy.time_labels == series.time_labels
+    assert dataclasses.replace(series) == series
+    if series.time_labels is not None:  # a copy of another length cannot keep them
+        with pytest.raises(DarcatError, match="time_labels length"):
+            dataclasses.replace(series, obs=series.obs[1:])
+
+
+def test_stamps_compare_across_their_stored_forms():
+    derived = CatSeries(AB, (1, MISSING, 2, 1)).drop_missing()  # holds the time indices 0, 2, 3
+    assert derived == CatSeries(AB, (1, 2, 1), time_labels=["0", "2", "3"])
+    assert derived != CatSeries(AB, (1, 2, 1), ("0", "2", "4"))
+    assert derived != CatSeries(AB, (1, 2, 1))
+    assert CatSeries(AB, (1, 2, 1)) != CatSeries(AB, (1, 2, 1), ("0", "2", "3"))
 
 
 def test_observed_pairs_gaps():
