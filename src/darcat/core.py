@@ -117,7 +117,10 @@ class StateSpace:
 
 
 class _TimeLabels:
-    """``CatSeries.time_labels``: read on the class, ``None``, the constructor's default; on a series, its stamps."""
+    """``CatSeries.time_labels``: ``None`` read on the class, the constructor's default; a series' stamps read on it.
+
+    ``dataclasses.replace`` reads it on the series and so passes the stamps to the constructor again.
+    """
 
     def __get__(self, series: CatSeries | None, owner: type | None = None) -> tuple[str, ...] | None:
         return None if series is None or series._stamps is None else tuple(series.stamps().tolist())
