@@ -88,18 +88,32 @@ def _parse_lags(text: str) -> tuple[int, ...]:
     return tuple(sorted(lags))
 
 
-def _apply_policy(series: CatSeries, policy: str) -> tuple[CatSeries, str]:
+def _test_series(series: CatSeries, policy: str) -> tuple[CatSeries, list[str]]:
+    """The series the tests run on and its notes: ``policy`` applied, then unobserved categories projected out.
+
+    The tests need strictly positive state probabilities, hence the projection.
+    """
     if not series.has_missing:
-        return series, "series complete, no missing-value policy needed"
-    if policy == "drop":
-        return series.drop_missing(), "policy drop: missing values removed, gaps closed"
-    kept = series.longest_complete_segment()
-    return kept, f"policy longest-segment: testing the longest complete run ({len(kept)} positions)"
+        notes = ["series complete, no missing-value policy needed"]
+    elif policy == "drop":
+        series, notes = series.drop_missing(), ["policy drop: missing values removed, gaps closed"]
+    else:
+        series = series.longest_complete_segment()
+        notes = [f"policy longest-segment: testing the longest complete run ({len(series)} positions)"]
+    series, gone = series.restrict_to_observed()
+    if gone:
+        notes.append(f"unobserved categories {list(gone)} projected out for testing")
+    return series, notes
 
 
-def _unobserved_note(gone: tuple[str, ...]) -> str:
-    """Tests need strictly positive state probabilities, so unobserved categories are projected out."""
-    return f"unobserved categories {list(gone)} projected out for testing"
+def _or_na(step, series: CatSeries | None):
+    """``(step(series), None)``, or ``(None, reason)`` when there is no series or the step raises: NA and its cause."""
+    if series is None:
+        return None, "no usable test series"
+    try:
+        return step(series), None
+    except DarcatError as exc:
+        return None, str(exc)
 
 
 def _fmt_report(rep: TestReport | None, reason: str | None = None) -> str:
@@ -116,26 +130,14 @@ def _fmt_report(rep: TestReport | None, reason: str | None = None) -> str:
     return " ".join(parts)
 
 
-def _run_tests(series: CatSeries, level: float, alpha1: float | None):
-    """The three tests with per-test degradation to NA."""
-    out: dict[str, tuple[TestReport | None, str | None]] = {}
-    for name, runner in (
-        ("chi_square", lambda: chi_square_test(series, level=level)),
-        ("runs_count", lambda: runs_count_test(series, level=level)),
-        (
-            "longest_run",
-            lambda: longest_run_test(
-                series,
-                level=level,
-                alpha1=alpha1 if alpha1 is not None and 0.0 <= alpha1 < 1.0 else None,
-            ),
-        ),
-    ):
-        try:
-            out[name] = (runner(), None)
-        except DarcatError as exc:
-            out[name] = (None, str(exc))
-    return out
+def _run_tests(series: CatSeries | None, level: float, alpha1: float | None):
+    """The three tests, each NA with its cause where it cannot run."""
+    alpha1 = alpha1 if alpha1 is not None and 0.0 <= alpha1 < 1.0 else None
+    return {
+        "chi_square": _or_na(lambda s: chi_square_test(s, level=level), series),
+        "runs_count": _or_na(lambda s: runs_count_test(s, level=level), series),
+        "longest_run": _or_na(lambda s: longest_run_test(s, level=level, alpha1=alpha1), series),
+    }
 
 
 def _test_lines(tests, heading: str) -> list[str]:
@@ -213,23 +215,10 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
     else:
         a1 = estimate_alpha_mle(series, pi_est.pi_hat)
         a1_label = "alpha1 (MLE)"
-    try:
-        policy_series, policy_note = _apply_policy(series, args.missing_policy)
-        test_series, gone = policy_series.restrict_to_observed()
-    except DarcatError as exc:
-        test_series, gone = None, ()
-        policy_note = f"policy {args.missing_policy}: unusable ({exc})"
-    if test_series is not None:
-        try:
-            a2 = estimate_alpha_ls(test_series, estimate_pi(test_series).pi_hat)
-        except DarcatError as exc:
-            a2, a2_err = None, str(exc)
-        else:
-            a2_err = None
-        tests = _run_tests(test_series, args.level, a1.alpha_hat)
-    else:
-        a2, a2_err = None, "no usable test series"
-        tests = {name: (None, "no usable test series") for name in ("chi_square", "runs_count", "longest_run")}
+    made, failure = _or_na(lambda s: _test_series(s, args.missing_policy), series)
+    test_series, notes = made or (None, [f"policy {args.missing_policy}: unusable ({failure})"])
+    a2, a2_err = _or_na(lambda s: estimate_alpha_ls(s, estimate_pi(s).pi_hat), test_series)
+    tests = _run_tests(test_series, args.level, a1.alpha_hat)
 
     csv = _fit_dar_csv(pi_est.pi_hat, a1, a2, beta, tests)
     if args.format == "csv":
@@ -238,11 +227,7 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
         lines = [
             f"series: {', '.join(args.input)}",
             f"  {len(series)} positions, k={space.k} categories, {series.n_missing} missing",
-            f"  {policy_note}",
-        ]
-        if gone:
-            lines.append(f"  {_unobserved_note(gone)}")
-        lines += [
+            *(f"  {note}" for note in notes),
             "estimates (full series):",
             f"  pi_hat: {render.pi_vector(pi_est.pi_hat)}  [n_obs={pi_est.n_obs}]",
             f"  {a1_label}: {a1.alpha_hat:.4f}" + ("" if a1.converged else "  [not admissible]"),
@@ -265,11 +250,9 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
 def cmd_test(args: argparse.Namespace) -> int:
     space = _read_states(args.states)
     series = _load_series(args.input, space)
-    policy_series, policy_note = _apply_policy(series, args.missing_policy)
-    test_series, gone = policy_series.restrict_to_observed()
-    _err(policy_note)
-    if gone:
-        _err(_unobserved_note(gone))
+    test_series, notes = _test_series(series, args.missing_policy)
+    for note in notes:
+        _err(note)
     tests = _run_tests(test_series, args.level, None)
     lines = _test_lines(tests, f"independence tests at level {args.level}:")
     sys.stdout.write("\n".join(lines) + "\n")

@@ -160,6 +160,8 @@ class CatSeries:
             i = int(bad[0])
             raise DarcatError(f"observation {obs[i]} at index {i} outside {{-1}} U 1..{k}")
         if time_labels is not None:
+            if isinstance(time_labels, np.ndarray):  # str() of each numpy scalar is over twice as slow
+                time_labels = time_labels.tolist()
             tl = tuple(map(str, time_labels))
             if len(tl) != len(obs):
                 raise DarcatError("time_labels length must match obs length")

@@ -225,18 +225,15 @@ def _cells(design: Design) -> tuple[np.ndarray, np.ndarray]:
 
     A row's covariates are fixed by its lagged states: block d of k-1
     indicators encodes the state ``block @ (1..k-1)``, 0 for the reference
-    state k.  Rows are grouped by sorting on those integer states and the
-    response, which is exact for every k.
+    state k.  Each row gets one integer key, the response followed by the
+    states at lags ``lag``, ..., 1 as base-k digits, so grouping on it is
+    exact for every k and orders the cells by response first.
     """
-    m, k = design.n_used, design.k
-    states = design.X[:, 1:].reshape(m * design.lag, k - 1) @ np.arange(1.0, k)
-    keys = np.column_stack([states.reshape(m, design.lag), design.y])
-    order = np.lexsort(keys.T)
-    ordered = keys[order]
-    new = np.ones(m, dtype=bool)
-    new[1:] = (ordered[1:] != ordered[:-1]).any(axis=1)
-    starts = np.flatnonzero(new)
-    return order[starts], np.diff(np.append(starts, m)).astype(float)
+    m, k, lag = design.n_used, design.k, design.lag
+    states = design.X[:, 1:].reshape(m, lag, k - 1) @ np.arange(1, k)
+    keys = design.y * k**lag + (states @ k ** np.arange(lag)).astype(np.int64)
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return first, counts.astype(float)
 
 
 def _multinomial_probs(params: np.ndarray, X: np.ndarray, k_eff: int):

@@ -104,12 +104,9 @@ def chi_square_test(series: CatSeries, level: float = 0.05) -> TestReport:
     _check_level(level)
     counts = transition_counts(series)
     k = series.space.k
-    if np.any(counts.row_sums == 0) or np.any(counts.col_sums == 0):
-        bad = sorted(
-            set((np.flatnonzero(counts.row_sums == 0) + 1).tolist())
-            | set((np.flatnonzero(counts.col_sums == 0) + 1).tolist())
-        )
-        raise UnvisitedState(f"states {bad} missing from the jump table margins")
+    bad = np.flatnonzero((counts.row_sums == 0) | (counts.col_sums == 0)) + 1
+    if bad.size:
+        raise UnvisitedState(f"states {bad.tolist()} missing from the jump table margins")
     t = counts.n_transitions
     expected = np.outer(counts.row_sums, counts.col_sums) / t
     c2 = float(np.sum((counts.matrix - expected) ** 2 / expected))
@@ -150,14 +147,15 @@ def _check_pi(pi: np.ndarray, k: int) -> np.ndarray:
     return pi
 
 
-def _runs_and_pi(series: CatSeries, pi: np.ndarray | None) -> tuple[RunsSummary, np.ndarray, list[str]]:
-    """The runs of a runs test, its checked ``pi`` (the state frequencies when None) and its notes."""
-    summary = runs_summary(series)
+def _runs_and_pi(series: CatSeries, pi: np.ndarray | None) -> tuple[np.ndarray, np.ndarray, list[str]]:
+    """The run lengths of a runs test, its checked ``pi`` (the state frequencies when None) and its notes."""
+    if series.has_missing:
+        raise MissingValuePresent("runs tests require a complete series")
     notes: list[str] = []
     if pi is None:
         pi = estimate_pi(series).pi_hat
         notes.append("pi estimated from the series")
-    return summary, _check_pi(pi, series.space.k), notes
+    return series.runs[2], _check_pi(pi, series.space.k), notes
 
 
 def runs_count_test(
@@ -175,9 +173,9 @@ def runs_count_test(
     persistence deflates and anti-persistence inflates the run count.
     """
     _check_level(level)
-    summary, pi, notes = _runs_and_pi(series, pi)
-    n = summary.n_scanned
-    r = summary.total
+    lengths, pi, notes = _runs_and_pi(series, pi)
+    n = len(series)
+    r = lengths.size
     if pi.size == 2:
         prod = pi[0] * pi[1]
         mean = 2.0 * n * prod
@@ -239,11 +237,12 @@ def longest_run_test(
     attached to the report.
     """
     _check_level(level)
-    summary, pi, notes = _runs_and_pi(series, pi)
-    n = summary.n_scanned
+    lengths, pi, notes = _runs_and_pi(series, pi)
+    n = len(series)
+    longest = int(lengths.max())
     rho0, pi_rho0 = _rho_and_mass(pi)
     lo, hi = _band(rho0, pi_rho0, n, level)
-    l_tilde = summary.longest - 1
+    l_tilde = longest - 1
     reject = l_tilde < math.floor(lo) or l_tilde > math.ceil(hi)
     power = None
     if alpha1 is not None:
@@ -257,7 +256,7 @@ def longest_run_test(
         power=power,
         notes=tuple(notes),
         extras={
-            "longest": float(summary.longest),
+            "longest": float(longest),
             "band_lower": lo,
             "band_upper": hi,
             "rho0": rho0,

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from darcat import independence
 from darcat.cli import main
 from darcat.core import serialize_series
 from darcat.dar import DarModel, MissingDarModel, simulate_with_missing
@@ -329,3 +330,78 @@ def test_states_file_label_that_cannot_round_trip_exits_2(tmp_path, capsys, comm
     code, out, err = run(capsys, command, str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"))
     assert code == 2 and out == ""
     assert err.startswith(f"error: state label {label!r} would not read back from a series file")
+
+
+@pytest.fixture
+def ab_series(tmp_path, monkeypatch):
+    """Writes ``s.csv`` and the states file ``ab.txt`` (A, B) into the working directory, a scratch one."""
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "ab.txt").write_text("A\nB\n")
+    return lambda text: (tmp_path / "s.csv").write_text(text)
+
+
+def test_no_usable_test_series_prints_na_in_fit_dar_and_exits_2_in_test(capsys, ab_series):
+    ab_series("t,value\n0,A\n1,NA\n2,B\n3,NA\n4,A\n")
+    code, out, err = run(capsys, "fit-dar", "s.csv", "--states", "ab.txt")
+    assert (code, err) == (0, "")
+    assert out == (
+        "series: s.csv\n"
+        "  5 positions, k=2 categories, 2 missing\n"
+        "  policy longest-segment: unusable (no complete segment of length >= 2)\n"
+        "estimates (full series):\n"
+        "  pi_hat: (0.667;0.333)  [n_obs=3]\n"
+        "  alpha1 (MLE, gap-aware): 0.0000  [not admissible]\n"
+        "  alpha2 (least squares): NA (no usable test series)\n"
+        "  beta_hat (missing probability): 0.4000   observed fraction: 0.6000\n"
+        "independence tests at level 0.05 (on policy series):\n"
+        "  chi_square: NA (no usable test series)\n"
+        "  runs_count: NA (no usable test series)\n"
+        "  longest_run: NA (no usable test series)\n"
+    )
+    code, out, err = run(capsys, "fit-dar", "s.csv", "--states", "ab.txt", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1] == "(0.667;0.333),0.000000,0,NA,NA,0.400000,0.600000" + ",NA" * 9
+    assert run(capsys, "test", "s.csv", "--states", "ab.txt") == (2, "", "error: no complete segment of length >= 2\n")
+
+
+def test_a_failed_estimate_or_test_is_na_with_its_cause(capsys, ab_series):
+    ab_series("t,value\n0,A\n1,A\n2,A\n3,B\n")
+    code, out, err = run(capsys, "fit-dar", "s.csv", "--states", "ab.txt")
+    assert (code, err) == (0, "")
+    assert out == (
+        "series: s.csv\n"
+        "  4 positions, k=2 categories, 0 missing\n"
+        "  series complete, no missing-value policy needed\n"
+        "estimates (full series):\n"
+        "  pi_hat: (0.750;0.250)  [n_obs=4]\n"
+        "  alpha1 (MLE): 0.0000  [not admissible]\n"
+        "  alpha2 (least squares): NA (states [2] observed but never as a jump origin)\n"
+        "  beta_hat (missing probability): 0.0000   observed fraction: 1.0000\n"
+        "independence tests at level 0.05 (on policy series):\n"
+        "  chi_square: NA (states [2] missing from the jump table margins)\n"
+        "  runs_count: stat=0.4364 p=0.6625 accept\n"
+        "    note: pi estimated from the series\n"
+        "  longest_run: stat=2.0000 band=[-5.537, 11.779] accept power=0.050\n"
+        "    note: pi estimated from the series\n"
+    )
+    assert run(capsys, "test", "s.csv", "--states", "ab.txt") == (
+        0,
+        "independence tests at level 0.05:\n"
+        "  chi_square: NA (states [2] missing from the jump table margins)\n"
+        "  runs_count: stat=0.4364 p=0.6625 accept\n"
+        "    note: pi estimated from the series\n"
+        "  longest_run: stat=2.0000 band=[-5.537, 11.779] accept\n"
+        "    note: pi estimated from the series\n",
+        "series complete, no missing-value policy needed\n",
+    )
+
+
+def test_the_runs_tests_read_the_cached_runs_without_a_summary(tmp_path, capsys, monkeypatch, states2):
+    path = str(tmp_path / "s.csv")
+    assert main(["simulate", "--alpha", "0.5", "--pi", "0.5,0.5", "--n", "100", "--seed", "2", "--out", path]) == 0
+    calls = []
+    real = independence.runs_summary
+    monkeypatch.setattr(independence, "runs_summary", lambda series: calls.append(1) or real(series))
+    code, out, _ = run(capsys, "fit-dar", path, "--states", states2)
+    assert code == 0 and "  runs_count: stat=" in out and "  longest_run: stat=" in out
+    assert calls == []

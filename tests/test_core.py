@@ -301,6 +301,13 @@ def test_implicit_stamps_are_stored_as_none():
     assert parse_series("t,value\n0,A\n1,B\n", AB).time_labels is None
 
 
+def test_numpy_stamp_arrays_give_the_series_their_list_gives():
+    labels = ["d0", "d1", "d2"]
+    assert CatSeries(AB, (1, 2, 1), np.array(labels)) == CatSeries(AB, (1, 2, 1), labels)
+    assert CatSeries(AB, (1, 2, 1), np.array(labels)).time_labels == tuple(labels)
+    assert CatSeries(AB, (1, 2, 1), CatSeries(AB, (1, 2, 1)).stamps()).time_labels is None
+
+
 @pytest.mark.parametrize(
     "stamp", ["a,b", ",", "x\ny", "x\r\ny", *(f"x{c}y" for c in core._LINE_BREAKS), " 5", "5\t", "\x1f5", "\xa05", "5\u3000", " "]
 )

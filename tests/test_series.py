@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darcat.cli import _unobserved_note
+from darcat.cli import _test_series
 from darcat.core import MISSING, CatSeries, DarcatError, StateSpace, TooShort
 from darcat.glm import NoUsableRows, _collapse_categories, build_design
 
@@ -177,7 +177,9 @@ def test_restrict_to_observed_matches_reference(series):
     sub, gone = series.restrict_to_observed()
     assert sub == expected
     assert sub.space.ordinal == series.space.ordinal
-    assert (_unobserved_note(gone) if gone else None) == note
+    assert bool(gone) == (note is not None)
+    # the test series' notes: the policy's, then the projection's (dropping missing values keeps the counts)
+    assert _test_series(series, "drop")[1][1:] == ([] if note is None else [note])
     assert (sub is series) == (note is None)
 
 
