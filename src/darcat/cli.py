@@ -78,6 +78,13 @@ def _parse_pi(text: str) -> np.ndarray:
     return values / values.sum()
 
 
+def nonnegative_int(text: str) -> int:  # no underscore: argparse names the type in "invalid nonnegative_int value"
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {value}")
+    return value
+
+
 def _parse_lags(text: str) -> tuple[int, ...]:
     try:
         lags = {int(v) for v in text.split(",")}
@@ -315,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     # each subcommand takes only the options it reads
     states = option("--states", help="states file: one label per line, file order = ordinal order")
     level = option("--level", type=float, default=0.05, help="test level (default 0.05)")
-    seed = option("--seed", type=int, default=montecarlo.DEFAULT_SEED, help="random seed (default %(default)s)")
+    seed = option("--seed", type=nonnegative_int, default=montecarlo.DEFAULT_SEED, help="random seed (default %(default)s)")
     out = option("--out", help="output file (or directory for reproduce-tables)")
     policy = option(
         "--missing-policy",

@@ -29,12 +29,15 @@ __all__ = [
 _PI_TOL = 1e-12
 
 
-def _validate_pi(pi: np.ndarray) -> np.ndarray:
+def _validate_pi(pi: np.ndarray, k: int) -> np.ndarray:
+    """``pi`` as floats, or a DarcatError unless it is a probability vector over k states."""
     pi = np.asarray(pi, dtype=float)
     if pi.ndim != 1 or pi.size < 2:
         raise DarcatError("pi must be a probability vector of length >= 2")
+    if pi.size != k:
+        raise DarcatError(f"pi has length {pi.size}, state space has k={k}")
     if not np.isfinite(pi).all():
-        raise DarcatError(f"pi components must be finite, got {pi.tolist()}")
+        raise DarcatError(f"pi must be finite, got {pi.tolist()}")
     if np.any(pi < 0):
         raise DarcatError("pi components must be nonnegative")
     if abs(pi.sum() - 1.0) > _PI_TOL:
@@ -62,17 +65,14 @@ class DarModel:
 
     def __post_init__(self) -> None:
         _check_unit_interval("alpha", self.alpha)
-        pi = _validate_pi(self.pi)
-        if pi.size != self.space.k:
-            raise DarcatError(f"pi has length {pi.size}, state space has k={self.space.k}")
+        pi = _validate_pi(self.pi, self.space.k)
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
 
     @classmethod
     def from_pi(cls, alpha: float, pi, ordinal: bool = False) -> "DarModel":
         """Build a model on a numeric state space matching len(pi)."""
-        pi = np.asarray(pi, dtype=float)
-        return cls(alpha=float(alpha), pi=pi, space=StateSpace.from_k(pi.size, ordinal=ordinal))
+        return cls(alpha=float(alpha), pi=pi, space=StateSpace.from_k(np.size(pi), ordinal=ordinal))
 
     @property
     def k(self) -> int:

@@ -336,14 +336,6 @@ def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> Alpha
     return AlphaEstimate(alpha_hat=float(alpha_hat), method="MLE", converged=converged, iterations=2)
 
 
-def _checked_pi(pi_hat: np.ndarray, series: CatSeries) -> np.ndarray:
-    """``pi_hat`` as floats, or a DarcatError unless it is a probability vector over the series' k states."""
-    pi_hat = _validate_pi(pi_hat)
-    if pi_hat.size != series.space.k:
-        raise DarcatError(f"pi_hat has length {pi_hat.size}, state space has k={series.space.k}")
-    return pi_hat
-
-
 def estimate_alpha_mle(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     """Maximum-likelihood estimate of alpha given state frequencies.
 
@@ -354,7 +346,7 @@ def estimate_alpha_mle(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     probability vector over the series' k states raises
     :class:`~darcat.core.DarcatError`.
     """
-    return _alpha_mle(*series.pairs, _checked_pi(pi_hat, series))
+    return _alpha_mle(*series.pairs, _validate_pi(pi_hat, series.space.k))
 
 
 def _ls_closed_form(p_hat: np.ndarray, pi: np.ndarray, used: np.ndarray) -> np.ndarray:
@@ -426,7 +418,7 @@ def estimate_alpha_ls(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     clamped.  A ``pi_hat`` that is not a probability vector over the
     series' k states raises :class:`~darcat.core.DarcatError`.
     """
-    pi_hat = _checked_pi(pi_hat, series)
+    pi_hat = _validate_pi(pi_hat, series.space.k)
     jumps = transition_counts(series).matrix
     alpha_hat, why = alpha_ls_rows(jumps[None], pi_hat[None])
     if why[0] == FEW_STATES:

@@ -34,7 +34,7 @@ the factorisation.
 
 One prepared design per lag serves every family.  :func:`aic_tables`
 builds each lag's design once and fits every requested family on it; the
-design groups, collapses and prunes itself once (``Design._preparation``),
+design groups, collapses and prunes itself once (``Design._prepared``),
 however many fitters read it.  :func:`aic_table` is the one-family case.
 :meth:`AicTable.render` writes a table as csv, md or txt through
 :func:`darcat.render.table`.
@@ -119,12 +119,9 @@ class Design:
         return int(self.y.size)
 
     @cached_property
-    def _preparation(self) -> tuple | DarcatError:
-        """:func:`_prepare`'s result, or the error it raised, computed once however many fits read it."""
-        try:
-            return _prepare(self)
-        except DarcatError as exc:
-            return exc
+    def _prepared(self) -> tuple:
+        """:func:`_prepare`'s result, computed once however many fits read it; a failing design fails each."""
+        return _prepare(self)
 
 
 @dataclass(frozen=True)
@@ -358,14 +355,6 @@ def _prepare(design: Design):
     return y, categories, X, names, notes + more_notes, counts
 
 
-def _prepared(design: Design):
-    """The design's :func:`_prepare` result, prepared once per design; raises its error on every read."""
-    prepared = design._preparation
-    if isinstance(prepared, DarcatError):
-        raise prepared.with_traceback(None)
-    return prepared
-
-
 def fit_multinomial(design: Design) -> GlmFit:
     """Fit the multinomial logit by maximising the partial likelihood.
 
@@ -374,7 +363,7 @@ def fit_multinomial(design: Design) -> GlmFit:
     only the intercept is left after pruning, at its closed-form optimum
     log(N_j / N_ref), where Newton then takes no step.
     """
-    y, categories, X, names, notes, counts = _prepared(design)
+    y, categories, X, names, notes, counts = design._prepared
     k_eff = len(categories)
     p = X.shape[1]
     if p == 1:
@@ -472,7 +461,7 @@ def fit_proportional_odds(design: Design) -> GlmFit:
     throughout.  Empty response categories are collapsed out first and
     flagged in the notes.
     """
-    y, categories, X_full, names, notes, counts = _prepared(design)
+    y, categories, X_full, names, notes, counts = design._prepared
     X = X_full[:, 1:]  # cutpoints take the intercept's role
     k_eff = len(categories)
     q = k_eff - 1

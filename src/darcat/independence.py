@@ -18,7 +18,7 @@ import numpy as np
 from scipy.special import chdtrc, ndtr
 
 from .core import CatSeries, DarcatError, MissingValuePresent, transition_counts
-from .dar import _PI_TOL, _check_unit_interval
+from .dar import _check_unit_interval, _validate_pi
 from .estimate import estimate_pi
 
 __all__ = [
@@ -135,13 +135,8 @@ def _check_level(level: float) -> None:
 
 
 def _check_pi(pi: np.ndarray, k: int) -> np.ndarray:
-    pi = np.asarray(pi, dtype=float)
-    if pi.size != k:
-        raise DarcatError(f"pi has length {pi.size}, state space has k={k}")
-    if not np.isfinite(pi).all():
-        raise DarcatError(f"pi must be finite, got {pi.tolist()}")
-    if abs(pi.sum() - 1.0) > _PI_TOL:
-        raise DarcatError(f"pi must sum to 1 within {_PI_TOL}, got {float(pi.sum())}")
+    """:func:`~darcat.dar._validate_pi`, plus the runs statistics' own rule 0 < pi_j < 1."""
+    pi = _validate_pi(pi, k)
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
         raise DegenerateDistribution("runs statistics need 0 < pi_j < 1 for every state")
     return pi
@@ -165,9 +160,9 @@ def runs_count_test(
 ) -> TestReport:
     """Normal test on the total number of maximal runs.
 
-    For k = 2 the statistic is (R - 2n pi1 pi2) / (2 sqrt(n pi1 pi2 (1 - 3 pi1 pi2))).
-    For k > 2 it is (R - n(1 - sum pi^2)) / sqrt(n sigma2) with
-    sigma2 = sum pi^2 + 2 sum pi^3 - 3 (sum pi^2)^2; the two agree at k = 2.
+    The statistic is (R - n(1 - sum pi^2)) / sqrt(n sigma2) with
+    sigma2 = sum pi^2 + 2 sum pi^3 - 3 (sum pi^2)^2.  At k = 2 this is
+    Mood's (R - 2n pi1 pi2) / (2 sqrt(n pi1 pi2 (1 - 3 pi1 pi2))).
     ``pi`` may be the known marginal or omitted to plug in the state
     frequencies (flagged in the notes).  The p-value is two sided, since
     persistence deflates and anti-persistence inflates the run count.
@@ -176,15 +171,10 @@ def runs_count_test(
     lengths, pi, notes = _runs_and_pi(series, pi)
     n = len(series)
     r = lengths.size
-    if pi.size == 2:
-        prod = pi[0] * pi[1]
-        mean = 2.0 * n * prod
-        sd = 2.0 * math.sqrt(n * prod * (1.0 - 3.0 * prod))
-    else:
-        s2 = float(np.sum(pi**2))
-        mean = n * (1.0 - s2)
-        sigma2 = s2 + 2.0 * float(np.sum(pi**3)) - 3.0 * s2**2
-        sd = math.sqrt(n * sigma2)
+    s2 = float(np.sum(pi**2))
+    mean = n * (1.0 - s2)
+    sigma2 = s2 + 2.0 * float(np.sum(pi**3)) - 3.0 * s2**2
+    sd = math.sqrt(n * sigma2)
     z = (r - mean) / sd
     p = 2.0 * float(ndtr(-abs(z)))
     return TestReport(

@@ -294,6 +294,20 @@ def test_seed_help_names_the_seed_used(capsys):
     assert "seed=2;" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["simulate", "--alpha", "0.5", "--pi", "0.5,0.5", "--n", "5"], ["reproduce-tables", "--m", "2"]],
+)
+def test_negative_seed_is_a_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--seed", "-1", "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(f"darcat {argv[0]}: error: argument --seed: must be a nonnegative integer, got -1\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_dar_reads_a_million_rows_of_text_labels_with_missing_cells(tmp_path, capsys):
     rng = np.random.default_rng(1)
     k, n = 20, 10**6

@@ -29,7 +29,7 @@ def test_model_validation():
     with pytest.raises(DarcatError):
         MissingDarModel(model(0.5, [0.5, 0.5]), 1.0)
     for pi in ([np.nan, 0.5], [np.inf, 0.5], [0.5, 0.5, -np.inf]):
-        with pytest.raises(DarcatError, match="pi components must be finite"):
+        with pytest.raises(DarcatError, match="pi must be finite"):
             model(0.5, pi)
     with pytest.raises(DarcatError, match=r"pi must sum to 1 within 1e-12, got 0\.4$"):
         DarModel.from_pi(0.3, [0.2, 0.2])

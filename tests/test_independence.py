@@ -139,13 +139,30 @@ class TestRunsCount:
         with pytest.raises(DarcatError, match=r"pi must sum to 1 within 1e-12, got 0\.4"):
             test(series([1, 2, 2, 1, 2], k=2), pi=np.array([0.2, 0.2]))
 
+    @pytest.mark.parametrize(
+        "test",
+        [runs_count_test, longest_run_test, lambda s, pi: longest_run_power(pi, 0.3, len(s))],
+        ids=["runs_count_test", "longest_run_test", "longest_run_power"],
+    )
+    @pytest.mark.parametrize(
+        "pi, cause",
+        [([[0.5, 0.5]], "pi must be a probability vector of length >= 2"), ([-0.5, 1.5], "nonnegative")],
+        ids=["two_dimensional", "negative"],
+    )
+    def test_pi_that_is_no_probability_vector_is_named(self, test, pi, cause):
+        with pytest.raises(DarcatError, match=cause):
+            test(series([1, 2, 2, 1, 2], k=2), pi=np.array(pi))
+
     def test_two_state_formula_agrees_with_general(self):
-        # Mood's k=2 variance 4*p1*p2*(1-3*p1*p2) equals the general
-        # sigma2 formula evaluated at (p1, p2)
+        # at k=2 the general moments are Mood's mean 2*n*p1*p2 and
+        # sd 2*sqrt(n*p1*p2*(1-3*p1*p2))
+        s = series([1, 2, 2, 1, 2, 1, 1, 1, 2, 2, 1], k=2)
+        n = len(s)
         for p1 in np.linspace(0.05, 0.95, 19):
-            p2 = 1 - p1
-            general = (p1**2 + p2**2) + 2 * (p1**3 + p2**3) - 3 * (p1**2 + p2**2) ** 2
-            assert general == pytest.approx(4 * p1 * p2 * (1 - 3 * p1 * p2), abs=1e-12)
+            prod = p1 * (1 - p1)
+            rep = runs_count_test(s, pi=np.array([p1, 1 - p1]))
+            assert rep.extras["null_mean"] == pytest.approx(2 * n * prod, rel=1e-12)
+            assert rep.extras["null_sd"] == pytest.approx(2 * np.sqrt(n * prod * (1 - 3 * prod)), rel=1e-12)
 
     def test_estimated_pi_flagged(self):
         rep = runs_count_test(series([1, 2, 1, 2, 1], k=2))
