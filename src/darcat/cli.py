@@ -228,6 +228,8 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
     tests = _run_tests(test_series, args.level, a1.alpha_hat)
 
     csv = _fit_dar_csv(pi_est.pi_hat, a1, a2, beta, tests)
+    if args.out:  # before stdout, so an unwritable --out prints no report
+        Path(args.out).write_text(csv, encoding="utf-8")
     if args.format == "csv":
         sys.stdout.write(csv)
     else:
@@ -249,8 +251,6 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
         lines.append(f"  beta_hat (missing probability): {beta:.4f}   observed fraction: {1 - beta:.4f}")
         lines += _test_lines(tests, f"independence tests at level {args.level} (on policy series):")
         sys.stdout.write("\n".join(lines) + "\n")
-    if args.out:
-        Path(args.out).write_text(csv, encoding="utf-8")
     return 0
 
 
@@ -273,9 +273,9 @@ def cmd_fit_glm(args: argparse.Namespace) -> int:
     families = ("categorical", "ordinal") if args.family == "both" else (args.family,)
     tables = aic_tables(series, families, lags=lags, common_rows=args.common_rows)
     out_text = "\n".join(table.render(args.format) for table in tables)
-    sys.stdout.write(out_text)
-    if args.out:
+    if args.out:  # before stdout, as in fit-dar
         Path(args.out).write_text(out_text, encoding="utf-8")
+    sys.stdout.write(out_text)
     return 0
 
 

@@ -98,9 +98,7 @@ class PiEstimate:
         self.counts.setflags(write=False)
 
     def with_alpha(self, alpha: float) -> "PiEstimate":
-        _check_unit_interval("alpha", alpha)
-        scale = (1.0 + alpha) / (1.0 - alpha) * self.pi_hat * (1.0 - self.pi_hat)
-        return replace(self, var_asymptotic=scale)
+        return replace(self, var_asymptotic=pi_variance_limit(self.pi_hat, alpha))
 
 
 @dataclass(frozen=True)
@@ -149,14 +147,24 @@ def vn(alpha: float, n: int) -> float:
     return alpha * total
 
 
+def _pi_hat_scale(alpha: float, n: int) -> float:
+    """1/n + 2 v_n / n^2: Var(pi_hat_j) over pi_j(1-pi_j), and -Cov(pi_hat_j, pi_hat_j') over pi_j pi_j'.
+
+    At lag h the indicators of states j and j' have covariance
+    alpha**h (pi_j [j = j'] - pi_j pi_j'), so both moments carry the one
+    factor sum over all pairs of time points alpha**|s-t| / n^2.
+    """
+    return 1.0 / n + 2.0 * vn(alpha, n) / n**2
+
+
 def pi_hat_variance(pi_j: float, alpha: float, n: int) -> float:
     """Exact variance of the state-frequency estimator over n observations."""
-    return pi_j * (1.0 - pi_j) / n + 2.0 * (1.0 - pi_j) * pi_j * vn(alpha, n) / n**2
+    return pi_j * (1.0 - pi_j) * _pi_hat_scale(alpha, n)
 
 
 def pi_hat_covariance(pi_j: float, pi_jp: float, alpha: float, n: int) -> float:
     """Exact covariance between two state-frequency estimators (j != j')."""
-    return -2.0 * pi_j * pi_jp * vn(alpha, n) / n**2
+    return -pi_j * pi_jp * _pi_hat_scale(alpha, n)
 
 
 def pi_variance_limit(pi_j: float, alpha: float) -> float:
@@ -166,9 +174,9 @@ def pi_variance_limit(pi_j: float, alpha: float) -> float:
 
 
 def pi_covariance_limit(pi_j: float, pi_jp: float, alpha: float) -> float:
-    """Limit of n*Cov: -2*alpha/(1-alpha) * pi_j*pi_j'."""
+    """Limit of n*Cov: -(1+alpha)/(1-alpha) * pi_j*pi_j'."""
     _check_unit_interval("alpha", alpha)
-    return -2.0 * alpha / (1.0 - alpha) * pi_j * pi_jp
+    return -(1.0 + alpha) / (1.0 - alpha) * pi_j * pi_jp
 
 
 def _scores(alpha: np.ndarray, repeats: np.ndarray, pi: np.ndarray, n_pairs: np.ndarray) -> np.ndarray:

@@ -3,10 +3,13 @@
 Two link families are provided for a response conditioned on its own
 lagged values (coded as indicator covariates): a multinomial logit for
 nominal series and a proportional-odds cumulative logit for ordinal
-ones.  Both are fitted by Newton-Raphson with analytic gradient and
-Hessian and a step-halving line search; the cumulative-logit fit keeps
-its cutpoints ordered, which is the iterative weighted least squares
-scheme in Newton form.
+ones.  Both are fitted by one Newton-Raphson routine with analytic
+gradient and Hessian and a step-halving line search, the iterative
+weighted least squares scheme in Newton form.  The ordinal likelihood
+keeps the cutpoints in order: every kept category j has a cell, whose
+probability F(theta_j - x'b) - F(theta_{j-1} - x'b) is positive only if
+theta_{j-1} < theta_j, so a step that breaks the order has
+log-likelihood -inf and is halved away like any step that fails.
 
 Each fit runs on count-weighted cells, not on rows.  With indicator
 covariates a row is fixed by its lagged states, so the usable rows fall
@@ -56,7 +59,6 @@ __all__ = [
     "NoUsableRows",
     "Separation",
     "SingularHessian",
-    "NonmonotoneCutpoints",
     "Design",
     "GlmFit",
     "AicRow",
@@ -85,10 +87,6 @@ class Separation(DarcatError):
 
 class SingularHessian(DarcatError):
     """Newton step undefined (collinear or degenerate design)."""
-
-
-class NonmonotoneCutpoints(DarcatError):
-    """Cutpoint ordering could not be maintained during fitting."""
 
 
 @dataclass(frozen=True)
@@ -293,21 +291,17 @@ def multinomial_loglik_grad(
     return ll, grad
 
 
-def _newton(evaluate, params, ordered_head: int = 0):
+def _newton(evaluate, params):
     """Maximise by Newton steps with step halving.
 
     ``evaluate`` maps a point to its log-likelihood, gradient and Hessian
     thunk, so each point is evaluated once and its Hessian built only when
-    a step starts there.  ``ordered_head`` marks a leading block of
-    parameters that must stay strictly increasing (the ordinal cutpoints);
-    steps breaking the order are halved away.  Returns the optimum, its
+    a step starts there.  A step whose log-likelihood does not rise is
+    halved, up to 40 times; an ordinal step that breaks the cutpoint order
+    has log-likelihood -inf (:func:`_po_evaluation`), so the likelihood
+    alone keeps the cutpoints ordered.  Returns the optimum, its
     log-likelihood and the number of Newton steps taken.
     """
-
-    def ordered(v: np.ndarray) -> bool:
-        head = v[:ordered_head]
-        return ordered_head < 2 or bool(np.all(np.diff(head) > 1e-10))
-
     ll, grad, hessian = evaluate(params)
     steps = 0
     while steps < MAX_ITER and np.abs(grad).max() >= GRAD_TOL:
@@ -315,19 +309,13 @@ def _newton(evaluate, params, ordered_head: int = 0):
         if info != 0:  # info > 0: an exactly zero pivot
             raise SingularHessian("Singular matrix")
         scale = 1.0
-        accepted = any_ordered = False
         for _half in range(40):
             cand = params + scale * step
-            if ordered(cand):
-                any_ordered = True
-                cand_ll, cand_grad, cand_hessian = evaluate(cand)
-                if cand_ll > ll - 1e-12:
-                    accepted = True
-                    break
+            cand_ll, cand_grad, cand_hessian = evaluate(cand)
+            if cand_ll > ll - 1e-12:
+                break
             scale *= 0.5
-        if not accepted:
-            if not any_ordered:
-                raise NonmonotoneCutpoints("no step length keeps the cutpoints ordered")
+        else:
             break  # line search stalled; the gradient check below decides
         params, ll, grad, hessian = cand, cand_ll, cand_grad, cand_hessian
         steps += 1
@@ -457,8 +445,8 @@ def fit_proportional_odds(design: Design) -> GlmFit:
     """Fit the proportional-odds model by maximising the partial likelihood.
 
     Cumulative logits share one slope vector; the cutpoints start at the
-    empirical cumulative logits and are kept strictly increasing
-    throughout.  Empty response categories are collapsed out first and
+    empirical cumulative logits, strictly increasing, and the likelihood
+    keeps them so.  Empty response categories are collapsed out first and
     flagged in the notes.
     """
     y, categories, X_full, names, notes, counts = design._prepared
@@ -466,14 +454,8 @@ def fit_proportional_odds(design: Design) -> GlmFit:
     k_eff = len(categories)
     q = k_eff - 1
     cum = np.cumsum(np.bincount(y - 1, weights=counts) / design.n_used)[:q]
-    params, ll, steps = _newton(
-        _po_evaluation(X, y, k_eff, counts),
-        np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(X.shape[1])]),
-        ordered_head=q,
-    )
-    theta = params[:q]
-    if np.any(np.diff(theta) <= 0):
-        raise NonmonotoneCutpoints("fitted cutpoints are not strictly increasing")
+    start = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(X.shape[1])])
+    params, ll, steps = _newton(_po_evaluation(X, y, k_eff, counts), start)
     return GlmFit(
         family="ProportionalOdds",
         lag=design.lag,
@@ -483,7 +465,7 @@ def fit_proportional_odds(design: Design) -> GlmFit:
         n_used=design.n_used,
         categories=tuple(categories),
         column_names=names[1:],
-        cutpoints=theta,
+        cutpoints=params[:q],
         notes=tuple(notes),
         iterations=steps,
     )

@@ -239,6 +239,20 @@ def test_option_the_command_does_not_read_is_a_usage_error(tmp_path, capsys, com
 
 
 @pytest.mark.parametrize(
+    "command, fmt",
+    [("simulate", []), ("fit-dar", []), ("fit-dar", ["--format", "csv"]), ("fit-glm", []), ("fit-glm", ["--format", "md"])],
+)
+def test_unwritable_out_prints_nothing_but_the_error(tmp_path, capsys, command, fmt):
+    (tmp_path / "s.csv").write_text("t,value\n0,A\n1,B\n2,A\n3,B\n4,B\n5,A\n")
+    (tmp_path / "states.txt").write_text("A\nB\n")
+    (tmp_path / "out").mkdir()
+    argv = [a.format(dir=tmp_path) for a in COMMANDS[command] + fmt + ["--out", "{dir}/out"]]
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Is a directory" in err
+
+
+@pytest.mark.parametrize(
     "command, series, states, code, message, count",
     [
         ("fit-dar", "t,value\r\n0,A\r\n1,B\r\n2,A\r\n3,B\r\n4,B\r\n5,A\r\n", "A\nB\n", 0, "6 positions", 1),

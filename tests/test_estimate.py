@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import json
 from fractions import Fraction
 
@@ -144,11 +145,42 @@ class TestVariance:
 
     def test_covariance_sign_and_limit(self):
         assert pi_hat_covariance(0.3, 0.4, 0.5, 100) < 0
-        assert pi_covariance_limit(0.3, 0.4, 0.5) == pytest.approx(-2 * 0.5 / 0.5 * 0.12)
+        assert pi_covariance_limit(0.3, 0.4, 0.5) == pytest.approx(-(1 + 0.5) / 0.5 * 0.12)
         n = 10_000
         assert n * pi_hat_covariance(0.3, 0.4, 0.5, n) == pytest.approx(
             pi_covariance_limit(0.3, 0.4, 0.5), abs=1e-2
         )
+
+    @pytest.mark.parametrize(
+        "pi, alpha, n",
+        [
+            ((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)), Fraction(3, 5), 6),
+            ((Fraction(1, 5), Fraction(3, 10), Fraction(1, 2)), Fraction(0), 5),
+            ((Fraction(1, 3), Fraction(2, 3)), Fraction(0), 7),
+            ((Fraction(1, 3), Fraction(2, 3)), Fraction(1, 2), 8),
+            ((Fraction(1, 10), Fraction(1, 5), Fraction(3, 10), Fraction(2, 5)), Fraction(9, 10), 5),
+        ],
+    )
+    def test_moments_match_enumeration_of_every_path(self, pi, alpha, n):
+        # the stationary chain: X_1 ~ pi, then repeat with probability alpha, else draw afresh from pi
+        k = len(pi)
+        mean, second = [Fraction(0)] * k, [[Fraction(0)] * k for _ in range(k)]
+        for path in itertools.product(range(k), repeat=n):
+            prob = pi[path[0]]
+            for a, b in zip(path, path[1:]):
+                prob *= alpha * (a == b) + (1 - alpha) * pi[b]
+            freq = [Fraction(path.count(j), n) for j in range(k)]
+            for j in range(k):
+                mean[j] += prob * freq[j]
+                for jp in range(k):
+                    second[j][jp] += prob * freq[j] * freq[jp]
+        assert mean == list(pi)
+        p, a = [float(v) for v in pi], float(alpha)
+        for j in range(k):
+            assert pi_hat_variance(p[j], a, n) == pytest.approx(float(second[j][j] - pi[j] ** 2), rel=1e-12)
+            for jp in range(j + 1, k):
+                exact = second[j][jp] - pi[j] * pi[jp]
+                assert pi_hat_covariance(p[j], p[jp], a, n) == pytest.approx(float(exact), rel=1e-12)
 
     @pytest.mark.parametrize("alpha", [1.0, 1.5, -0.1, np.nan])
     @pytest.mark.parametrize(

@@ -273,9 +273,33 @@ class TestProportionalOdds:
                 params,
             )
 
-    def test_cutpoints_ordered_and_cumulative_monotone(self):
-        fit = fit_proportional_odds(build_design(generate_po_chain(1000, seed=9), 1))
+    @pytest.mark.parametrize("lag", [0, 1, 2])
+    def test_cutpoints_ordered_and_cumulative_monotone(self, lag):
+        fit = fit_proportional_odds(build_design(generate_po_chain(1000, seed=9), lag))
         assert np.all(np.diff(fit.cutpoints) > 0)
+
+    @pytest.mark.parametrize("lag", [0, 1, 2])
+    @pytest.mark.parametrize("k, gone", [(3, None), (4, None), (5, None), (5, 3)])
+    def test_cutpoints_out_of_order_have_no_likelihood(self, k, gone, lag):
+        # the fit's only guard on the order: every kept category has a cell, and F is monotone
+        # (k = 2 has a single cutpoint, so nothing to order)
+        obs = hessian_design(k, 0).y
+        if gone is not None:
+            obs = np.where(obs == gone, gone + 1, obs)
+        d = build_design(series(obs, k, ordinal=True), lag)
+        y, categories, X, *_, counts = d._prepared
+        q = len(categories) - 1
+        assert set(y.tolist()) == set(range(1, q + 2)) and q == k - 1 - (gone is not None)
+        evaluate = glm._po_evaluation(X[:, 1:], y, q + 1, counts)
+        rng = np.random.default_rng(100 * k + lag)
+        for _ in range(50):
+            theta = np.sort(rng.normal(0, 2, q)) + 0.1 * np.arange(q)
+            slopes = rng.normal(0, 1, X.shape[1] - 1)
+            assert np.isfinite(evaluate(np.concatenate([theta, slopes]))[0])
+            assert evaluate(np.concatenate([theta[::-1], slopes]))[0] == -np.inf
+            j = rng.integers(1, q)
+            theta[j] = theta[j - 1] - rng.choice([0.0, 1e-12, 1e-3, rng.exponential(2.0)])
+            assert evaluate(np.concatenate([theta, slopes]))[0] == -np.inf
 
     def test_empty_category_collapsed(self):
         obs = [v if v != 3 else 4 for v in generate_po_chain(400, seed=12).obs]
@@ -423,6 +447,20 @@ class TestSharedDesign:
 
         with pytest.raises(SingularHessian, match="^Singular matrix$"):
             glm._newton(evaluate, np.zeros(2))
+
+    def test_a_step_without_likelihood_is_halved_away(self):
+        # the Hessian is off by a factor 2, so the full step overshoots to x = 2, where the likelihood is 0
+        seen = []
+
+        def evaluate(params):
+            seen.append(float(params[0]))
+            if params[0] > 1.5:
+                return -np.inf, np.zeros(1), None
+            return -((params[0] - 1.0) ** 2), np.array([-2.0 * (params[0] - 1.0)]), lambda: np.array([[-1.0]])
+
+        params, ll, steps = glm._newton(evaluate, np.zeros(1))
+        assert (params.tolist(), ll, steps) == ([1.0], 0.0, 1)
+        assert seen == [0.0, 2.0, 1.0]
 
 
 class TestCells:
