@@ -320,7 +320,9 @@ def build_parser() -> argparse.ArgumentParser:
         return parent
 
     # each subcommand takes only the options it reads
-    states = option("--states", help="states file: one label per line, file order = ordinal order")
+    states_help = "states file: one label per line, file order = ordinal order"
+    states = option("--states", required=True, help=states_help)
+    optional_states = option("--states", help=states_help)  # simulate's: labels 1..k without it
     level = option("--level", type=float, default=0.05, help="test level (default 0.05)")
     seed = option("--seed", type=nonnegative_int, default=montecarlo.DEFAULT_SEED, help="random seed (default %(default)s)")
     out = option("--out", help="output file (or directory for reproduce-tables)")
@@ -333,7 +335,7 @@ def build_parser() -> argparse.ArgumentParser:
     csv_txt = option("--format", choices=("csv", "txt"), default="txt")
     tables = option("--format", choices=render.FORMATS, default="txt")
 
-    p = sub.add_parser("simulate", parents=[states, seed, out], help="simulate a DAR(1) series to CSV")
+    p = sub.add_parser("simulate", parents=[optional_states, seed, out], help="simulate a DAR(1) series to CSV")
     p.add_argument("--alpha", type=float, required=True, help="persistence in [0,1)")
     p.add_argument("--pi", required=True, help="comma list of state probabilities")
     p.add_argument("--n", type=int, required=True, help="number of steps (writes n+1 rows)")
@@ -370,9 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "command", None) in ("fit-dar", "test", "fit-glm") and not args.states:
-        _err("error: --states is required for this command")
-        return 2
     if getattr(args, "command", None) in ("fit-dar", "test") and not 0.0 < args.level < 1.0:
         _err(f"error: --level must lie in (0, 1), got {args.level}")
         return 2

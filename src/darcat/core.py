@@ -132,6 +132,8 @@ class CatSeries:
 
     ``obs``, the one stored form of the series, is a read-only int64 copy
     of the codes given: 1..k or ``MISSING``, n+1 of them for times 0..n.
+    The codes must be a 1-D sequence of integers; floats, strings and
+    nested sequences are refused, not cast.
     ``time_labels``, when given, carries one opaque stamp per index (no
     date parsing is attempted), checked here to read back from a series
     file.  Read, it is a tuple of str made on each read, or ``None``
@@ -149,11 +151,16 @@ class CatSeries:
     _stamps: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self, time_labels: Sequence[str] | None) -> None:
-        obs = np.array(self.obs, dtype=np.int64)
+        obs = np.array(self.obs)
+        if obs.ndim != 1:
+            raise DarcatError(f"codes must be a 1-D sequence, got shape {obs.shape}")
+        if len(obs) < 2:  # before the dtype, as an empty sequence is float
+            raise TooShort(f"series needs at least 2 observations, got {len(obs)}")
+        if obs.dtype.kind not in "iu":  # signed or unsigned integers
+            raise DarcatError(f"codes must be integers, got {obs.dtype} values")
+        obs = obs.astype(np.int64, copy=False)
         obs.setflags(write=False)
         object.__setattr__(self, "obs", obs)
-        if len(obs) < 2:
-            raise TooShort(f"series needs at least 2 observations, got {len(obs)}")
         k = self.space.k
         bad = np.flatnonzero(((obs < 1) | (obs > k)) & (obs != MISSING))
         if bad.size:
@@ -578,7 +585,6 @@ class EmpiricalTransitionMatrix:
 
     probs: np.ndarray  # (k, k) float, NaN on undefined rows
     defined: np.ndarray  # (k,) bool
-    counts: TransitionCounts = field(repr=False)
 
     def __post_init__(self) -> None:
         _read_only(self.probs, self.defined)
@@ -600,6 +606,5 @@ def jump_frequencies(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def empirical_transition_matrix(series: CatSeries) -> EmpiricalTransitionMatrix:
     """Estimate the transition matrix by row-normalised jump counts."""
-    counts = transition_counts(series)
-    probs, defined = jump_frequencies(counts.matrix)
-    return EmpiricalTransitionMatrix(probs=probs, defined=defined, counts=counts)
+    probs, defined = jump_frequencies(transition_counts(series).matrix)
+    return EmpiricalTransitionMatrix(probs=probs, defined=defined)

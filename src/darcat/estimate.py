@@ -26,7 +26,7 @@ state counts and the pair table cached on the series (:mod:`darcat.core`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -81,24 +81,14 @@ class UndefinedTransitionRow(DarcatError):
 
 @dataclass(frozen=True)
 class PiEstimate:
-    """State frequencies with their exact-variance ingredients.
-
-    ``var_asymptotic`` holds the per-component scale of n*Var, namely
-    (1+alpha)/(1-alpha) * pi_j*(1-pi_j); it stays None until an alpha
-    estimate is supplied via :meth:`with_alpha`.
-    """
+    """State frequencies ``pi_hat = counts / n_obs``; :func:`pi_variance_limit` gives the scale of n*Var."""
 
     pi_hat: np.ndarray
     n_obs: int
-    counts: np.ndarray
-    var_asymptotic: np.ndarray | None = None
+    counts: np.ndarray  # the series' read-only state_counts
 
     def __post_init__(self) -> None:
         self.pi_hat.setflags(write=False)
-        self.counts.setflags(write=False)
-
-    def with_alpha(self, alpha: float) -> "PiEstimate":
-        return replace(self, var_asymptotic=pi_variance_limit(self.pi_hat, alpha))
 
 
 @dataclass(frozen=True)

@@ -479,14 +479,15 @@ _FITTERS = {
 
 @dataclass(frozen=True)
 class AicRow:
+    """One lag of an AIC table: the fit :func:`aic_tables` made, or the error that stopped that lag.
+
+    ``n_used`` counts the rows fitted or tried on, None if no design could be built.
+    """
+
     lag: int
-    n_params: int | None
-    aic: float | None
-    log_pl: float | None
     n_used: int | None
+    fit: GlmFit | None = None
     error: str | None = None
-    iterations: int = 0  # Newton steps of the fit
-    notes: tuple[str, ...] = ()  # the fit's notes: categories collapsed, columns dropped
 
 
 @dataclass(frozen=True)
@@ -511,9 +512,9 @@ class AicTable:
             if r.error is not None:
                 row = [r.lag, "NA", "NA", "NA", missing if r.n_used is None else r.n_used]
             else:
-                aic = f"{r.aic:.{digits}f}"
+                aic = f"{r.fit.aic:.{digits}f}"
                 aic = f"**{aic}**" if best and fmt == "md" else aic
-                row = [r.lag, r.n_params, f"{r.log_pl:.{digits}f}", aic, r.n_used]
+                row = [r.lag, r.fit.n_params, f"{r.fit.log_pl:.{digits}f}", aic, r.n_used]
             if fmt == "csv":
                 row.append("*" if best else "")
             elif fmt == "txt" and r.error is not None:
@@ -551,7 +552,8 @@ def aic_tables(
     Each lag keeps its own usable-row set by default, matching how mixed
     missingness shrinks the sample as the lag grows; ``common_rows``
     restricts every lag to the rows usable at the largest one, since AIC
-    across different sample sizes is not formally comparable.  Failed fits
+    across different sample sizes is not formally comparable.  Each row
+    holds the fit its AIC comes from, on the rows it counts.  Failed fits
     become NA rows instead of aborting the table; their n is that of the
     rows the fit was attempted on.  A design that cannot be built is the
     same NA row in every family.
@@ -575,37 +577,20 @@ def aic_tables(
                 if design.n_used == 0:
                     raise NoUsableRows("no rows in the common usable set")
         except DarcatError as exc:
-            failed = _na_row(lag, design, exc)
+            failed = AicRow(lag=lag, n_used=None if design is None else design.n_used, error=str(exc))
             for family_rows in rows:
                 family_rows.append(failed)
             continue
         for family, family_rows in zip(families, rows):
             try:
-                fit = _FITTERS[family](design)
+                row = AicRow(lag=lag, n_used=design.n_used, fit=_FITTERS[family](design))
             except DarcatError as exc:
-                family_rows.append(_na_row(lag, design, exc))
-                continue
-            family_rows.append(
-                AicRow(
-                    lag=lag,
-                    n_params=fit.n_params,
-                    aic=fit.aic,
-                    log_pl=fit.log_pl,
-                    n_used=fit.n_used,
-                    iterations=fit.iterations,
-                    notes=fit.notes,
-                )
-            )
+                row = AicRow(lag=lag, n_used=design.n_used, error=str(exc))
+            family_rows.append(row)
     tables = []
     for family, family_rows in zip(families, rows):
         family_rows.reverse()
-        fitted = [r for r in family_rows if r.aic is not None]
-        best = min(fitted, key=lambda r: r.aic).lag if fitted else None
+        fitted = [r for r in family_rows if r.fit is not None]
+        best = min(fitted, key=lambda r: r.fit.aic).lag if fitted else None
         tables.append(AicTable(family=family, rows=tuple(family_rows), best_lag=best))
     return tuple(tables)
-
-
-def _na_row(lag: int, design: Design | None, exc: DarcatError) -> AicRow:
-    """The NA row of a lag whose design or fit failed, with the n it was tried on."""
-    n_used = None if design is None else design.n_used
-    return AicRow(lag=lag, n_params=None, aic=None, log_pl=None, n_used=n_used, error=str(exc))

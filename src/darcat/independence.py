@@ -162,7 +162,10 @@ def runs_count_test(
 
     The statistic is (R - n(1 - sum pi^2)) / sqrt(n sigma2) with
     sigma2 = sum pi^2 + 2 sum pi^3 - 3 (sum pi^2)^2.  At k = 2 this is
-    Mood's (R - 2n pi1 pi2) / (2 sqrt(n pi1 pi2 (1 - 3 pi1 pi2))).
+    Mood's (R - 2n pi1 pi2) / (2 sqrt(n pi1 pi2 (1 - 3 pi1 pi2))).  Both
+    moments are computed from u_j = pi_j (1 - pi_j), as n sum u and
+    sum u_j (3 - 2 pi_j) - 3 (sum u)^2: the same values, without the
+    cancellation of 1 - sum pi^2 when some pi_j is near 1.
     ``pi`` may be the known marginal or omitted to plug in the state
     frequencies (flagged in the notes).  The p-value is two sided, since
     persistence deflates and anti-persistence inflates the run count.
@@ -171,9 +174,9 @@ def runs_count_test(
     lengths, pi, notes = _runs_and_pi(series, pi)
     n = len(series)
     r = lengths.size
-    s2 = float(np.sum(pi**2))
-    mean = n * (1.0 - s2)
-    sigma2 = s2 + 2.0 * float(np.sum(pi**3)) - 3.0 * s2**2
+    u = pi * (1.0 - pi)
+    mean = n * float(u.sum())
+    sigma2 = float(u @ (3.0 - 2.0 * pi)) - 3.0 * float(u.sum()) ** 2
     sd = math.sqrt(n * sigma2)
     z = (r - mean) / sd
     p = 2.0 * float(ndtr(-abs(z)))

@@ -30,7 +30,7 @@ import numpy as np
 
 from . import render
 from .core import DarcatError, path_counts
-from .dar import DarModel, _check_unit_interval, draw_paths
+from .dar import DarModel, _check_unit_interval, _validate_pi, draw_paths
 from .estimate import ADMISSIBLE, alpha_ls_rows, alpha_mle_rows
 
 __all__ = [
@@ -60,6 +60,14 @@ class SimGrid:
             raise DarcatError(f"m must be >= 1, got {self.m}")
         for a in self.alphas:
             _check_unit_interval("alpha", a)
+        # n and pi are checked here, so a bad cell fails before any cell runs
+        for n in self.ns:
+            if not isinstance(n, (int, np.integer)):
+                raise DarcatError(f"n must be an integer, got {n!r}")
+            if n < 1:
+                raise DarcatError(f"n must be >= 1, got {n}")
+        for pi in self.pis:
+            _validate_pi(pi, len(pi))
 
 
 @dataclass(frozen=True)

@@ -163,8 +163,14 @@ def test_missing_states_flag_errors(tmp_path, capsys):
     out = tmp_path / "s.csv"
     assert main(["simulate", "--alpha", "0", "--pi", "0.5,0.5", "--n", "20", "--seed", "0", "--out", str(out)]) == 0
     capsys.readouterr()
-    code, _, err = run(capsys, "fit-dar", str(out))
-    assert code == 2 and "--states" in err
+    # required by the parser, so -h shows it as required and its absence is a usage error
+    for command in ("fit-dar", "test", "fit-glm"):
+        with pytest.raises(SystemExit) as exc:
+            main([command, str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"usage: darcat {command} [-h] --states STATES")
+        assert captured.err.endswith(f"darcat {command}: error: the following arguments are required: --states\n")
 
 
 def test_unknown_label_errors(tmp_path, capsys, states2):

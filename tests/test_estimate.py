@@ -92,8 +92,9 @@ class TestPi:
         assert np.allclose(est.pi_hat, est_swapped.pi_hat[[2, 0, 1]])
 
     def test_with_alpha_fills_scale(self):
-        est = estimate_pi(series([1, 1, 2, 2])).with_alpha(0.5)
-        assert np.allclose(est.var_asymptotic, 3.0 * 0.25)
+        # the scale of n*Var at a given alpha is a function of the estimate, not a field of it
+        est = estimate_pi(series([1, 1, 2, 2]))
+        assert np.allclose(pi_variance_limit(est.pi_hat, 0.5), 3.0 * 0.25)
 
 
 class TestVn:
@@ -186,12 +187,11 @@ class TestVariance:
     @pytest.mark.parametrize(
         "call",
         [
-            lambda a: estimate_pi(series([1, 1, 2, 2])).with_alpha(a),
             lambda a: pi_variance_limit(0.3, a),
             lambda a: pi_covariance_limit(0.3, 0.4, a),
             lambda a: vn(a, 50),
         ],
-        ids=["with_alpha", "pi_variance_limit", "pi_covariance_limit", "vn"],
+        ids=["pi_variance_limit", "pi_covariance_limit", "vn"],
     )
     def test_alpha_outside_unit_interval_is_refused(self, call, alpha):
         # 1.0 is what the MLE gives a series of nothing but repeats

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -163,6 +165,20 @@ class TestRunsCount:
             rep = runs_count_test(s, pi=np.array([p1, 1 - p1]))
             assert rep.extras["null_mean"] == pytest.approx(2 * n * prod, rel=1e-12)
             assert rep.extras["null_sd"] == pytest.approx(2 * np.sqrt(n * prod * (1 - 3 * prod)), rel=1e-12)
+
+    @pytest.mark.parametrize(
+        "pi, obs",
+        [((2**-30, 1 - 2**-30), [1, 2, 2, 1, 2, 2, 2, 1]), ((2**-30, 2**-30, 1 - 2**-29), [1, 2, 3, 3, 1, 3, 2, 3])],
+    )
+    def test_moments_near_a_certain_state_match_exact_fractions(self, pi, obs):
+        # dyadic pi sums to exactly 1, so these Fractions are the exact moments of the floats given
+        exact = [Fraction(p) for p in pi]
+        assert sum(exact) == 1
+        s2, s3 = sum(p**2 for p in exact), sum(p**3 for p in exact)
+        n = len(obs)
+        rep = runs_count_test(series(obs, k=len(pi)), pi=np.array(pi))
+        assert rep.extras["null_mean"] == pytest.approx(float(n * (1 - s2)), rel=1e-12, abs=0)
+        assert rep.extras["null_sd"] ** 2 == pytest.approx(float(n * (s2 + 2 * s3 - 3 * s2**2)), rel=1e-12, abs=0)
 
     def test_estimated_pi_flagged(self):
         rep = runs_count_test(series([1, 2, 1, 2, 1], k=2))

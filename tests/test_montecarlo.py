@@ -1,3 +1,7 @@
+import itertools
+import re
+from statistics import NormalDist
+
 import numpy as np
 import pytest
 
@@ -155,6 +159,68 @@ def test_validation():
         SimGrid(pis=((0.5, 0.5),), alphas=(1.0,), ns=(10,), m=2)
     with pytest.raises(DarcatError):
         SimGrid(pis=((0.5, 0.5),), alphas=(0.5,), ns=(10,), m=0)
+
+
+@pytest.mark.parametrize(
+    "ns, pis, message",
+    [
+        ((10, 0), ((0.5, 0.5),), "n must be >= 1, got 0"),
+        ((-3,), ((0.5, 0.5),), "n must be >= 1, got -3"),
+        ((2.5,), ((0.5, 0.5),), "n must be an integer, got 2.5"),
+        ((10,), ((0.5, 0.5), (0.6, 0.6)), "pi must sum to 1 within 1e-12, got 1.2"),
+        ((10,), ((0.5, 0.5), (1.0,)), "pi must be a probability vector of length >= 2"),
+        ((10,), ((-0.5, 1.5),), "pi components must be nonnegative"),
+    ],
+    ids=["n_zero", "n_negative", "n_fraction", "pi_sum", "pi_one_state", "pi_negative"],
+)
+def test_bad_length_or_marginal_is_refused_with_the_grid(ns, pis, message):
+    # before any cell runs: n = 0 used to average pi_hat over one point, n < 0 or 2.5 to fail inside numpy
+    with pytest.raises(DarcatError, match=re.escape(message)):
+        SimGrid(pis=pis, alphas=(0.5,), ns=ns, m=3)
+    assert SimGrid(pis=((0.5, 0.5),), alphas=(0.5,), ns=(np.int64(3), 1), m=3).ns == (3, 1)
+
+
+def exact_cell(pi, alpha, n):
+    """Every moment run_grid estimates, over all k^(n+1) paths weighted by their DAR(1) probability.
+
+    Returns E[pi_hat] and Var(pi_hat_j), and per estimator P(admissible) with the mean and variance of
+    the admissible estimates.
+    """
+    pi = np.asarray(pi)
+    paths = np.array(list(itertools.product(range(1, pi.size + 1), repeat=n + 1)))
+    # X_0 ~ pi; X_t repeats X_{t-1} with probability alpha, else is drawn from pi afresh
+    steps = alpha * (paths[:, 1:] == paths[:, :-1]) + (1 - alpha) * pi[paths[:, 1:] - 1]
+    w = pi[paths[:, 0] - 1] * steps.prod(axis=1)
+    assert w.sum() == pytest.approx(1.0, abs=1e-12)
+    pi_hat, *estimators = _estimate_paths(paths, pi.size)
+    mean_pi = w @ pi_hat
+    moments = []
+    for alpha_hat, why in estimators:
+        kept = why == ADMISSIBLE
+        p_kept = w[kept].sum()
+        mean = w[kept] @ alpha_hat[kept] / p_kept
+        moments.append((p_kept, mean, w[kept] @ (alpha_hat[kept] - mean) ** 2 / p_kept))
+    return mean_pi, w @ (pi_hat - mean_pi) ** 2, moments
+
+
+EXACT_CELLS = [((0.3, 0.7), 0.5, 10), ((0.2, 0.3, 0.5), 0.6, 7), ((0.5, 0.5), 0.9, 12)]
+
+
+def test_study_chain_matches_exact_enumeration_of_every_path():
+    # 6 + 7 + 6 z-scores, each two-sided; Bonferroni keeps the family-wise false-alarm rate at 1e-3
+    m, n_scores = 40_000, 19
+    bound = NormalDist().inv_cdf(1 - 1e-3 / (2 * n_scores))
+    scores = []
+    for pi, alpha, n in EXACT_CELLS:
+        mean_pi, var_pi, moments = exact_cell(pi, alpha, n)
+        assert mean_pi == pytest.approx(pi, abs=1e-12)  # the chain starts stationary
+        cell = run_grid(SimGrid(pis=(pi,), alphas=(alpha,), ns=(n,), m=m, seed=5))[0]
+        for (p_kept, mean, var), kept, got in zip(moments, (cell.m1, cell.m2), (cell.mean_alpha1, cell.mean_alpha2)):
+            scores.append((kept - m * p_kept) / np.sqrt(m * p_kept * (1 - p_kept)))
+            scores.append((got - mean) / np.sqrt(var / kept))
+        scores.extend((np.array(cell.mean_pi_hat) - mean_pi) / np.sqrt(var_pi / m))
+    assert len(scores) == n_scores
+    assert np.max(np.abs(scores)) < bound, np.round(scores, 2)
 
 
 def test_formatters():

@@ -18,8 +18,12 @@ from darcat.glm import NoUsableRows, _collapse_categories, build_design
 
 def validation_reference(obs, k):
     """``(error type, message)`` of the first rule the codes break, or ``(None, None)``."""
+    if any(isinstance(v, list) for v in obs):
+        return DarcatError, f"codes must be a 1-D sequence, got shape {np.shape(obs)}"
     if len(obs) < 2:
         return TooShort, f"series needs at least 2 observations, got {len(obs)}"
+    if not all(isinstance(v, int) for v in obs):  # refused, not truncated or parsed
+        return DarcatError, f"codes must be integers, got {np.asarray(obs).dtype} values"
     for i, v in enumerate(obs):
         if v != MISSING and not 1 <= v <= k:
             return DarcatError, f"observation {v} at index {i} outside {{-1}} U 1..{k}"
@@ -117,9 +121,18 @@ def with_edge_cases(test):
     return test
 
 
-@given(k=st.integers(2, 20), raw=st.lists(st.integers(-3, 23), max_size=40))
+# half the lists hold only integers, half may hold values that are not codes
+NOT_CODES = st.sampled_from([1.5, 2.0, 3.9, float("nan"), "1", "2"])
+RAW_CODES = st.lists(st.integers(-3, 23), max_size=40) | st.lists(st.integers(-3, 23) | NOT_CODES, max_size=40)
+
+
+@given(k=st.integers(2, 20), raw=RAW_CODES)
 @example(k=2, raw=[1])
 @example(k=2, raw=[])
+@example(k=3, raw=[1.5, 2.0, 3.9])
+@example(k=3, raw=["1", "2", "3"])
+@example(k=3, raw=[1, float("nan"), 2])
+@example(k=3, raw=[[1, 2], [2, 1]])
 @example(k=3, raw=[1, 0, 4])
 @example(k=3, raw=[MISSING, 2, 3, -2])
 @settings(max_examples=300, deadline=None)
