@@ -52,7 +52,7 @@ def _read_text(path: str) -> str:
 def _read_states(path: str) -> StateSpace:
     """States file: one label per line, file order = ordinal order."""
     labels = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
-    return StateSpace(tuple(labels), ordinal=True)
+    return StateSpace(tuple(labels))
 
 
 def _load_series(paths: list[str], space: StateSpace) -> CatSeries:

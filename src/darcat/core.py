@@ -68,18 +68,16 @@ class MissingValuePresent(DarcatError):
 
 @dataclass(frozen=True)
 class StateSpace:
-    """Ordered finite category set with text labels.
+    """Ordered finite category set: a state space is its text labels, in order.
 
-    Internal codes are exactly 1..k in label order.  ``ordinal`` records
-    whether the category order is meaningful (it changes nothing here but
-    drives which regression family is appropriate downstream).  Every
-    label must read back from a series file as itself, so none may be
-    ``NA`` or empty, hold a comma or a line break, or have whitespace
-    around it.
+    Two are equal exactly when their labels are.  Internal codes are
+    exactly 1..k in label order, the category order the proportional-odds
+    family uses.  Every label must read back from a series file as
+    itself, so none may be ``NA`` or empty, hold a comma or a line break,
+    or have whitespace around it.
     """
 
     labels: tuple[str, ...]
-    ordinal: bool = False
 
     def __post_init__(self) -> None:
         labels = tuple(str(x) for x in self.labels)
@@ -100,9 +98,9 @@ class StateSpace:
         return len(self.labels)
 
     @classmethod
-    def from_k(cls, k: int, ordinal: bool = False) -> "StateSpace":
+    def from_k(cls, k: int) -> "StateSpace":
         """Numeric state space with labels '1'..'k'."""
-        return cls(tuple(str(j) for j in range(1, k + 1)), ordinal=ordinal)
+        return cls(tuple(str(j) for j in range(1, k + 1)))
 
     def code_of(self, label: str) -> int:
         try:
@@ -151,7 +149,10 @@ class CatSeries:
     _stamps: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self, time_labels: Sequence[str] | None) -> None:
-        obs = np.array(self.obs)
+        try:
+            obs = np.array(self.obs)
+        except ValueError:  # numpy refuses a ragged nested sequence
+            raise DarcatError("codes must be a 1-D sequence, got a ragged nested sequence") from None
         if obs.ndim != 1:
             raise DarcatError(f"codes must be a 1-D sequence, got shape {obs.shape}")
         if len(obs) < 2:  # before the dtype, as an empty sequence is float
@@ -271,7 +272,7 @@ class CatSeries:
         if present.size == self.space.k:
             return self, ()
         labels = np.array(self.space.labels, dtype=object)
-        sub = StateSpace(tuple(labels[present - 1]), ordinal=self.space.ordinal)
+        sub = StateSpace(tuple(labels[present - 1]))
         codes = np.searchsorted(present, self.obs) + 1
         codes[self.obs == MISSING] = MISSING
         return CatSeries(sub, codes, _stamps=self._stamps), tuple(np.delete(labels, present - 1))

@@ -56,7 +56,8 @@ class DarModel:
     """Parameter pair (alpha, pi) on a given state space.
 
     ``alpha`` is restricted to [0, 1): at 1 the chain freezes at its start
-    value and none of the inference below applies.
+    value and none of the inference below applies.  ``pi`` is a read-only
+    float copy of the vector given, so the caller's array stays theirs.
     """
 
     alpha: float
@@ -65,14 +66,14 @@ class DarModel:
 
     def __post_init__(self) -> None:
         _check_unit_interval("alpha", self.alpha)
-        pi = _validate_pi(self.pi, self.space.k)
+        pi = _validate_pi(self.pi, self.space.k).copy()
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
 
     @classmethod
-    def from_pi(cls, alpha: float, pi, ordinal: bool = False) -> "DarModel":
+    def from_pi(cls, alpha: float, pi) -> "DarModel":
         """Build a model on a numeric state space matching len(pi)."""
-        return cls(alpha=float(alpha), pi=pi, space=StateSpace.from_k(np.size(pi), ordinal=ordinal))
+        return cls(alpha=float(alpha), pi=pi, space=StateSpace.from_k(np.size(pi)))
 
     @property
     def k(self) -> int:

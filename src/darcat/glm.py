@@ -556,11 +556,14 @@ def aic_tables(
     holds the fit its AIC comes from, on the rows it counts.  Failed fits
     become NA rows instead of aborting the table; their n is that of the
     rows the fit was attempted on.  A design that cannot be built is the
-    same NA row in every family.
+    same NA row in every family.  An unknown family, no lag or a lag
+    outside 0, 1, 2 is refused before any fit.
     """
     for family in families:
         if family not in _FITTERS:
             raise DarcatError(f"family must be one of {sorted(_FITTERS)}, got {family!r}")
+    if not lags or not set(lags) <= {0, 1, 2}:
+        raise DarcatError(f"lags must be one or more of 0, 1 and 2, got {tuple(lags)}")
     lags = tuple(sorted(set(lags)))
     # largest lag first: under common_rows its usable rows are the common set
     common_t = np.empty(0, dtype=np.int64)

@@ -253,7 +253,7 @@ def _po_chain(n, seed, theta, slopes):
         cum = 1.0 / (1.0 + np.exp(-(theta - x @ slopes)))
         p = np.diff(np.concatenate([[0.0], cum, [1.0]]))
         y.append(1 + int(rng.choice(4, p=p)))
-    return CatSeries(StateSpace.from_k(4, ordinal=True), tuple(y))
+    return CatSeries(StateSpace.from_k(4), tuple(y))
 
 
 def test_criterion_7_glm():

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from darcat import independence
-from darcat.cli import main
-from darcat.core import serialize_series
+from darcat.cli import _read_states, main
+from darcat.core import StateSpace, parse_series, serialize_series
 from darcat.dar import DarModel, MissingDarModel, simulate_with_missing
 
 
@@ -346,6 +346,15 @@ def test_blank_lines_in_the_states_file_are_skipped(tmp_path, capsys):
     code, out, err = run(capsys, "fit-dar", str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"))
     assert code == 0 and err == ""
     assert "  6 positions, k=2 categories, 0 missing\n" in out
+
+
+def test_a_simulated_series_reads_back_through_a_states_file_of_its_labels(tmp_path):
+    model = DarModel.from_pi(0.5, [0.2, 0.3, 0.5])
+    series = simulate_with_missing(MissingDarModel(model, 0.2), 60, seed=4)
+    (tmp_path / "states.txt").write_text("".join(f"{label}\n" for label in model.space.labels))
+    space = _read_states(str(tmp_path / "states.txt"))
+    assert space == StateSpace.from_k(3) and hash(space) == hash(StateSpace.from_k(3))
+    assert parse_series(serialize_series(series), space) == series
 
 
 @pytest.mark.parametrize("pi", ["nan,0.5", "0.5,nan", "inf,0.5", "0.25,-inf,0.75"])

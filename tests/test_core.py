@@ -66,7 +66,7 @@ def counting_locator():
 
 
 def test_state_space_codes_are_label_order():
-    sp = StateSpace(("0", "0.5", "1", "2", "3", "4"), ordinal=True)
+    sp = StateSpace(("0", "0.5", "1", "2", "3", "4"))
     assert sp.k == 6
     assert sp.code_of("0.5") == 2
     assert sp.label_of(6) == "4"
@@ -125,7 +125,7 @@ def written_series(draw):
     """
     k = draw(st.integers(2, 20))
     label = st.from_regex(r"[abé]([ab é\t]{0,4}[abé])?", fullmatch=True)
-    space = StateSpace(tuple(draw(st.lists(label, min_size=k, max_size=k, unique=True))), ordinal=draw(st.booleans()))
+    space = StateSpace(tuple(draw(st.lists(label, min_size=k, max_size=k, unique=True))))
     values = draw(st.lists(st.sampled_from([*range(1, k + 1), MISSING]), min_size=2, max_size=40))
     stamp = st.text(alphabet="0123456789-:T x", max_size=8).map(str.strip)
     stamps = draw(
@@ -378,7 +378,7 @@ def test_default_stamps_count_from_zero(n):
 @given(st.lists(st.sampled_from([1, 2, 3, MISSING]), min_size=2, max_size=60))
 @settings(max_examples=200, deadline=None)
 def test_parse_serialize_round_trip(values):
-    space = StateSpace(("lo", "mid", "hi"), ordinal=True)
+    space = StateSpace(("lo", "mid", "hi"))
     labels = {1: "lo", 2: "mid", 3: "hi", MISSING: "NA"}
     text = "t,value\n" + "".join(f"{1975 + i},{labels[v]}\n" for i, v in enumerate(values))
     series = parse_series(text, space)

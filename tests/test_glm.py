@@ -23,8 +23,8 @@ from darcat.glm import (
 )
 
 
-def series(obs, k, ordinal=False):
-    return CatSeries(StateSpace.from_k(k, ordinal=ordinal), tuple(obs))
+def series(obs, k):
+    return CatSeries(StateSpace.from_k(k), tuple(obs))
 
 
 def comparable(table):
@@ -96,7 +96,7 @@ def generate_po_chain(n, seed):
         cum = 1.0 / (1.0 + np.exp(-(PO_THETA - x @ PO_SLOPES)))
         p = np.diff(np.concatenate([[0.0], cum, [1.0]]))
         y.append(1 + int(rng.choice(4, p=p)))
-    return series(y, k=4, ordinal=True)
+    return series(y, k=4)
 
 
 class TestBuildDesign:
@@ -237,7 +237,7 @@ class TestMultinomial:
 class TestProportionalOdds:
     def test_intercept_only_cutpoints(self):
         obs = [1] * 20 + [2] * 30 + [3] * 35 + [4] * 15
-        fit = fit_proportional_odds(build_design(series(obs, k=4, ordinal=True), 0))
+        fit = fit_proportional_odds(build_design(series(obs, k=4), 0))
         cum = np.cumsum([0.2, 0.3, 0.35])
         assert np.allclose(fit.cutpoints, np.log(cum / (1 - cum)), atol=1e-7)
         assert fit.n_params == 3
@@ -300,7 +300,7 @@ class TestProportionalOdds:
         obs = hessian_design(k, 0).y
         if gone is not None:
             obs = np.where(obs == gone, gone + 1, obs)
-        d = build_design(series(obs, k, ordinal=True), lag)
+        d = build_design(series(obs, k), lag)
         y, categories, X, *_, counts = d._prepared
         q = len(categories) - 1
         assert set(y.tolist()) == set(range(1, q + 2)) and q == k - 1 - (gone is not None)
@@ -317,7 +317,7 @@ class TestProportionalOdds:
 
     def test_empty_category_collapsed(self):
         obs = [v if v != 3 else 4 for v in generate_po_chain(400, seed=12).obs]
-        fit = fit_proportional_odds(build_design(series(obs, k=4, ordinal=True), 1))
+        fit = fit_proportional_odds(build_design(series(obs, k=4), 1))
         assert fit.categories == (1, 2, 4)
         assert any("collapsed" in note for note in fit.notes)
 
@@ -327,7 +327,7 @@ class TestAicTable:
         # 5 declared categories, 4 observed: counts follow the observed set
         rng = np.random.default_rng(20)
         obs = rng.integers(1, 5, 300).tolist()
-        s = series(obs, k=5, ordinal=True)
+        s = series(obs, k=5)
         cat = aic_table(s, "categorical")
         assert [r.fit.n_params for r in cat.rows] == [3, 12, 21]
         order = aic_table(s, "ordinal")
@@ -387,7 +387,7 @@ class TestAicTable:
         monkeypatch.setitem(glm._FITTERS, family, recording)
         obs = simulate(DarModel.from_pi(0.5, [0.2, 0.3, 0.5]), 400, seed=31).obs.copy()
         obs[np.random.default_rng(31).random(obs.size) < 0.1] = MISSING
-        table = aic_table(series(obs.tolist(), k=3, ordinal=True), family, common_rows=common_rows)
+        table = aic_table(series(obs.tolist(), k=3), family, common_rows=common_rows)
         assert len(fits) == 3
         # each row holds the very fit the fitter returned for its lag, made on the rows it counts
         by_lag = sorted(fits, key=lambda fit: fit.lag)
@@ -402,8 +402,8 @@ class TestAicTable:
 
     def test_rows_keep_each_fits_steps_and_notes(self):
         obs = [v if v != 3 else 4 for v in generate_po_chain(400, seed=12).obs]
-        table = aic_table(series(obs, k=4, ordinal=True), "ordinal", lags=(0, 1))
-        fit = fit_proportional_odds(build_design(series(obs, k=4, ordinal=True), 1))
+        table = aic_table(series(obs, k=4), "ordinal", lags=(0, 1))
+        fit = fit_proportional_odds(build_design(series(obs, k=4), 1))
         row = table.rows[1]
         assert row.fit.iterations == fit.iterations >= 1 and row.fit.notes == fit.notes
         assert any("collapsed" in note for note in row.fit.notes)
@@ -427,11 +427,18 @@ class TestSharedDesign:
         rng = np.random.default_rng(seed)
         obs = rng.integers(1, k + 1, int(rng.integers(3, 200)))
         obs[rng.random(obs.size) < share] = MISSING
-        s = series(obs.tolist(), k=k, ordinal=True)
+        s = series(obs.tolist(), k=k)
         lags = tuple(lags)
         got = aic_tables(s, ("categorical", "ordinal"), lags=lags, common_rows=common_rows)
         want = tuple(aic_table(s, family, lags=lags, common_rows=common_rows) for family in ("categorical", "ordinal"))
         assert tuple(map(comparable, got)) == tuple(map(comparable, want))
+
+    @pytest.mark.parametrize("lags", [(), (1, 3), (-1,), (0, 2, 5)])
+    @pytest.mark.parametrize("common_rows", [False, True])
+    def test_a_bad_lag_set_is_refused_before_any_fit(self, monkeypatch, lags, common_rows):
+        monkeypatch.setattr(glm, "build_design", None)  # nothing is built
+        with pytest.raises(DarcatError, match=r"^lags must be one or more of 0, 1 and 2, got \("):
+            aic_tables(series([1, 2, 1, 2, 2, 1], k=2), ("categorical",), lags=lags, common_rows=common_rows)
 
     @pytest.mark.parametrize("common_rows", [[], ["--common-rows"]])
     def test_fit_glm_builds_and_prepares_each_design_once(self, monkeypatch, tmp_path, capsys, common_rows):
@@ -559,7 +566,7 @@ class TestCells:
         """39 covariate columns at lag 2: the same rows, NA pattern and errors as fitting on rows."""
         obs = simulate(DarModel.from_pi(0.5, np.full(20, 0.05)), 500, seed=7).obs.copy()
         obs[np.random.default_rng(7).random(obs.size) < 0.05] = MISSING
-        s = series(obs.tolist(), k=20, ordinal=True)
+        s = series(obs.tolist(), k=20)
         assert build_design(s, 2).X.shape[1] == 39
         table = aic_table(s, family, common_rows=common_rows)
         # one cell per row, each of count 1

@@ -13,12 +13,15 @@ from hypothesis import strategies as st
 
 from darcat.cli import _test_series
 from darcat.core import MISSING, CatSeries, DarcatError, StateSpace, TooShort
+from darcat.dar import DarModel
 from darcat.glm import NoUsableRows, _collapse_categories, build_design
 
 
 def validation_reference(obs, k):
     """``(error type, message)`` of the first rule the codes break, or ``(None, None)``."""
     if any(isinstance(v, list) for v in obs):
+        if len({len(v) if isinstance(v, list) else None for v in obs}) > 1:  # not all lists of one length
+            return DarcatError, "codes must be a 1-D sequence, got a ragged nested sequence"
         return DarcatError, f"codes must be a 1-D sequence, got shape {np.shape(obs)}"
     if len(obs) < 2:
         return TooShort, f"series needs at least 2 observations, got {len(obs)}"
@@ -48,7 +51,7 @@ def restrict_reference(series):
         return series, None
     labels = tuple(series.space.label_of(v) for v in values)
     remap = {v: i + 1 for i, v in enumerate(values)}
-    sub = StateSpace(labels, ordinal=series.space.ordinal)
+    sub = StateSpace(labels)
     obs = tuple(remap.get(v, -1) for v in series.obs.tolist())
     gone = [series.space.label_of(v) for v in range(1, series.space.k + 1) if v not in values]
     return CatSeries(sub, obs, series.time_labels), f"unobserved categories {gone} projected out for testing"
@@ -100,11 +103,11 @@ def gapped_series(draw):
         perm = draw(st.permutations(range(1, k + 1)))
         values = [v if v == MISSING else perm[v - 1] for v in values]
     times = tuple(f"t{i}" for i in range(len(values))) if draw(st.booleans()) else None
-    space = StateSpace(tuple(f"c{j}" for j in range(1, k + 1)), ordinal=draw(st.booleans()))
+    space = StateSpace(tuple(f"c{j}" for j in range(1, k + 1)))
     return CatSeries(space, values, times)
 
 
-K3 = StateSpace(("lo", "mid", "hi"), ordinal=True)
+K3 = StateSpace(("lo", "mid", "hi"))
 EDGE_CASES = [
     CatSeries(K3, (MISSING, MISSING, MISSING), ("a", "b", "c")),
     CatSeries(K3, (MISSING, 2, MISSING, 2)),
@@ -133,6 +136,8 @@ RAW_CODES = st.lists(st.integers(-3, 23), max_size=40) | st.lists(st.integers(-3
 @example(k=3, raw=["1", "2", "3"])
 @example(k=3, raw=[1, float("nan"), 2])
 @example(k=3, raw=[[1, 2], [2, 1]])
+@example(k=3, raw=[[1, 2], [3]])
+@example(k=3, raw=[1, [2]])
 @example(k=3, raw=[1, 0, 4])
 @example(k=3, raw=[MISSING, 2, 3, -2])
 @settings(max_examples=300, deadline=None)
@@ -156,6 +161,16 @@ def test_series_does_not_share_the_callers_array():
     assert series.obs.tolist() == [1, 2, 2]
     with pytest.raises(ValueError):
         series.obs[0] = 2
+
+
+def test_model_does_not_share_the_callers_array():
+    pi = np.array([0.25, 0.75])
+    model = DarModel.from_pi(0.5, pi)
+    assert model.pi is not pi and pi.flags.writeable
+    pi[0] = 0.75
+    assert model.pi.tolist() == [0.25, 0.75]
+    with pytest.raises(ValueError):
+        model.pi[0] = 0.75
 
 
 @given(series=gapped_series())
@@ -189,7 +204,6 @@ def test_restrict_to_observed_matches_reference(series):
         return
     sub, gone = series.restrict_to_observed()
     assert sub == expected
-    assert sub.space.ordinal == series.space.ordinal
     assert bool(gone) == (note is not None)
     # the test series' notes: the policy's, then the projection's (dropping missing values keeps the counts)
     assert _test_series(series, "drop")[1][1:] == ([] if note is None else [note])
