@@ -8,6 +8,7 @@ and the h-step matrix has the same form with ``alpha**h``.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,11 @@ _PI_TOL = 1e-12
 
 
 def _validate_pi(pi: np.ndarray, k: int) -> np.ndarray:
-    """``pi`` as floats, or a DarcatError unless it is a probability vector over k states."""
-    pi = np.asarray(pi, dtype=float)
+    """``pi`` as floats, or a DarcatError unless it is a numeric probability vector over k states."""
+    pi = np.asarray(pi)
+    if pi.dtype.kind not in "iuf":  # strings are refused, not parsed
+        raise DarcatError(f"pi must be an array of real numbers, got dtype {pi.dtype}")
+    pi = pi.astype(float, copy=False)
     if pi.ndim != 1 or pi.size < 2:
         raise DarcatError("pi must be a probability vector of length >= 2")
     if pi.size != k:
@@ -46,7 +50,9 @@ def _validate_pi(pi: np.ndarray, k: int) -> np.ndarray:
 
 
 def _check_unit_interval(name: str, value: float) -> None:
-    """Refuse a persistence or rate ``name`` outside [0, 1), nan included."""
+    """Refuse a persistence or rate ``name`` that is not a real number in [0, 1), nan included."""
+    if not isinstance(value, numbers.Real):
+        raise DarcatError(f"{name} must be a real number, got {value!r}")
     if not 0.0 <= value < 1.0:
         raise DarcatError(f"{name} must lie in [0, 1), got {value}")
 
@@ -56,8 +62,9 @@ class DarModel:
     """Parameter pair (alpha, pi) on a given state space.
 
     ``alpha`` is restricted to [0, 1): at 1 the chain freezes at its start
-    value and none of the inference below applies.  ``pi`` is a read-only
-    float copy of the vector given, so the caller's array stays theirs.
+    value and none of the inference below applies.  ``alpha`` is kept as a
+    float, and ``pi`` as a read-only float copy of the vector given, so the
+    caller's array stays theirs.
     """
 
     alpha: float
@@ -66,6 +73,7 @@ class DarModel:
 
     def __post_init__(self) -> None:
         _check_unit_interval("alpha", self.alpha)
+        object.__setattr__(self, "alpha", float(self.alpha))
         pi = _validate_pi(self.pi, self.space.k).copy()
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
@@ -73,7 +81,7 @@ class DarModel:
     @classmethod
     def from_pi(cls, alpha: float, pi) -> "DarModel":
         """Build a model on a numeric state space matching len(pi)."""
-        return cls(alpha=float(alpha), pi=pi, space=StateSpace.from_k(np.size(pi)))
+        return cls(alpha=alpha, pi=pi, space=StateSpace.from_k(np.size(pi)))
 
     @property
     def k(self) -> int:

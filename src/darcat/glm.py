@@ -31,9 +31,11 @@ at the points Newton steps from:
   of log L and N = diag(n_c), the Hessian is
   D_hi' N diag(F''_hi / L) D_hi - D_lo' N diag(F''_lo / L) D_lo - G'N G.
 
-Newton steps are solved by LAPACK ``gesv`` directly: the systems have 2 to
-a few dozen unknowns, where ``np.linalg.solve``'s wrapper costs more than
-the factorisation.
+Newton steps are solved by ``np.linalg.solve`` and the logistic function
+is the numpy expression of :func:`_logistic`, so the package needs numpy
+alone.  scipy's LAPACK ``gesv`` and ``expit`` take some 3 to 10 us less a
+call, but importing scipy for them costs a short command more start-up
+than all of its fits.
 
 One prepared design per lag serves every family.  :func:`aic_tables`
 builds each lag's design once and fits every requested family on it; the
@@ -49,8 +51,6 @@ from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dgesv
-from scipy.special import expit
 
 from . import render
 from .core import MISSING, CatSeries, DarcatError
@@ -305,9 +305,10 @@ def _newton(evaluate, params):
     ll, grad, hessian = evaluate(params)
     steps = 0
     while steps < MAX_ITER and np.abs(grad).max() >= GRAD_TOL:
-        *_, step, info = dgesv(hessian(), -grad)
-        if info != 0:  # info > 0: an exactly zero pivot
-            raise SingularHessian("Singular matrix")
+        try:
+            step = np.linalg.solve(hessian(), -grad)
+        except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot
+            raise SingularHessian("Singular matrix") from None
         scale = 1.0
         for _half in range(40):
             cand = params + scale * step
@@ -374,6 +375,19 @@ def fit_multinomial(design: Design) -> GlmFit:
     )
 
 
+def _logistic(x: np.ndarray) -> np.ndarray:
+    """F(x) = 1 / (1 + exp(-x)), as where(x >= 0, 1, e) / (1 + e) with e = exp(-|x|).
+
+    e lies in [0, 1], so nothing overflows: F(-inf) = 0 and F(+inf) = 1
+    exactly, with no floating-point warning.
+    """
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
+    return out
+
+
 def _po_pieces(params: np.ndarray, X: np.ndarray, ends: np.ndarray, q: int):
     """The pieces of P(Y = y_c | x_c) = L_c = F(D_hi v)_c - F(D_lo v)_c, F the logistic function.
 
@@ -386,7 +400,7 @@ def _po_pieces(params: np.ndarray, X: np.ndarray, ends: np.ndarray, q: int):
     F'/L; None if some L_c <= 0.
     """
     theta = np.concatenate([[-np.inf], params[:q], [np.inf]])
-    f = expit(theta[ends] - X @ params[q:])
+    f = _logistic(theta[ends] - X @ params[q:])
     lik = f[0] - f[1]
     if np.any(lik <= 0):
         return None

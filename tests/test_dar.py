@@ -1,7 +1,9 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
-from darcat.core import MISSING, DarcatError
+from darcat.core import MISSING, CatSeries, DarcatError, StateSpace
 from darcat.dar import (
     DarModel,
     MissingDarModel,
@@ -13,6 +15,7 @@ from darcat.dar import (
     transition_matrix,
     transition_matrix_power,
 )
+from darcat.estimate import estimate_alpha_ls, estimate_alpha_mle
 
 
 def model(alpha, pi):
@@ -33,6 +36,45 @@ def test_model_validation():
             model(0.5, pi)
     with pytest.raises(DarcatError, match=r"pi must sum to 1 within 1e-12, got 0\.4$"):
         DarModel.from_pi(0.3, [0.2, 0.2])
+
+
+SERIES = CatSeries(StateSpace.from_k(2), [1, 2, 2, 1, 1, 2])
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: DarModel.from_pi(0.5, ["0.25", "0.75"]),
+        lambda: DarModel(alpha=0.5, pi=np.array(["0.5", "0.5"]), space=StateSpace.from_k(2)),
+        lambda: DarModel.from_pi(0.5, [Fraction(1, 2), Fraction(1, 2)]),
+        lambda: estimate_alpha_mle(SERIES, pi_hat=["0.5", "0.5"]),
+        lambda: estimate_alpha_ls(SERIES, pi_hat=["0.5", "0.5"]),
+    ],
+    ids=["from_pi", "DarModel", "from_pi_object", "estimate_alpha_mle", "estimate_alpha_ls"],
+)
+def test_pi_that_is_not_numeric_is_refused_not_parsed(call):
+    with pytest.raises(DarcatError, match=r"^pi must be an array of real numbers, got dtype "):
+        call()
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("alpha", lambda v: DarModel(alpha=v, pi=np.array([0.5, 0.5]), space=StateSpace.from_k(2))),
+        ("alpha", lambda v: DarModel.from_pi(v, [0.5, 0.5])),
+        ("beta", lambda v: MissingDarModel(model(0.5, [0.5, 0.5]), v)),
+    ],
+)
+@pytest.mark.parametrize("value", ["0.5", None, np.array(0.5), 0.5j])
+def test_alpha_and_beta_that_are_not_real_numbers_are_refused_by_name(name, call, value):
+    with pytest.raises(DarcatError, match=rf"^{name} must be a real number, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("alpha", [0, np.float64(0.25), Fraction(1, 4), np.int64(0)])
+def test_a_real_alpha_of_any_numeric_type_is_kept_as_a_float(alpha):
+    m = DarModel(alpha=alpha, pi=np.array([0.5, 0.5]), space=StateSpace.from_k(2))
+    assert type(m.alpha) is float and m.alpha == float(alpha)
 
 
 def test_transition_matrix_iid_case():

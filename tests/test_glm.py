@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
 from darcat import cli, glm
 from darcat.core import MISSING, CatSeries, DarcatError, StateSpace
@@ -485,6 +486,20 @@ class TestSharedDesign:
         params, ll, steps = glm._newton(evaluate, np.zeros(1))
         assert (params.tolist(), ll, steps) == ([1.0], 0.0, 1)
         assert seen == [0.0, 2.0, 1.0]
+
+
+class TestLogistic:
+    def test_matches_expit_within_1e_15(self):
+        # scipy is the oracle: darcat's logistic is numpy alone
+        x = np.linspace(-700.0, 700.0, 280001)
+        assert glm._logistic(x) == pytest.approx(expit(x), rel=1e-15, abs=0.0)
+
+    def test_is_exact_and_silent_at_the_infinities_and_beyond_overflow(self):
+        x = np.array([-np.inf, -1e308, -800.0, -710.0, 710.0, 800.0, 1e308, np.inf])
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            f = glm._logistic(x)
+        assert f[0] == 0.0 and f[-1] == 1.0
+        assert np.all((0.0 <= f[:4]) & (f[:4] < 1e-300)) and np.all(f[4:] == 1.0)
 
 
 class TestCells:

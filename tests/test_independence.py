@@ -1,12 +1,13 @@
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import stats
 from scipy.special import chdtrc, ndtr
 
+from darcat import independence
 from darcat.core import MISSING, CatSeries, DarcatError, MissingValuePresent, StateSpace
 from darcat.dar import DarModel, simulate
 from darcat.independence import (
@@ -266,11 +267,34 @@ def test_level_outside_unit_interval_is_refused(name, level):
         LEVEL_CHECKED[name](level)
 
 
-def test_tail_probabilities_equal_scipy_stats_exactly():
-    # chi_square_test and runs_count_test call these scipy.special routines
-    # directly; scipy.stats wraps the same ones, so it is the oracle, bit for bit
-    df = np.arange(1, 400)[:, None]
-    c2 = np.linspace(0.0, 1000.0, 2001)[None, :]
-    assert np.array_equal(chdtrc(df, c2), stats.chi2.sf(c2, df))
-    z = np.linspace(0.0, 40.0, 40001)
-    assert np.array_equal(ndtr(-z), stats.norm.sf(z))
+# every df in 1..49, and df = (k - 1)^2, the chi-square test's df, for k <= 20
+TAIL_DFS = sorted(set(range(1, 50)) | {(k - 1) ** 2 for k in range(2, 21)})
+
+
+def test_tail_probabilities_match_scipy_special():
+    # scipy is the oracle: darcat computes both tails with math alone
+    c2 = np.linspace(0.0, 1000.0, 1001)
+    for df in TAIL_DFS:
+        ours = np.array([independence._chi_square_tail(df, float(x)) for x in c2])
+        ref = chdtrc(df, c2)
+        kept = ref > 1e-300
+        assert ours[kept] == pytest.approx(ref[kept], rel=1e-12, abs=0.0), df
+        assert np.all(ours[~kept] <= 1e-300), df
+    z = np.linspace(0.0, 37.0, 3701)
+    ours = np.array([independence._normal_two_sided_tail(float(v)) for v in z])
+    assert ours == pytest.approx(2.0 * ndtr(-z), rel=1e-12, abs=0.0)
+    assert [independence._normal_two_sided_tail(-v) for v in z.tolist()] == ours.tolist()
+
+
+@pytest.mark.parametrize("x", [0.0, 1e-300, 1e-8, 0.5, 1.0, 3.84, 50.0, 700.0, 1400.0, 2000.0])
+def test_chi_square_tail_closed_forms_at_one_and_two_df(x):
+    assert independence._chi_square_tail(2, x) == math.exp(-x / 2.0)
+    assert independence._chi_square_tail(1, x) == math.erfc(math.sqrt(x / 2.0))
+
+
+def test_chi_square_tail_is_a_probability():
+    # without the cap, rounding lifts the sum above 1, by up to 1e-13, from df = 52 on
+    for df in range(1, 400):
+        tails = [independence._chi_square_tail(df, x) for x in np.linspace(0.0, 100.0, 201).tolist()]
+        assert tails[0] == 1.0
+        assert all(0.0 <= t <= 1.0 for t in tails), df
