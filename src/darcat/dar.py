@@ -30,22 +30,22 @@ __all__ = [
 _PI_TOL = 1e-12
 
 
-def _validate_pi(pi: np.ndarray, k: int) -> np.ndarray:
-    """``pi`` as floats, or a DarcatError unless it is a numeric probability vector over k states."""
+def _validate_pi(name: str, pi: np.ndarray, k: int) -> np.ndarray:
+    """``pi`` as floats, or a DarcatError naming ``name`` unless it is a numeric probability vector over k states."""
     pi = np.asarray(pi)
     if pi.dtype.kind not in "iuf":  # strings are refused, not parsed
-        raise DarcatError(f"pi must be an array of real numbers, got dtype {pi.dtype}")
+        raise DarcatError(f"{name} must be an array of real numbers, got dtype {pi.dtype}")
     pi = pi.astype(float, copy=False)
     if pi.ndim != 1 or pi.size < 2:
-        raise DarcatError("pi must be a probability vector of length >= 2")
+        raise DarcatError(f"{name} must be a probability vector of length >= 2")
     if pi.size != k:
-        raise DarcatError(f"pi has length {pi.size}, state space has k={k}")
+        raise DarcatError(f"{name} has length {pi.size}, state space has k={k}")
     if not np.isfinite(pi).all():
-        raise DarcatError(f"pi must be finite, got {pi.tolist()}")
+        raise DarcatError(f"{name} must be finite, got {pi.tolist()}")
     if np.any(pi < 0):
-        raise DarcatError("pi components must be nonnegative")
+        raise DarcatError(f"{name} components must be nonnegative")
     if abs(pi.sum() - 1.0) > _PI_TOL:
-        raise DarcatError(f"pi must sum to 1 within {_PI_TOL}, got {float(pi.sum())}")
+        raise DarcatError(f"{name} must sum to 1 within {_PI_TOL}, got {float(pi.sum())}")
     return pi
 
 
@@ -74,7 +74,7 @@ class DarModel:
     def __post_init__(self) -> None:
         _check_unit_interval("alpha", self.alpha)
         object.__setattr__(self, "alpha", float(self.alpha))
-        pi = _validate_pi(self.pi, self.space.k).copy()
+        pi = _validate_pi("pi", self.pi, self.space.k).copy()
         pi.setflags(write=False)
         object.__setattr__(self, "pi", pi)
 

@@ -344,7 +344,7 @@ def estimate_alpha_mle(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     probability vector over the series' k states raises
     :class:`~darcat.core.DarcatError`.
     """
-    return _alpha_mle(*series.pairs, _validate_pi(pi_hat, series.space.k))
+    return _alpha_mle(*series.pairs, _validate_pi("pi_hat", pi_hat, series.space.k))
 
 
 def _ls_closed_form(p_hat: np.ndarray, pi: np.ndarray, used: np.ndarray) -> np.ndarray:
@@ -416,7 +416,7 @@ def estimate_alpha_ls(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     clamped.  A ``pi_hat`` that is not a probability vector over the
     series' k states raises :class:`~darcat.core.DarcatError`.
     """
-    pi_hat = _validate_pi(pi_hat, series.space.k)
+    pi_hat = _validate_pi("pi_hat", pi_hat, series.space.k)
     jumps = transition_counts(series).matrix
     alpha_hat, why = alpha_ls_rows(jumps[None], pi_hat[None])
     if why[0] == FEW_STATES:

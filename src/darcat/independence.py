@@ -163,7 +163,7 @@ def _check_level(level: float) -> None:
 
 def _check_pi(pi: np.ndarray, k: int) -> np.ndarray:
     """:func:`~darcat.dar._validate_pi`, plus the runs statistics' own rule 0 < pi_j < 1."""
-    pi = _validate_pi(pi, k)
+    pi = _validate_pi("pi", pi, k)
     if np.any(pi <= 0.0) or np.any(pi >= 1.0):
         raise DegenerateDistribution("runs statistics need 0 < pi_j < 1 for every state")
     return pi

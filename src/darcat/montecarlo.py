@@ -9,7 +9,12 @@ replicates.  ``CellResult.dropped`` counts why each replicate was
 counted out.  Everything is deterministic given the master seed.
 
 Replicate r of cell c draws its 2n+1 uniforms from its own generator,
-seeded with entry c*m + r of the master seed's uint32 stream.  All later
+seeded with entry c*m + r of the master seed's uint32 stream.  These
+generators are seeded in bulk: one vectorised pass hashes every seed as
+``np.random.SeedSequence`` does (:func:`_pcg64_seed_words`), and one
+``PCG64`` is re-seeded per replicate (:func:`_uniform_rows`), so each
+replicate's uniforms are bit for bit those of
+``np.random.default_rng(seed)``.  All later
 steps run on the whole cell at once: its replicates are the rows of one
 (m, n+1) array of paths (:func:`~darcat.dar.draw_paths`), counted by
 :func:`~darcat.core.path_counts` and estimated by
@@ -67,7 +72,7 @@ class SimGrid:
             if n < 1:
                 raise DarcatError(f"n must be >= 1, got {n}")
         for pi in self.pis:
-            _validate_pi(pi, len(pi))
+            _validate_pi("pi", pi, len(pi))
 
 
 @dataclass(frozen=True)
@@ -95,9 +100,74 @@ class CellResult:
 
 def _replicate_seeds(master: int, total: int) -> np.ndarray:
     # One integer seed per replicate, cell-major: the uint32 stream of the
-    # master seed sequence.  Adding cells or replicates at the end never
-    # changes the seeds of earlier ones.
+    # master seed sequence, whose first words do not depend on its length.
+    # Cells are ordered marginal-major, so only marginals appended to
+    # ``pis`` append cells and keep the seeds of earlier ones; a larger m,
+    # or another alpha or n, moves the seeds of every cell after the first.
     return np.random.SeedSequence(master).generate_state(total, dtype=np.uint32)
+
+
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+
+
+def _pcg64_seed_words(seeds: np.ndarray) -> np.ndarray:
+    """``SeedSequence(s).generate_state(4, np.uint64)`` for every uint32 seed s at once, as rows of a (len, 4) array.
+
+    NumPy's stream policy (NEP 19) fixes this hash, so it is re-run here
+    on uint32 arrays instead of building one ``SeedSequence`` per seed.
+    A seed below 2**32 is one word of entropy, padded with zeros to the
+    pool of 4; ``mix_entropy`` hashes each pool word with ``hashmix`` and
+    then mixes every pair of words with ``mix``, and ``generate_state``
+    hashes the pool cyclically into 8 words, read pairwise as
+    little-endian uint64; both hashes run ``hashmix`` with their own
+    running constant.  Arrays wrap on overflow without a warning; the
+    constant is a Python int masked to 32 bits.
+    """
+
+    def hasher(hash_const: int, mult: int):
+        def hashmix(value: np.ndarray) -> np.ndarray:
+            nonlocal hash_const
+            value = value ^ np.uint32(hash_const)
+            hash_const = (hash_const * mult) & _MASK32
+            value = value * np.uint32(hash_const)
+            return value ^ (value >> np.uint32(16))
+
+        return hashmix
+
+    def mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        result = x * np.uint32(0xCA01F9DD) - y * np.uint32(0x4973F715)  # MIX_MULT_L, MIX_MULT_R
+        return result ^ (result >> np.uint32(16))
+
+    hashmix = hasher(0x43B0D7E5, 0x931E8875)  # INIT_A, MULT_A
+    seeds = np.asarray(seeds, dtype=np.uint32)
+    pool = [hashmix(seeds)] + [hashmix(np.zeros_like(seeds)) for _ in range(3)]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    output = hasher(0x8B51F9DD, 0x58F38DED)  # INIT_B, MULT_B
+    return np.stack([output(pool[i % 4]) for i in range(8)], axis=1).astype("<u4", copy=False).view("<u8")
+
+
+def _uniform_rows(seed_words: np.ndarray, width: int) -> np.ndarray:
+    """Row r: the first ``width`` of ``default_rng(s_r).random()``, from row r of :func:`_pcg64_seed_words`.
+
+    One ``PCG64`` is re-seeded per row as ``pcg64_set_seed`` seeds it
+    (``pcg_setseq_128_srandom_r``): words 0-1 are the high and low half
+    of the initial state, words 2-3 of the stream, and two LCG steps mix
+    them.  Its doubles then fill the row in place.
+    """
+    bits = np.random.PCG64(0)
+    gen = np.random.Generator(bits)
+    out = np.empty((len(seed_words), width))
+    for row, (state_hi, state_lo, seq_hi, seq_lo) in zip(out, seed_words.tolist()):
+        inc = (((seq_hi << 64) | seq_lo) << 1 | 1) & _MASK128
+        state = ((((state_hi << 64) | state_lo) + inc) * _PCG64_MULT + inc) & _MASK128
+        bits.state = {"bit_generator": "PCG64", "state": {"state": state, "inc": inc}, "has_uint32": 0, "uinteger": 0}
+        gen.random(out=row)
+    return out
 
 
 def _estimate_paths(paths: np.ndarray, k: int):
@@ -121,11 +191,11 @@ def _dropped(estimator: str, why: np.ndarray) -> tuple[tuple[str, str, int], ...
 def run_grid(grid: SimGrid) -> tuple[CellResult, ...]:
     """Simulate every cell of the grid and summarise the estimators."""
     cells = list(product(grid.pis, grid.alphas, grid.ns))
-    seeds = _replicate_seeds(grid.seed, len(cells) * grid.m).reshape(len(cells), grid.m)
+    seed_words = _pcg64_seed_words(_replicate_seeds(grid.seed, len(cells) * grid.m)).reshape(len(cells), grid.m, 4)
     results = []
-    for (pi, alpha, n), cell_seeds in zip(cells, seeds):
+    for (pi, alpha, n), cell_words in zip(cells, seed_words):
         model = DarModel.from_pi(alpha, np.asarray(pi, dtype=float))
-        u = np.stack([np.random.default_rng(int(s)).random(2 * n + 1) for s in cell_seeds])
+        u = _uniform_rows(cell_words, 2 * n + 1)
         pi_hat, (alpha1, why1), (alpha2, why2) = _estimate_paths(draw_paths(model, u), model.k)
         mean_alpha1, m1 = _admissible_mean(alpha1, why1)
         mean_alpha2, m2 = _admissible_mean(alpha2, why2)

@@ -42,18 +42,19 @@ SERIES = CatSeries(StateSpace.from_k(2), [1, 2, 2, 1, 1, 2])
 
 
 @pytest.mark.parametrize(
-    "call",
+    "name, call",
     [
-        lambda: DarModel.from_pi(0.5, ["0.25", "0.75"]),
-        lambda: DarModel(alpha=0.5, pi=np.array(["0.5", "0.5"]), space=StateSpace.from_k(2)),
-        lambda: DarModel.from_pi(0.5, [Fraction(1, 2), Fraction(1, 2)]),
-        lambda: estimate_alpha_mle(SERIES, pi_hat=["0.5", "0.5"]),
-        lambda: estimate_alpha_ls(SERIES, pi_hat=["0.5", "0.5"]),
+        ("pi", lambda: DarModel.from_pi(0.5, ["0.25", "0.75"])),
+        ("pi", lambda: DarModel(alpha=0.5, pi=np.array(["0.5", "0.5"]), space=StateSpace.from_k(2))),
+        ("pi", lambda: DarModel.from_pi(0.5, [Fraction(1, 2), Fraction(1, 2)])),
+        ("pi_hat", lambda: estimate_alpha_mle(SERIES, pi_hat=["0.5", "0.5"])),
+        ("pi_hat", lambda: estimate_alpha_ls(SERIES, pi_hat=["0.5", "0.5"])),
     ],
     ids=["from_pi", "DarModel", "from_pi_object", "estimate_alpha_mle", "estimate_alpha_ls"],
 )
-def test_pi_that_is_not_numeric_is_refused_not_parsed(call):
-    with pytest.raises(DarcatError, match=r"^pi must be an array of real numbers, got dtype "):
+def test_pi_that_is_not_numeric_is_refused_not_parsed(name, call):
+    # the error names the argument that was checked
+    with pytest.raises(DarcatError, match=rf"^{name} must be an array of real numbers, got dtype "):
         call()
 
 

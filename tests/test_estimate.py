@@ -575,6 +575,16 @@ def test_converged_is_a_plain_bool(path):
     assert json.loads(json.dumps(dataclasses.asdict(est)))["converged"] == est.converged
 
 
+@pytest.mark.parametrize("estimator", [estimate_alpha_mle, estimate_alpha_ls])
+def test_pi_hat_errors_name_pi_hat(estimator):
+    # the check is shared with DarModel, whose errors say "pi"; the dtype message is pinned in test_dar.py
+    s = series([1, 2, 2, 1, 1, 2, 1, 1, 2, 2])
+    with pytest.raises(DarcatError, match=r"^pi_hat has length 3, state space has k=2$"):
+        estimator(s, pi_hat=[0.5, 0.25, 0.25])
+    with pytest.raises(DarcatError, match=r"^pi_hat must sum to 1 within 1e-12, got 1\.2$"):
+        estimator(s, pi_hat=[0.6, 0.6])
+
+
 class TestBeta:
     def test_complete_series(self):
         assert estimate_beta(series([1, 2, 1])) == 0.0

@@ -24,7 +24,9 @@ from darcat.montecarlo import (
     results_by_pi,
     run_grid,
     _estimate_paths,
+    _pcg64_seed_words,
     _replicate_seeds,
+    _uniform_rows,
 )
 
 SMALL = SimGrid(pis=((0.5, 0.5), (0.3, 0.7)), alphas=(0.2, 0.6), ns=(30, 60), m=4, seed=99)
@@ -83,6 +85,25 @@ def test_matches_direct_replication():
             assert cell.mean_pi_hat == mean_pi
             assert (cell.m1, cell.mean_alpha1) == (len(a1), float(np.mean(a1)) if a1 else None)
             assert (cell.m2, cell.mean_alpha2) == (len(a2), float(np.mean(a2)) if a2 else None)
+
+
+def test_appending_a_marginal_keeps_the_earlier_cells():
+    # cells are marginal-major, so a marginal appended to pis appends cells and their seeds
+    extended = SimGrid(pis=SMALL.pis + ((0.1, 0.9),), alphas=SMALL.alphas, ns=SMALL.ns, m=SMALL.m, seed=SMALL.seed)
+    before = run_grid(SMALL)
+    assert run_grid(extended)[: len(before)] == before
+
+
+# the study's own seeds (master seed 2 gives the first 6,000), and the ends of the uint32 range
+BULK_SEEDS = np.concatenate([np.array([0, 1, 2**31, 2**32 - 1], dtype=np.uint32), _replicate_seeds(2, 10_000)])
+
+
+@pytest.mark.parametrize("width, count", [(3, BULK_SEEDS.size), (101, BULK_SEEDS.size), (1001, 1_004)])
+def test_bulk_seeding_draws_the_uniforms_of_default_rng_bit_for_bit(width, count):
+    seeds = BULK_SEEDS[:count]
+    drawn = _uniform_rows(_pcg64_seed_words(seeds), width)
+    expected = np.stack([np.random.default_rng(int(s)).random(width) for s in seeds])
+    assert np.array_equal(drawn.view(np.uint64), expected.view(np.uint64))
 
 
 def test_dropped_reasons_account_for_every_replicate():
