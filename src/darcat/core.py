@@ -10,9 +10,9 @@ or written.  :func:`parse_series` / :func:`serialize_series` read and
 write a series as one UTF-8 byte buffer, with no Python object per row or
 cell.  All containers are immutable after construction and safe to share
 across threads; every operation here is a pure function.  The facts that
-the estimators and tests read off a series (its state counts, per-gap
-pair table and runs) are cached properties, computed on first read; two
-threads reading one at once at most compute it twice.
+the estimators, tests and fits read off a series (its state counts,
+per-gap pair table, runs and window tables) are cached, computed on
+first read; two threads reading one at once at most compute it twice.
 """
 
 from __future__ import annotations
@@ -236,6 +236,39 @@ class CatSeries:
     def runs(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """:func:`run_lengths` of ``obs``: its maximal runs as read-only arrays (value, start, length)."""
         return _read_only(*run_lengths(self.obs))
+
+    def windows(self, lag: int) -> np.ndarray:
+        """Fully observed windows (x_{t-lag}, ..., x_t), counted.
+
+        A read-only int table of shape ``(k,) * (lag + 1)`` whose cell
+        ``[a_lag - 1, ..., a_0 - 1]`` counts the times t at which
+        x_{t-d} = a_d for d = lag, ..., 0, oldest first, no value missing;
+        all zero when the series is not longer than ``lag``.  Summing it
+        over its oldest axes gives the lower lags' counts on these same
+        times.  Computed once per lag, by one bincount.
+        """
+        tables = self._windows
+        if lag not in tables:
+            if lag < 0:
+                raise DarcatError(f"lag must be >= 0, got {lag}")
+            k, x = self.space.k, self.obs
+            n = max(len(x) - lag, 0)
+            keys = x[:n] - 1
+            observed = x[:n] != MISSING
+            for d in range(1, lag + 1):  # oldest first, so the response is the last digit
+                v = x[d : d + n]
+                keys *= k
+                keys += v - 1
+                observed &= v != MISSING
+            table = np.bincount(keys[observed], minlength=k ** (lag + 1)).reshape((k,) * (lag + 1))
+            table.setflags(write=False)
+            tables[lag] = table
+        return tables[lag]
+
+    @cached_property
+    def _windows(self) -> dict[int, np.ndarray]:
+        """:meth:`windows`' tables by lag."""
+        return {}
 
     def stamps(self) -> np.ndarray:
         """Every time label as an array of str, the implicit '0'..'n' included; stored labels come read-only."""

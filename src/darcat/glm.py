@@ -31,6 +31,17 @@ at the points Newton steps from:
   of log L and N = diag(n_c), the Hessian is
   D_hi' N diag(F''_hi / L) D_hi - D_lo' N diag(F''_lo / L) D_lo - G'N G.
 
+The cell counts are the series' table of fully observed windows
+(x_{t-lag}, ..., x_t), :meth:`~darcat.core.CatSeries.windows`, made by
+one bincount, so no fit builds a row; under ``common_rows`` a lower lag's
+counts are the largest lag's table summed over its oldest values.
+``Design.X``, ``.y`` and ``.t_index`` still give the rows one by one, on
+request.  A multinomial design is saturated when it has as many distinct
+covariate rows as columns and every (covariate row, response) cell is
+seen.  It starts at its closed-form optimum, so Newton only checks the
+coefficient bound and the gradient there; every other fit starts where it
+always has, at zero or at the empirical cumulative logits.
+
 Newton steps are solved by ``np.linalg.solve`` and the logistic function
 is the numpy expression of :func:`_logistic`, so the package needs numpy
 alone.  scipy's LAPACK ``gesv`` and ``expit`` take some 3 to 10 us less a
@@ -39,7 +50,7 @@ than all of its fits.
 
 One prepared design per lag serves every family.  :func:`aic_tables`
 builds each lag's design once and fits every requested family on it; the
-design groups, collapses and prunes itself once (``Design._prepared``),
+design reads its cells, collapses and prunes once (``Design._prepared``),
 however many fitters read it.  :func:`aic_table` is the one-family case.
 :meth:`AicTable.render` writes a table as csv, md or txt through
 :func:`darcat.render.table`.
@@ -47,13 +58,13 @@ however many fitters read it.  :func:`aic_table` is the one-family case.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from . import render
-from .core import MISSING, CatSeries, DarcatError
+from .core import MISSING, CatSeries, DarcatError, _read_only
 
 __all__ = [
     "NoUsableRows",
@@ -91,30 +102,60 @@ class SingularHessian(DarcatError):
 
 @dataclass(frozen=True)
 class Design:
-    """Regression rows: response codes and lagged-indicator covariates.
+    """The regression of a series on its lags 1..``lag``, on the times whose window of ``span`` lags is observed.
 
-    The covariate matrix carries an intercept column followed by k-1
-    state indicators per lag (state k is the reference), giving
-    1 + lag*(k-1) columns.  Rows touching a missing value are dropped.
-    The fits group the rows by the states these blocks encode, so ``X``
-    must keep this layout.
+    The fits read the design's counts, ``table``: the series' fully
+    observed windows of ``span`` + 1 values (``span`` >= ``lag``, the
+    largest lag of a common-rows table) summed over their ``span - lag``
+    oldest values, so the cell ``[a_lag - 1, ..., a_1 - 1, y - 1]``
+    counts the rows whose state at lag d is a_d and whose response is y.
+
+    ``X``, ``y`` and ``t_index`` are the same rows one by one, built on
+    first read: a row per usable time t, in order, with an intercept
+    column followed by k-1 state indicators per lag (state k is the
+    reference), giving 1 + lag*(k-1) columns named by ``column_names``.
     """
 
-    X: np.ndarray
-    y: np.ndarray
+    series: CatSeries
     lag: int
-    k: int
-    column_names: tuple[str, ...]
-    t_index: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.X.setflags(write=False)
-        self.y.setflags(write=False)
-        self.t_index.setflags(write=False)
+    span: int
 
     @property
+    def k(self) -> int:
+        return self.series.space.k
+
+    @property
+    def column_names(self) -> tuple[str, ...]:
+        return ("intercept",) + tuple(f"lag{d}_state{j}" for d in range(1, self.lag + 1) for j in range(1, self.k))
+
+    @cached_property
+    def table(self) -> np.ndarray:
+        return self.series.windows(self.span).sum(axis=tuple(range(self.span - self.lag)))
+
+    @cached_property
     def n_used(self) -> int:
-        return int(self.y.size)
+        return int(self.table.sum())
+
+    @property
+    def t_index(self) -> np.ndarray:
+        return self._rows[0]
+
+    @property
+    def y(self) -> np.ndarray:
+        return self._rows[1]
+
+    @property
+    def X(self) -> np.ndarray:
+        return self._rows[2]
+
+    @cached_property
+    def _rows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(t_index, y, X)``, read-only; no fit reads them."""
+        obs = self.series.obs
+        t = np.arange(self.span, len(obs))
+        t = t[np.all([obs[t - d] != MISSING for d in range(self.span + 1)], axis=0)]
+        blocks = [obs[t - d, None] == np.arange(1, self.k) for d in range(1, self.lag + 1)]
+        return _read_only(t, obs[t], np.concatenate([np.ones((t.size, 1)), *blocks], axis=1))
 
     @cached_property
     def _prepared(self) -> tuple:
@@ -155,23 +196,10 @@ def build_design(series: CatSeries, lag: int) -> Design:
         raise DarcatError(f"lag must be 0, 1 or 2, got {lag}")
     if len(series) <= lag:
         raise NoUsableRows(f"series of length {len(series)} cannot support lag {lag}")
-    k = series.space.k
-    obs = series.obs
-    # window i covers times i..i+lag, so a fully observed window i gives row t = i + lag
-    t_index = np.flatnonzero(np.lib.stride_tricks.sliding_window_view(obs != MISSING, lag + 1).all(axis=1)) + lag
-    if t_index.size == 0:
+    design = Design(series, lag, lag)
+    if design.n_used == 0:
         raise NoUsableRows("every candidate row touches a missing value")
-    states = np.arange(1, k)
-    blocks = [obs[t_index - d, None] == states for d in range(1, lag + 1)]
-    names = ["intercept"] + [f"lag{d}_state{j}" for d in range(1, lag + 1) for j in range(1, k)]
-    return Design(
-        X=np.concatenate([np.ones((t_index.size, 1)), *blocks], axis=1),
-        y=obs[t_index],
-        lag=lag,
-        k=k,
-        column_names=tuple(names),
-        t_index=t_index,
-    )
+    return design
 
 
 def _collapse_categories(y: np.ndarray, k: int) -> tuple[np.ndarray, list[int], list[str]]:
@@ -183,12 +211,13 @@ def _collapse_categories(y: np.ndarray, k: int) -> tuple[np.ndarray, list[int], 
     missing value, never appears as a response and would otherwise leave
     an empty response class, whose coefficients diverge (``Separation``).
     """
-    present, inverse = np.unique(y, return_inverse=True)
+    present = np.flatnonzero(np.bincount(y, minlength=k + 1)).tolist()
     notes = []
-    if present.size < k:
-        gone = np.setdiff1d(np.arange(1, k + 1), present).tolist()
+    if len(present) < k:
+        gone = sorted(set(range(1, k + 1)).difference(present))
         notes.append(f"empty response categories {gone} collapsed out")
-    return inverse + 1, present.tolist(), notes
+        y = np.searchsorted(present, y) + 1
+    return y, present, notes
 
 
 def _prune_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
@@ -197,8 +226,21 @@ def _prune_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, t
     Earlier columns win, so the intercept stays and a redundant trailing
     indicator (a lagged level that never occurs, or a full set of
     indicators summing to the intercept) is recoded away, exactly as
-    re-choosing the reference level would.
+    re-choosing the reference level would.  Column i is kept when its
+    distance from the span of the columns before it exceeds 1e-8 of
+    max(1, its norm).  Those distances are the diagonal of the Cholesky
+    factor of X'X when X has full rank, the usual case, so a factor whose
+    diagonal clears 1e-4 of the same scale keeps every column at once;
+    the factor's rounding is the square root of X'X's, hence the wider
+    margin.  Any other X is reduced column by column.
     """
+    gram = X.T @ X
+    try:
+        full_rank = np.all(np.diagonal(np.linalg.cholesky(gram)) > 1e-4 * np.sqrt(np.maximum(1.0, np.diagonal(gram))))
+    except np.linalg.LinAlgError:  # X'X is singular: some column depends on those before it
+        full_rank = False
+    if full_rank:
+        return X, names, []
     keep: list[int] = []
     basis = np.zeros((X.shape[0], 0))
     for i in range(X.shape[1]):
@@ -213,22 +255,6 @@ def _prune_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, t
         gone = [names[i] for i in range(X.shape[1]) if i not in keep]
         notes.append(f"redundant covariate columns dropped: {gone}")
     return X[:, keep], tuple(names[i] for i in keep), notes
-
-
-def _cells(design: Design) -> tuple[np.ndarray, np.ndarray]:
-    """One representative row per distinct (covariate row, response) cell, and the cell counts.
-
-    A row's covariates are fixed by its lagged states: block d of k-1
-    indicators encodes the state ``block @ (1..k-1)``, 0 for the reference
-    state k.  Each row gets one integer key, the response followed by the
-    states at lags ``lag``, ..., 1 as base-k digits, so grouping on it is
-    exact for every k and orders the cells by response first.
-    """
-    m, k, lag = design.n_used, design.k, design.lag
-    states = design.X[:, 1:].reshape(m, lag, k - 1) @ np.arange(1, k)
-    keys = design.y * k**lag + (states @ k ** np.arange(lag)).astype(np.int64)
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return first, counts.astype(float)
 
 
 def _multinomial_probs(params: np.ndarray, X: np.ndarray, k_eff: int):
@@ -300,11 +326,20 @@ def _newton(evaluate, params):
     halved, up to 40 times; an ordinal step that breaks the cutpoint order
     has log-likelihood -inf (:func:`_po_evaluation`), so the likelihood
     alone keeps the cutpoints ordered.  Returns the optimum, its
-    log-likelihood and the number of Newton steps taken.
+    log-likelihood and the number of Newton steps taken.  Every point it
+    holds, the start included, is ``Separation`` once some coefficient
+    exceeds ``MAX_COEF`` in magnitude.  When the line search or
+    ``MAX_ITER`` stops it short of ``GRAD_TOL``, a max |gradient| above
+    1e-5 is a ``SingularHessian`` naming which stopped it.
     """
+    if np.abs(params).max() > MAX_COEF:  # a closed-form start beyond the bound (:func:`_saturated_optimum`)
+        raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
     ll, grad, hessian = evaluate(params)
     steps = 0
-    while steps < MAX_ITER and np.abs(grad).max() >= GRAD_TOL:
+    while np.abs(grad).max() >= GRAD_TOL:
+        if steps == MAX_ITER:
+            stop = f"no convergence in {MAX_ITER} Newton steps"
+            break
         try:
             step = np.linalg.solve(hessian(), -grad)
         except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot
@@ -317,28 +352,42 @@ def _newton(evaluate, params):
                 break
             scale *= 0.5
         else:
-            break  # line search stalled; the gradient check below decides
+            stop = f"the line search of step {steps + 1} found no rise in 40 halvings"
+            break
         params, ll, grad, hessian = cand, cand_ll, cand_grad, cand_hessian
         steps += 1
         if np.abs(params).max() > MAX_COEF:
             raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
-    if np.abs(grad).max() > 1e-5:
-        raise SingularHessian("Newton iteration stalled before reaching the optimum")
+    if np.abs(grad).max() > 1e-5:  # a stop short of GRAD_TOL may still be close enough
+        raise SingularHessian(f"Newton stalled: {stop}; max |gradient| {np.abs(grad).max():.3g}")
     return params, ll, steps
 
 
 def _prepare(design: Design):
-    """Group the rows into cells, collapse the responses, refuse fewer than 2, and prune the columns.
+    """Read the cells off the design's counts, collapse the responses, refuse fewer than 2, and prune the columns.
 
-    Returns the cells' collapsed responses, the categories kept, the
-    cells' pruned covariates, their names, the notes and the cell counts.
+    A cell is a distinct (covariate row, response) pair.  The cells are
+    ordered by the response, then by the states at lags ``lag``, ..., 1
+    as base-k digits with state k as digit 0, the reference state whose
+    indicators are all zero.  Returns the cells' collapsed responses, the
+    categories kept, the cells' pruned covariates, their names, the notes
+    and the cell counts.
     """
-    first, counts = _cells(design)
-    y, categories, notes = _collapse_categories(design.y[first], design.k)
+    k, lag = design.k, design.lag
+    # axes (response, state at lag `lag`, ..., state at lag 1), each lag axis reordered to put state k first
+    table = design.table.transpose(lag, *range(lag))
+    for axis in range(1, lag + 1):
+        table = table.take(np.arange(-1, k - 1), axis=axis)  # index -1 is state k
+    cells = np.flatnonzero(table)
+    response, *digits = np.unravel_index(cells, table.shape)
+    counts = table.ravel()[cells].astype(float)
+    y, categories, notes = _collapse_categories(response + 1, k)
     if len(categories) < 2:
         raise DarcatError("response takes fewer than 2 distinct values")
+    blocks = [digits[lag - d][:, None] == np.arange(1, k) for d in range(1, lag + 1)]
+    X = np.concatenate([np.ones((cells.size, 1)), *blocks], axis=1)
     # linear dependence between columns shows on the distinct covariate rows alone
-    X, names, more_notes = _prune_columns(design.X[first], design.column_names)
+    X, names, more_notes = _prune_columns(X, design.column_names)
     for a in (y, X, counts):  # shared by every fit of the design
         a.setflags(write=False)
     return y, categories, X, names, notes + more_notes, counts
@@ -348,17 +397,16 @@ def fit_multinomial(design: Design) -> GlmFit:
     """Fit the multinomial logit by maximising the partial likelihood.
 
     Category probabilities are exp(b_j'x) / (1 + sum_q exp(b_q'x)) with
-    the highest retained category as reference.  Starts at zero, or, when
-    only the intercept is left after pruning, at its closed-form optimum
-    log(N_j / N_ref), where Newton then takes no step.
+    the highest retained category as reference.  Starts at
+    :func:`_saturated_optimum` if the design is saturated, where Newton
+    then only checks the coefficient bound and the gradient, and at zero
+    otherwise.
     """
     y, categories, X, names, notes, counts = design._prepared
     k_eff = len(categories)
     p = X.shape[1]
-    if p == 1:
-        n_j = np.bincount(y - 1, weights=counts)
-        start = np.log(n_j[:-1] / n_j[-1])
-    else:
+    start = _saturated_optimum(X, y, k_eff, counts)
+    if start is None:
         start = np.zeros((k_eff - 1) * p)
     params, ll, steps = _newton(_multinomial_evaluation(X, y, k_eff, counts), start)
     return GlmFit(
@@ -373,6 +421,29 @@ def fit_multinomial(design: Design) -> GlmFit:
         notes=tuple(notes),
         iterations=steps,
     )
+
+
+def _saturated_optimum(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np.ndarray) -> np.ndarray | None:
+    """The multinomial optimum in closed form if the cells ``X``, ``y`` with ``counts`` are saturated, else None.
+
+    The design is saturated when its distinct covariate rows (patterns)
+    are as many as its p columns and every (pattern, response) cell has a
+    count.  Each pattern then has free probabilities, fitted by its
+    response shares N_pj / N_p, so the coefficients B solve the square
+    system X_patterns B' = log(N_pj / N_p,k_eff).  The cells come ordered
+    by response, then by pattern (:func:`_prepare`), so the design is
+    saturated exactly when they are k_eff equal blocks of p patterns.
+    The intercept-only design is the one-pattern case.
+    """
+    m, p = X.shape
+    if m != k_eff * p:
+        return None
+    patterns = X.reshape(k_eff, p, p)
+    blocks_by_response = np.all(y.reshape(k_eff, p) == np.arange(1, k_eff + 1)[:, None])
+    if not (blocks_by_response and np.all(patterns == patterns[0])):
+        return None
+    n = counts.reshape(k_eff, p)
+    return np.linalg.solve(patterns[0], np.log(n[:-1] / n[-1]).T).T.ravel()
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -415,9 +486,13 @@ def _po_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np.ndarray)
     L_c <= 0 has log-likelihood -inf, a zero gradient and no Hessian.
     """
     q = k_eff - 1
-    ends = np.stack([y, y - 1])
-    # D_hi over D_lo, and their signed count weights
-    d = np.vstack([np.hstack([np.eye(q + 1, q)[y - 1], -X]), np.hstack([np.eye(q + 1, q, -1)[y - 1], -X])])
+    ends = np.array([y, y - 1])
+    # D_hi over D_lo: row c holds the one-hot of the cutpoint ends[:, c] of (-inf, cutpoints, +inf), then -x_c
+    d = np.empty((2, y.size, q + X.shape[1]))
+    d[:, :, :q] = np.eye(q + 2, q, -1)[ends]
+    d[:, :, q:] = -X
+    d = d.reshape(2 * y.size, -1)
+    # and their signed count weights
     signed = np.concatenate([counts, -counts])
 
     def evaluate(params: np.ndarray):
@@ -579,18 +654,14 @@ def aic_tables(
     if not lags or not set(lags) <= {0, 1, 2}:
         raise DarcatError(f"lags must be one or more of 0, 1 and 2, got {tuple(lags)}")
     lags = tuple(sorted(set(lags)))
-    # largest lag first: under common_rows its usable rows are the common set
-    common_t = np.empty(0, dtype=np.int64)
     rows: list[list[AicRow]] = [[] for _ in families]
-    for lag in reversed(lags):
+    for lag in lags:
         design = None
         try:
             design = build_design(series, lag)
-            if common_rows:
-                if lag == lags[-1]:
-                    common_t = design.t_index
-                keep = np.isin(design.t_index, common_t)
-                design = replace(design, X=design.X[keep], y=design.y[keep], t_index=design.t_index[keep])
+            if common_rows and lag < lags[-1]:
+                # the rows usable at the largest lag: its windows, summed over their oldest values
+                design = Design(series, lag, lags[-1])
                 if design.n_used == 0:
                     raise NoUsableRows("no rows in the common usable set")
         except DarcatError as exc:
@@ -606,7 +677,6 @@ def aic_tables(
             family_rows.append(row)
     tables = []
     for family, family_rows in zip(families, rows):
-        family_rows.reverse()
         fitted = [r for r in family_rows if r.fit is not None]
         best = min(fitted, key=lambda r: r.fit.aic).lag if fitted else None
         tables.append(AicTable(family=family, rows=tuple(family_rows), best_lag=best))

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from darcat import cli, core, estimate
+from darcat import cli, core, estimate, glm
 from darcat.core import MISSING, CatSeries, StateSpace, TooShort, parse_series, path_counts
 from darcat.independence import runs_summary
 
@@ -102,6 +102,39 @@ def test_pair_counts_matches_reference(series):
     for x, y, h in pairs:
         expected[gaps.tolist().index(h), x - 1, y - 1] += 1
     assert np.array_equal(table, expected)
+
+
+def windows_reference(obs, k, lag, span):
+    """Counts of (x_{t-lag}, ..., x_t), oldest first, over the times t with x_{t-span}, ..., x_t all observed."""
+    table = np.zeros((k,) * (lag + 1), dtype=np.int64)
+    for t in range(span, len(obs)):
+        if all(obs[t - d] != MISSING for d in range(span + 1)):
+            table[tuple(obs[t - d] - 1 for d in range(lag, -1, -1))] += 1
+    return table
+
+
+@given(series=gapped_series())
+@with_edge_cases
+@settings(max_examples=200, deadline=None)
+def test_window_tables_match_reference(series):
+    k = series.space.k
+    for span in (0, 1, 2, 3):
+        table = series.windows(span)
+        assert table.shape == (k,) * (span + 1) and series.windows(span) is table
+        assert not table.flags.writeable
+        assert np.array_equal(table, windows_reference(series.obs, k, span, span))
+        for lag in range(span + 1):
+            # the common-rows margin identity: summing out the oldest values gives the lower lag on the same times
+            want = windows_reference(series.obs, k, lag, span)
+            assert np.array_equal(table.sum(axis=tuple(range(span - lag))), want)
+            if span <= 2:
+                design = glm.Design(series, lag, span)
+                assert np.array_equal(design.table, want) and design.n_used == want.sum() == design.t_index.size
+
+
+def test_a_negative_window_lag_is_refused():
+    with pytest.raises(core.DarcatError, match=r"^lag must be >= 0, got -1$"):
+        CatSeries(StateSpace.from_k(2), (1, 2, 1)).windows(-1)
 
 
 @given(series=gapped_series(missing=False))

@@ -3,6 +3,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from darcat import dar
 from darcat.core import MISSING, CatSeries, DarcatError, StateSpace
 from darcat.dar import (
     DarModel,
@@ -228,3 +229,36 @@ def test_draw_paths_rows_follow_the_recursion(alpha, pi):
     # a row does not depend on the others, and simulate is a batch of one
     assert draw_paths(m, u[2:3]).tolist() == paths[2:3].tolist()
     assert np.array_equal(simulate(m, 40, 9).obs, draw_paths(m, np.random.default_rng(9).random((1, 81)))[0])
+
+
+def inverse_cdf_reference(pi, u):
+    """The binary-search form: the number of cumsum(pi) entries at or below u, capped at k - 1, plus 1."""
+    idx = np.searchsorted(np.cumsum(pi), u, side="right")
+    return np.minimum(idx, pi.size - 1) + 1
+
+
+@pytest.mark.parametrize("k", [*range(2, 21), 1000])
+def test_inverse_cdf_equals_the_binary_search(k):
+    """Both sides of the k = 10 switch between counting passes and the binary search."""
+    rng = np.random.default_rng(k)
+    zeros = rng.dirichlet(np.ones(k))
+    zeros[rng.permutation(k)[: k // 2]] = 0.0  # equal thresholds, and states that cannot be drawn
+    pis = [
+        rng.dirichlet(np.ones(k)),
+        np.full(k, 1.0 / k),
+        zeros / zeros.sum(),
+        rng.dirichlet(np.ones(k)) * (1.0 - 2.0**-40),  # the cumulative sum ends below 1
+    ]
+    for pi in pis:
+        cum = np.cumsum(pi)
+        assert pi is not pis[-1] or cum[-1] < 1.0
+        u = np.concatenate([
+            rng.random(2000),
+            cum,  # u exactly at every boundary
+            np.nextafter(cum, 0.0),
+            np.nextafter(cum, 1.0),
+            [0.0, np.nextafter(1.0, 0.0)],
+        ])
+        got = dar._inverse_cdf(pi, u[:, None])
+        assert got.dtype == np.intp and got.shape == (u.size, 1)
+        assert np.array_equal(got.ravel(), inverse_cdf_reference(pi, u))

@@ -10,7 +10,9 @@ from darcat import cli, glm
 from darcat.core import MISSING, CatSeries, DarcatError, StateSpace
 from darcat.dar import DarModel, simulate
 from darcat.glm import (
+    MAX_COEF,
     MAX_ITER,
+    Design,
     NoUsableRows,
     Separation,
     SingularHessian,
@@ -214,23 +216,47 @@ class TestMultinomial:
         fit = fit_multinomial(d)
         assert fit.n_params == k * (k - 1)
         assert fit.log_pl == pytest.approx(expected, abs=1e-8)
+        # the design is saturated, so the fit starts at its optimum: the one Newton reaches from zero
+        y, categories, X, *_, counts = d._prepared
+        params, ll, steps = glm._newton(glm._multinomial_evaluation(X, y, k, counts), np.zeros((k - 1) * X.shape[1]))
+        assert fit.iterations == 0 < steps
+        assert np.max(np.abs(fit.coefficients.ravel() - params)) < 1e-8 and fit.log_pl == pytest.approx(ll, abs=1e-10)
+
+    def test_a_design_with_an_empty_cell_is_not_saturated(self, monkeypatch):
+        obs = np.tile([1, 1, 2, 2, 3, 3, 1, 3, 2, 3], 8)  # every (lag-1 state, response) pair but (2, 1)
+        d = build_design(series(obs.tolist(), k=3), 1)
+        y, categories, X, *_, counts = d._prepared
+        assert d.table[1, 0] == 0 and np.count_nonzero(d.table) == 8
+        assert glm._saturated_optimum(X, y, 3, counts) is None
+        starts = []
+        monkeypatch.setattr(glm, "_newton", lambda evaluate, params: starts.append(params) or (params, 0.0, 0))
+        fit_multinomial(d)
+        assert starts[0].tolist() == [0.0] * 6  # such a fit has no maximum; it starts at zero, as it always has
+
+    def test_a_saturated_optimum_beyond_the_bound_is_separation(self):
+        # '1' * a + '2' * b + '1' is saturated at lag 1, and its optimum has the lag-1 slope
+        # log(a - 1) + log(b - 1) = 30.4 > MAX_COEF; its window counts stand in for its 8e6 values
+        a = b = 4_000_000
+        s = series([1, 2, 1], k=2)
+        s._windows[1] = np.array([[a - 1, 1], [1, b - 1]])
+        d = build_design(s, 1)
+        y, categories, X, *_, counts = d._prepared
+        start = glm._saturated_optimum(X, y, 2, counts)
+        assert start is not None and np.abs(start).max() == pytest.approx(np.log(a - 1) + np.log(b - 1))
+        message = rf"^coefficient magnitude exceeded {MAX_COEF}$"
+        with pytest.raises(Separation, match=message):
+            fit_multinomial(d)
+        with pytest.raises(Separation, match=message):  # Newton from zero passes the bound on its way there
+            glm._newton(glm._multinomial_evaluation(X, y, 2, counts), np.zeros(2))
+        (row,) = aic_table(s, "categorical", lags=(1,)).rows
+        assert row.fit is None and row.n_used == a + b and row.error == f"coefficient magnitude exceeded {MAX_COEF}"
 
     def test_beats_nested_intercept_model_on_same_rows(self):
         s = generate_mnl_chain(300, seed=4)
         d1 = build_design(s, 1)
         full = fit_multinomial(d1)
-        intercept_design = build_design(s, 0)
-        keep = np.isin(intercept_design.t_index, d1.t_index)
-        from darcat.glm import Design
-
-        d0 = Design(
-            X=intercept_design.X[keep],
-            y=intercept_design.y[keep],
-            lag=0,
-            k=3,
-            column_names=("intercept",),
-            t_index=intercept_design.t_index[keep],
-        )
+        d0 = Design(s, lag=0, span=1)  # the intercept-only model on the lag-1 rows
+        assert d0.t_index.tolist() == d1.t_index.tolist() and d0.n_used == d1.n_used
         reduced = fit_multinomial(d0)
         assert full.log_pl >= reduced.log_pl - 1e-9
 
@@ -388,15 +414,18 @@ class TestAicTable:
         monkeypatch.setitem(glm._FITTERS, family, recording)
         obs = simulate(DarModel.from_pi(0.5, [0.2, 0.3, 0.5]), 400, seed=31).obs.copy()
         obs[np.random.default_rng(31).random(obs.size) < 0.1] = MISSING
-        table = aic_table(series(obs.tolist(), k=3), family, common_rows=common_rows)
+        s = series(obs.tolist(), k=3)
+        table = aic_table(s, family, common_rows=common_rows)
         assert len(fits) == 3
         # each row holds the very fit the fitter returned for its lag, made on the rows it counts
         by_lag = sorted(fits, key=lambda fit: fit.lag)
         assert all(r.fit is fit and r.n_used == fit.n_used for r, fit in zip(table.rows, by_lag, strict=True))
+        # every (lag-1 state, response) cell is seen, so the lag-1 multinomial design is saturated
+        assert np.all(Design(s, 1, 2 if common_rows else 1).table > 0)
         for fit in fits:
-            if fit.lag == 0:
-                # both families start at the closed-form optimum of the intercept-only model:
-                # the empirical cumulative logits, or the log odds log(N_j / N_ref)
+            if fit.lag == 0 or (family, fit.lag) == ("categorical", 1):
+                # each starts at its closed-form optimum: the empirical cumulative logits of the
+                # intercept-only model, or the saturated multinomial's log odds log(N_pj / N_p,ref)
                 assert fit.iterations == 0
             else:
                 assert 1 <= fit.iterations <= MAX_ITER
@@ -466,6 +495,25 @@ class TestSharedDesign:
         assert sorted(builds) == [0, 1, 2]
         assert len(prepared) == len({id(d) for d in prepared}) == 3
 
+    @pytest.mark.parametrize("common_rows", [False, True])
+    def test_aic_tables_never_reads_the_row_view(self, monkeypatch, tmp_path, capsys, common_rows):
+        def refuse(design):
+            raise AssertionError("the row view was read")
+
+        monkeypatch.setattr(Design, "_rows", property(refuse))
+        obs = simulate(DarModel.from_pi(0.5, [0.2, 0.3, 0.5]), 300, seed=34).obs.copy()
+        obs[np.random.default_rng(34).random(obs.size) < 0.1] = MISSING
+        s = series(obs.tolist(), k=3)
+        tables = aic_tables(s, ("categorical", "ordinal"), common_rows=common_rows)
+        assert all(r.fit is not None for table in tables for r in table.rows)
+        with pytest.raises(AssertionError, match="row view"):
+            build_design(s, 1).X
+        (tmp_path / "states.txt").write_text("1\n2\n3\n")
+        (tmp_path / "s.csv").write_text("t,value\n" + "".join(f"{t},{'NA' if v == MISSING else v}\n" for t, v in enumerate(obs)))
+        argv = ["fit-glm", str(tmp_path / "s.csv"), "--states", str(tmp_path / "states.txt"), "--family", "both"]
+        assert cli.main(argv + ["--common-rows"] * common_rows) == 0
+        assert "NA" not in capsys.readouterr().out
+
     def test_exactly_singular_hessian_keeps_its_error_text(self):
         def evaluate(params):
             return 0.0, np.array([1.0, 0.0]), lambda: np.array([[1.0, 1.0], [1.0, 1.0]])
@@ -486,6 +534,63 @@ class TestSharedDesign:
         params, ll, steps = glm._newton(evaluate, np.zeros(1))
         assert (params.tolist(), ll, steps) == ([1.0], 0.0, 1)
         assert seen == [0.0, 2.0, 1.0]
+
+    def test_a_line_search_that_finds_no_rise_is_named(self):
+        # every step away from 0 lowers the likelihood, while the gradient says it should rise
+        def evaluate(params):
+            return (0.0 if params[0] == 0.0 else -1.0), np.array([0.25]), lambda: np.array([[-1.0]])
+
+        with pytest.raises(
+            SingularHessian,
+            match=r"^Newton stalled: the line search of step 1 found no rise in 40 halvings; max \|gradient\| 0\.25$",
+        ):
+            glm._newton(evaluate, np.zeros(1))
+
+    def test_running_out_of_steps_is_named(self):
+        # the Hessian is a million times too large, so each step goes 2e-6 of the way to the maximum at 1
+        def evaluate(params):
+            x = params[0]
+            return -((x - 1.0) ** 2), np.array([-2.0 * (x - 1.0)]), lambda: np.array([[-2e6]])
+
+        with pytest.raises(SingularHessian, match=rf"^Newton stalled: no convergence in {MAX_ITER} Newton steps; ") as err:
+            glm._newton(evaluate, np.zeros(1))
+        assert str(err.value).endswith("max |gradient| 2")
+
+    def test_a_stop_close_enough_to_the_optimum_is_a_fit(self):
+        # the same path, but the gradient is already below 1e-5 when the steps run out
+        def evaluate(params):
+            x = params[0]
+            return -((x - 1.0) ** 2), np.array([-2.0 * (x - 1.0)]), lambda: np.array([[-2e6]])
+
+        params, _, steps = glm._newton(evaluate, np.array([1.0 - 4e-6]))
+        assert steps == MAX_ITER and abs(params[0] - 1.0) < 4e-6
+
+
+@given(
+    k=st.integers(2, 6),
+    used=st.integers(1, 6),
+    n=st.integers(3, 60),
+    lag=st.integers(0, 2),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_pruning_keeps_the_columns_column_by_column_reduction_keeps(k, used, n, lag, seed):
+    """Full-rank designs kept at once, others reduced: the columns and notes of a Gram-Schmidt pass over every column."""
+    obs = np.random.default_rng(seed).integers(1, min(used, k) + 1, n)
+    try:
+        d = build_design(series(obs.tolist(), k=k), lag)
+    except DarcatError:
+        return
+    X, names = d.X, d.column_names
+    keep, basis = [], np.zeros((X.shape[0], 0))
+    for i in range(X.shape[1]):
+        resid = X[:, i] - basis @ (basis.T @ X[:, i])
+        if np.linalg.norm(resid) > 1e-8 * max(1.0, np.linalg.norm(X[:, i])):
+            keep.append(i)
+            basis = np.column_stack([basis, resid / np.linalg.norm(resid)])
+    pruned, kept_names, notes = glm._prune_columns(X, names)
+    assert kept_names == tuple(names[i] for i in keep) and np.array_equal(pruned, X[:, keep])
+    assert bool(notes) == (len(keep) < X.shape[1])
 
 
 class TestLogistic:
@@ -577,18 +682,17 @@ class TestCells:
 
     @pytest.mark.parametrize("family", ["categorical", "ordinal"])
     @pytest.mark.parametrize("common_rows", [False, True])
-    def test_k20_tables_equal_row_level_fits(self, monkeypatch, family, common_rows):
+    def test_k20_tables_equal_row_level_fits(self, family, common_rows):
         """39 covariate columns at lag 2: the same rows, NA pattern and errors as fitting on rows."""
         obs = simulate(DarModel.from_pi(0.5, np.full(20, 0.05)), 500, seed=7).obs.copy()
         obs[np.random.default_rng(7).random(obs.size) < 0.05] = MISSING
         s = series(obs.tolist(), k=20)
         assert build_design(s, 2).X.shape[1] == 39
         table = aic_table(s, family, common_rows=common_rows)
-        # one cell per row, each of count 1
-        monkeypatch.setattr(glm, "_cells", lambda design: (np.arange(design.n_used), np.ones(design.n_used)))
-        rows = aic_table(s, family, common_rows=common_rows)
-        assert table.best_lag == rows.best_lag
-        for got, want in zip(table.rows, rows.rows, strict=True):
+        rows = row_level_rows(s, family, common_rows)
+        fitted = [r for r in rows if r.fit is not None]
+        assert table.best_lag == min(fitted, key=lambda r: r.fit.aic).lag
+        for got, want in zip(table.rows, rows, strict=True):
             assert (got.lag, got.n_used, got.error) == (want.lag, want.n_used, want.error)
             if want.error is None:
                 g, w = got.fit, want.fit
@@ -597,3 +701,43 @@ class TestCells:
         # 19 * 20 and 19 * 39 multinomial coefficients on about 450 rows diverge; every ordinal lag fits
         fitted = [True, False, False] if family == "categorical" else [True, True, True]
         assert [r.error is None for r in table.rows] == fitted
+
+
+def row_level_rows(s, family, common_rows):
+    """The rows of ``aic_table(s, family, common_rows=common_rows)``, each fit run on its rows one by one.
+
+    Every row of the row view is a cell of count 1, and Newton starts at
+    the log odds for the intercept-only multinomial, else at zero, and at
+    the empirical cumulative logits for the ordinal family.
+    """
+    common = build_design(s, 2).t_index
+    rows = []
+    for lag in (0, 1, 2):
+        d = build_design(s, lag)
+        keep = np.isin(d.t_index, common) if common_rows else np.ones(d.n_used, dtype=bool)
+        X, y = d.X[keep], d.y[keep]
+        try:
+            y, categories, notes = glm._collapse_categories(y, d.k)
+            if len(categories) < 2:
+                raise DarcatError("response takes fewer than 2 distinct values")
+            X, names, more_notes = glm._prune_columns(X, d.column_names)
+            k_eff, p = len(categories), X.shape[1]
+            n_j = np.bincount(y - 1).astype(float)
+            if family == "categorical":
+                start = np.log(n_j[:-1] / n_j[-1]) if p == 1 else np.zeros((k_eff - 1) * p)
+                evaluate = glm._multinomial_evaluation(X, y, k_eff, np.ones(y.size))
+            else:
+                cum = np.cumsum(n_j / y.size)[:-1]
+                start = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(p - 1)])
+                evaluate = glm._po_evaluation(X[:, 1:], y, k_eff, np.ones(y.size))
+            params, ll, steps = glm._newton(evaluate, start)
+        except DarcatError as exc:
+            rows.append(glm.AicRow(lag=lag, n_used=y.size, error=str(exc)))
+            continue
+        n_params = (k_eff - 1) * p if family == "categorical" else k_eff - 2 + p
+        fit = glm.GlmFit(
+            family, lag, params, ll, n_params, y.size, tuple(categories), names,
+            notes=tuple(notes + more_notes), iterations=steps,
+        )
+        rows.append(glm.AicRow(lag=lag, n_used=y.size, fit=fit))
+    return rows

@@ -43,6 +43,7 @@ CASES = {
     "fit_glm_common_csv": FIT_GLM + ["--common-rows", "--format", "csv"],
     "fit_glm_common_md": FIT_GLM + ["--common-rows", "--format", "md"],
     "fit_glm_common_txt": FIT_GLM + ["--common-rows", "--out", "glm.txt"],
+    "fit_glm_lags02_common_csv": FIT_GLM + ["--lags", "0,2", "--common-rows", "--format", "csv"],
     "reproduce_tables_csv": ["reproduce-tables", "--m", "5", "--format", "csv", "--out", "tables"],
     "reproduce_tables_md": ["reproduce-tables", "--m", "5", "--format", "md"],
     "reproduce_tables_txt": ["reproduce-tables", "--m", "5", "--format", "txt"],
