@@ -11,36 +11,37 @@ probability F(theta_j - x'b) - F(theta_{j-1} - x'b) is positive only if
 theta_{j-1} < theta_j, so a step that breaks the order has
 log-likelihood -inf and is halved away like any step that fails.
 
-Each fit runs on count-weighted cells, not on rows.  With indicator
-covariates a row is fixed by its lagged states, so the usable rows fall
-into few distinct (covariate row, response) cells c with counts n_c, and
-every sum over rows is a sum over cells weighted by n_c.  Each family has
-one evaluation function per fit, which returns the log partial
-likelihood, the gradient and a Hessian thunk from the same pieces of one
-point; the constants of the fit (the weighted response one-hots, the
-x x' products, D_hi and D_lo) are built once, and a Hessian is built only
-at the points Newton steps from:
+Each fit runs on counts, not on rows.  With indicator covariates a row
+is fixed by its lagged states, its pattern, so the usable rows are a
+count matrix N with a row per seen pattern r and a column per seen
+response, and every sum over rows is a sum over N.  Each family has one
+evaluation function per fit, which returns the log partial likelihood,
+the gradient and a Hessian thunk from the same pieces of one point; the
+constants of the fit (the x x' products, D_hi and D_lo) are built once,
+and a Hessian is built only at the points Newton steps from:
 
-* multinomial logit: with p_c the probabilities of the non-reference
-  categories at cell c, the gradient is sum_c n_c (e_{y_c} - p_c) (x) x_c
-  and the Hessian -sum_c n_c W_c (x) x_c x_c', W_c = diag(p_c) - p_c p_c';
-* proportional odds: P(Y = y_c | x_c) = F(D_hi v)_c - F(D_lo v)_c for the
+* multinomial logit: with p_r the probabilities of the non-reference
+  categories at pattern r, n_r its row sum and N_r its non-reference
+  counts, the gradient is sum_r (N_r - n_r p_r) (x) x_r and the Hessian
+  -sum_r n_r W_r (x) x_r x_r', W_r = diag(p_r) - p_r p_r';
+* proportional odds, on the cells c of the non-zero entries of N with
+  counts n_c: P(Y = y_c | x_c) = F(D_hi v)_c - F(D_lo v)_c for the
   parameters v = (cutpoints, slopes) and F the logistic function, where
   row c of D_hi (D_lo) is the one-hot of the cutpoint above (below) y_c
   followed by -x_c.  With L_c that probability, G the per-cell gradients
-  of log L and N = diag(n_c), the Hessian is
-  D_hi' N diag(F''_hi / L) D_hi - D_lo' N diag(F''_lo / L) D_lo - G'N G.
+  of log L and N_c = diag(n_c), the Hessian is
+  D_hi' N_c diag(F''_hi / L) D_hi - D_lo' N_c diag(F''_lo / L) D_lo - G'N_c G.
 
-The cell counts are the series' table of fully observed windows
-(x_{t-lag}, ..., x_t), :meth:`~darcat.core.CatSeries.windows`, made by
-one bincount, so no fit builds a row; under ``common_rows`` a lower lag's
-counts are the largest lag's table summed over its oldest values.
-``Design.X``, ``.y`` and ``.t_index`` still give the rows one by one, on
-request.  A multinomial design is saturated when it has as many distinct
-covariate rows as columns and every (covariate row, response) cell is
-seen.  It starts at its closed-form optimum, so Newton only checks the
-coefficient bound and the gradient there; every other fit starts where it
-always has, at zero or at the empirical cumulative logits.
+N is the series' table of fully observed windows (x_{t-lag}, ..., x_t),
+:meth:`~darcat.core.CatSeries.windows`, made by one bincount and read
+as (pattern, response), so no fit builds a row; under ``common_rows`` a
+lower lag's counts are the largest lag's table summed over its oldest
+values.  ``Design.X``, ``.y`` and ``.t_index`` still give the rows one
+by one, on request.  A multinomial design is saturated when it has as
+many patterns as columns and no zero count.  It starts at its
+closed-form optimum, so Newton only checks the coefficient bound and the
+gradient there; every other fit starts where it always has, at zero or
+at the empirical cumulative logits.
 
 Newton steps are solved by ``np.linalg.solve`` and the logistic function
 is the numpy expression of :func:`_logistic`, so the package needs numpy
@@ -50,10 +51,10 @@ than all of its fits.
 
 One prepared design per lag serves every family.  :func:`aic_tables`
 builds each lag's design once and fits every requested family on it; the
-design reads its cells, collapses and prunes once (``Design._prepared``),
-however many fitters read it.  :func:`aic_table` is the one-family case.
-:meth:`AicTable.render` writes a table as csv, md or txt through
-:func:`darcat.render.table`.
+design reads its count matrix, drops its empty responses and prunes once
+(``Design._prepared``), however many fitters read it.  :func:`aic_table`
+is the one-family case.  :meth:`AicTable.render` writes a table as csv,
+md or txt through :func:`darcat.render.table`.
 """
 
 from __future__ import annotations
@@ -119,6 +120,10 @@ class Design:
     series: CatSeries
     lag: int
     span: int
+
+    def __post_init__(self) -> None:
+        if not 0 <= self.lag <= self.span:
+            raise DarcatError(f"a design needs 0 <= lag <= span, got lag {self.lag} and span {self.span}")
 
     @property
     def k(self) -> int:
@@ -202,24 +207,6 @@ def build_design(series: CatSeries, lag: int) -> Design:
     return design
 
 
-def _collapse_categories(y: np.ndarray, k: int) -> tuple[np.ndarray, list[int], list[str]]:
-    """Relabel responses to 1..k_eff over the categories actually present.
-
-    The set is that of the responses at the design's rows, not of the
-    series (:meth:`~darcat.core.CatSeries.restrict_to_observed`): a
-    category seen only in the first ``lag`` positions, or only next to a
-    missing value, never appears as a response and would otherwise leave
-    an empty response class, whose coefficients diverge (``Separation``).
-    """
-    present = np.flatnonzero(np.bincount(y, minlength=k + 1)).tolist()
-    notes = []
-    if len(present) < k:
-        gone = sorted(set(range(1, k + 1)).difference(present))
-        notes.append(f"empty response categories {gone} collapsed out")
-        y = np.searchsorted(present, y) + 1
-    return y, present, notes
-
-
 def _prune_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, tuple[str, ...], list[str]]:
     """Keep a maximal linearly independent set of covariate columns.
 
@@ -257,24 +244,26 @@ def _prune_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, t
     return X[:, keep], tuple(names[i] for i in keep), notes
 
 
-def _multinomial_probs(params: np.ndarray, X: np.ndarray, k_eff: int):
-    """Linear predictors, log-normalisers and probabilities of the k_eff-1 non-reference categories."""
-    eta = X @ params.reshape(k_eff - 1, X.shape[1]).T
+def _multinomial_probs(params: np.ndarray, X: np.ndarray):
+    """Linear predictors, log-normalisers and probabilities of the non-reference categories."""
+    eta = X @ params.reshape(-1, X.shape[1]).T
     # log-sum-exp against the implicit zero of the reference category
     mx = eta.max(axis=1, initial=0.0)
     lse = mx + np.log(np.exp(-mx) + np.exp(eta - mx[:, None]).sum(axis=1))
     return eta, lse, np.exp(eta - lse[:, None])
 
 
-def _multinomial_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np.ndarray):
-    """The evaluation function of one multinomial fit on the cells ``X``, ``y`` with ``counts``.
+def _multinomial_evaluation(X: np.ndarray, counts: np.ndarray):
+    """The evaluation function of one multinomial fit on the patterns ``X`` with their response ``counts``.
 
-    It maps ``params`` to the log partial likelihood, the gradient and a
-    thunk that builds the Hessian from the same probabilities.
+    ``counts`` has a row per pattern and a column per response, the last
+    the reference.  It maps ``params`` to the log partial likelihood, the
+    gradient and a thunk that builds the Hessian from the same
+    probabilities.
     """
-    q = k_eff - 1
-    ind = np.eye(k_eff, q)[y - 1] * counts[:, None]  # count-weighted one-hot response; the reference row is zero
-    eye = np.eye(q)
+    seen = counts[:, :-1]
+    n = counts.sum(axis=1)
+    eye = np.eye(seen.shape[1])
     xx = None
 
     def hessian(probs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
@@ -284,23 +273,23 @@ def _multinomial_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np
         return _multinomial_hessian(probs, weighted, xx, eye)
 
     def evaluate(params: np.ndarray):
-        eta, lse, probs = _multinomial_probs(params, X, k_eff)
-        weighted = probs * counts[:, None]
-        grad = ((ind - weighted).T @ X).ravel()
-        return float(np.vdot(ind, eta) - counts @ lse), grad, lambda: hessian(probs, weighted)
+        eta, lse, probs = _multinomial_probs(params, X)
+        weighted = probs * n[:, None]
+        grad = ((seen - weighted).T @ X).ravel()
+        return float(np.vdot(seen, eta) - n @ lse), grad, lambda: hessian(probs, weighted)
 
     return evaluate
 
 
 def _multinomial_hessian(probs: np.ndarray, weighted: np.ndarray, xx: np.ndarray, eye: np.ndarray) -> np.ndarray:
-    """-sum_c n_c W_c (x) x_c x_c' with W_c = diag(p_c) - p_c p_c', in the row-wise order of ``params``.
+    """-sum_r n_r W_r (x) x_r x_r' with W_r = diag(p_r) - p_r p_r', in the row-wise order of ``params``.
 
-    ``weighted`` is n_c p_c, ``xx`` holds the x_c x_c' and ``eye`` is the
+    ``weighted`` is n_r p_r, ``xx`` holds the x_r x_r' and ``eye`` is the
     (q, q) identity, built once per fit.
     """
     (m, q), p = probs.shape, xx.shape[1]
     w = weighted[:, :, None] * (eye - probs[:, None, :])
-    # one product sums over the cells: (q*q, m) @ (m, p*p) holds the (a, c, i, j) entries
+    # one product sums over the patterns: (q*q, m) @ (m, p*p) holds the (a, c, i, j) entries
     h = w.reshape(m, q * q).T @ xx.reshape(m, p * p)
     return -h.reshape(q, q, p, p).transpose(0, 2, 1, 3).reshape(q * p, q * p)
 
@@ -313,7 +302,7 @@ def multinomial_loglik_grad(
     ``params`` is the (k_eff-1, p) coefficient matrix flattened row-wise;
     category k_eff is the reference.
     """
-    ll, grad, _ = _multinomial_evaluation(X, y, k_eff, np.ones(len(y)))(params)
+    ll, grad, _ = _multinomial_evaluation(X, np.eye(k_eff)[y - 1])(params)
     return ll, grad
 
 
@@ -332,7 +321,7 @@ def _newton(evaluate, params):
     ``MAX_ITER`` stops it short of ``GRAD_TOL``, a max |gradient| above
     1e-5 is a ``SingularHessian`` naming which stopped it.
     """
-    if np.abs(params).max() > MAX_COEF:  # a closed-form start beyond the bound (:func:`_saturated_optimum`)
+    if np.abs(params).max() > MAX_COEF:  # a closed-form start beyond the bound (:func:`fit_multinomial`)
         raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
     ll, grad, hessian = evaluate(params)
     steps = 0
@@ -364,51 +353,58 @@ def _newton(evaluate, params):
 
 
 def _prepare(design: Design):
-    """Read the cells off the design's counts, collapse the responses, refuse fewer than 2, and prune the columns.
+    """Read the design's count matrix, drop its empty responses, refuse fewer than 2, and prune the columns.
 
-    A cell is a distinct (covariate row, response) pair.  The cells are
-    ordered by the response, then by the states at lags ``lag``, ..., 1
-    as base-k digits with state k as digit 0, the reference state whose
-    indicators are all zero.  Returns the cells' collapsed responses, the
-    categories kept, the cells' pruned covariates, their names, the notes
-    and the cell counts.
+    Row r of the matrix counts the responses after the r-th seen pattern of
+    lagged states, in base-k order with the state at lag 1 as the last
+    digit; its columns are the responses seen, whose original codes are
+    the categories kept.  Those are the responses at the design's rows,
+    not the series' categories: a category seen only in the first ``lag``
+    positions, or only next to a missing value, is never a response and
+    would otherwise leave an empty response class, whose coefficients
+    diverge (``Separation``).  Returns the patterns' pruned covariates,
+    the count matrix, the categories, the column names and the notes.
     """
-    k, lag = design.k, design.lag
-    # axes (response, state at lag `lag`, ..., state at lag 1), each lag axis reordered to put state k first
-    table = design.table.transpose(lag, *range(lag))
-    for axis in range(1, lag + 1):
-        table = table.take(np.arange(-1, k - 1), axis=axis)  # index -1 is state k
-    cells = np.flatnonzero(table)
-    response, *digits = np.unravel_index(cells, table.shape)
-    counts = table.ravel()[cells].astype(float)
-    y, categories, notes = _collapse_categories(response + 1, k)
-    if len(categories) < 2:
+    k = design.k
+    table = design.table.reshape(-1, k)
+    responses = table.sum(axis=0)
+    patterns = np.flatnonzero(table.sum(axis=1))
+    present = np.flatnonzero(responses)
+    if len(present) < 2:
         raise DarcatError("response takes fewer than 2 distinct values")
-    blocks = [digits[lag - d][:, None] == np.arange(1, k) for d in range(1, lag + 1)]
-    X = np.concatenate([np.ones((cells.size, 1)), *blocks], axis=1)
-    # linear dependence between columns shows on the distinct covariate rows alone
+    notes = []
+    if len(present) < k:
+        notes.append(f"empty response categories {(np.flatnonzero(responses == 0) + 1).tolist()} collapsed out")
+    counts = table[np.ix_(patterns, present)].astype(float)
+    # the state at lag d is base-k digit d - 1 of the pattern, state j as j - 1; state k is the reference
+    blocks = [(patterns // k ** (d - 1) % k)[:, None] == np.arange(k - 1) for d in range(1, design.lag + 1)]
+    X = np.concatenate([np.ones((patterns.size, 1)), *blocks], axis=1)
+    # linear dependence between columns shows on the distinct patterns alone
     X, names, more_notes = _prune_columns(X, design.column_names)
-    for a in (y, X, counts):  # shared by every fit of the design
+    for a in (X, counts):  # shared by every fit of the design
         a.setflags(write=False)
-    return y, categories, X, names, notes + more_notes, counts
+    return X, counts, (present + 1).tolist(), names, notes + more_notes
 
 
 def fit_multinomial(design: Design) -> GlmFit:
     """Fit the multinomial logit by maximising the partial likelihood.
 
     Category probabilities are exp(b_j'x) / (1 + sum_q exp(b_q'x)) with
-    the highest retained category as reference.  Starts at
-    :func:`_saturated_optimum` if the design is saturated, where Newton
-    then only checks the coefficient bound and the gradient, and at zero
-    otherwise.
+    the highest retained category as reference.  A design is saturated
+    when it has as many patterns as columns and no zero count: each
+    pattern then has free probabilities, fitted by its response shares,
+    so the coefficients B solve the square system X B' = log(N_pj / N_p,ref)
+    and Newton starts there, only to check the coefficient bound and the
+    gradient.  Every other design starts at zero.
     """
-    y, categories, X, names, notes, counts = design._prepared
+    X, counts, categories, names, notes = design._prepared
     k_eff = len(categories)
     p = X.shape[1]
-    start = _saturated_optimum(X, y, k_eff, counts)
-    if start is None:
+    if counts.shape[0] == p and np.all(counts):
+        start = np.linalg.solve(X, np.log(counts[:, :-1] / counts[:, -1:])).T.ravel()
+    else:
         start = np.zeros((k_eff - 1) * p)
-    params, ll, steps = _newton(_multinomial_evaluation(X, y, k_eff, counts), start)
+    params, ll, steps = _newton(_multinomial_evaluation(X, counts), start)
     return GlmFit(
         family="MultinomialLogit",
         lag=design.lag,
@@ -421,29 +417,6 @@ def fit_multinomial(design: Design) -> GlmFit:
         notes=tuple(notes),
         iterations=steps,
     )
-
-
-def _saturated_optimum(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np.ndarray) -> np.ndarray | None:
-    """The multinomial optimum in closed form if the cells ``X``, ``y`` with ``counts`` are saturated, else None.
-
-    The design is saturated when its distinct covariate rows (patterns)
-    are as many as its p columns and every (pattern, response) cell has a
-    count.  Each pattern then has free probabilities, fitted by its
-    response shares N_pj / N_p, so the coefficients B solve the square
-    system X_patterns B' = log(N_pj / N_p,k_eff).  The cells come ordered
-    by response, then by pattern (:func:`_prepare`), so the design is
-    saturated exactly when they are k_eff equal blocks of p patterns.
-    The intercept-only design is the one-pattern case.
-    """
-    m, p = X.shape
-    if m != k_eff * p:
-        return None
-    patterns = X.reshape(k_eff, p, p)
-    blocks_by_response = np.all(y.reshape(k_eff, p) == np.arange(1, k_eff + 1)[:, None])
-    if not (blocks_by_response and np.all(patterns == patterns[0])):
-        return None
-    n = counts.reshape(k_eff, p)
-    return np.linalg.solve(patterns[0], np.log(n[:-1] / n[-1]).T).T.ravel()
 
 
 def _logistic(x: np.ndarray) -> np.ndarray:
@@ -538,13 +511,15 @@ def fit_proportional_odds(design: Design) -> GlmFit:
     keeps them so.  Empty response categories are collapsed out first and
     flagged in the notes.
     """
-    y, categories, X_full, names, notes, counts = design._prepared
-    X = X_full[:, 1:]  # cutpoints take the intercept's role
+    X_patterns, counts, categories, names, notes = design._prepared
     k_eff = len(categories)
     q = k_eff - 1
-    cum = np.cumsum(np.bincount(y - 1, weights=counts) / design.n_used)[:q]
+    cum = np.cumsum(counts.sum(axis=0) / design.n_used)[:q]
+    # the cells are the non-zero (response, pattern) counts: L at an empty cell may underflow to 0
+    response, pattern = np.nonzero(counts.T)
+    X = X_patterns[pattern, 1:]  # cutpoints take the intercept's role
     start = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(X.shape[1])])
-    params, ll, steps = _newton(_po_evaluation(X, y, k_eff, counts), start)
+    params, ll, steps = _newton(_po_evaluation(X, response + 1, k_eff, counts.T[response, pattern]), start)
     return GlmFit(
         family="ProportionalOdds",
         lag=design.lag,

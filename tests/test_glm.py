@@ -138,6 +138,11 @@ class TestBuildDesign:
         d = build_design(series(list(range(1, 5)) * 5, k=4), 2)
         assert d.X.shape[1] == 1 + 2 * 3
 
+    @pytest.mark.parametrize("lag, span", [(2, 1), (1, 0), (-1, 0), (-1, 2), (-2, -1)])
+    def test_a_negative_lag_or_a_span_below_the_lag_is_refused_by_name(self, lag, span):
+        with pytest.raises(DarcatError, match=rf"^a design needs 0 <= lag <= span, got lag {lag} and span {span}$"):
+            Design(series([1, 2, 1, 1, 2, 2, 1, 2], k=2), lag, span)
+
 
 class TestMultinomial:
     def test_intercept_only_closed_form(self):
@@ -197,7 +202,7 @@ class TestMultinomial:
         points = [rng.normal(0, 0.5, (k - 1) * d.X.shape[1]) for _ in range(3)] + [fit.coefficients.ravel()]
         for params in points:
             assert_hessian_matches(
-                lambda v: glm._multinomial_evaluation(d.X, d.y, k, np.ones(d.n_used))(v)[2](),
+                lambda v: glm._multinomial_evaluation(d.X, np.eye(k)[d.y - 1])(v)[2](),
                 lambda v: multinomial_loglik_grad(v, d.X, d.y, k)[1],
                 params,
             )
@@ -216,38 +221,42 @@ class TestMultinomial:
         fit = fit_multinomial(d)
         assert fit.n_params == k * (k - 1)
         assert fit.log_pl == pytest.approx(expected, abs=1e-8)
+        # the count matrix is that tally: a row per previous state, a column per current one
+        X, N, *_ = d._prepared
+        assert np.array_equal(N, counts)
         # the design is saturated, so the fit starts at its optimum: the one Newton reaches from zero
-        y, categories, X, *_, counts = d._prepared
-        params, ll, steps = glm._newton(glm._multinomial_evaluation(X, y, k, counts), np.zeros((k - 1) * X.shape[1]))
+        params, ll, steps = glm._newton(glm._multinomial_evaluation(X, N), np.zeros((k - 1) * X.shape[1]))
         assert fit.iterations == 0 < steps
         assert np.max(np.abs(fit.coefficients.ravel() - params)) < 1e-8 and fit.log_pl == pytest.approx(ll, abs=1e-10)
 
     def test_a_design_with_an_empty_cell_is_not_saturated(self, monkeypatch):
         obs = np.tile([1, 1, 2, 2, 3, 3, 1, 3, 2, 3], 8)  # every (lag-1 state, response) pair but (2, 1)
         d = build_design(series(obs.tolist(), k=3), 1)
-        y, categories, X, *_, counts = d._prepared
+        X, counts, *_ = d._prepared
         assert d.table[1, 0] == 0 and np.count_nonzero(d.table) == 8
-        assert glm._saturated_optimum(X, y, 3, counts) is None
+        # as many patterns as columns, but one zero count
+        assert counts.shape == (3, 3) and X.shape[1] == 3 and np.count_nonzero(counts) == 8
         starts = []
         monkeypatch.setattr(glm, "_newton", lambda evaluate, params: starts.append(params) or (params, 0.0, 0))
         fit_multinomial(d)
         assert starts[0].tolist() == [0.0] * 6  # such a fit has no maximum; it starts at zero, as it always has
 
-    def test_a_saturated_optimum_beyond_the_bound_is_separation(self):
+    def test_a_saturated_optimum_beyond_the_bound_is_separation(self, monkeypatch):
         # '1' * a + '2' * b + '1' is saturated at lag 1, and its optimum has the lag-1 slope
         # log(a - 1) + log(b - 1) = 30.4 > MAX_COEF; its window counts stand in for its 8e6 values
         a = b = 4_000_000
         s = series([1, 2, 1], k=2)
         s._windows[1] = np.array([[a - 1, 1], [1, b - 1]])
         d = build_design(s, 1)
-        y, categories, X, *_, counts = d._prepared
-        start = glm._saturated_optimum(X, y, 2, counts)
-        assert start is not None and np.abs(start).max() == pytest.approx(np.log(a - 1) + np.log(b - 1))
+        X, counts, *_ = d._prepared
+        starts, newton = [], glm._newton
+        monkeypatch.setattr(glm, "_newton", lambda evaluate, params: newton(evaluate, starts.append(params) or params))
         message = rf"^coefficient magnitude exceeded {MAX_COEF}$"
         with pytest.raises(Separation, match=message):
             fit_multinomial(d)
+        assert np.abs(starts[0]).max() == pytest.approx(np.log(a - 1) + np.log(b - 1))
         with pytest.raises(Separation, match=message):  # Newton from zero passes the bound on its way there
-            glm._newton(glm._multinomial_evaluation(X, y, 2, counts), np.zeros(2))
+            newton(glm._multinomial_evaluation(X, counts), np.zeros(2))
         (row,) = aic_table(s, "categorical", lags=(1,)).rows
         assert row.fit is None and row.n_used == a + b and row.error == f"coefficient magnitude exceeded {MAX_COEF}"
 
@@ -328,10 +337,11 @@ class TestProportionalOdds:
         if gone is not None:
             obs = np.where(obs == gone, gone + 1, obs)
         d = build_design(series(obs, k), lag)
-        y, categories, X, *_, counts = d._prepared
+        X, counts, categories, *_ = d._prepared
         q = len(categories) - 1
-        assert set(y.tolist()) == set(range(1, q + 2)) and q == k - 1 - (gone is not None)
-        evaluate = glm._po_evaluation(X[:, 1:], y, q + 1, counts)
+        response, pattern = np.nonzero(counts.T)  # the fit's cells: the non-zero counts
+        assert set(response.tolist()) == set(range(q + 1)) and q == k - 1 - (gone is not None)
+        evaluate = glm._po_evaluation(X[pattern, 1:], response + 1, q + 1, counts.T[response, pattern])
         rng = np.random.default_rng(100 * k + lag)
         for _ in range(50):
             theta = np.sort(rng.normal(0, 2, q)) + 0.1 * np.arange(q)
@@ -649,32 +659,48 @@ class TestCells:
         k=st.integers(2, 6),
         share=st.floats(0.0, 0.5),
         lag=st.integers(0, 2),
+        extra=st.integers(0, 2),
         family=st.sampled_from(["categorical", "ordinal"]),
         seed=st.integers(0, 2**32 - 1),
     )
     @settings(max_examples=150, deadline=None)
-    def test_cells_equal_rows(self, k, share, lag, family, seed):
-        """Log-PL, gradient and Hessian on count-weighted cells equal those on rows."""
+    def test_cells_equal_rows(self, k, share, lag, extra, family, seed):
+        """The count matrix tallies the rows, and log-PL, gradient and Hessian on it equal those on rows."""
         rng = np.random.default_rng(seed)
         obs = rng.integers(1, k + 1, int(rng.integers(3, 300)))
         obs[rng.random(obs.size) < share] = MISSING
+        s = series(obs.tolist(), k=k)
         try:
-            design = build_design(series(obs.tolist(), k=k), lag)
-            y, categories, X, _, _, counts = glm._prepare(design)
+            build_design(s, lag)
+            design = Design(s, lag, lag + extra)  # extra > 0: the common rows of a larger lag
+            X, counts, categories, _, _ = glm._prepare(design)
         except DarcatError:
             return
-        y_rows, _, _ = glm._collapse_categories(design.y, k)
+        # brute force: one row per seen pattern of lagged states, oldest first, in sorted order
+        patterns = [tuple(obs[t - d] for d in range(lag, 0, -1)) for t in design.t_index.tolist()]
+        seen = sorted(set(patterns))
+        row_pattern = [seen.index(pattern) for pattern in patterns]
+        want = np.zeros((len(seen), k + 1))
+        for r, y in zip(row_pattern, design.y.tolist()):
+            want[r, y] += 1
+        assert np.array_equal(counts, want[:, categories]) and counts.sum() == design.n_used
+        assert len(np.unique(X, axis=0)) == len(X) == len(seen)
         X_rows, _, _ = glm._prune_columns(design.X, design.column_names)
-        assert counts.sum() == design.n_used and len(np.unique(np.column_stack([X, y]), axis=0)) == len(y)
+        assert np.array_equal(X[row_pattern], X_rows)
+        y_rows = np.searchsorted(categories, design.y) + 1
         k_eff = len(categories)
         if family == "categorical":
-            evaluation, params = glm._multinomial_evaluation, rng.normal(0, 1, (k_eff - 1) * X.shape[1])
+            params = rng.normal(0, 1, (k_eff - 1) * X.shape[1])
+            evaluate = glm._multinomial_evaluation(X, counts)
+            evaluate_rows = glm._multinomial_evaluation(X_rows, np.eye(k_eff)[y_rows - 1])
         else:
-            X, X_rows = X[:, 1:], X_rows[:, 1:]
             theta = np.sort(rng.normal(0, 1, k_eff - 1)) + 0.05 * np.arange(k_eff - 1)
-            evaluation, params = glm._po_evaluation, np.concatenate([theta, rng.normal(0, 0.5, X.shape[1])])
-        ll, grad, hessian = evaluation(X, y, k_eff, counts)(params)
-        ll_rows, grad_rows, hessian_rows = evaluation(X_rows, y_rows, k_eff, np.ones(design.n_used))(params)
+            params = np.concatenate([theta, rng.normal(0, 0.5, X.shape[1] - 1)])
+            response, pattern = np.nonzero(counts.T)
+            evaluate = glm._po_evaluation(X[pattern, 1:], response + 1, k_eff, counts.T[response, pattern])
+            evaluate_rows = glm._po_evaluation(X_rows[:, 1:], y_rows, k_eff, np.ones(design.n_used))
+        ll, grad, hessian = evaluate(params)
+        ll_rows, grad_rows, hessian_rows = evaluate_rows(params)
         assert abs(ll - ll_rows) <= 1e-12 * abs(ll_rows)
         assert np.max(np.abs(grad - grad_rows)) <= 1e-12 * max(1.0, np.max(np.abs(grad_rows)))
         h, h_rows = hessian(), hessian_rows()
@@ -717,7 +743,10 @@ def row_level_rows(s, family, common_rows):
         keep = np.isin(d.t_index, common) if common_rows else np.ones(d.n_used, dtype=bool)
         X, y = d.X[keep], d.y[keep]
         try:
-            y, categories, notes = glm._collapse_categories(y, d.k)
+            categories, y = np.unique(y, return_inverse=True)
+            categories, y = categories.tolist(), y + 1
+            gone = sorted(set(range(1, d.k + 1)).difference(categories))
+            notes = [f"empty response categories {gone} collapsed out"] if gone else []
             if len(categories) < 2:
                 raise DarcatError("response takes fewer than 2 distinct values")
             X, names, more_notes = glm._prune_columns(X, d.column_names)
@@ -725,7 +754,7 @@ def row_level_rows(s, family, common_rows):
             n_j = np.bincount(y - 1).astype(float)
             if family == "categorical":
                 start = np.log(n_j[:-1] / n_j[-1]) if p == 1 else np.zeros((k_eff - 1) * p)
-                evaluate = glm._multinomial_evaluation(X, y, k_eff, np.ones(y.size))
+                evaluate = glm._multinomial_evaluation(X, np.eye(k_eff)[y - 1])
             else:
                 cum = np.cumsum(n_j / y.size)[:-1]
                 start = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(p - 1)])

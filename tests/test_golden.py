@@ -38,6 +38,8 @@ CASES = {
     "test_drop": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt", "--missing-policy", "drop"],
     "test_default": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt"],
     "fit_glm_csv": FIT_GLM + ["--format", "csv", "--out", "glm.csv"],
+    # lags 0 and 1 of the categorical fit are saturated, so they start at their closed-form optimum
+    "fit_glm_complete_csv": ["fit-glm", "inputs/complete.csv", "--states", "inputs/states3.txt", "--format", "csv"],
     "fit_glm_md": FIT_GLM + ["--format", "md"],
     "fit_glm_txt": FIT_GLM,
     "fit_glm_common_csv": FIT_GLM + ["--common-rows", "--format", "csv"],

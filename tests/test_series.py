@@ -2,8 +2,8 @@
 
 The references below are the per-observation loops that ``CatSeries``
 validation, ``drop_missing``, ``restrict_to_observed``, ``build_design``
-and ``_collapse_categories`` used to run; the vectorised code must agree
-with them exactly, dtypes included.
+and the response collapse of ``glm._prepare`` used to run; the
+vectorised code must agree with them exactly, dtypes included.
 """
 
 import numpy as np
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from darcat.cli import _test_series
 from darcat.core import MISSING, CatSeries, DarcatError, StateSpace, TooShort
 from darcat.dar import DarModel
-from darcat.glm import NoUsableRows, _collapse_categories, build_design
+from darcat.glm import NoUsableRows, _prepare, build_design
 
 
 def validation_reference(obs, k):
@@ -234,13 +234,18 @@ def test_build_design_matches_reference(series):
 @with_edge_cases
 @settings(max_examples=200, deadline=None)
 def test_collapse_categories_matches_reference(series):
+    """The count matrix keeps a column per response of the row view, counting its collapsed codes."""
     for lag in (0, 1, 2):
         try:
-            y = build_design(series, lag).y
+            design = build_design(series, lag)
         except NoUsableRows:
             continue
-        got_y, got_present, got_notes = _collapse_categories(y, series.space.k)
-        want_y, want_present, want_notes = collapse_reference(y, series.space.k)
-        assert got_y.dtype == want_y.dtype and np.array_equal(got_y, want_y)
+        want_y, want_present, want_notes = collapse_reference(design.y, series.space.k)
+        if len(want_present) < 2:
+            with pytest.raises(DarcatError, match="^response takes fewer than 2 distinct values$"):
+                _prepare(design)
+            continue
+        _, counts, got_present, _, got_notes = _prepare(design)
+        assert np.array_equal(counts.sum(axis=0), np.bincount(want_y - 1))
         assert got_present == want_present and all(type(c) is int for c in got_present)
-        assert got_notes == want_notes
+        assert got_notes[: len(want_notes)] == want_notes and not any("collapsed" in n for n in got_notes[len(want_notes) :])
