@@ -14,15 +14,18 @@ generators are seeded in bulk: one vectorised pass hashes every seed as
 ``np.random.SeedSequence`` does (:func:`_pcg64_seed_words`), and one
 ``PCG64`` is re-seeded per replicate (:func:`_uniform_rows`), so each
 replicate's uniforms are bit for bit those of
-``np.random.default_rng(seed)``.  All later
-steps run on the whole cell at once: its replicates are the rows of one
-(m, n+1) array of paths (:func:`~darcat.dar.draw_paths`), counted by
-:func:`~darcat.core.path_counts` and estimated by
+``np.random.default_rng(seed)``.  Each cell is then drawn and counted on
+its own: its replicates are the rows of one (m, n+1) array of paths
+(:func:`~darcat.dar.draw_paths`), and only their state frequencies and
+jump tables (:func:`~darcat.core.path_counts`) outlive the cell.  The
+cells of one marginal share k, so once they are counted their rows are
+stacked and estimated in one call each of
 :func:`~darcat.estimate.alpha_mle_rows` and
-:func:`~darcat.estimate.alpha_ls_rows`.  :func:`~darcat.dar.simulate` and
-the per-series estimators call the same kernels with a batch of one, so
-each row's arithmetic is theirs and the tables equal a
-replicate-by-replicate loop exactly.  :func:`format_cells` writes one
+:func:`~darcat.estimate.alpha_ls_rows`; every cell is then summarised
+from its own slice.  Every kernel is row-wise, and
+:func:`~darcat.dar.simulate` and the per-series estimators call the same
+kernels with a batch of one, so each row's arithmetic is theirs and the
+tables equal a replicate-by-replicate loop exactly.  :func:`format_cells` writes one
 table per marginal configuration through :func:`darcat.render.table`.
 """
 
@@ -50,6 +53,13 @@ __all__ = [
 DEFAULT_SEED = 2
 
 
+def _check_count(name: str, value: object, least: int) -> None:
+    if not isinstance(value, (int, np.integer)):
+        raise DarcatError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise DarcatError(f"{name} must be >= {least}, got {value}")
+
+
 @dataclass(frozen=True)
 class SimGrid:
     """Simulation grid: marginals x persistences x lengths, m replicates each."""
@@ -61,16 +71,13 @@ class SimGrid:
     seed: int = DEFAULT_SEED
 
     def __post_init__(self) -> None:
-        if self.m < 1:
-            raise DarcatError(f"m must be >= 1, got {self.m}")
+        _check_count("m", self.m, 1)
+        _check_count("seed", self.seed, 0)
         for a in self.alphas:
             _check_unit_interval("alpha", a)
         # n and pi are checked here, so a bad cell fails before any cell runs
         for n in self.ns:
-            if not isinstance(n, (int, np.integer)):
-                raise DarcatError(f"n must be an integer, got {n!r}")
-            if n < 1:
-                raise DarcatError(f"n must be >= 1, got {n}")
+            _check_count("n", n, 1)
         for pi in self.pis:
             _validate_pi("pi", pi, len(pi))
 
@@ -170,12 +177,10 @@ def _uniform_rows(seed_words: np.ndarray, width: int) -> np.ndarray:
     return out
 
 
-def _estimate_paths(paths: np.ndarray, k: int):
-    """Per-row pi_hat, then (alpha_hat, why) of the likelihood and the least-squares estimator."""
-    counts, jumps = path_counts(paths, k)
-    pi_hat = counts / paths.shape[1]
+def _estimate_rows(pi_hat: np.ndarray, jumps: np.ndarray):
+    """(alpha_hat, why) of the likelihood and the least-squares estimator per row of (m, k) pi_hat and (m, k, k) jumps."""
     alpha1, _, why1 = alpha_mle_rows(jumps, pi_hat)
-    return pi_hat, (alpha1, why1), alpha_ls_rows(jumps, pi_hat)
+    return (alpha1, why1), alpha_ls_rows(jumps, pi_hat)
 
 
 def _admissible_mean(alpha_hat: np.ndarray, why: np.ndarray) -> tuple[float | None, int]:
@@ -189,30 +194,43 @@ def _dropped(estimator: str, why: np.ndarray) -> tuple[tuple[str, str, int], ...
 
 
 def run_grid(grid: SimGrid) -> tuple[CellResult, ...]:
-    """Simulate every cell of the grid and summarise the estimators."""
-    cells = list(product(grid.pis, grid.alphas, grid.ns))
-    seed_words = _pcg64_seed_words(_replicate_seeds(grid.seed, len(cells) * grid.m)).reshape(len(cells), grid.m, 4)
+    """Simulate every cell of the grid and summarise the estimators.
+
+    Cells are drawn and counted one at a time, and estimated one marginal
+    at a time: a marginal's cells are contiguous and share k.
+    """
+    cells = list(product(grid.alphas, grid.ns))
+    if not cells:
+        return ()
+    seed_words = _pcg64_seed_words(_replicate_seeds(grid.seed, len(grid.pis) * len(cells) * grid.m))
+    seed_words = seed_words.reshape(len(grid.pis), len(cells), grid.m, 4)
     results = []
-    for (pi, alpha, n), cell_words in zip(cells, seed_words):
-        model = DarModel.from_pi(alpha, np.asarray(pi, dtype=float))
-        u = _uniform_rows(cell_words, 2 * n + 1)
-        pi_hat, (alpha1, why1), (alpha2, why2) = _estimate_paths(draw_paths(model, u), model.k)
-        mean_alpha1, m1 = _admissible_mean(alpha1, why1)
-        mean_alpha2, m2 = _admissible_mean(alpha2, why2)
-        results.append(
-            CellResult(
-                pi=tuple(pi),
-                alpha=alpha,
-                n=n,
-                m=grid.m,
-                mean_pi_hat=tuple(pi_hat.mean(axis=0)),
-                mean_alpha1=mean_alpha1,
-                m1=m1,
-                mean_alpha2=mean_alpha2,
-                m2=m2,
-                dropped=_dropped("alpha1", why1) + _dropped("alpha2", why2),
+    for pi, pi_words in zip(grid.pis, seed_words):
+        pi_hats, jump_tables = [], []
+        for (alpha, n), cell_words in zip(cells, pi_words):
+            model = DarModel.from_pi(alpha, np.asarray(pi, dtype=float))
+            counts, jumps = path_counts(draw_paths(model, _uniform_rows(cell_words, 2 * n + 1)), model.k)
+            pi_hats.append(counts / (n + 1))
+            jump_tables.append(jumps)
+        (alpha1, why1), (alpha2, why2) = _estimate_rows(np.concatenate(pi_hats), np.concatenate(jump_tables))
+        for c, ((alpha, n), pi_hat) in enumerate(zip(cells, pi_hats)):
+            rows = slice(c * grid.m, (c + 1) * grid.m)
+            mean_alpha1, m1 = _admissible_mean(alpha1[rows], why1[rows])
+            mean_alpha2, m2 = _admissible_mean(alpha2[rows], why2[rows])
+            results.append(
+                CellResult(
+                    pi=tuple(pi),
+                    alpha=alpha,
+                    n=n,
+                    m=grid.m,
+                    mean_pi_hat=tuple(pi_hat.mean(axis=0)),
+                    mean_alpha1=mean_alpha1,
+                    m1=m1,
+                    mean_alpha2=mean_alpha2,
+                    m2=m2,
+                    dropped=_dropped("alpha1", why1[rows]) + _dropped("alpha2", why2[rows]),
+                )
             )
-        )
     return tuple(results)
 
 

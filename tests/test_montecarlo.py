@@ -4,15 +4,20 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darcat.core import CatSeries, DarcatError, StateSpace
-from darcat.dar import DarModel, simulate
+from darcat import montecarlo
+from darcat.core import CatSeries, DarcatError, StateSpace, path_counts
+from darcat.dar import DarModel, draw_paths, simulate
 from darcat.estimate import (
     ADMISSIBLE,
     FEW_STATES,
     UNDEFINED_ROW,
     InsufficientTransitions,
     UndefinedTransitionRow,
+    alpha_ls_rows,
+    alpha_mle_rows,
     estimate_alpha_ls,
     estimate_alpha_mle,
     estimate_pi,
@@ -23,7 +28,7 @@ from darcat.montecarlo import (
     study_grid,
     results_by_pi,
     run_grid,
-    _estimate_paths,
+    _estimate_rows,
     _pcg64_seed_words,
     _replicate_seeds,
     _uniform_rows,
@@ -32,6 +37,8 @@ from darcat.montecarlo import (
 SMALL = SimGrid(pis=((0.5, 0.5), (0.3, 0.7)), alphas=(0.2, 0.6), ns=(30, 60), m=4, seed=99)
 # chains so short that every reason for dropping a replicate occurs
 TINY = SimGrid(pis=((0.2, 0.3, 0.5),), alphas=(0.0, 0.9), ns=(2, 4), m=40, seed=3)
+# marginals of k = 2, 3, 2: each is estimated as one stack of its cells' rows
+MIXED_K = SimGrid(pis=((0.5, 0.5), (0.2, 0.3, 0.5), (0.3, 0.7)), alphas=(0.1, 0.8), ns=(5, 40), m=25, seed=8)
 
 
 def test_deterministic_given_master_seed():
@@ -76,8 +83,8 @@ def direct_cell(pi, alpha, n, seeds):
 def test_matches_direct_replication():
     # the documented seed-splitting rule: one uint32 per replicate in
     # cell-major order, so cell c's replicates use seeds c*m .. c*m+m-1;
-    # the batched cell equals the per-series loop exactly
-    for grid in (SMALL, TINY):
+    # the batched cells equal the per-series loop exactly, in grid order
+    for grid in (SMALL, TINY, MIXED_K):
         results = run_grid(grid)
         seeds = _replicate_seeds(grid.seed, len(results) * grid.m)
         for c, cell in enumerate(results):
@@ -85,6 +92,25 @@ def test_matches_direct_replication():
             assert cell.mean_pi_hat == mean_pi
             assert (cell.m1, cell.mean_alpha1) == (len(a1), float(np.mean(a1)) if a1 else None)
             assert (cell.m2, cell.mean_alpha2) == (len(a2), float(np.mean(a2)) if a2 else None)
+
+
+def test_estimators_run_once_per_marginal(monkeypatch):
+    # a marginal's 15 cells are counted one by one, then estimated as one stack of 15 * m rows
+    calls = []
+    for name, kernel in (("alpha_mle_rows", alpha_mle_rows), ("alpha_ls_rows", alpha_ls_rows)):
+
+        def counted(jumps, pi, name=name, kernel=kernel):
+            calls.append((name, len(pi)))
+            return kernel(jumps, pi)
+
+        monkeypatch.setattr(montecarlo, name, counted)
+    run_grid(study_grid(m=2))
+    assert calls == [("alpha_mle_rows", 30), ("alpha_ls_rows", 30)] * 4
+
+
+@pytest.mark.parametrize("alphas, ns", [((), (10,)), ((0.5,), ())], ids=["no_alpha", "no_n"])
+def test_grid_without_cells_runs_none(alphas, ns):
+    assert run_grid(SimGrid(pis=((0.5, 0.5),), alphas=alphas, ns=ns, m=3)) == ()
 
 
 def test_appending_a_marginal_keeps_the_earlier_cells():
@@ -134,7 +160,9 @@ EDGE_ROWS = [
 
 def test_batched_estimators_match_per_series_on_edge_rows():
     space = StateSpace.from_k(3)
-    pi_hat, (alpha1, why1), (alpha2, why2) = _estimate_paths(np.array(EDGE_ROWS), space.k)
+    counts, jumps = path_counts(np.array(EDGE_ROWS), space.k)
+    pi_hat = counts / len(EDGE_ROWS[0])
+    (alpha1, why1), (alpha2, why2) = _estimate_rows(pi_hat, jumps)
     for r, row in enumerate(EDGE_ROWS):
         s = CatSeries(space, tuple(row))
         pi = estimate_pi(s).pi_hat
@@ -153,6 +181,36 @@ def test_batched_estimators_match_per_series_on_edge_rows():
     assert why1.tolist() == ["all_repeats", "all_repeats", "boundary", ADMISSIBLE, ADMISSIBLE, "boundary"]
     assert why2.tolist() == [FEW_STATES, FEW_STATES, "boundary", UNDEFINED_ROW, ADMISSIBLE, "boundary"]
     assert alpha1[:3].tolist() == [1.0, 1.0, 0.0]
+
+
+@st.composite
+def row_stacks(draw):
+    """(pi_hat, jumps) of 3-state rows: EDGE_ROWS among simulated blocks of several (alpha, n)."""
+    blocks = [path_counts(np.array(EDGE_ROWS), 3)]
+    for _ in range(draw(st.integers(1, 4))):
+        alpha = draw(st.sampled_from([0.0, 0.1, 0.5, 0.9, 0.99]))
+        pi = draw(st.sampled_from([(1 / 3, 1 / 3, 1 / 3), (0.2, 0.3, 0.5), (0.05, 0.05, 0.9)]))
+        n, rows = draw(st.integers(1, 80)), draw(st.integers(1, 12))
+        u = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((rows, 2 * n + 1))
+        blocks.insert(draw(st.integers(0, len(blocks))), path_counts(draw_paths(DarModel.from_pi(alpha, np.array(pi)), u), 3))
+    # pi_hat per block, as run_grid divides each cell's counts by its own length
+    pi_hat = np.concatenate([counts / counts[0].sum() for counts, _ in blocks])
+    return pi_hat, np.concatenate([jumps for _, jumps in blocks])
+
+
+@settings(max_examples=60, deadline=None)
+@given(stack=row_stacks())
+def test_row_kernels_do_not_depend_on_the_batch(stack):
+    # run_grid estimates a marginal's cells as one stack; its tables are bit-identical only if each row's
+    # estimate is that row's alone, so every value (NaN rows too), iteration count and why code must match
+    pi_hat, jumps = stack
+    batched = alpha_mle_rows(jumps, pi_hat) + alpha_ls_rows(jumps, pi_hat)
+    for r in range(len(pi_hat)):
+        alone = alpha_mle_rows(jumps[r : r + 1], pi_hat[r : r + 1]) + alpha_ls_rows(jumps[r : r + 1], pi_hat[r : r + 1])
+        for got, want in zip(batched, alone):
+            if got.dtype == float:
+                got, want = got.view(np.uint64), want.view(np.uint64)
+            assert got[r] == want[0]
 
 
 def test_mean_none_when_no_valid_replicate():
@@ -180,6 +238,24 @@ def test_validation():
         SimGrid(pis=((0.5, 0.5),), alphas=(1.0,), ns=(10,), m=2)
     with pytest.raises(DarcatError):
         SimGrid(pis=((0.5, 0.5),), alphas=(0.5,), ns=(10,), m=0)
+
+
+@pytest.mark.parametrize(
+    "m, seed, message",
+    [
+        (2.5, 2, "m must be an integer, got 2.5"),
+        (3.0, 2, "m must be an integer, got 3.0"),
+        (3, -1, "seed must be >= 0, got -1"),
+        (3, 2.5, "seed must be an integer, got 2.5"),
+        (3, "2", "seed must be an integer, got '2'"),
+    ],
+    ids=["m_fraction", "m_float", "seed_negative", "seed_fraction", "seed_text"],
+)
+def test_bad_replicate_count_or_seed_is_refused_with_the_grid(m, seed, message):
+    # before any cell runs: each used to fail inside numpy's seeding or reshape
+    with pytest.raises(DarcatError, match=re.escape(message)):
+        SimGrid(pis=((0.5, 0.5),), alphas=(0.5,), ns=(10,), m=m, seed=seed)
+    assert SimGrid(pis=((0.5, 0.5),), alphas=(0.5,), ns=(10,), m=np.int64(3), seed=np.uint32(0)).seed == 0
 
 
 @pytest.mark.parametrize(
@@ -213,7 +289,9 @@ def exact_cell(pi, alpha, n):
     steps = alpha * (paths[:, 1:] == paths[:, :-1]) + (1 - alpha) * pi[paths[:, 1:] - 1]
     w = pi[paths[:, 0] - 1] * steps.prod(axis=1)
     assert w.sum() == pytest.approx(1.0, abs=1e-12)
-    pi_hat, *estimators = _estimate_paths(paths, pi.size)
+    counts, jumps = path_counts(paths, pi.size)
+    pi_hat = counts / (n + 1)
+    estimators = _estimate_rows(pi_hat, jumps)
     mean_pi = w @ pi_hat
     moments = []
     for alpha_hat, why in estimators:
