@@ -34,8 +34,6 @@ __all__ = [
     "MissingValuePresent",
     "StateSpace",
     "CatSeries",
-    "TransitionCounts",
-    "EmpiricalTransitionMatrix",
     "parse_series",
     "serialize_series",
     "path_counts",
@@ -579,49 +577,16 @@ def _pick_rows(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
     return np.take(rows, codes, mode="wrap").view(table.dtype).reshape(len(codes), -1)
 
 
-@dataclass(frozen=True)
-class TransitionCounts:
-    """One-step jump counts N[j][j'] with their margins."""
+def transition_counts(series: CatSeries) -> np.ndarray:
+    """Jumps j -> j' over all adjacent index pairs: a read-only (k, k) int table, cell ``[j-1, j'-1]``.
 
-    matrix: np.ndarray  # (k, k) int, [j-1, j'-1]
-    row_sums: np.ndarray  # visits of j as a jump origin
-    col_sums: np.ndarray  # visits of j' as a jump target
-    n_transitions: int
-
-    def __post_init__(self) -> None:
-        _read_only(self.matrix, self.row_sums, self.col_sums)
-
-
-def transition_counts(series: CatSeries) -> TransitionCounts:
-    """Count jumps j -> j' over all adjacent index pairs.
-
-    The series must be complete; totals equal len(series) - 1.
+    It is the gap-1 table of :attr:`CatSeries.pairs` itself, so its margins
+    are ``.sum(axis=1)`` (jump origins) and ``.sum(axis=0)`` (jump targets).
+    The series must be complete; the total is then len(series) - 1.
     """
     if series.has_missing:
         raise MissingValuePresent("transition_counts requires a complete series")
-    mat = series.pairs[1][0]
-    return TransitionCounts(
-        matrix=mat,
-        row_sums=mat.sum(axis=1),
-        col_sums=mat.sum(axis=0),
-        n_transitions=int(mat.sum()),
-    )
-
-
-@dataclass(frozen=True)
-class EmpiricalTransitionMatrix:
-    """Row-normalised jump frequencies with a per-row validity flag.
-
-    Rows of states never seen as a jump origin are NaN and flagged
-    undefined so downstream tests can refuse cleanly instead of working
-    with silently zero-filled probabilities.
-    """
-
-    probs: np.ndarray  # (k, k) float, NaN on undefined rows
-    defined: np.ndarray  # (k,) bool
-
-    def __post_init__(self) -> None:
-        _read_only(self.probs, self.defined)
+    return series.pairs[1][0]
 
 
 def jump_frequencies(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -638,7 +603,12 @@ def jump_frequencies(jumps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return probs, defined
 
 
-def empirical_transition_matrix(series: CatSeries) -> EmpiricalTransitionMatrix:
-    """Estimate the transition matrix by row-normalised jump counts."""
-    probs, defined = jump_frequencies(transition_counts(series).matrix)
-    return EmpiricalTransitionMatrix(probs=probs, defined=defined)
+def empirical_transition_matrix(series: CatSeries) -> tuple[np.ndarray, np.ndarray]:
+    """The transition matrix estimated by row-normalised jump counts: :func:`jump_frequencies` of :func:`transition_counts`.
+
+    ``(probs, defined)``, both read-only: the (k, k) float matrix, NaN on
+    the rows of states never seen as a jump origin, and the (k,) bool flag
+    of the rows that are defined, so callers can refuse those rows cleanly
+    instead of working with silently zero-filled probabilities.
+    """
+    return _read_only(*jump_frequencies(transition_counts(series)))

@@ -161,16 +161,21 @@ def draw_paths(model: DarModel, u: np.ndarray) -> np.ndarray:
     return np.take_along_axis(codes, refresh, axis=1)
 
 
+def _latent_path(model: DarModel, n: int, seed: int) -> tuple[np.ndarray, np.random.Generator]:
+    """X_0..X_n drawn from the first 2n+1 uniforms of ``default_rng(seed)``, and that generator to draw on from."""
+    if n < 1:
+        raise DarcatError(f"n must be >= 1, got {n}")
+    rng = np.random.default_rng(seed)
+    return draw_paths(model, rng.random((1, 2 * n + 1)))[0], rng
+
+
 def simulate(model: DarModel, n: int, seed: int) -> CatSeries:
     """Simulate X_0..X_n; deterministic given the seed.
 
     X_0 is drawn from pi; each later step keeps the previous value with
     probability alpha and otherwise redraws from pi.
     """
-    if n < 1:
-        raise DarcatError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    path = draw_paths(model, rng.random((1, 2 * n + 1)))[0]
+    path, _ = _latent_path(model, n, seed)
     return CatSeries(model.space, path)
 
 
@@ -178,12 +183,10 @@ def simulate_with_missing(model: MissingDarModel, n: int, seed: int) -> CatSerie
     """Simulate the latent path, then hide each entry independently with probability beta.
 
     The latent path consumes the same random stream as :func:`simulate`,
-    so beta = 0 reproduces it bit for bit under the same seed.
+    so beta = 0 reproduces it bit for bit under the same seed; the mask is
+    drawn after it from the same generator.
     """
-    if n < 1:
-        raise DarcatError(f"n must be >= 1, got {n}")
-    rng = np.random.default_rng(seed)
-    path = draw_paths(model.base, rng.random((1, 2 * n + 1)))[0]
+    path, rng = _latent_path(model.base, n, seed)
     path[rng.random(n + 1) < model.beta] = MISSING
     return CatSeries(model.base.space, path)
 

@@ -417,7 +417,7 @@ def estimate_alpha_ls(series: CatSeries, pi_hat: np.ndarray) -> AlphaEstimate:
     series' k states raises :class:`~darcat.core.DarcatError`.
     """
     pi_hat = _validate_pi("pi_hat", pi_hat, series.space.k)
-    jumps = transition_counts(series).matrix
+    jumps = transition_counts(series)
     alpha_hat, why = alpha_ls_rows(jumps[None], pi_hat[None])
     if why[0] == FEW_STATES:
         raise InsufficientTransitions("least squares needs at least 2 observed states")

@@ -311,15 +311,17 @@ def _newton(evaluate, params):
 
     ``evaluate`` maps a point to its log-likelihood, gradient and Hessian
     thunk, so each point is evaluated once and its Hessian built only when
-    a step starts there.  A step whose log-likelihood does not rise is
-    halved, up to 40 times; an ordinal step that breaks the cutpoint order
-    has log-likelihood -inf (:func:`_po_evaluation`), so the likelihood
-    alone keeps the cutpoints ordered.  Returns the optimum, its
-    log-likelihood and the number of Newton steps taken.  Every point it
-    holds, the start included, is ``Separation`` once some coefficient
-    exceeds ``MAX_COEF`` in magnitude.  When the line search or
-    ``MAX_ITER`` stops it short of ``GRAD_TOL``, a max |gradient| above
-    1e-5 is a ``SingularHessian`` naming which stopped it.
+    a step starts there.  A step whose log-likelihood falls is halved, up
+    to 40 times; a fall of at most 1e-12 * max(1, |log-likelihood|) is
+    taken for the rounding of the sum over cells (about 1e-9 at n = 10^6),
+    not a fall.  An ordinal step that breaks the cutpoint order has
+    log-likelihood -inf (:func:`_po_evaluation`), so the likelihood alone
+    keeps the cutpoints ordered.  Returns the optimum, its log-likelihood
+    and the number of Newton steps taken.  Every point it holds, the start
+    included, is ``Separation`` once some coefficient exceeds ``MAX_COEF``
+    in magnitude.  When the line search or ``MAX_ITER`` stops it short of
+    ``GRAD_TOL``, a max |gradient| above 1e-5 is a ``SingularHessian``
+    naming which stopped it.
     """
     if np.abs(params).max() > MAX_COEF:  # a closed-form start beyond the bound (:func:`fit_multinomial`)
         raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
@@ -337,7 +339,7 @@ def _newton(evaluate, params):
         for _half in range(40):
             cand = params + scale * step
             cand_ll, cand_grad, cand_hessian = evaluate(cand)
-            if cand_ll > ll - 1e-12:
+            if cand_ll > ll - 1e-12 * max(1.0, abs(ll)):
                 break
             scale *= 0.5
         else:

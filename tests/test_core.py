@@ -19,6 +19,7 @@ from darcat.core import (
     TooShort,
     UnknownLabel,
     empirical_transition_matrix,
+    jump_frequencies,
     parse_series,
     serialize_series,
     transition_counts,
@@ -400,14 +401,14 @@ def test_serialize_fills_indices_without_time_labels():
 )
 def test_transition_counts_hand_examples(obs, expected):
     counts = transition_counts(CatSeries(StateSpace.from_k(2), obs))
-    assert counts.matrix.tolist() == expected
-    assert counts.n_transitions == len(obs) - 1
+    assert counts.tolist() == expected
+    assert counts.sum() == len(obs) - 1
 
 
 def test_transition_counts_constant_series():
     counts = transition_counts(CatSeries(StateSpace.from_k(3), (3, 3, 3, 3)))
-    assert counts.matrix[2, 2] == 3
-    assert counts.matrix.sum() == 3
+    assert counts[2, 2] == 3
+    assert counts.sum() == 3
 
 
 def test_transition_counts_refuses_missing():
@@ -420,35 +421,44 @@ def test_transition_counts_refuses_missing():
 def test_transition_counts_total_invariant(values):
     series = CatSeries(StateSpace.from_k(4), tuple(values))
     counts = transition_counts(series)
-    assert counts.n_transitions == len(series) - 1
-    assert counts.row_sums.sum() == counts.col_sums.sum() == len(series) - 1
+    assert counts.shape == (4, 4) and counts.dtype.kind == "i"
+    assert counts.sum() == len(series) - 1
+    # the gap-1 pair table itself, read-only
+    assert np.array_equal(counts, series.pairs[1][0])
+    assert not counts.flags.writeable
 
 
 def test_empirical_transition_matrix_hand_example():
-    etm = empirical_transition_matrix(CatSeries(StateSpace.from_k(2), (1, 1, 2, 2)))
-    assert np.allclose(etm.probs, [[0.5, 0.5], [0.0, 1.0]])
-    assert etm.defined.all()
+    probs, defined = empirical_transition_matrix(CatSeries(StateSpace.from_k(2), (1, 1, 2, 2)))
+    assert np.allclose(probs, [[0.5, 0.5], [0.0, 1.0]])
+    assert defined.all()
 
 
 def test_empirical_transition_matrix_alternating():
-    etm = empirical_transition_matrix(CatSeries(StateSpace.from_k(2), (1, 2, 1, 2, 1)))
-    assert np.allclose(etm.probs, [[0.0, 1.0], [1.0, 0.0]])
+    probs, _ = empirical_transition_matrix(CatSeries(StateSpace.from_k(2), (1, 2, 1, 2, 1)))
+    assert np.allclose(probs, [[0.0, 1.0], [1.0, 0.0]])
 
 
 def test_empirical_transition_matrix_undefined_row():
-    etm = empirical_transition_matrix(CatSeries(StateSpace.from_k(3), (1, 2, 1, 2)))
-    assert not etm.defined[2]
-    assert np.isnan(etm.probs[2]).all()
+    probs, defined = empirical_transition_matrix(CatSeries(StateSpace.from_k(3), (1, 2, 1, 2)))
+    assert not defined[2]
+    assert np.isnan(probs[2]).all()
     # defined rows still sum to one
-    assert np.allclose(etm.probs[:2].sum(axis=1), 1.0, atol=1e-12)
+    assert np.allclose(probs[:2].sum(axis=1), 1.0, atol=1e-12)
 
 
 @given(st.lists(st.integers(1, 3), min_size=2, max_size=120))
 @settings(max_examples=200, deadline=None)
 def test_defined_rows_sum_to_one(values):
-    etm = empirical_transition_matrix(CatSeries(StateSpace.from_k(3), tuple(values)))
-    sums = etm.probs[etm.defined].sum(axis=1)
+    series = CatSeries(StateSpace.from_k(3), tuple(values))
+    probs, defined = empirical_transition_matrix(series)
+    sums = probs[defined].sum(axis=1)
     assert np.allclose(sums, 1.0, atol=1e-12)
+    # jump_frequencies of the jump table, both arrays read-only
+    want_probs, want_defined = jump_frequencies(transition_counts(series))
+    assert np.array_equal(probs, want_probs, equal_nan=True)
+    assert np.array_equal(defined, want_defined)
+    assert not probs.flags.writeable and not defined.flags.writeable
 
 
 def test_drop_missing_and_longest_segment():

@@ -556,6 +556,27 @@ class TestSharedDesign:
         ):
             glm._newton(evaluate, np.zeros(1))
 
+    def test_a_fall_within_the_rounding_of_a_large_likelihood_is_no_fall(self):
+        # |ll| = 3e6, as at n = 10^6; the full step lands one rounding step (4.7e-10) lower, where the gradient is 0
+        ll0, ll1 = -3e6, float(np.nextafter(-3e6, -np.inf))
+
+        def evaluate(params):
+            if params[0] == 0.0:
+                return ll0, np.array([1.0]), lambda: np.array([[-1.0]])
+            return ll1, np.array([0.0]), lambda: np.array([[-1.0]])
+
+        params, ll, steps = glm._newton(evaluate, np.zeros(1))
+        assert (params.tolist(), ll, steps) == ([1.0], ll1, 1)
+
+    def test_a_long_ordinal_fit_is_not_stalled_by_rounding(self):
+        # at n = 10^6, k = 20, the lag-1 line search once refused steps that lost only the rounding of the sum
+        s = simulate(DarModel.from_pi(0.5, np.full(20, 0.05)), 10**6, seed=20)
+        obs = s.obs.copy()
+        obs[np.random.default_rng(20).random(obs.size) < 0.01] = MISSING
+        fit = fit_proportional_odds(build_design(CatSeries(s.space, obs), 1))
+        assert fit.iterations == 5
+        assert fit.log_pl == pytest.approx(-2758907.048, abs=1e-3)
+
     def test_running_out_of_steps_is_named(self):
         # the Hessian is a million times too large, so each step goes 2e-6 of the way to the maximum at 1
         def evaluate(params):

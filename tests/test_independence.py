@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import chdtrc, ndtr
+from scipy.stats import chi2_contingency
 
 from darcat import independence
-from darcat.core import MISSING, CatSeries, DarcatError, MissingValuePresent, StateSpace
+from darcat.core import MISSING, CatSeries, DarcatError, MissingValuePresent, StateSpace, transition_counts
 from darcat.dar import DarModel, simulate
 from darcat.independence import (
     DegenerateDistribution,
@@ -111,6 +112,27 @@ class TestChiSquare:
     def test_detects_strong_persistence(self):
         s = simulate(DarModel.from_pi(0.8, [1 / 3, 1 / 3, 1 / 3]), 200, seed=1)
         assert chi_square_test(s).reject
+
+    @given(st.integers(2, 6).flatmap(lambda k: st.tuples(st.just(k), st.lists(st.integers(1, k), min_size=3, max_size=301))))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_scipy_contingency_test(self, case):
+        # scipy is the oracle, on the same jump table; UnvisitedState exactly when a margin is zero
+        k, obs = case
+        s = series(obs, k=k)
+        counts = transition_counts(s)
+        if (counts.sum(axis=0) == 0).any() or (counts.sum(axis=1) == 0).any():
+            with pytest.raises(UnvisitedState):
+                chi_square_test(s)
+            return
+        rep = chi_square_test(s)
+        c2, p, df, _ = chi2_contingency(counts, correction=False)
+        assert rep.statistic == pytest.approx(c2, rel=1e-12, abs=0.0)
+        assert rep.extras["df"] == df == (k - 1) ** 2
+        # as in test_tail_probabilities_match_scipy_special, tails below 1e-300 are only bounded
+        if p > 1e-300:
+            assert rep.p_value == pytest.approx(p, rel=1e-12, abs=0.0)
+        else:
+            assert rep.p_value <= 1e-300
 
 
 class TestRunsCount:
