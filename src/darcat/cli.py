@@ -380,6 +380,9 @@ def main(argv: list[str] | None = None) -> int:
     except (DarcatError, OSError) as exc:
         _err(f"error: {exc}")
         return 2
+    except MemoryError as exc:  # numpy's message names the array it could not allocate
+        _err(f"error: out of memory: {exc}" if str(exc) else "error: out of memory")
+        return 2
 
 
 if __name__ == "__main__":

@@ -331,20 +331,52 @@ def run_lengths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return values[starts], starts, np.diff(starts, append=values.size)
 
 
+def _run_counts(shape: tuple[int, int], starts: np.ndarray, codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """State counts and one-step jump tables of the rows of an ``(m, width)`` array of codes 1..k, read off its runs.
+
+    Run i starts at flat position ``starts[i]`` of the rows laid end to
+    end (rising, with every row's position 0 among them) and holds code
+    ``codes[i]``; two runs in a row may hold the same code.  A run of
+    length L adds L to its state's count and L - 1 repeats to its row's
+    jump table, and a run followed by another in its row adds the jump
+    between their codes.  Both arrays are overwritten: ``starts`` becomes
+    each run's jump-table cell and ``codes`` its code - 1.
+    """
+    m, width = shape
+    lengths = np.empty(starts.size)  # float, as bincount weighs in float
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1:] = m * width - starts[-1:]
+    heads = np.searchsorted(starts, np.arange(1, m) * width)  # the first run of every row but the first
+    codes -= 1
+    cells = starts
+    cells //= width
+    cells *= k
+    cells += codes  # (row, state) of every run
+    states = np.bincount(cells, weights=lengths, minlength=m * k).astype(np.intp).reshape(m, k)
+    repeats = states - np.bincount(cells, minlength=m * k).reshape(m, k)
+    cells *= k
+    cells[:-1] += codes[1:]  # the jump from each run into the next, counted back out where the next starts a row
+    jumps = np.bincount(cells[:-1], minlength=m * k * k)
+    np.subtract.at(jumps, cells[heads - 1], 1)
+    jumps = jumps.reshape(m, k * k)
+    jumps[:, :: k + 1] += repeats
+    return states, jumps.reshape(m, k, k)
+
+
 def path_counts(paths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """State counts and one-step jump tables of complete paths stacked as rows.
 
     ``paths`` is an ``(m, n+1)`` array of codes 1..k.  Returns the
     ``(m, k)`` count of each state per row and the ``(m, k, k)`` table
     whose cell ``[r, x-1, y-1]`` counts jumps x -> y in row r: per row,
-    the gap-1 table of :attr:`CatSeries.pairs`.  Each comes from one bincount
-    over cell indices offset by row.
+    the gap-1 table of :attr:`CatSeries.pairs`.  Both are counted from the
+    rows' maximal runs by :func:`_run_counts`.
     """
-    m = paths.shape[0]
-    cells = np.arange(m)[:, None] * k + paths - 1  # (row, state) of every position
-    states = np.bincount(cells.ravel(), minlength=m * k).reshape(m, k)
-    jumps = np.bincount((cells[:, :-1] * k + paths[:, 1:] - 1).ravel(), minlength=m * k * k)
-    return states, jumps.reshape(m, k, k)
+    new_run = np.empty(paths.shape, dtype=bool)  # a row's first position or a change of value
+    new_run[:, 0] = True
+    np.not_equal(paths[:, 1:], paths[:, :-1], out=new_run[:, 1:])
+    starts = np.flatnonzero(new_run)
+    return _run_counts(paths.shape, starts, paths.ravel()[starts], k)
 
 
 _LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks a line besides "\n"

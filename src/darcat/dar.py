@@ -4,6 +4,12 @@ A DAR(1) process keeps its previous state with probability ``alpha`` and
 otherwise redraws from the marginal distribution ``pi``.  Its transition
 matrix is ``alpha*I + (1-alpha)*Q`` where every row of Q equals ``pi``,
 and the h-step matrix has the same form with ``alpha**h``.
+
+A path is therefore a sequence of runs, one per redraw.  The simulation
+finds the redraws among its uniforms and runs the inverse CDF only on
+the uniforms they read (:func:`_runs`); :func:`draw_paths` repeats each
+run's value over its length, and the Monte Carlo study counts the runs
+without laying the paths out.
 """
 
 from __future__ import annotations
@@ -125,14 +131,16 @@ def _inverse_cdf(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     The code is 1 plus the number of the k-1 thresholds cumsum(pi)[:-1]
     that u reaches, so a u at or above the last threshold is state k even
-    when the cumulative sum ends below 1.  Up to k = 9 the thresholds are
-    counted by k-1 passes of ``u >= c``, from k = 10 by a binary search.
-    On the strided u that :func:`draw_paths` passes, at n = 10^6 on one
-    Xeon core, the passes take 0.5 to 0.8 of ``np.searchsorted``'s time
-    up to k = 9, 0.8 to 1.1 of it at k = 10 to 16, and 1.7 at k = 40.
+    when the cumulative sum ends below 1.  Up to k = 32 the thresholds are
+    counted by k-1 passes of ``u >= c``, from k = 33 by a binary search.
+    On contiguous arrays of fresh uniforms, the run starts that
+    :func:`_runs` passes, on one Xeon core, the passes take 0.2 to 0.3 of
+    ``np.searchsorted``'s time at k = 2 and 3, 0.4 to 0.5 at k = 9 and 10,
+    0.8 to 0.9 at k = 32 and 1.0 to 1.1 at k = 36 to 40, for 5,000 to 10^6
+    uniforms; below about a thousand uniforms either takes microseconds.
     """
     thresholds = np.cumsum(pi)[:-1]
-    if thresholds.size >= 9:
+    if thresholds.size >= 32:
         idx = np.searchsorted(thresholds, u, side="right")
         idx += 1
         return idx
@@ -142,23 +150,42 @@ def _inverse_cdf(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
     return idx
 
 
+def _runs(model: DarModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The runs of the paths :func:`draw_paths` draws from ``u``: their flat starts and their codes.
+
+    Step 0 of a row and each step t with V_t >= alpha redraw the value, so
+    a row of the ``(m, n+1)`` paths is one run per redraw.  ``starts``
+    holds the flat position p = r(n+1) + t of every redraw, rising, and
+    ``codes`` the value drawn there from Z_t, the uniform at flat position
+    2p - r of ``u``; the inverse CDF runs on those uniforms alone.
+    """
+    m, width = u.shape
+    n = (width - 1) // 2
+    redraw = np.empty((m, n + 1), dtype=bool)
+    redraw[:, 0] = True
+    np.greater_equal(u[:, 1::2], model.alpha, out=redraw[:, 1:])
+    starts = np.flatnonzero(redraw)
+    del redraw  # each temporary goes before the next is made: at m = 10^4, n = 500 they hold tens of MB
+    at = starts * 2
+    at -= starts // (n + 1)
+    z = u.take(at)
+    del at
+    return starts, _inverse_cdf(model.pi, z)
+
+
 def draw_paths(model: DarModel, u: np.ndarray) -> np.ndarray:
     """DAR(1) paths X_0..X_n, one per row of an ``(m, 2n+1)`` array of uniforms.
 
     Fixed draw layout per row: one uniform for X_0, then (V_t, Z_t) per
     step, Z_t consumed even when V_t = 1.  This keeps trajectories
     identical between the missing and non-missing variants for the same
-    seed, and makes row r depend on row r of ``u`` only.
+    seed, and makes row r depend on row r of ``u`` only.  Each run of
+    :func:`_runs` is repeated over its length.
     """
     m, width = u.shape
     n = (width - 1) // 2
-    # column 0 is X_0, column t >= 1 the innovation Z_t
-    codes = _inverse_cdf(model.pi, u[:, 0::2])
-    # x_t is the code at the last refresh step s <= t (step 0 being X_0)
-    refresh = np.zeros((m, n + 1), dtype=np.intp)
-    np.multiply(np.arange(1, n + 1), u[:, 1::2] >= model.alpha, out=refresh[:, 1:])
-    np.maximum.accumulate(refresh, axis=1, out=refresh)
-    return np.take_along_axis(codes, refresh, axis=1)
+    starts, codes = _runs(model, u)
+    return np.repeat(codes, np.diff(starts, append=m * (n + 1))).reshape(m, n + 1)
 
 
 def _latent_path(model: DarModel, n: int, seed: int) -> tuple[np.ndarray, np.random.Generator]:

@@ -15,11 +15,13 @@ generators are seeded in bulk: one vectorised pass hashes every seed as
 ``PCG64`` is re-seeded per replicate (:func:`_uniform_rows`), so each
 replicate's uniforms are bit for bit those of
 ``np.random.default_rng(seed)``.  Each cell is then drawn and counted on
-its own: its replicates are the rows of one (m, n+1) array of paths
-(:func:`~darcat.dar.draw_paths`), and only their state frequencies and
-jump tables (:func:`~darcat.core.path_counts`) outlive the cell.  The
-cells of one marginal share k, so once they are counted their rows are
-stacked and estimated in one call each of
+its own, from the runs of its replicates' paths: a path is one run per
+redraw, and :func:`~darcat.dar._runs` draws only the value of each run.
+Each row's state counts and jump table are read off these runs
+(:func:`~darcat.core._run_counts`, which :func:`~darcat.core.path_counts`
+also runs), so the (m, n+1) paths are never laid out, and only the
+counts outlive the cell.  The cells of one marginal share k, so once
+they are counted their rows are stacked and estimated in one call each of
 :func:`~darcat.estimate.alpha_mle_rows` and
 :func:`~darcat.estimate.alpha_ls_rows`; every cell is then summarised
 from its own slice.  Every kernel is row-wise, and
@@ -37,9 +39,9 @@ from itertools import product
 import numpy as np
 
 from . import render
-from .core import DarcatError, path_counts
-from .dar import DarModel, _check_unit_interval, _validate_pi, draw_paths
-from .estimate import ADMISSIBLE, alpha_ls_rows, alpha_mle_rows
+from .core import DarcatError, _run_counts
+from .dar import DarModel, _check_unit_interval, _runs, _validate_pi
+from .estimate import ADMISSIBLE, ALL_REPEATS, BOUNDARY, FEW_STATES, UNDEFINED_ROW, alpha_ls_rows, alpha_mle_rows
 
 __all__ = [
     "SimGrid",
@@ -188,9 +190,12 @@ def _admissible_mean(alpha_hat: np.ndarray, why: np.ndarray) -> tuple[float | No
     return (float(np.mean(kept)) if kept.size else None), int(kept.size)
 
 
+_REASONS = tuple(sorted((ALL_REPEATS, BOUNDARY, FEW_STATES, UNDEFINED_ROW)))
+
+
 def _dropped(estimator: str, why: np.ndarray) -> tuple[tuple[str, str, int], ...]:
-    reasons, counts = np.unique(why[why != ADMISSIBLE], return_counts=True)
-    return tuple((estimator, str(r), int(c)) for r, c in zip(reasons, counts))
+    counts = [(reason, int(np.count_nonzero(why == reason))) for reason in _REASONS]
+    return tuple((estimator, reason, count) for reason, count in counts if count)
 
 
 def run_grid(grid: SimGrid) -> tuple[CellResult, ...]:
@@ -209,7 +214,8 @@ def run_grid(grid: SimGrid) -> tuple[CellResult, ...]:
         pi_hats, jump_tables = [], []
         for (alpha, n), cell_words in zip(cells, pi_words):
             model = DarModel.from_pi(alpha, np.asarray(pi, dtype=float))
-            counts, jumps = path_counts(draw_paths(model, _uniform_rows(cell_words, 2 * n + 1)), model.k)
+            starts, codes = _runs(model, _uniform_rows(cell_words, 2 * n + 1))
+            counts, jumps = _run_counts((grid.m, n + 1), starts, codes, model.k)
             pi_hats.append(counts / (n + 1))
             jump_tables.append(jumps)
         (alpha1, why1), (alpha2, why2) = _estimate_rows(np.concatenate(pi_hats), np.concatenate(jump_tables))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from darcat import independence
+from darcat import dar, independence
 from darcat.cli import _read_states, main
 from darcat.core import StateSpace, parse_series, serialize_series
 from darcat.dar import DarModel, MissingDarModel, simulate_with_missing
@@ -55,6 +55,26 @@ def test_simulate_rejects_bad_pi(capsys):
     code, _, err = run(capsys, "simulate", "--alpha", "0", "--pi", "0.5,0.9", "--n", "10")
     assert code == 2
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "message, expected",
+    [
+        (
+            "Unable to allocate 44.7 GiB for an array with shape (1, 6000000001) and data type float64",
+            "error: out of memory: Unable to allocate 44.7 GiB for an array with shape (1, 6000000001) and data type float64\n",
+        ),
+        ("", "error: out of memory\n"),
+    ],
+)
+def test_an_allocation_that_fails_exits_2_naming_it(monkeypatch, capsys, message, expected):
+    # the kernel is made to fail as numpy does, without asking for the memory
+    def fail(*_):
+        raise MemoryError(message) if message else MemoryError
+
+    monkeypatch.setattr(dar, "_runs", fail)
+    code, out, err = run(capsys, "simulate", "--alpha", "0.5", "--pi", "0.5,0.5", "--n", "10")
+    assert (code, out, err) == (2, "", expected)
 
 
 def test_fit_dar_iid_fixture(tmp_path, capsys, states2):

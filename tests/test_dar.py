@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from darcat import dar
+from darcat import core, dar
 from darcat.core import MISSING, CatSeries, DarcatError, StateSpace
 from darcat.dar import (
     DarModel,
@@ -231,15 +233,61 @@ def test_draw_paths_rows_follow_the_recursion(alpha, pi):
     assert np.array_equal(simulate(m, 40, 9).obs, draw_paths(m, np.random.default_rng(9).random((1, 81)))[0])
 
 
+def test_runs_of_hand_made_uniforms():
+    """A redraw that picks the code it replaces starts a run; a row without a redraw is one run."""
+    m = model(0.5, [0.5, 0.5])
+    u = np.array([
+        [0.1, 0.7, 0.2, 0.9, 0.8],  # X_0 = 1, redrawn as 1, then as 2
+        [0.6, 0.1, 0.9, 0.2, 0.1],  # X_0 = 2, kept twice
+    ])
+    starts, codes = dar._runs(m, u)
+    assert (starts.tolist(), codes.tolist()) == ([0, 1, 2, 3], [1, 1, 2, 2])
+    assert draw_paths(m, u).tolist() == [[1, 1, 2], [2, 2, 2]]
+    # the last run of row 0 and the first of row 1 hold the same code, but no jump joins them
+    states, jumps = core._run_counts((2, 3), starts, codes, 2)
+    assert states.tolist() == [[2, 1], [0, 3]]
+    assert jumps.tolist() == [[[1, 1], [0, 0]], [[0, 0], [0, 2]]]
+
+
+@st.composite
+def uniform_batches(draw):
+    """A model and its (m, 2n+1) uniforms; a small Dirichlet concentration makes redraws of the same code common."""
+    m, n = draw(st.sampled_from([1, 3])), draw(st.sampled_from([1, 2, 40]))
+    k = draw(st.sampled_from([2, 3, 10, 20]))
+    alpha = draw(st.sampled_from([0.0, 0.5, 1 - 1e-12]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    pi = rng.dirichlet(np.full(k, draw(st.sampled_from([0.05, 1.0]))))
+    return model(alpha, pi), rng.random((m, 2 * n + 1))
+
+
+@given(batch=uniform_batches())
+@settings(max_examples=200, deadline=None)
+def test_the_runs_draw_the_recursion_and_count_each_row_as_its_series_does(batch):
+    mdl, u = batch
+    m, n = u.shape[0], (u.shape[1] - 1) // 2
+    paths = draw_paths(mdl, u)
+    assert paths.tolist() == [path_reference(mdl, row) for row in u]
+    starts, codes = dar._runs(mdl, u)
+    if mdl.alpha == 0.0:  # every step redraws
+        assert starts.tolist() == list(range(m * (n + 1)))
+    if mdl.alpha == 1 - 1e-12:  # no step redraws: each row is one run
+        assert starts.tolist() == list(range(0, m * (n + 1), n + 1))
+    states, jumps = core._run_counts(paths.shape, starts, codes, mdl.k)
+    for r, row in enumerate(paths):
+        series = CatSeries(mdl.space, row)
+        assert states[r].tolist() == series.state_counts.tolist()
+        assert jumps[r].tolist() == series.pairs[1][0].tolist()
+
+
 def inverse_cdf_reference(pi, u):
     """The binary-search form: the number of cumsum(pi) entries at or below u, capped at k - 1, plus 1."""
     idx = np.searchsorted(np.cumsum(pi), u, side="right")
     return np.minimum(idx, pi.size - 1) + 1
 
 
-@pytest.mark.parametrize("k", [*range(2, 21), 1000])
+@pytest.mark.parametrize("k", [*range(2, 21), 32, 33, 40, 1000])
 def test_inverse_cdf_equals_the_binary_search(k):
-    """Both sides of the k = 10 switch between counting passes and the binary search."""
+    """Both sides of the k = 33 switch between counting passes and the binary search."""
     rng = np.random.default_rng(k)
     zeros = rng.dirichlet(np.ones(k))
     zeros[rng.permutation(k)[: k // 2]] = 0.0  # equal thresholds, and states that cannot be drawn

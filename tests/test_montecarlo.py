@@ -158,6 +158,19 @@ EDGE_ROWS = [
 ]
 
 
+def test_path_counts_of_edge_rows():
+    states, jumps = path_counts(np.array(EDGE_ROWS), 3)
+    assert states.tolist() == [[0, 6, 0], [6, 0, 0], [3, 3, 0], [3, 2, 1], [2, 2, 2], [2, 2, 2]]
+    assert jumps.tolist() == [
+        [[0, 0, 0], [0, 5, 0], [0, 0, 0]],
+        [[5, 0, 0], [0, 0, 0], [0, 0, 0]],
+        [[0, 3, 0], [2, 0, 0], [0, 0, 0]],
+        [[2, 1, 0], [0, 1, 1], [0, 0, 0]],
+        [[1, 1, 0], [0, 1, 0], [1, 0, 1]],
+        [[0, 2, 0], [0, 0, 2], [1, 0, 0]],
+    ]
+
+
 def test_batched_estimators_match_per_series_on_edge_rows():
     space = StateSpace.from_k(3)
     counts, jumps = path_counts(np.array(EDGE_ROWS), space.k)
