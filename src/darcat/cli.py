@@ -32,7 +32,7 @@ from .estimate import (
     estimate_pi,
 )
 from .glm import aic_tables
-from .independence import TestReport, chi_square_test, longest_run_test, runs_count_test
+from .independence import chi_square_test, longest_run_test, runs_count_test
 
 __all__ = ["main"]
 
@@ -123,20 +123,6 @@ def _or_na(step, series: CatSeries | None):
         return None, str(exc)
 
 
-def _fmt_report(rep: TestReport | None, reason: str | None = None) -> str:
-    if rep is None:
-        return f"NA ({reason})"
-    parts = [f"stat={rep.statistic:.4f}"]
-    if rep.p_value is not None:
-        parts.append(f"p={rep.p_value:.4f}")
-    if "band_lower" in rep.extras:
-        parts.append(f"band=[{rep.extras['band_lower']:.3f}, {rep.extras['band_upper']:.3f}]")
-    parts.append("reject" if rep.reject else "accept")
-    if rep.power is not None:
-        parts.append(f"power={rep.power:.3f}")
-    return " ".join(parts)
-
-
 def _run_tests(series: CatSeries | None, level: float, alpha1: float | None):
     """The three tests, each NA with its cause where it cannot run."""
     alpha1 = alpha1 if alpha1 is not None and 0.0 <= alpha1 < 1.0 else None
@@ -145,16 +131,6 @@ def _run_tests(series: CatSeries | None, level: float, alpha1: float | None):
         "runs_count": _or_na(lambda s: runs_count_test(s, level=level), series),
         "longest_run": _or_na(lambda s: longest_run_test(s, level=level, alpha1=alpha1), series),
     }
-
-
-def _test_lines(tests, heading: str) -> list[str]:
-    """The heading, then one line per test, each followed by its notes."""
-    lines = [heading]
-    for name, (rep, reason) in tests.items():
-        lines.append(f"  {name}: {_fmt_report(rep, reason)}")
-        if rep is not None:
-            lines.extend(f"    note: {note}" for note in rep.notes)
-    return lines
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
@@ -179,38 +155,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fit_dar_csv(pi_hat, a1, a2, beta, tests) -> str:
-    """The one-row csv table of ``fit-dar``: floats to six decimals, flags as 0/1, NA where absent."""
-
-    def num(val) -> str:
-        if val is None:
-            return "NA"
-        return f"{val:.6f}" if isinstance(val, float) else str(int(val))
-
-    def test(name, *attrs) -> list[str]:
-        rep = tests[name][0]
-        return [num(None if rep is None else getattr(rep, attr)) for attr in attrs]
-
-    header = (
-        "pi_hat,alpha1,alpha1_converged,alpha2,alpha2_converged,beta_missing,observed_fraction,"
-        "chi2_stat,chi2_p,chi2_reject,runs_stat,runs_p,runs_reject,"
-        "longest_stat,longest_reject,longest_power"
-    ).split(",")
-    row = [
-        render.pi_vector(pi_hat),
-        num(a1.alpha_hat),
-        num(a1.converged),
-        num(None if a2 is None else a2.alpha_hat),
-        num(None if a2 is None else a2.converged),
-        num(beta),
-        num(1.0 - beta),
-        *test("chi_square", "statistic", "p_value", "reject"),
-        *test("runs_count", "statistic", "p_value", "reject"),
-        *test("longest_run", "statistic", "reject", "power"),
-    ]
-    return render.table("csv", header, [row])
-
-
 def cmd_fit_dar(args: argparse.Namespace) -> int:
     space = _read_states(args.states)
     series = _load_series(args.input, space)
@@ -227,7 +171,7 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
     a2, a2_err = _or_na(lambda s: estimate_alpha_ls(s, estimate_pi(s).pi_hat), test_series)
     tests = _run_tests(test_series, args.level, a1.alpha_hat)
 
-    csv = _fit_dar_csv(pi_est.pi_hat, a1, a2, beta, tests)
+    csv = render.fit_dar_csv(pi_est.pi_hat, a1, a2, beta, tests)
     if args.out:  # before stdout, so an unwritable --out prints no report
         Path(args.out).write_text(csv, encoding="utf-8")
     if args.format == "csv":
@@ -249,7 +193,7 @@ def cmd_fit_dar(args: argparse.Namespace) -> int:
         else:
             lines.append(f"  alpha2 (least squares): NA ({a2_err})")
         lines.append(f"  beta_hat (missing probability): {beta:.4f}   observed fraction: {1 - beta:.4f}")
-        lines += _test_lines(tests, f"independence tests at level {args.level} (on policy series):")
+        lines += render.test_lines(tests, f"independence tests at level {args.level} (on policy series):")
         sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -261,7 +205,7 @@ def cmd_test(args: argparse.Namespace) -> int:
     for note in notes:
         _err(note)
     tests = _run_tests(test_series, args.level, None)
-    lines = _test_lines(tests, f"independence tests at level {args.level}:")
+    lines = render.test_lines(tests, f"independence tests at level {args.level}:")
     sys.stdout.write("\n".join(lines) + "\n")
     return 0
 
@@ -272,7 +216,7 @@ def cmd_fit_glm(args: argparse.Namespace) -> int:
     lags = _parse_lags(args.lags)
     families = ("categorical", "ordinal") if args.family == "both" else (args.family,)
     tables = aic_tables(series, families, lags=lags, common_rows=args.common_rows)
-    out_text = "\n".join(table.render(args.format) for table in tables)
+    out_text = "\n".join(render.aic_table(table, args.format) for table in tables)
     if args.out:  # before stdout, as in fit-dar
         Path(args.out).write_text(out_text, encoding="utf-8")
     sys.stdout.write(out_text)
@@ -288,7 +232,7 @@ def cmd_reproduce_tables(args: argparse.Namespace) -> int:
         outdir.mkdir(parents=True, exist_ok=True)
     for i, (pi, cells) in enumerate(grouped.items(), start=1):
         title = "pi=(" + ";".join(f"{v:g}" for v in pi) + f"), m={grid.m}"
-        body = montecarlo.format_cells(cells, args.format)
+        body = render.study_table(cells, args.format)
         if outdir:
             path = outdir / f"table{i}.{args.format}"
             path.write_text(body, encoding="utf-8")

@@ -63,6 +63,12 @@ def _check_unit_interval(name: str, value: float) -> None:
         raise DarcatError(f"{name} must lie in [0, 1), got {value}")
 
 
+def _check_size(what: str, nbytes: int) -> None:
+    """Refuse ``what`` when it sizes arrays of ``nbytes``, more than numpy allocates; the check allocates nothing."""
+    if nbytes > np.iinfo(np.intp).max:
+        raise DarcatError(f"{what} is too large: numpy cannot allocate its {nbytes} bytes")
+
+
 @dataclass(frozen=True)
 class DarModel:
     """Parameter pair (alpha, pi) on a given state space.
@@ -192,6 +198,7 @@ def _latent_path(model: DarModel, n: int, seed: int) -> tuple[np.ndarray, np.ran
     """X_0..X_n drawn from the first 2n+1 uniforms of ``default_rng(seed)``, and that generator to draw on from."""
     if n < 1:
         raise DarcatError(f"n must be >= 1, got {n}")
+    _check_size(f"n={n}", 8 * (2 * int(n) + 1))
     rng = np.random.default_rng(seed)
     return draw_paths(model, rng.random((1, 2 * n + 1)))[0], rng
 

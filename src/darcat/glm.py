@@ -53,8 +53,8 @@ One prepared design per lag serves every family.  :func:`aic_tables`
 builds each lag's design once and fits every requested family on it; the
 design reads its count matrix, drops its empty responses and prunes once
 (``Design._prepared``), however many fitters read it.  :func:`aic_table`
-is the one-family case.  :meth:`AicTable.render` writes a table as csv,
-md or txt through :func:`darcat.render.table`.
+is the one-family case.  The module returns tables as data;
+:func:`darcat.render.aic_table` writes them as csv, md or txt.
 """
 
 from __future__ import annotations
@@ -64,7 +64,6 @@ from functools import cached_property
 
 import numpy as np
 
-from . import render
 from .core import MISSING, CatSeries, DarcatError, _read_only
 
 __all__ = [
@@ -558,43 +557,11 @@ class AicRow:
 
 @dataclass(frozen=True)
 class AicTable:
+    """One family's AIC rows, a row per lag, and the lag of least AIC (None if no lag was fitted)."""
+
     family: str
     rows: tuple[AicRow, ...]
     best_lag: int | None
-
-    def render(self, fmt: str) -> str:
-        """The table as csv, md or txt text under a family title.
-
-        csv has six decimals, NA for an unknown n and a ``best`` column;
-        md and txt have four decimals and ``-`` for an unknown n, md bolds
-        the minimum AIC and txt marks it, or a failed fit's error, after
-        the row.
-        """
-        digits = 6 if fmt == "csv" else 4
-        missing = "NA" if fmt == "csv" else "-"
-        rows = []
-        for r in self.rows:
-            best = r.lag == self.best_lag
-            if r.error is not None:
-                row = [r.lag, "NA", "NA", "NA", missing if r.n_used is None else r.n_used]
-            else:
-                aic = f"{r.fit.aic:.{digits}f}"
-                aic = f"**{aic}**" if best and fmt == "md" else aic
-                row = [r.lag, r.fit.n_params, f"{r.fit.log_pl:.{digits}f}", aic, r.n_used]
-            if fmt == "csv":
-                row.append("*" if best else "")
-            elif fmt == "txt" and r.error is not None:
-                row.append(f"   ({r.error})")
-            elif fmt == "txt" and best:
-                row.append(" <- min AIC")
-            rows.append(row)
-        if fmt == "csv":
-            title = f"# family: {self.family}\n"
-            header = ("lag", "n_params", "log_pl", "aic", "n_used", "best")
-        else:
-            title = f"**family: {self.family}**\n\n" if fmt == "md" else f"family: {self.family}\n"
-            header = ("lag", "params", "logPL", "AIC", "n")
-        return title + render.table(fmt, header, rows, (4, 7, 12, 12, 6))
 
 
 def aic_table(

@@ -6,7 +6,8 @@ estimate is not admissible are counted out (m1 for the likelihood
 estimator, m2 for the least-squares one) and excluded from that
 estimator's mean, while the marginal frequencies are averaged over all
 replicates.  ``CellResult.dropped`` counts why each replicate was
-counted out.  Everything is deterministic given the master seed.
+counted out.  Everything is deterministic given the master seed.  The
+cells are data; :func:`darcat.render.study_table` writes them.
 
 Replicate r of cell c draws its 2n+1 uniforms from its own generator,
 seeded with entry c*m + r of the master seed's uint32 stream.  These
@@ -27,8 +28,7 @@ they are counted their rows are stacked and estimated in one call each of
 from its own slice.  Every kernel is row-wise, and
 :func:`~darcat.dar.simulate` and the per-series estimators call the same
 kernels with a batch of one, so each row's arithmetic is theirs and the
-tables equal a replicate-by-replicate loop exactly.  :func:`format_cells` writes one
-table per marginal configuration through :func:`darcat.render.table`.
+tables equal a replicate-by-replicate loop exactly.
 """
 
 from __future__ import annotations
@@ -38,9 +38,8 @@ from itertools import product
 
 import numpy as np
 
-from . import render
 from .core import DarcatError, _run_counts
-from .dar import DarModel, _check_unit_interval, _runs, _validate_pi
+from .dar import DarModel, _check_size, _check_unit_interval, _runs, _validate_pi
 from .estimate import ADMISSIBLE, ALL_REPEATS, BOUNDARY, FEW_STATES, UNDEFINED_ROW, alpha_ls_rows, alpha_mle_rows
 
 __all__ = [
@@ -49,7 +48,6 @@ __all__ = [
     "run_grid",
     "study_grid",
     "results_by_pi",
-    "format_cells",
 ]
 
 DEFAULT_SEED = 2
@@ -82,6 +80,9 @@ class SimGrid:
             _check_count("n", n, 1)
         for pi in self.pis:
             _validate_pi("pi", pi, len(pi))
+        # 32 bytes of seed words per replicate of every cell, and a cell's (m, 2n+1) uniforms
+        cells = len(self.pis) * len(self.alphas) * len(self.ns)
+        _check_size(f"m={self.m}", int(self.m) * max(32 * cells, 8 * (2 * int(max(self.ns, default=0)) + 1)))
 
 
 @dataclass(frozen=True)
@@ -262,17 +263,3 @@ def results_by_pi(results: tuple[CellResult, ...]) -> dict[tuple[float, ...], li
     for cell in results:
         grouped.setdefault(cell.pi, []).append(cell)
     return grouped
-
-
-def _fmt_opt(x: float | None) -> str:
-    return "NA" if x is None else f"{x:.3f}"
-
-
-def format_cells(cells: list[CellResult], fmt: str) -> str:
-    """One study table as csv, md or txt text: a row per cell, NA where no replicate was admissible."""
-    header = ("alpha", "n", "pi_hat", "alpha1", "m1", "alpha2", "m2")
-    rows = [
-        (c.alpha, c.n, render.pi_vector(c.mean_pi_hat), _fmt_opt(c.mean_alpha1), c.m1, _fmt_opt(c.mean_alpha2), c.m2)
-        for c in cells
-    ]
-    return render.table(fmt, header, rows, (6, 5, 24, 7, 4, 7, 4))

@@ -77,6 +77,22 @@ def test_an_allocation_that_fails_exits_2_naming_it(monkeypatch, capsys, message
     assert (code, out, err) == (2, "", expected)
 
 
+@pytest.mark.parametrize(
+    "argv, named",
+    [
+        (["simulate", "--alpha", "0.5", "--pi", "0.5,0.5", "--n", str(10**18)], f"n={10**18}"),
+        (["simulate", "--alpha", "0.5", "--pi", "0.5,0.5", "--n", str(10**20), "--beta", "0.1"], f"n={10**20}"),
+        (["reproduce-tables", "--m", str(10**20)], f"m={10**20}"),
+    ],
+    ids=["simulate_too_big", "simulate_too_many_dimensions", "reproduce_tables"],
+)
+def test_a_size_numpy_refuses_outright_exits_2_naming_it(capsys, argv, named):
+    # numpy would raise ValueError for these sizes without allocating; the command refuses them first
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {named} is too large: numpy cannot allocate") and err.count("\n") == 1
+
+
 def test_fit_dar_iid_fixture(tmp_path, capsys, states2):
     out = tmp_path / "s.csv"
     assert main(["simulate", "--alpha", "0", "--pi", "0.5,0.5", "--n", "400", "--seed", "14", "--out", str(out)]) == 0

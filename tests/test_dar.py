@@ -136,6 +136,16 @@ def test_simulate_deterministic_given_seed():
     assert not np.array_equal(simulate(m, 200, seed=9).obs, simulate(m, 200, seed=10).obs)
 
 
+@pytest.mark.parametrize("n", [10**18, 10**20, np.int64(2**62)], ids=["too_big", "too_many_dimensions", "int64"])
+def test_a_length_numpy_refuses_outright_is_refused_before_drawing(n):
+    # numpy refuses 2n+1 uniforms of these n outright, "array is too big" or "Maximum allowed dimension exceeded";
+    # 2n+1 is counted in Python ints, so an int64 n does not wrap
+    m = model(0.5, [0.5, 0.5])
+    for draw in (lambda: simulate(m, n, seed=1), lambda: simulate_with_missing(MissingDarModel(m, 0.1), n, seed=1)):
+        with pytest.raises(DarcatError, match=rf"^n={n} is too large: numpy cannot allocate"):
+            draw()
+
+
 def test_simulate_iid_frequencies():
     m = model(0.0, [0.3, 0.7])
     s = simulate(m, 100_000, seed=21)

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 
-from darcat import cli, glm
+from darcat import cli, glm, render
 from darcat.core import MISSING, CatSeries, DarcatError, StateSpace
 from darcat.dar import DarModel, simulate
 from darcat.glm import (
@@ -383,7 +383,7 @@ class TestAicTable:
         assert by_lag[1].fit is None and by_lag[1].error is not None
         assert by_lag[0].fit is not None and by_lag[0].error is None
         assert table.best_lag == 0
-        assert "NA" in table.render("txt") and "NA" in table.render("csv")
+        assert "NA" in render.aic_table(table, "txt") and "NA" in render.aic_table(table, "csv")
 
     def test_common_rows_mode_aligns_samples(self):
         obs = [1 + (i % 2) for i in range(40)]

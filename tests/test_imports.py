@@ -1,4 +1,4 @@
-"""The package runs on numpy alone.
+"""The package runs on numpy alone, and its library modules write no text.
 
 scipy costs more to import than numpy and the whole package together,
 and for the short series darcat is made for, start-up is most of a
@@ -7,7 +7,9 @@ logistic function and its Newton steps without it, and installs it only
 as a test oracle.  The check runs in a fresh interpreter, since the test
 session itself has loaded scipy.  A finder placed first on
 ``sys.meta_path`` there refuses every scipy module, so a command that
-reaches for one fails instead of quietly loading it.
+reaches for one fails instead of quietly loading it.  Reports are
+written by ``darcat.render`` alone, so the fitting and study modules load
+without it.
 """
 
 import json
@@ -66,3 +68,10 @@ def test_commands_run_with_scipy_blocked_and_load_none_of_it(tmp_path):
     codes, seen = json.loads(proc.stdout)
     assert codes == [0] * len(COMMANDS)
     assert seen == dict.fromkeys(["import darcat"] + [argv[0] for argv in COMMANDS], [])
+
+
+def test_the_fits_and_the_study_load_without_the_report_writer():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    script = "import sys, darcat.glm, darcat.montecarlo; print('darcat.render' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout == "False\n"

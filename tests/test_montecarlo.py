@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from darcat import montecarlo
+from darcat import montecarlo, render
 from darcat.core import CatSeries, DarcatError, StateSpace, path_counts
 from darcat.dar import DarModel, draw_paths, simulate
 from darcat.estimate import (
@@ -24,7 +24,6 @@ from darcat.estimate import (
 )
 from darcat.montecarlo import (
     SimGrid,
-    format_cells,
     study_grid,
     results_by_pi,
     run_grid,
@@ -290,6 +289,17 @@ def test_bad_length_or_marginal_is_refused_with_the_grid(ns, pis, message):
     assert SimGrid(pis=((0.5, 0.5),), alphas=(0.5,), ns=(np.int64(3), 1), m=3).ns == (3, 1)
 
 
+@pytest.mark.parametrize(
+    "m, ns",
+    [(10**20, (10,)), (2**63 // 24, (1,)), (1, (np.int64(2**62),))],
+    ids=["replicates", "seed_words", "uniforms"],
+)
+def test_a_grid_numpy_could_not_allocate_is_refused_before_any_cell_runs(m, ns):
+    # seed_words: a cell's 3m uniforms fit, but 32 bytes of seed words per replicate do not
+    with pytest.raises(DarcatError, match=rf"^m={m} is too large: numpy cannot allocate"):
+        SimGrid(pis=((0.5, 0.5),), alphas=(0.5,), ns=ns, m=m)
+
+
 def exact_cell(pi, alpha, n):
     """Every moment run_grid estimates, over all k^(n+1) paths weighted by their DAR(1) probability.
 
@@ -337,11 +347,11 @@ def test_study_chain_matches_exact_enumeration_of_every_path():
 
 def test_formatters():
     cells = list(run_grid(SMALL))[:2]
-    csv = format_cells(cells, "csv")
+    csv = render.study_table(cells, "csv")
     assert csv.splitlines()[0] == "alpha,n,pi_hat,alpha1,m1,alpha2,m2"
     assert len(csv.splitlines()) == 3
-    md = format_cells(cells, "md")
+    md = render.study_table(cells, "md")
     assert md.startswith("| alpha | n |")
     assert md.count("\n") == 4
-    txt = format_cells(cells, "txt")
+    txt = render.study_table(cells, "txt")
     assert "alpha1" in txt.splitlines()[0]
