@@ -8,11 +8,13 @@ Time labels are checked once, where they enter; derived series index
 their one stored array, and text is made of them only when they are read
 or written.  :func:`parse_series` / :func:`serialize_series` read and
 write a series as one UTF-8 byte buffer, with no Python object per row or
-cell.  All containers are immutable after construction and safe to share
-across threads; every operation here is a pure function.  The facts that
-the estimators, tests and fits read off a series (its state counts,
+cell; the writer writes a block of rows whole when all its cells have one
+byte width.  All containers are immutable after construction and safe to
+share across threads; every operation here is a pure function.  The facts
+that the estimators, tests and fits read off a series (its state counts,
 per-gap pair table, runs and window tables) are cached, computed on
 first read; two threads reading one at once at most compute it twice.
+The pair table is read off the runs, so one scan finds both.
 """
 
 from __future__ import annotations
@@ -220,14 +222,25 @@ class CatSeries:
         x -> y observed ``gaps[g]`` steps apart.  Under DAR(1) such a pair
         has probability alpha**h * 1{x=y} + (1 - alpha**h) * pi_y, so the
         table is a sufficient statistic for alpha given pi.
+
+        Read off the observed :attr:`runs`: a run of length L adds L - 1
+        repeats at gap 1, and each run followed by another observed one adds
+        the pair between their values, at the gap from the first's last
+        time to the second's first (1 when no missing run lies between).
         """
-        x = self.obs
-        at = np.flatnonzero(x != MISSING)
-        steps = np.diff(at)
-        gaps = np.flatnonzero(np.bincount(steps))
+        values, starts, lengths = self.runs
+        seen = values != MISSING
+        values, starts, lengths = values[seen], starts[seen], lengths[seen]
+        steps = starts[1:] - starts[:-1] - lengths[:-1] + 1
         k = self.space.k
-        cells = (np.searchsorted(gaps, steps) * k + x[at[:-1]] - 1) * k + x[at[1:]] - 1
+        repeats = self.state_counts - np.bincount(values - 1, minlength=k)  # L - 1 for each run of length L
+        at_gap = np.bincount(steps, minlength=2)
+        at_gap[1] += repeats.sum()
+        gaps = np.flatnonzero(at_gap)
+        cells = (np.searchsorted(gaps, steps) * k + values[:-1] - 1) * k + values[1:] - 1
         table = np.bincount(cells, minlength=gaps.size * k * k).reshape(gaps.size, k, k)
+        if repeats.any():  # then gaps[0] is 1
+            table[0].flat[:: k + 1] += repeats
         return _read_only(gaps, table)
 
     @cached_property
@@ -414,12 +427,14 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     implicit '0', '1', ..., see :class:`CatSeries`).
 
     The text is read as one UTF-8 byte buffer, without a Python object
-    per row or cell: line breaks become "\n", numpy strips the cells and
-    finds the separators, each value cell is coded by comparing its
-    bytes with each label's, and the stamps are compared with '0', '1',
-    ... one digit count at a time; they are decoded only when they
-    differ.  Only a text that fails these checks is read again row
-    by row, by :func:`_first_error`, to name its first bad row.
+    per row or cell: line breaks become "\n" and numpy strips the cells.
+    One scan finds the line breaks and one the commas; the text has rows
+    when each line that is not blank holds one comma.  Each value cell is
+    coded by comparing its bytes with each label's, and the stamps are
+    compared with '0', '1', ... one digit count at a time; they are
+    decoded only when they differ.  Only a text that fails these checks
+    is read again row by row, by :func:`_first_error`, to name its first
+    bad row.
     """
     text = csv_text.replace("\r\n", "\n") if "\r" in csv_text else csv_text
     for brk in _LINE_BREAKS:
@@ -432,20 +447,18 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     del text
     if spaces:
         buf = _strip_cells(buf, spaces)
-    ends = np.flatnonzero((buf == ord(",")) | (buf == ord("\n")))  # where each cell ends
-    at = np.flatnonzero(buf[ends] == ord(","))  # the comma of each line with more than one cell
-    # each such line has two cells, and each other line is blank: its line break follows the one before
-    two = not (buf[ends[at + 1]] == ord(",")).any()
-    if two and len(ends) > 2 * len(at):
-        lone = np.ones(len(ends), bool)
-        lone[at] = lone[at + 1] = False
-        two = not (np.diff(ends, prepend=-1)[lone] > 1).any()
-    if two and len(at) >= 3:  # a header and at least two data rows
-        at = at[1:]
-        obs = _codes(buf, ends[at] + 1, space)
+    breaks = np.flatnonzero(buf == ord("\n"))
+    begins = np.concatenate(([0], breaks[:-1] + 1))  # where each line begins
+    filled = breaks > begins  # a blank line's break directly follows its beginning
+    if not filled.all():
+        breaks, begins = breaks[filled], begins[filled]
+    commas = np.flatnonzero(buf == ord(","))
+    # a header and at least two data rows, each with one comma between its beginning and its break
+    if len(commas) == len(breaks) >= 3 and (commas >= begins).all() and (commas < breaks).all():
+        obs = _codes(buf, commas[1:] + 1, space)
         if obs.all():  # every value cell is a label or NA
-            starts = ends[at - 1] + 1
-            lengths = ends[at] - starts
+            starts = begins[1:]
+            lengths = commas[1:] - starts
             implicit = _cells_are_default_stamps(buf, starts, lengths)
             return CatSeries(space, obs, _stamps=None if implicit else _decode_cells(buf, starts, lengths))
     raise _first_error(csv_text, space)
@@ -495,10 +508,11 @@ def _codes(buf: np.ndarray, starts: np.ndarray, space: StateSpace) -> np.ndarray
 def _cells_are_default_stamps(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
     """Whether the cells of ``buf`` at ``starts`` are '0', '1', ..., compared one digit count at a time."""
     for first, digits in _digit_blocks(len(starts)):
-        at = starts[first : first + len(digits)]
-        if not (lengths[first : first + len(digits)] == digits.shape[1]).all():
+        d, rows = digits.shape
+        at = starts[first : first + rows]
+        if not (lengths[first : first + rows] == d).all():
             return False
-        if not (np.array([buf[j:].take(at) for j in range(digits.shape[1])]) == digits.T).all():
+        if not all((buf[j:].take(at) == place).all() for j, place in enumerate(digits)):
             return False
     return True
 
@@ -549,57 +563,76 @@ def _digit_blocks(n: int):
     """The numbers 0, 1, ..., n - 1 in decimal, one digit count at a time.
 
     Yields ``(first, digits)`` for d = 1, 2, ...: ``digits`` is a
-    (rows, d) uint8 array of the ASCII digits of the d-digit numbers
-    ``first``, ``first + 1``, ....  Each block is built without a loop over
-    the numbers: the (d+1)-digit numbers 10q + r are the d-digit numbers q,
-    each followed by every last digit r.
+    (d, rows) uint8 array whose column i holds the ASCII digits of the
+    d-digit number ``first + i``, one digit place per row.  Each block is
+    built without a loop over the numbers: the (d+1)-digit numbers 10q + r
+    are the d-digit numbers q, each followed by every last digit r.
     """
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    rows = digit[:, None]  # the numbers 0..9
-    yield 0, rows[:n]
-    prefixes = rows[1:]  # the numbers 1..9
+    columns = digit[None, :]  # the numbers 0..9
+    yield 0, columns[:, :n]
+    prefixes = columns[:, 1:]  # the numbers 1..9
     d = 1
     while 10**d < n:
         hi = min(10 ** (d + 1), n)
-        q = prefixes[: -(-hi // 10) - 10 ** (d - 1)]  # those that start a number below hi
-        table = np.empty((len(q), 10, d + 1), np.uint8)
-        table[:, :, :d] = q[:, None]
-        table[:, :, d] = digit
-        prefixes = table.reshape(-1, d + 1)
-        yield 10**d, prefixes[: hi - 10**d]
+        q = prefixes[:, : -(-hi // 10) - 10 ** (d - 1)]  # those that start a number below hi
+        table = np.empty((d + 1, q.shape[1], 10), np.uint8)
+        table[:d] = q[:, :, None]
+        table[d] = digit
+        prefixes = table.reshape(d + 1, -1)
+        yield 10**d, prefixes[:, : hi - 10**d]
         d += 1
 
 
 def serialize_series(series: CatSeries) -> str:
     """Inverse of :func:`parse_series`: ``parse_series(serialize_series(s), s.space) == s``.
 
-    Implicit stamps are written as one byte buffer, one digit count at a
+    Stamps that are time indices, the implicit ones or those a derived
+    series keeps, are written as one byte buffer, one digit count at a
     time: each row of a block holds its stamp's digits and its value
-    cell's bytes, and a length mask keeps the bytes each row uses.
+    cell's bytes.  When every cell the series writes has one byte width,
+    a block is written whole; otherwise a length mask keeps the bytes each
+    row uses.
     """
     # code c is written as cells[c]; MISSING (-1) wraps to the last cell
     cells = ["", *(f",{label}\n" for label in series.space.labels), ",NA\n"]
-    if series._stamps is not None:
+    stamps = series._stamps
+    if stamps is not None and stamps.dtype == object:
         rows = [None] * (2 * len(series) + 1)
         rows[0] = "t,value\n"
-        rows[1::2] = series.stamps().tolist()
+        rows[1::2] = stamps.tolist()
         rows[2::2] = np.array(cells, dtype=object)[series.obs].tolist()
         return "".join(rows)
     encoded = [cell.encode() for cell in cells]
-    table = np.zeros((len(cells), max(map(len, encoded))), np.uint8)  # each cell's bytes, padded
+    widths = np.array([len(cell) for cell in encoded])
+    written = widths[np.concatenate(([False], series.state_counts > 0, [series.has_missing]))]
+    whole = (written == written[0]).all()  # then no row needs a mask
+    table = np.zeros((len(cells), written[0] if whole else widths.max()), np.uint8)  # each cell's bytes, padded
     for row, cell in zip(table, encoded):
-        row[: len(cell)] = np.frombuffer(cell, np.uint8)
-    used = np.arange(table.shape[1]) < np.array([len(cell) for cell in encoded])[:, None]
+        row[: len(cell)] = np.frombuffer(cell, np.uint8)[: table.shape[1]]
+    used = np.arange(table.shape[1]) < widths[:, None]
     out = [b"t,value\n"]
-    for first, digits in _digit_blocks(len(series)):
-        codes = series.obs[first : first + len(digits)]
-        d = digits.shape[1]
-        block = np.empty((len(digits), d + table.shape[1]), np.uint8)
-        block[:, :d] = digits
+    last = len(series) - 1 if stamps is None else int(stamps[-1])
+    for first, digits in _digit_blocks(last + 1):
+        if stamps is None:
+            lo, hi = first, first + digits.shape[1]
+        else:  # the rising indices with this many digits, and their digits
+            lo, hi = np.searchsorted(stamps, (first, first + digits.shape[1]))
+            if lo == hi:
+                continue
+            digits = digits[:, stamps[lo:hi] - first]
+        codes = series.obs[lo:hi]
+        d = len(digits)
+        block = np.empty((len(codes), d + table.shape[1]), np.uint8)
+        for j, place in enumerate(digits):
+            block[:, j] = place
         block[:, d:] = _pick_rows(table, codes)
-        keep = np.ones(block.shape, bool)
-        keep[:, d:] = _pick_rows(used, codes)
-        out.append(block[keep])
+        if whole:
+            out.append(block.ravel())
+        else:
+            keep = np.ones(block.shape, bool)
+            keep[:, d:] = _pick_rows(used, codes)
+            out.append(block[keep])
     return b"".join(out).decode()
 
 

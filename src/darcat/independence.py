@@ -226,6 +226,8 @@ def _rho_and_mass(pi: np.ndarray) -> tuple[float, float]:
 
 
 def _band(rho: float, pi_rho: float, n: int, level: float) -> tuple[float, float]:
+    if 1.0 - level / 2.0 == 1.0:  # the upper end would be the log of 0
+        raise DarcatError(f"level {level} is too small for the longest-run band: 1 - level/2 rounds to 1")
     c = n * (1.0 - rho) * pi_rho
     lo = math.log(-math.log(level / 2.0) / c) / math.log(rho)
     hi = math.log(-math.log(1.0 - level / 2.0) / c) / math.log(rho)

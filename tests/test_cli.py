@@ -1,5 +1,12 @@
+import contextlib
+import io
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from darcat import dar, independence
 from darcat.cli import _read_states, main
@@ -484,3 +491,102 @@ def test_the_runs_tests_read_the_cached_runs_without_a_summary(tmp_path, capsys,
     code, out, _ = run(capsys, "fit-dar", path, "--states", states2)
     assert code == 0 and "  runs_count: stat=" in out and "  longest_run: stat=" in out
     assert calls == []
+
+
+BOUNDS = ["0", "1", "-1", "1e-300", "0.999999999", "nan", "inf", "-inf", str(2**70), "x", ""]
+
+
+def usually(good, *odd):
+    """Mostly one of ``good``, else one of ``odd``: the values at and past a bound."""
+    return sometimes(st.sampled_from(good), st.sampled_from(odd)) if odd else st.sampled_from(good)
+
+
+def sometimes(usual, rare, every=10):
+    """``rare`` about once in ``every`` draws, else ``usual`` (``one_of`` would weigh them equally)."""
+    return st.sampled_from(range(every)).flatmap(lambda i: rare if i == 0 else usual)
+
+
+@st.composite
+def csv_texts(draw):
+    """Series text that mostly reads: labels and NA, with whitespace, stray commas, ragged rows and any line break."""
+    row = st.builds("{},{}".format, usually(["0", "1", "17", " 5 "], "", "x"), usually(["A", "B", "NA", " A\t"], "C", ""))
+    odd = st.sampled_from(["", "A", ",", "1,A,B", " , ", "\u00e9,A", "\x00"])
+    brk = usually(["\n"], "\r\n", "\r", "\x85", "\u2028", "\x0c")
+    header = draw(usually(["t,value"], "", "t", "t,value,x", " t , value "))
+    text = "".join(f"{ln}{draw(brk)}" for ln in [header, *draw(st.lists(sometimes(row, odd, every=30), max_size=15))])
+    return text.encode() + draw(usually([b""], b"\xff", b"0,A"))
+
+
+@st.composite
+def any_command(draw):
+    """A command line of one of the five commands, with option values at and past their bounds."""
+    command = draw(st.sampled_from(["simulate", "fit-dar", "test", "fit-glm", "reproduce-tables"]))
+    argv = [command]
+
+    def maybe(option, good, *odd):
+        if draw(st.booleans()):
+            argv.extend([option, draw(usually(good, *odd))])
+
+    if command == "simulate":
+        argv += ["--alpha", draw(usually(["0", "0.5"], *BOUNDS))]
+        argv += ["--pi", draw(usually(["0.5,0.5", "0.2,0.3,0.5"], "1", "0.5,0.5,0", "nan,1", "0.5,", "0.5,0.6"))]
+        argv += ["--n", draw(usually(["2", "30"], "-1", "0", "1", str(10**18), str(2**70), "1.5"))]
+        maybe("--beta", ["0", "0.3"], *BOUNDS)
+        maybe("--states", ["states.txt"])
+        maybe("--out", ["sim.csv"], ".")
+    elif command == "reproduce-tables":
+        argv += ["--m", draw(usually(["1", "2"], "-1", "0", str(10**20), "x"))]
+        maybe("--format", ["csv", "md", "txt"], "json")
+        maybe("--out", ["tables"], "s1.csv")
+    else:
+        argv += draw(usually([["s1.csv"], ["s1.csv", "s2.csv"]], ["absent.csv"]))
+        argv += ["--states", "states.txt"]
+        if command in ("fit-dar", "test"):
+            maybe("--level", ["0.05"], *BOUNDS)
+            maybe("--missing-policy", ["drop", "longest-segment"], "none")
+        if command == "fit-glm":
+            maybe("--lags", ["0,1,2", "0", "2", "1,1"], "3", "", "x")
+            maybe("--family", ["categorical", "ordinal", "both"])
+            if draw(st.booleans()):
+                argv.append("--common-rows")
+        if command != "test":
+            maybe("--format", ["csv", "txt"] if command == "fit-dar" else ["csv", "md", "txt"], "json")
+    if command in ("simulate", "reproduce-tables"):
+        maybe("--seed", ["0", str(2**70)], "-1")
+    return argv
+
+
+@given(
+    argv=any_command(),
+    series=st.lists(csv_texts(), min_size=2, max_size=2),
+    states=usually(["A\nB\n", "A\nB\nC\n", "A\n\n B \n"], "A\n", "A\nA\n", "A\nNA\n", "", "1\n2\n3\n"),
+)
+@example(  # 1 - level/2 rounds to 1: the longest-run test is NA with its cause
+    argv=["fit-dar", "s1.csv", "--states", "states.txt", "--level", "1e-300"], series=[b"t,value\n0,A\n1,B\n", b""], states="A\nB\n"
+)
+@settings(max_examples=150, deadline=None)
+def test_every_command_exits_0_or_2_under_generated_input(argv, series, states):
+    """A 2 comes with one ``error: `` line and no traceback; argparse's usage lines come before a usage error's."""
+    err = io.StringIO()
+    usage = False
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        os.chdir(tmp)
+        try:
+            for name, text in zip(["s1.csv", "s2.csv"], series):
+                with open(name, "wb") as f:
+                    f.write(text)
+            with open("states.txt", "w", encoding="utf-8") as f:
+                f.write(states)
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                try:
+                    code = main(argv)
+                except SystemExit as exc:  # argparse refuses the command line
+                    code, usage = exc.code, True
+        finally:
+            os.chdir(cwd)
+    lines = err.getvalue().splitlines()
+    assert code in (0, 2) and "Traceback" not in err.getvalue(), err.getvalue()
+    if code == 2:
+        assert [line for line in lines if "error: " in line] == lines[-1:], err.getvalue()
+        assert usage or lines[0].startswith("error: ") and len(lines) == 1, err.getvalue()

@@ -293,6 +293,21 @@ def test_serialize_writes_the_joined_rows(series):
     assert parse_series(text, series.space) == series
 
 
+@given(long_series())
+@example(CatSeries(AB, [1] * 10 + [MISSING] * 90 + [2] * 5))  # no kept index has two digits
+@example(CatSeries(StateSpace(("1", "10")), [MISSING, 1, 2, MISSING, 2, 1, 1] * 3))
+@settings(max_examples=40, deadline=None)
+def test_derived_series_write_the_joined_rows(series):
+    for derive in (CatSeries.drop_missing, CatSeries.longest_complete_segment):
+        try:
+            derived = derive(series)
+        except TooShort:
+            continue
+        text = serialize_series(derived)
+        assert text.encode() == serialize_reference(derived).encode()
+        assert parse_series(text, derived.space) == derived
+
+
 def test_implicit_stamps_are_stored_as_none():
     assert CatSeries(AB, (1, 2, 1), ("0", "1", "2")).time_labels is None
     assert CatSeries(AB, (1, 2, 1), range(3)) == CatSeries(AB, (1, 2, 1))
@@ -351,6 +366,18 @@ def implicit_rows(n, last=None):
         (("a", "ab"), implicit_rows(11, last="11")),
         (("a", "ab"), implicit_rows(101, last="1000")),
         (("a", "ab"), implicit_rows(101, last=" 100")),
+        (("a", "ab"), "t,value\n0,a\n1a\n2,ab\n"),  # a data line with no comma
+        (("a", "ab"), "t,value\n0,a\n1,a,b\n2,ab\n"),  # a line with two commas
+        (("a", "ab"), "t,value\n0,a,b\n1a\n2,ab\n"),  # as many commas as lines, not one on each
+        (("a", "ab"), "t,value,\n0,a\n1ab\n2,a\n"),
+        (("a", "ab"), "t,x,a\n0,a\n1ab\n"),  # each comma before its line's break, not each on its line
+        (("a", "ab"), "tvalue\n0,a\n1,ab\n"),
+        (("a", "ab"), "t,value\n0,a\n,\n1,ab\n"),  # a lone comma
+        (("a", "ab"), "t,value\n,a\n \t, ab\n"),  # empty stamps
+        (("a", "ab"), "\r\nt,value\r\n0,a\r\n1,ab\r\n"),  # a blank first line before a \r\n header
+        (("a", "ab"), "\n\n\nt,value\n\n0,a\n\n\n1,ab\n\n"),
+        (("a", "ab"), "t,value\n0,a\n1,a\n\n2,ab"),  # a blank line before a last line with no line break
+        (("a", "ab"), "t,value\n0,a\n1,a\n\n2,"),
     ],
 )
 def test_edge_texts_read_as_row_by_row(labels, text):
@@ -373,7 +400,7 @@ def test_default_stamps_count_from_zero(n):
     """``_digit_blocks``, which the reader and the writer share, spells 0..n-1 one digit count at a time."""
     blocks = list(core._digit_blocks(n))
     assert [first for first, _ in blocks] == [0, *(10**d for d in range(1, len(blocks)))]
-    assert [row.tobytes().decode() for _, digits in blocks for row in digits] == list(map(str, range(n)))
+    assert [row.tobytes().decode() for _, digits in blocks for row in digits.T] == list(map(str, range(n)))
 
 
 @given(st.lists(st.sampled_from([1, 2, 3, MISSING]), min_size=2, max_size=60))

@@ -83,14 +83,40 @@ EDGE_CASES = [
 ]
 
 
-def with_edge_cases(test):
-    for s in EDGE_CASES:
-        test = example(series=s)(test)
-    return test
+def with_examples(cases):
+    def decorate(test):
+        for s in cases:
+            test = example(series=s)(test)
+        return test
+
+    return decorate
 
 
-@given(series=gapped_series())
+with_edge_cases = with_examples(EDGE_CASES)
+
+
+@st.composite
+def run_shaped_series(draw):
+    """Series laid out as runs, long ones among them, of any category or MISSING, with k in 2..20."""
+    k = draw(st.sampled_from([2, 3, 20]))
+    runs = draw(st.lists(st.tuples(st.sampled_from([MISSING, *range(1, k + 1)]), st.integers(1, 40)), min_size=1, max_size=12))
+    values = [v for v, length in runs for _ in range(length)]
+    return CatSeries(StateSpace.from_k(k), values + [MISSING] * (len(values) < 2))
+
+
+RUN_SHAPED_CASES = [
+    CatSeries(StateSpace.from_k(3), [2] * 500 + [3] * 300 + [1] * 200),  # long runs
+    CatSeries(StateSpace.from_k(3), [1, 1, 2, 2, MISSING, MISSING, MISSING, 2, 2, 1]),  # a repeat at gap 4
+    CatSeries(StateSpace.from_k(3), [MISSING] * 5 + [3, 3, 1, 1, 1] + [MISSING] * 7),  # leading and trailing missing runs
+    CatSeries(StateSpace.from_k(3), [MISSING, MISSING, 3, MISSING]),  # exactly one observed value
+    CatSeries(StateSpace.from_k(3), [MISSING, 1]),
+    CatSeries(StateSpace.from_k(20), [20] * 30 + [MISSING] * 2 + [20, 1, 1] + [MISSING] * 9 + [7] * 11 + [MISSING]),
+]
+
+
+@given(series=st.one_of(gapped_series(), run_shaped_series()))
 @with_edge_cases
+@with_examples(RUN_SHAPED_CASES)
 @settings(max_examples=200, deadline=None)
 def test_pair_counts_matches_reference(series):
     gaps, table = series.pairs

@@ -24,6 +24,9 @@ GOLDEN = Path(__file__).parent / "golden"
 FIT_DAR = ["fit-dar", "--states", "inputs/states3.txt"]
 FIT_GLM = ["fit-glm", "inputs/gapped.csv", "--states", "inputs/states4.txt"]
 SIMULATE = ["simulate", "--alpha", "0.6", "--pi", "0.3,0.3,0.4", "--n", "40", "--seed", "5"]
+# inputs/long_gapped.csv is the stdout of this command
+SIMULATE_LONG_GAPPED = ["simulate", "--alpha", "0.7", "--pi", "0.2,0.3,0.5", "--n", "2000", "--seed", "3", "--beta", "0.2"]
+LONG_GAPPED = ["inputs/long_gapped.csv", "--states", "inputs/states123.txt"]
 
 CASES = {
     "simulate": SIMULATE,
@@ -35,6 +38,9 @@ CASES = {
     "fit_dar_two_files_unobserved": [
         "fit-dar", "inputs/gapped.csv", "inputs/part2.csv", "--states", "inputs/states4.txt", "--missing-policy", "drop",
     ],
+    "fit_dar_long_gapped_csv": ["fit-dar", *LONG_GAPPED, "--format", "csv"],
+    "fit_dar_long_gapped_drop_csv": ["fit-dar", *LONG_GAPPED, "--missing-policy", "drop", "--format", "csv"],
+    "test_long_gapped_drop": ["test", *LONG_GAPPED, "--missing-policy", "drop"],
     "test_drop": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt", "--missing-policy", "drop"],
     "test_default": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt"],
     "fit_glm_csv": FIT_GLM + ["--format", "csv", "--out", "glm.csv"],
@@ -71,6 +77,11 @@ def run_case(argv: list[str], workdir: Path) -> dict[str, bytes]:
         if path.is_file() and rel.parts[0] != "inputs":
             files["out." + "__".join(rel.parts)] = path.read_bytes()
     return files
+
+
+def test_the_long_gapped_input_is_what_simulate_writes(tmp_path):
+    produced = run_case(SIMULATE_LONG_GAPPED, tmp_path)
+    assert produced["stdout"] == (GOLDEN / "inputs" / "long_gapped.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -289,6 +289,15 @@ def test_level_outside_unit_interval_is_refused(name, level):
         LEVEL_CHECKED[name](level)
 
 
+@pytest.mark.parametrize("level", [1e-300, 2e-17, 5e-324])
+@pytest.mark.parametrize("name", ["longest_run_test", "longest_run_power"])
+def test_a_level_too_small_for_the_longest_run_band_is_refused(name, level):
+    """1 - level/2 rounds to 1, so the band's upper end would be the log of 0."""
+    with pytest.raises(DarcatError, match=rf"^level {level} is too small for the longest-run band"):
+        LEVEL_CHECKED[name](level)
+    assert math.isfinite(LEVEL_CHECKED["longest_run_power"](2.3e-16))  # 1 - level/2 < 1 here
+
+
 # every df in 1..49, and df = (k - 1)^2, the chi-square test's df, for k <= 20
 TAIL_DFS = sorted(set(range(1, 50)) | {(k - 1) ** 2 for k in range(2, 21)})
 
