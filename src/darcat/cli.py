@@ -15,6 +15,7 @@ Every command is deterministic given its flags and seed.
 from __future__ import annotations
 
 import argparse
+import codecs
 import functools
 import sys
 from pathlib import Path
@@ -46,7 +47,12 @@ def _read_text(path: str) -> str:
     try:
         return Path(path).read_text(encoding="utf-8-sig")
     except UnicodeDecodeError as exc:
-        raise DarcatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from None
+        raise DarcatError(_not_utf8(path, exc)) from None
+
+
+def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
+    """Why ``path`` cannot be read; the byte offset counts from after a byte-order mark."""
+    return f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
 
 
 def _read_states(path: str) -> StateSpace:
@@ -55,9 +61,27 @@ def _read_states(path: str) -> StateSpace:
     return StateSpace(tuple(labels))
 
 
+def _read_series(path: str) -> bytes:
+    """A series file's bytes, a UTF-8 byte-order mark skipped.
+
+    The bytes go to :func:`parse_series` as they are, with no str made of
+    them.  A file that is not ASCII is decoded once, only to check that it
+    is UTF-8; :func:`parse_series` makes its non-ASCII line breaks "\n".
+    """
+    data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
+    if not data.isascii():
+        try:
+            data.decode()
+        except UnicodeDecodeError as exc:
+            raise DarcatError(_not_utf8(path, exc)) from None
+    return data
+
+
 def _load_series(paths: list[str], space: StateSpace) -> CatSeries:
-    """Parse one or more CSV files; several files are concatenated in order."""
-    parts = [parse_series(_read_text(p), space) for p in paths]
+    """Parse one or more CSV files, read as bytes; several files are concatenated in order."""
+    parts = [parse_series(_read_series(p), space) for p in paths]
     if len(parts) == 1:
         return parts[0]
     obs = np.concatenate([s.obs for s in parts])

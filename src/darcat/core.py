@@ -8,8 +8,10 @@ Time labels are checked once, where they enter; derived series index
 their one stored array, and text is made of them only when they are read
 or written.  :func:`parse_series` / :func:`serialize_series` read and
 write a series as one UTF-8 byte buffer, with no Python object per row or
-cell; the writer writes a block of rows whole when all its cells have one
-byte width.  All containers are immutable after construction and safe to
+cell; the reader takes bytes as they are.  Both spell the stamps 0, 1, ...
+as 8-byte words: the reader compares each row's start with its word by
+one unaligned load, and the writer stores each row's stamp and value cell
+as integers.  All containers are immutable after construction and safe to
 share across threads; every operation here is a pure function.  The facts
 that the estimators, tests and fits read off a series (its state counts,
 per-gap pair table, runs and window tables) are cached, computed on
@@ -228,19 +230,23 @@ class CatSeries:
         the pair between their values, at the gap from the first's last
         time to the second's first (1 when no missing run lies between).
         """
-        values, starts, lengths = self.runs
-        seen = values != MISSING
-        values, starts, lengths = values[seen], starts[seen], lengths[seen]
-        steps = starts[1:] - starts[:-1] - lengths[:-1] + 1
+        values, starts, _ = self.runs
+        seen = (values != MISSING).nonzero()[0]
+        x = values[seen]
+        # the step from each observed run's last time (the one before the next run starts) to the next observed run
+        steps = starts[seen[1:]] - starts[1:][seen[:-1]] + 1
         k = self.space.k
-        repeats = self.state_counts - np.bincount(values - 1, minlength=k)  # L - 1 for each run of length L
+        repeats = self.state_counts - np.bincount(x, minlength=k + 1)[1:]  # L - 1 for each run of length L
         at_gap = np.bincount(steps, minlength=2)
-        at_gap[1] += repeats.sum()
-        gaps = np.flatnonzero(at_gap)
-        cells = (np.searchsorted(gaps, steps) * k + values[:-1] - 1) * k + values[1:] - 1
-        table = np.bincount(cells, minlength=gaps.size * k * k).reshape(gaps.size, k, k)
-        if repeats.any():  # then gaps[0] is 1
-            table[0].flat[:: k + 1] += repeats
+        at_gap[1] += np.count_nonzero(repeats)
+        gaps = at_gap.nonzero()[0]
+        cells = x[:-1] * k + x[1:] - (k + 1)  # (x - 1) * k + y - 1
+        if len(gaps) > 1:
+            cells += gaps.searchsorted(steps) * (k * k)
+        table = np.bincount(cells, minlength=gaps.size * k * k)
+        if at_gap[1]:  # then gaps[0] is 1
+            table[: k * k : k + 1] += repeats
+        table = table.reshape(gaps.size, k, k)
         return _read_only(gaps, table)
 
     @cached_property
@@ -340,8 +346,14 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def run_lengths(values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Maximal runs of equal entries as arrays (value, start, length), in order."""
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
-    return values[starts], starts, np.diff(starts, append=values.size)
+    new_run = np.empty(values.size, bool)
+    new_run[0] = True
+    np.not_equal(values[1:], values[:-1], out=new_run[1:])
+    starts = np.flatnonzero(new_run)
+    lengths = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = values.size - starts[-1]
+    return values[starts], starts, lengths
 
 
 def _run_counts(shape: tuple[int, int], starts: np.ndarray, codes: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -417,8 +429,8 @@ def _check_stamps(stamps: tuple[str, ...]) -> None:
         )
 
 
-def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
-    """Parse a two-column ``t,value`` CSV into a CatSeries.
+def parse_series(csv_text: str | bytes, space: StateSpace) -> CatSeries:
+    """Parse a two-column ``t,value`` CSV, given as str or as UTF-8 bytes, into a CatSeries.
 
     Value cells must be labels of ``space`` or the literal ``NA`` for a
     missing observation.  Rows are kept in file order; blank lines are
@@ -426,25 +438,29 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     ``t`` column is kept as the time labels (``None`` when it is the
     implicit '0', '1', ..., see :class:`CatSeries`).
 
-    The text is read as one UTF-8 byte buffer, without a Python object
-    per row or cell: line breaks become "\n" and numpy strips the cells.
-    One scan finds the line breaks and one the commas; the text has rows
-    when each line that is not blank holds one comma.  Each value cell is
-    coded by comparing its bytes with each label's, and the stamps are
-    compared with '0', '1', ... one digit count at a time; they are
-    decoded only when they differ.  Only a text that fails these checks
-    is read again row by row, by :func:`_first_error`, to name its first
-    bad row.
+    The text is read as one UTF-8 byte buffer (bytes are read as they
+    are, a str is encoded once), without a Python object per row or cell:
+    line breaks become "\n" and numpy strips the cells.  One scan finds
+    the line breaks.  The stamps are first taken to be '0', '1', ...: one
+    unaligned 8-byte load per row compares each row's start with its
+    number's digits and a comma, which also places the row's comma.  Only
+    when they differ does a second scan find the commas, and then the text
+    has rows when each line that is not blank holds one comma.  Each value
+    cell is coded by comparing its bytes with each label's; stamps are
+    decoded only when they are not the implicit ones.  Only a text that
+    fails these checks is read again row by row, by :func:`_first_error`,
+    to name its first bad row.
     """
-    text = csv_text.replace("\r\n", "\n") if "\r" in csv_text else csv_text
-    for brk in _LINE_BREAKS:
-        if brk in text:
-            text = text.replace(brk, "\n")
-    if not text.endswith("\n"):
-        text += "\n"
-    buf = np.frombuffer(text.encode(), np.uint8)
-    spaces = [c for c in _SPACES if c in text]
-    del text
+    data = csv_text.encode() if isinstance(csv_text, str) else csv_text
+    ascii_only = data.isascii()  # then it holds no non-ASCII line break or space
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+    for brk in _held(data, _LINE_BREAKS, ascii_only):
+        data = data.replace(brk, b"\n")
+    if not data.endswith(b"\n"):
+        data = data + b"\n"
+    spaces = _held(data, _SPACES, ascii_only)
+    buf = np.frombuffer(data, np.uint8)
     if spaces:
         buf = _strip_cells(buf, spaces)
     breaks = np.flatnonzero(buf == ord("\n"))
@@ -452,27 +468,34 @@ def parse_series(csv_text: str, space: StateSpace) -> CatSeries:
     filled = breaks > begins  # a blank line's break directly follows its beginning
     if not filled.all():
         breaks, begins = breaks[filled], begins[filled]
-    commas = np.flatnonzero(buf == ord(","))
-    # a header and at least two data rows, each with one comma between its beginning and its break
-    if len(commas) == len(breaks) >= 3 and (commas >= begins).all() and (commas < breaks).all():
-        obs = _codes(buf, commas[1:] + 1, space)
-        if obs.all():  # every value cell is a label or NA
-            starts = begins[1:]
-            lengths = commas[1:] - starts
-            implicit = _cells_are_default_stamps(buf, starts, lengths)
-            return CatSeries(space, obs, _stamps=None if implicit else _decode_cells(buf, starts, lengths))
-    raise _first_error(csv_text, space)
+    # a header with one comma and at least two data rows
+    if len(breaks) >= 3 and np.count_nonzero(buf[begins[0] : breaks[0]] == ord(",")) == 1:
+        starts = begins[1:]
+        cells = _after_default_stamps(buf, starts)
+        implicit = cells is not None
+        if not implicit:
+            cells = _after_commas(buf, begins, breaks)
+        if cells is not None:
+            obs = _codes(buf, cells, space)
+            if obs.all():  # every value cell is a label or NA
+                return CatSeries(space, obs, _stamps=None if implicit else _decode_cells(buf, starts, cells - 1 - starts))
+    raise _first_error(csv_text.decode() if isinstance(csv_text, bytes) else csv_text, space)
 
 
-def _strip_cells(buf: np.ndarray, spaces: list[str]) -> np.ndarray:
+def _held(data: bytes, chars: str, ascii_only: bool) -> list[bytes]:
+    """The UTF-8 bytes of each of ``chars`` that ``data`` holds; only the ASCII ones are looked for when ``ascii_only``."""
+    return [c.encode() for c in chars if (c.isascii() or not ascii_only) and c.encode() in data]
+
+
+def _strip_cells(buf: np.ndarray, spaces: list[bytes]) -> np.ndarray:
     """The text ``buf`` (UTF-8, "\n" line breaks, ending in one) with each cell stripped as by str.strip.
 
-    ``spaces`` are the whitespace characters in the text.  The bytes of
-    each are marked, and each run of marked bytes that touches a comma, a
-    line break or the start of the text is dropped.
+    ``spaces`` are the UTF-8 bytes of the whitespace characters in the
+    text.  The bytes of each are marked, and each run of marked bytes that
+    touches a comma, a line break or the start of the text is dropped.
     """
     marked = np.zeros(len(buf), bool)
-    for char in (c.encode() for c in spaces):
+    for char in spaces:
         m = len(buf) - len(char) + 1
         hit = buf[:m] == char[0]
         for j in range(1, len(char)):
@@ -505,16 +528,59 @@ def _codes(buf: np.ndarray, starts: np.ndarray, space: StateSpace) -> np.ndarray
     return obs
 
 
-def _cells_are_default_stamps(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> bool:
-    """Whether the cells of ``buf`` at ``starts`` are '0', '1', ..., compared one digit count at a time."""
-    for first, digits in _digit_blocks(len(starts)):
-        d, rows = digits.shape
-        at = starts[first : first + rows]
-        if not (lengths[first : first + rows] == d).all():
-            return False
-        if not all((buf[j:].take(at) == place).all() for j, place in enumerate(digits)):
+def _after_default_stamps(buf: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
+    """Where the value cell of each row of ``buf`` at ``starts`` starts if the rows begin '0,', '1,', ...; else ``None``.
+
+    Each block of :func:`_stamp_words` is compared with the rows' starts by
+    :func:`_begins_with`; a row that matches has its comma d bytes after
+    its start.  Its value cell holds no comma either when it is a label or
+    NA, so the data rows then hold one comma each, and with the header's
+    one, the text holds one per line.
+    """
+    reach = 8 * (len(str(len(starts) - 1)) // 8 + 1)  # the bytes the last row's loads read
+    if len(buf) - starts[-1] < reach:  # a copy, only where the last rows are short
+        buf = np.concatenate((buf, np.zeros(reach, np.uint8)))
+    cells = starts.copy()
+    for d, first, words in _stamp_words(len(starts)):
+        at = starts[first : first + len(words)]
+        if not _begins_with(buf, at, words, d + 1):
+            return None
+        cells[first : first + len(at)] += d + 1
+    return cells
+
+
+def _begins_with(buf: np.ndarray, at: np.ndarray, words: np.ndarray, size: int) -> bool:
+    """Whether the ``size`` bytes of ``buf`` from each offset of ``at`` are those of its row of ``words``.
+
+    ``words`` holds each row's bytes as little-endian 8-byte words, as
+    :func:`_stamp_words` does, and ``buf`` holds 8 bytes past each offset
+    for each of them.  Each word is compared with one unaligned 8-byte load
+    per row, the bytes past ``size`` masked off.
+    """
+    loads = _words_view(buf, len(buf) - 7)
+    for j in range(words.shape[1]):
+        loaded = loads[at + 8 * j if j else at]
+        if size - 8 * j < 8:
+            loaded &= np.uint64((1 << 8 * (size - 8 * j)) - 1)
+        if not (loaded == words[:, j]).all():
             return False
     return True
+
+
+def _after_commas(buf: np.ndarray, begins: np.ndarray, breaks: np.ndarray) -> np.ndarray | None:
+    """Where each data row's value cell starts if every line holds one comma before its break; else ``None``."""
+    commas = np.flatnonzero(buf == ord(","))
+    if len(commas) == len(breaks) and (commas >= begins).all() and (commas < breaks).all():
+        return commas[1:] + 1
+    return None
+
+
+def _words_view(buf: np.ndarray | bytearray, count: int, size: int = 8, offset: int = 0, stride: int = 1) -> np.ndarray:
+    """A view of ``count`` little-endian ``size``-byte unsigned ints in ``buf`` from ``offset`` on, ``stride`` bytes apart.
+
+    The integers need not be aligned, and with a stride below ``size`` they overlap.
+    """
+    return np.ndarray((count,), f"<u{size}", buffer=buf, offset=offset, strides=(stride,))
 
 
 def _decode_cells(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
@@ -559,28 +625,31 @@ def _first_error(csv_text: str, space: StateSpace) -> DarcatError:
     raise AssertionError("parse_series rejected a text that reads row by row without error")
 
 
-def _digit_blocks(n: int):
-    """The numbers 0, 1, ..., n - 1 in decimal, one digit count at a time.
+def _stamp_words(n: int):
+    """The numbers 0, 1, ..., n - 1 in decimal, each followed by a comma, one digit count at a time.
 
-    Yields ``(first, digits)`` for d = 1, 2, ...: ``digits`` is a
-    (d, rows) uint8 array whose column i holds the ASCII digits of the
-    d-digit number ``first + i``, one digit place per row.  Each block is
-    built without a loop over the numbers: the (d+1)-digit numbers 10q + r
-    are the d-digit numbers q, each followed by every last digit r.
+    Yields ``(d, first, words)`` for d = 1, 2, ...: ``words`` is a
+    (rows, d // 8 + 1) uint64 array whose row i holds the text of the
+    d-digit number ``first + i`` and its comma as little-endian 8-byte
+    words: byte j of the text is byte j % 8 of word j // 8, and the bytes
+    after the comma are zero.  Each block is built without a loop over the
+    numbers: the (d+1)-digit numbers 10q + r are the d-digit numbers q,
+    each with the comma's byte made the last digit r and a comma after it.
     """
-    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint8)
-    columns = digit[None, :]  # the numbers 0..9
-    yield 0, columns[:, :n]
-    prefixes = columns[:, 1:]  # the numbers 1..9
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint64)
+    words = (digit | np.uint64(ord(",") << 8))[:, None]  # '0,' .. '9,'
+    yield 1, 0, words[:n]
     d = 1
     while 10**d < n:
         hi = min(10 ** (d + 1), n)
-        q = prefixes[:, : -(-hi // 10) - 10 ** (d - 1)]  # those that start a number below hi
-        table = np.empty((d + 1, q.shape[1], 10), np.uint8)
-        table[:d] = q[:, :, None]
-        table[d] = digit
-        prefixes = table.reshape(d + 1, -1)
-        yield 10**d, prefixes[:, : hi - 10**d]
+        skip = int(d == 1)  # the 1-digit numbers start at 0, which starts no number
+        q = words[skip : skip + -(-hi // 10) - 10 ** (d - 1)]  # those that start a number below hi
+        table = np.zeros((len(q), 10, (d + 1) // 8 + 1), np.uint64)
+        table[:, :, : q.shape[1]] = q[:, None, :]
+        table[:, :, d // 8] ^= (digit ^ np.uint64(ord(","))) << np.uint64(8 * (d % 8))
+        table[:, :, (d + 1) // 8] |= np.uint64(ord(",") << 8 * ((d + 1) % 8))
+        words = table.reshape(-1, table.shape[2])
+        yield d + 1, 10**d, words[: hi - 10**d]
         d += 1
 
 
@@ -588,58 +657,78 @@ def serialize_series(series: CatSeries) -> str:
     """Inverse of :func:`parse_series`: ``parse_series(serialize_series(s), s.space) == s``.
 
     Stamps that are time indices, the implicit ones or those a derived
-    series keeps, are written as one byte buffer, one digit count at a
-    time: each row of a block holds its stamp's digits and its value
-    cell's bytes.  When every cell the series writes has one byte width,
-    a block is written whole; otherwise a length mask keeps the bytes each
-    row uses.
+    series keeps, are written into one byte buffer, one digit count at a
+    time, where the rows of a block are equally long.  Each row's value
+    cell (its label and line break) goes in first, by one 1-, 2-, 4- or
+    8-byte integer store (one per 8 bytes of a longer cell) into a strided
+    view; a store may run on into the next row's stamp.  The stamp and its
+    comma, from :func:`_stamp_words`, go in after and so overwrite that.
+    When the written cells differ in width, each is padded to the widest
+    with a byte that no cell and no stamp holds, and one ``bytes.translate``
+    drops the padding.
     """
     # code c is written as cells[c]; MISSING (-1) wraps to the last cell
-    cells = ["", *(f",{label}\n" for label in series.space.labels), ",NA\n"]
     stamps = series._stamps
     if stamps is not None and stamps.dtype == object:
+        cells = np.array(["", *(f",{label}\n" for label in series.space.labels), ",NA\n"], dtype=object)
         rows = [None] * (2 * len(series) + 1)
         rows[0] = "t,value\n"
         rows[1::2] = stamps.tolist()
-        rows[2::2] = np.array(cells, dtype=object)[series.obs].tolist()
+        rows[2::2] = cells[series.obs].tolist()
         return "".join(rows)
-    encoded = [cell.encode() for cell in cells]
-    widths = np.array([len(cell) for cell in encoded])
-    written = widths[np.concatenate(([False], series.state_counts > 0, [series.has_missing]))]
-    whole = (written == written[0]).all()  # then no row needs a mask
-    table = np.zeros((len(cells), written[0] if whole else widths.max()), np.uint8)  # each cell's bytes, padded
-    for row, cell in zip(table, encoded):
-        row[: len(cell)] = np.frombuffer(cell, np.uint8)[: table.shape[1]]
-    used = np.arange(table.shape[1]) < widths[:, None]
-    out = [b"t,value\n"]
+    cells = [b"", *(f"{label}\n".encode() for label in series.space.labels), b"NA\n"]
+    written = [cell for cell, used in zip(cells, [False, *(series.state_counts > 0), series.has_missing]) if used]
+    width = max(map(len, written))
+    pad = b""
+    if any(len(cell) != width for cell in written):
+        taken = set(b"".join(written) + b"t,value\n0123456789")  # every byte the text holds
+        pad = bytes([min(set(range(256)) - taken)])  # UTF-8 never holds some bytes, so one is free
+    span = -(-width // 8) * 8
+    table = np.frombuffer(b"".join(cell[:span].ljust(span, pad or b"\0") for cell in cells), "<u8").reshape(len(cells), -1)
     last = len(series) - 1 if stamps is None else int(stamps[-1])
-    for first, digits in _digit_blocks(last + 1):
-        if stamps is None:
-            lo, hi = first, first + digits.shape[1]
-        else:  # the rising indices with this many digits, and their digits
-            lo, hi = np.searchsorted(stamps, (first, first + digits.shape[1]))
-            if lo == hi:
-                continue
-            digits = digits[:, stamps[lo:hi] - first]
-        codes = series.obs[lo:hi]
-        d = len(digits)
-        block = np.empty((len(codes), d + table.shape[1]), np.uint8)
-        for j, place in enumerate(digits):
-            block[:, j] = place
-        block[:, d:] = _pick_rows(table, codes)
-        if whole:
-            out.append(block.ravel())
-        else:
-            keep = np.ones(block.shape, bool)
-            keep[:, d:] = _pick_rows(used, codes)
-            out.append(block[keep])
-    return b"".join(out).decode()
+    edges = [0, *(10**d for d in range(1, len(str(last)) + 1))]
+    bounds = np.minimum(edges, len(series)) if stamps is None else np.searchsorted(stamps, edges)
+    size = 8 + int(np.diff(bounds) @ (np.arange(2, len(edges) + 1) + width))
+    out = bytearray(size + 8)  # the last row's cell store may run on 7 bytes past the text
+    out[:8] = b"t,value\n"
+    at = 8
+    for (d, first, words), lo, hi in zip(_stamp_words(last + 1), bounds[:-1], bounds[1:]):
+        if lo == hi:
+            continue
+        if stamps is not None:
+            words = words[stamps[lo:hi] - first]
+        row = d + 1 + width
+        _put(out, at + d + 1, row, table[series.obs[lo:hi]], width, slack=d + 1)
+        _put(out, at, row, words, d + 1, slack=0)
+        at += (hi - lo) * row
+    del out[size:]
+    return (out.translate(None, pad) if pad else out).decode()
 
 
-def _pick_rows(table: np.ndarray, codes: np.ndarray) -> np.ndarray:
-    """``table[codes]`` for a 2-D table, with -1 the last row, taking each row as one item (faster than fancy indexing)."""
-    rows = table.view(f"V{table.shape[1] * table.itemsize}").ravel()
-    return np.take(rows, codes, mode="wrap").view(table.dtype).reshape(len(codes), -1)
+def _put(out: bytearray, at: int, stride: int, words: np.ndarray, width: int, slack: int) -> None:
+    """Write the first ``width`` bytes of each row of little-endian uint64 ``words`` to ``out``, row i at ``at + i*stride``.
+
+    Each 8 bytes go in by one 1-, 2-, 4- or 8-byte integer store into a
+    strided view, one view per store, so no two stores of one assignment
+    overlap.  A store may run up to ``slack`` bytes past a row's
+    ``width``, onto bytes written after it; where the last store would run
+    further, the row's last bytes go in by two stores that overlap within
+    the row.
+    """
+    full, rest = divmod(width, 8)
+    stores = [(8 * j, 8, words[:, j]) for j in range(full)]
+    if rest:
+        size = 1 << (rest - 1).bit_length()  # the smallest store that holds them
+        if size - rest <= slack:
+            stores.append((8 * full, size, words[:, full]))
+        elif full:  # the 8 bytes that end the row
+            shift = np.uint64(8 * rest)
+            stores.append((width - 8, 8, (words[:, full - 1] >> shift) | (words[:, full] << np.uint64(64) - shift)))
+        else:  # two stores of half the size, the second ending the row
+            half = size // 2
+            stores += [(0, half, words[:, 0]), (rest - half, half, words[:, 0] >> np.uint64(8 * (rest - half)))]
+    for offset, size, values in stores:
+        _words_view(out, len(words), size, at + offset, stride)[...] = values
 
 
 def transition_counts(series: CatSeries) -> np.ndarray:

@@ -245,6 +245,47 @@ def test_bad_input_exits_2_with_named_error_and_bom_is_skipped(tmp_path, capsys,
     assert err.startswith("error: ") == (code == 2)
 
 
+SERIES = "t,value\n0,A\n1,B\n2,A\n3,B\n4,B\n5,A\n6,A\n7,NA\n8,B\n"
+BOM = b"\xef\xbb\xbf"
+
+
+@pytest.mark.parametrize(
+    "data",
+    [
+        BOM + SERIES.encode(),
+        SERIES.replace("\n", "\r\n").encode(),
+        SERIES.replace("\n", "\r").encode(),
+        SERIES.replace("\n", "\x85").encode(),
+        SERIES.replace("\n", "\u2028").encode(),
+        BOM + SERIES.replace("\n", "\u2029").encode(),
+        SERIES.replace("t,value", "t,valeur é").encode(),  # not ASCII, so decoded to check it
+    ],
+    ids=["bom", "crlf", "cr", "u0085", "u2028", "bom-u2029", "non-ascii-header"],
+)
+@pytest.mark.parametrize("fmt", ["txt", "csv"])
+def test_a_series_file_reads_as_its_plain_text(tmp_path, capsys, data, fmt):
+    """A series file is read as bytes: a byte-order mark and every line break give what "\\n" does."""
+    path, states = tmp_path / "s.csv", tmp_path / "states.txt"
+    states.write_text("A\nB\n")
+    argv = ["fit-dar", str(path), "--states", str(states), "--format", fmt]
+    path.write_text(SERIES)
+    plain = run(capsys, *argv)
+    path.write_bytes(data)
+    assert run(capsys, *argv) == plain
+    assert plain[0] == 0
+
+
+@pytest.mark.parametrize("mark", [b"", BOM], ids=["no-mark", "mark"])
+def test_a_series_file_that_is_not_utf8_is_refused_naming_the_byte(tmp_path, capsys, mark):
+    """The byte offset counts from after a byte-order mark, as when the file was decoded whole."""
+    path, states = tmp_path / "s.csv", tmp_path / "states.txt"
+    states.write_text("a\nb\n")
+    path.write_bytes(mark + b"t,value\n0,a\n1,\xe9\n")
+    code, out, err = run(capsys, "fit-dar", str(path), "--states", str(states))
+    assert (code, out) == (2, "")
+    assert err == f"error: {path}: not UTF-8 text (invalid continuation byte at byte 14)\n"
+
+
 COMMANDS = {
     "simulate": ["simulate", "--alpha", "0", "--pi", "0.5,0.5", "--n", "10"],
     "fit-dar": ["fit-dar", "{dir}/s.csv", "--states", "{dir}/states.txt"],

@@ -397,10 +397,23 @@ def test_edge_texts_read_as_row_by_row(labels, text):
 
 @pytest.mark.parametrize("n", [1, 2, 10, 11, 99, 100, 101, 1000, 12345, 10**5 + 1])
 def test_default_stamps_count_from_zero(n):
-    """``_digit_blocks``, which the reader and the writer share, spells 0..n-1 one digit count at a time."""
-    blocks = list(core._digit_blocks(n))
-    assert [first for first, _ in blocks] == [0, *(10**d for d in range(1, len(blocks)))]
-    assert [row.tobytes().decode() for _, digits in blocks for row in digits.T] == list(map(str, range(n)))
+    """``_stamp_words``, which the reader and the writer share, spells 0..n-1 and a comma one digit count at a time."""
+    blocks = list(core._stamp_words(n))
+    assert [(d, first) for d, first, _ in blocks] == [(d, 10 ** (d - 1) if d > 1 else 0) for d in range(1, len(blocks) + 1)]
+    assert all(words.shape[1] == d // 8 + 1 for d, _, words in blocks)
+    spelt = [row.astype("<u8").tobytes().rstrip(b"\0").decode() for _, _, words in blocks for row in words]
+    assert spelt == [f"{i}," for i in range(n)]
+
+
+def test_stamp_words_span_words_from_eight_digits_on():
+    """From 10^7 on, a number's digits and comma take two 8-byte words."""
+    blocks = core._stamp_words(10**7 + 12)
+    *_, (d, first, words) = blocks
+    assert (d, first, words.shape) == (8, 10**7, (12, 2))
+    spelt = [row.astype("<u8").tobytes().rstrip(b"\0").decode() for row in words]
+    assert spelt == [f"{10**7 + i}," for i in range(12)]
+    # the digits of 10^7 fill the first word; its comma opens the second
+    assert words[0].astype("<u8").tobytes() == b"10000000" + b",\0\0\0\0\0\0\0"
 
 
 @given(st.lists(st.sampled_from([1, 2, 3, MISSING]), min_size=2, max_size=60))
@@ -417,6 +430,131 @@ def test_parse_serialize_round_trip(values):
 def test_serialize_fills_indices_without_time_labels():
     series = CatSeries(AB, (1, 2, MISSING))
     assert serialize_series(series) == "t,value\n0,A\n1,B\n2,NA\n"
+
+
+def default_rows(n, labels=("a", "bc", "NA")):
+    """A text of n rows stamped 0..n-1, its value cells cycling through ``labels``."""
+    return "t,value\n" + "".join(f"{i},{labels[i % len(labels)]}\n" for i in range(n))
+
+
+def with_stamp(text, row, stamp):
+    """``text`` with data row ``row``'s stamp replaced."""
+    lines = text.split("\n")
+    lines[row + 1] = stamp + "," + lines[row + 1].split(",", 1)[1]
+    return "\n".join(lines)
+
+
+def read_both_ways(text, space):
+    """What ``parse_series`` makes of ``text`` given as str and as its UTF-8 bytes: the same series or the same error."""
+    results = []
+    for given in (text, text.encode()):
+        try:
+            results.append(parse_series(given, space))
+        except DarcatError as exc:
+            results.append((type(exc), str(exc)))
+    assert results[0] == results[1]
+    return results[0]
+
+
+BYTE_TEXTS = {
+    **{f"rows-{n + e}": default_rows(n + e) for n in (10, 100, 1000, 10**4) for e in (-1, 0, 1)},
+    # one digit of stamp 1234 changed at each place; the stamps are then labels
+    **{f"digit-{p}-changed": with_stamp(default_rows(2000), 1234, "1234"[:p] + "7" + "1234"[p + 1 :]) for p in range(4)},
+    "leading-zero": with_stamp(default_rows(100), 7, "07"),
+    "spaces-around-stamp": with_stamp(default_rows(100), 42, " 42 "),
+    "no-final-break-short-rows": "t,value\n0,a\n1,bc\n2,NA\n3,a\n4,a",
+    "header-without-comma": "t value\n0,a\n1,bc\n2,a\n",
+    "header-with-two-commas": "t,value,\n0,a\n1,bc\n2,a\n",
+    "value-cell-with-comma": "t,value\n0,a\n1,bc,a\n2,a\n",
+    "value-cell-with-comma-only": "t,value\n0,a\n1,\n2,,\n",
+    **{
+        f"breaks-{name}": default_rows(30).replace("\n", brk)
+        for name, brk in [("crlf", "\r\n"), ("cr", "\r"), ("u0085", "\x85"), ("u2028", "\u2028")]
+    },
+}
+
+
+@pytest.mark.parametrize("text", BYTE_TEXTS.values(), ids=BYTE_TEXTS.keys())
+def test_bytes_read_as_their_text(text):
+    space = StateSpace(("a", "bc"))
+    got = read_both_ways(text, space)
+    try:
+        obs, times = parse_reference(text, space)
+    except DarcatError as exc:
+        assert got == (type(exc), str(exc))
+        return
+    assert got.obs.tolist() == obs
+    implicit = tuple(str(i) for i in range(len(got)))
+    assert got.time_labels == (None if times == implicit else times)
+
+
+def test_a_stamp_changed_at_any_row_or_place_is_kept():
+    """Each row's stamp is compared whole: a change anywhere in it, or in its comma's place, makes the stamps labels."""
+    text = default_rows(1001)
+    for row in (0, 9, 10, 99, 100, 999, 1000):
+        stamp = str(row)
+        for p in range(len(stamp)):
+            changed = stamp[:p] + str((int(stamp[p]) + 1) % 10) + stamp[p + 1 :]
+            series = read_both_ways(with_stamp(text, row, changed), StateSpace(("a", "bc")))
+            assert series.time_labels[row] == changed
+        series = read_both_ways(with_stamp(text, row, stamp + "0"), StateSpace(("a", "bc")))
+        assert series.time_labels[row] == stamp + "0"
+
+
+def canonical(labels, codes, stamps=None):
+    """The text ``serialize_series`` writes for these codes (MISSING as NA) and stamps (0..n-1 when None)."""
+    stamps = range(len(codes)) if stamps is None else stamps
+    return "t,value\n" + "".join(f"{t},{'NA' if c == MISSING else labels[c - 1]}\n" for t, c in zip(stamps, codes))
+
+
+WRITER_TEXTS = {
+    # cells "1\n" to "9\n", "10\n" and "NA\n" over stamps of 1 to 3 digits
+    "mixed-widths-with-na": (tuple(map(str, range(1, 11))), [(i * 7) % 11 or MISSING for i in range(1, 1200)]),
+    # every label from 1 to 12 bytes, written together (padded) and each with one of its own length (whole rows)
+    "labels-1-to-12-bytes": (tuple("abcdefghijkl"[:n] for n in range(1, 13)), [1 + (i * 5) % 12 for i in range(130)]),
+    **{
+        f"labels-of-{n}-bytes": (("x" * n, "y" * n), [1 + (i * i) % 2 for i in range(130)])
+        for n in range(1, 13)
+    },
+    # 0x00 is the first pad byte tried, so a label holding it makes the writer pick another
+    "label-with-byte-0": (("\x00", "a\x00\x01b", "\x01\x02"), [1, 2, 3, MISSING, 2, 1] * 5),
+}
+
+
+@pytest.mark.parametrize("labels,codes", WRITER_TEXTS.values(), ids=WRITER_TEXTS.keys())
+def test_written_text_is_the_canonical_one(labels, codes):
+    text = canonical(labels, codes)
+    space = StateSpace(labels)
+    series = parse_series(text, space)
+    assert series.time_labels is None
+    assert serialize_series(series) == text
+    kept = [t for t, c in enumerate(codes) if c != MISSING]
+    dropped = series.drop_missing()
+    assert serialize_series(dropped) == canonical(labels, [codes[t] for t in kept], kept)
+    assert parse_series(serialize_series(dropped), space) == dropped
+
+
+def test_a_drop_missing_series_writes_its_stamps():
+    """The stamps of a series that dropped its missing values: rising indices, some digit counts empty."""
+    codes = [1, MISSING, 2] + [MISSING] * 200 + [2, 1] + [MISSING] * 800 + [1, 2]
+    labels = ("a", "bc")
+    dropped = parse_series(canonical(labels, codes), StateSpace(labels)).drop_missing()
+    kept = [t for t, c in enumerate(codes) if c != MISSING]
+    assert kept == [0, 2, 203, 204, 1005, 1006]  # no 2-digit stamp
+    assert serialize_series(dropped) == canonical(labels, [codes[t] for t in kept], kept)
+
+
+def test_stamp_words_are_found_at_unaligned_offsets_past_eight_digits():
+    """The reader's load and compare, on rows whose 8-digit stamps and comma take two words, at odd offsets."""
+    *_, (d, first, words) = core._stamp_words(10**7 + 3)
+    text = "".join(f"{first + i},{'x' * i}\n" for i in range(3)).encode() + bytes(16)
+    buf = np.frombuffer(text, np.uint8)
+    at = np.array([0, 10, 21])
+    assert core._begins_with(buf, at, words, d + 1)
+    for place in range(d + 1):  # one byte changed anywhere in a stamp or its comma is seen
+        changed = bytearray(text)
+        changed[21 + place] ^= 1
+        assert not core._begins_with(np.frombuffer(bytes(changed), np.uint8), at, words, d + 1)
 
 
 @pytest.mark.parametrize(

@@ -27,6 +27,10 @@ SIMULATE = ["simulate", "--alpha", "0.6", "--pi", "0.3,0.3,0.4", "--n", "40", "-
 # inputs/long_gapped.csv is the stdout of this command
 SIMULATE_LONG_GAPPED = ["simulate", "--alpha", "0.7", "--pi", "0.2,0.3,0.5", "--n", "2000", "--seed", "3", "--beta", "0.2"]
 LONG_GAPPED = ["inputs/long_gapped.csv", "--states", "inputs/states123.txt"]
+# inputs/mixed_width.csv is the stdout of this command: value cells ",1" to ",10" and ",NA", stamps of 1 to 5 digits
+SIMULATE_MIXED_WIDTH = [
+    "simulate", "--alpha", "0.6", "--pi", ",".join(["0.1"] * 10), "--n", "12000", "--seed", "4", "--beta", "0.15",
+]
 
 CASES = {
     "simulate": SIMULATE,
@@ -41,6 +45,7 @@ CASES = {
     "fit_dar_long_gapped_csv": ["fit-dar", *LONG_GAPPED, "--format", "csv"],
     "fit_dar_long_gapped_drop_csv": ["fit-dar", *LONG_GAPPED, "--missing-policy", "drop", "--format", "csv"],
     "test_long_gapped_drop": ["test", *LONG_GAPPED, "--missing-policy", "drop"],
+    "fit_dar_mixed_width_csv": ["fit-dar", "inputs/mixed_width.csv", "--states", "inputs/states10.txt", "--format", "csv"],
     "test_drop": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt", "--missing-policy", "drop"],
     "test_default": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt"],
     "fit_glm_csv": FIT_GLM + ["--format", "csv", "--out", "glm.csv"],
@@ -82,6 +87,11 @@ def run_case(argv: list[str], workdir: Path) -> dict[str, bytes]:
 def test_the_long_gapped_input_is_what_simulate_writes(tmp_path):
     produced = run_case(SIMULATE_LONG_GAPPED, tmp_path)
     assert produced["stdout"] == (GOLDEN / "inputs" / "long_gapped.csv").read_bytes()
+
+
+def test_the_mixed_width_input_is_what_simulate_writes(tmp_path):
+    produced = run_case(SIMULATE_MIXED_WIDTH, tmp_path)
+    assert produced["stdout"] == (GOLDEN / "inputs" / "mixed_width.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
