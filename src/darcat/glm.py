@@ -16,9 +16,10 @@ is fixed by its lagged states, its pattern, so the usable rows are a
 count matrix N with a row per seen pattern r and a column per seen
 response, and every sum over rows is a sum over N.  Each family has one
 evaluation function per fit, which returns the log partial likelihood,
-the gradient and a Hessian thunk from the same pieces of one point; the
-constants of the fit (the x x' products, D_hi and D_lo) are built once,
-and a Hessian is built only at the points Newton steps from:
+the gradient and a thunk that returns the Newton step from the same
+pieces of one point; the constants of the fit (the x x' products, D_hi
+and D_lo) are built once, and a step is found only at the points Newton
+steps from:
 
 * multinomial logit: with p_r the probabilities of the non-reference
   categories at pattern r, n_r its row sum and N_r its non-reference
@@ -37,17 +38,22 @@ N is the series' table of fully observed windows (x_{t-lag}, ..., x_t),
 as (pattern, response), so no fit builds a row; under ``common_rows`` a
 lower lag's counts are the largest lag's table summed over its oldest
 values.  ``Design.X``, ``.y`` and ``.t_index`` still give the rows one
-by one, on request.  A multinomial design is saturated when it has as
-many patterns as columns and no zero count.  It starts at its
-closed-form optimum, so Newton only checks the coefficient bound and the
-gradient there; every other fit starts where it always has, at zero or
-at the empirical cumulative logits.
+by one, on request.  A multinomial design is square when it has as many
+kept columns as seen patterns, as every lag-0 and lag-1 design has, and
+saturated when it is square with no zero count.  A saturated design
+starts at its closed-form optimum, so Newton only checks the coefficient
+bound and the gradient there; every other fit starts where it always
+has, at zero or at the empirical cumulative logits.  A Newton step on a
+square multinomial design is a formula, X^-1 times the step in the
+linear predictors (:func:`_newton` derives it), so those fits, mostly
+lag-1 fits with a zero count walking toward separation, build no Hessian
+and solve nothing.
 
-Newton steps are solved by ``np.linalg.solve`` and the logistic function
-is the numpy expression of :func:`_logistic`, so the package needs numpy
-alone.  scipy's LAPACK ``gesv`` and ``expit`` take some 3 to 10 us less a
-call, but importing scipy for them costs a short command more start-up
-than all of its fits.
+Every other Newton step is solved by ``np.linalg.solve`` and the logistic
+function is the numpy expression of :func:`_logistic`, so the package
+needs numpy alone.  scipy's LAPACK ``gesv`` and ``expit`` take some 3 to
+10 us less a call, but importing scipy for them costs a short command
+more start-up than all of its fits.
 
 One prepared design per lag serves every family.  :func:`aic_tables`
 builds each lag's design once and fits every requested family on it; the
@@ -243,13 +249,20 @@ def _prune_columns(X: np.ndarray, names: tuple[str, ...]) -> tuple[np.ndarray, t
     return X[:, keep], tuple(names[i] for i in keep), notes
 
 
-def _multinomial_probs(params: np.ndarray, X: np.ndarray):
-    """Linear predictors, log-normalisers and probabilities of the non-reference categories."""
-    eta = X @ params.reshape(-1, X.shape[1]).T
-    # log-sum-exp against the implicit zero of the reference category
-    mx = eta.max(axis=1, initial=0.0)
-    lse = mx + np.log(np.exp(-mx) + np.exp(eta - mx[:, None]).sum(axis=1))
-    return eta, lse, np.exp(eta - lse[:, None])
+def _multinomial_probs(params: np.ndarray, X: np.ndarray, coef: np.ndarray):
+    """Linear predictors, log-normalisers and probabilities of every category, the reference last.
+
+    ``coef`` is the fit's (p, q + 1) buffer for the coefficients, whose last
+    column, the reference's, stays 0.
+    """
+    coef[:, :-1] = params.reshape(-1, X.shape[1]).T
+    eta = X @ coef
+    # log-sum-exp: the reference's zero is in every row
+    mx = eta.max(axis=1)
+    e = np.exp(eta - mx[:, None])
+    s = e.sum(axis=1)
+    e /= s[:, None]
+    return eta, mx + np.log(s), e
 
 
 def _multinomial_evaluation(X: np.ndarray, counts: np.ndarray):
@@ -257,25 +270,40 @@ def _multinomial_evaluation(X: np.ndarray, counts: np.ndarray):
 
     ``counts`` has a row per pattern and a column per response, the last
     the reference.  It maps ``params`` to the log partial likelihood, the
-    gradient and a thunk that builds the Hessian from the same
-    probabilities.
+    gradient and a thunk that returns the Newton step from the same
+    probabilities.  On a square ``X`` that step is a formula (:func:`_newton`
+    shows why); on any other it solves the Hessian.
     """
     seen = counts[:, :-1]
     n = counts.sum(axis=1)
-    eye = np.eye(seen.shape[1])
-    xx = None
+    coef = np.zeros((X.shape[1], counts.shape[1]))
+    if X.shape[0] == X.shape[1]:
+        shares = counts / n[:, None]
+        inverse = None
 
-    def hessian(probs: np.ndarray, weighted: np.ndarray) -> np.ndarray:
-        nonlocal xx
-        if xx is None:  # at the first Newton step, so a gradient alone never builds it
-            xx = X[:, :, None] * X[:, None, :]
-        return _multinomial_hessian(probs, weighted, xx, eye)
+        def step(probs: np.ndarray, weighted: np.ndarray, grad: np.ndarray) -> np.ndarray:
+            nonlocal inverse
+            if inverse is None:  # at the first Newton step, so a fit that takes none never inverts X
+                inverse = np.linalg.inv(X)
+            odds = shares / probs
+            odds -= odds[:, -1:]
+            return (inverse @ odds[:, :-1]).T.ravel()
+
+    else:
+        eye = np.eye(seen.shape[1])
+        xx = None
+
+        def step(probs: np.ndarray, weighted: np.ndarray, grad: np.ndarray) -> np.ndarray:
+            nonlocal xx
+            if xx is None:  # at the first Newton step, so a gradient alone never builds it
+                xx = X[:, :, None] * X[:, None, :]
+            return np.linalg.solve(_multinomial_hessian(probs[:, :-1], weighted, xx, eye), -grad)
 
     def evaluate(params: np.ndarray):
-        eta, lse, probs = _multinomial_probs(params, X)
-        weighted = probs * n[:, None]
+        eta, lse, probs = _multinomial_probs(params, X, coef)
+        weighted = probs[:, :-1] * n[:, None]
         grad = ((seen - weighted).T @ X).ravel()
-        return float(np.vdot(seen, eta) - n @ lse), grad, lambda: hessian(probs, weighted)
+        return float(np.vdot(counts, eta) - n @ lse), grad, lambda: step(probs, weighted, grad)
 
     return evaluate
 
@@ -283,8 +311,9 @@ def _multinomial_evaluation(X: np.ndarray, counts: np.ndarray):
 def _multinomial_hessian(probs: np.ndarray, weighted: np.ndarray, xx: np.ndarray, eye: np.ndarray) -> np.ndarray:
     """-sum_r n_r W_r (x) x_r x_r' with W_r = diag(p_r) - p_r p_r', in the row-wise order of ``params``.
 
-    ``weighted`` is n_r p_r, ``xx`` holds the x_r x_r' and ``eye`` is the
-    (q, q) identity, built once per fit.
+    ``probs`` holds the p_r of the non-reference categories, ``weighted``
+    is n_r p_r, ``xx`` holds the x_r x_r' and ``eye`` is the (q, q)
+    identity, built once per fit.
     """
     (m, q), p = probs.shape, xx.shape[1]
     w = weighted[:, :, None] * (eye - probs[:, None, :])
@@ -308,9 +337,11 @@ def multinomial_loglik_grad(
 def _newton(evaluate, params):
     """Maximise by Newton steps with step halving.
 
-    ``evaluate`` maps a point to its log-likelihood, gradient and Hessian
-    thunk, so each point is evaluated once and its Hessian built only when
-    a step starts there.  A step whose log-likelihood falls is halved, up
+    ``evaluate`` maps a point to its log-likelihood, gradient and a thunk
+    that returns the Newton step from there, so each point is evaluated
+    once and its step found only when a step starts there.  A thunk that
+    raises ``np.linalg.LinAlgError`` (LAPACK met an exactly zero pivot) is
+    a ``SingularHessian``.  A step whose log-likelihood falls is halved, up
     to 40 times; a fall of at most 1e-12 * max(1, |log-likelihood|) is
     taken for the rounding of the sum over cells (about 1e-9 at n = 10^6),
     not a fall.  An ordinal step that breaks the cutpoint order has
@@ -321,35 +352,54 @@ def _newton(evaluate, params):
     in magnitude.  When the line search or ``MAX_ITER`` stops it short of
     ``GRAD_TOL``, a max |gradient| above 1e-5 is a ``SingularHessian``
     naming which stopped it.
+
+    A multinomial step on a square design (as many kept columns as seen
+    patterns: every lag-0 and lag-1 design) is a formula, with no Hessian
+    and no solve.  X is then invertible, so each pattern r has its own
+    free linear predictors eta_r = B x_r, and Newton steps are invariant
+    under the invertible map B' -> X B' = eta: the step in B' is X^-1 times
+    the Newton step in eta, and X^-1 is computed once per fit.  In eta the
+    log partial likelihood is a sum over patterns, and pattern r's
+    Hessian is -n_r W_r with W_r = diag(p_r) - p_r p_r', whose inverse is
+    diag(1/p_r) + 1 1' / p_r,ref.  With y_r pattern r's response shares,
+    the step in eta is W_r^-1 (y_r - p_r), that is
+    y_rj / p_rj - y_r,ref / p_r,ref: the step ``np.linalg.solve`` returns,
+    up to rounding.  Near ``MAX_COEF`` the Hessian's condition number
+    passes 1e8, and the formula is the more accurate of the two.  While
+    every |coef| <= ``MAX_COEF``, |eta_rj| is at most 30 times the ones in
+    x_r, at most 3, so every p_rj exceeds e^-180 / k and y / p never
+    divides by zero.
     """
     if np.abs(params).max() > MAX_COEF:  # a closed-form start beyond the bound (:func:`fit_multinomial`)
         raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
-    ll, grad, hessian = evaluate(params)
+    ll, grad, newton_step = evaluate(params)
+    largest = np.abs(grad).max()
     steps = 0
-    while np.abs(grad).max() >= GRAD_TOL:
+    while largest >= GRAD_TOL:
         if steps == MAX_ITER:
             stop = f"no convergence in {MAX_ITER} Newton steps"
             break
         try:
-            step = np.linalg.solve(hessian(), -grad)
+            step = newton_step()
         except np.linalg.LinAlgError:  # LAPACK met an exactly zero pivot
             raise SingularHessian("Singular matrix") from None
         scale = 1.0
         for _half in range(40):
             cand = params + scale * step
-            cand_ll, cand_grad, cand_hessian = evaluate(cand)
+            cand_ll, cand_grad, cand_step = evaluate(cand)
             if cand_ll > ll - 1e-12 * max(1.0, abs(ll)):
                 break
             scale *= 0.5
         else:
             stop = f"the line search of step {steps + 1} found no rise in 40 halvings"
             break
-        params, ll, grad, hessian = cand, cand_ll, cand_grad, cand_hessian
+        params, ll, grad, newton_step = cand, cand_ll, cand_grad, cand_step
+        largest = np.abs(grad).max()
         steps += 1
         if np.abs(params).max() > MAX_COEF:
             raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
-    if np.abs(grad).max() > 1e-5:  # a stop short of GRAD_TOL may still be close enough
-        raise SingularHessian(f"Newton stalled: {stop}; max |gradient| {np.abs(grad).max():.3g}")
+    if largest > 1e-5:  # a stop short of GRAD_TOL may still be close enough
+        raise SingularHessian(f"Newton stalled: {stop}; max |gradient| {largest:.3g}")
     return params, ll, steps
 
 
@@ -433,21 +483,23 @@ def _logistic(x: np.ndarray) -> np.ndarray:
     return out
 
 
-def _po_pieces(params: np.ndarray, X: np.ndarray, ends: np.ndarray, q: int):
+def _po_pieces(params: np.ndarray, X: np.ndarray, ends: np.ndarray, theta: np.ndarray):
     """The pieces of P(Y = y_c | x_c) = L_c = F(D_hi v)_c - F(D_lo v)_c, F the logistic function.
 
-    ``ends`` holds, per cell, the index into (-inf, cutpoints, +inf) of the
-    cutpoint above y_c (row 0) and below it (row 1).  The cutpoint above
-    y = k_eff and the one below y = 1 do not exist: they sit at +inf and
-    -inf, where F is 1 and 0 and its derivatives F' = F(1-F) and
-    F'' = F'(1-2F) vanish, so those cells drop out of the gradient and
+    ``theta`` is the fit's buffer (-inf, cutpoints, +inf), whose cutpoints
+    are written from ``params``, and ``ends`` holds, per cell, the index
+    into it of the cutpoint above y_c (row 0) and below it (row 1).  The
+    cutpoint above y = k_eff and the one below y = 1 do not exist: they sit
+    at +inf and -inf, where F is 1 and 0 and its derivatives F' = F(1-F)
+    and F'' = F'(1-2F) vanish, so those cells drop out of the gradient and
     Hessian with no mask.  Returns L and, for both sides stacked, F and
     F'/L; None if some L_c <= 0.
     """
-    theta = np.concatenate([[-np.inf], params[:q], [np.inf]])
+    q = theta.size - 2
+    theta[1:-1] = params[:q]
     f = _logistic(theta[ends] - X @ params[q:])
     lik = f[0] - f[1]
-    if np.any(lik <= 0):
+    if lik.min() <= 0:
         return None
     return lik, f, f * (1.0 - f) / lik
 
@@ -456,11 +508,14 @@ def _po_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np.ndarray)
     """The evaluation function of one proportional-odds fit on the cells ``X``, ``y`` with ``counts``.
 
     It maps ``params`` to the log partial likelihood, the gradient and a
-    thunk that builds the Hessian from the same pieces; a point with some
-    L_c <= 0 has log-likelihood -inf, a zero gradient and no Hessian.
+    thunk that solves the Hessian built from the same pieces for the Newton
+    step; a point with some L_c <= 0 has log-likelihood -inf, a zero
+    gradient and no step.
     """
     q = k_eff - 1
     ends = np.array([y, y - 1])
+    theta = np.full(q + 2, np.inf)
+    theta[0] = -np.inf
     # D_hi over D_lo: row c holds the one-hot of the cutpoint ends[:, c] of (-inf, cutpoints, +inf), then -x_c
     d = np.empty((2, y.size, q + X.shape[1]))
     d[:, :, :q] = np.eye(q + 2, q, -1)[ends]
@@ -470,12 +525,12 @@ def _po_evaluation(X: np.ndarray, y: np.ndarray, k_eff: int, counts: np.ndarray)
     signed = np.concatenate([counts, -counts])
 
     def evaluate(params: np.ndarray):
-        pieces = _po_pieces(params, X, ends, q)
+        pieces = _po_pieces(params, X, ends, theta)
         if pieces is None:
             return -np.inf, np.zeros_like(params), None
         lik, f, fp = pieces
         grad = (fp.ravel() * signed) @ d
-        return float(counts @ np.log(lik)), grad, lambda: _po_hessian(d, signed, f, fp)
+        return float(counts @ np.log(lik)), grad, lambda: np.linalg.solve(_po_hessian(d, signed, f, fp), -grad)
 
     return evaluate
 

@@ -373,6 +373,31 @@ def test_edge_case_inputs(tmp_path, capsys, command, series, states, code, messa
     assert err.startswith("error: ") == (code == 2)
 
 
+STATES_FILES = {
+    "not-utf8": (b"AB\xe9\n", "error: {path}: not UTF-8 text (invalid continuation byte at byte 2)\n"),
+    "duplicate-labels": (b"A\nB\nA\n", "error: state space labels must be pairwise distinct\n"),
+    "empty": (b"", "error: state space needs at least 2 categories, got 0\n"),
+    "bom-crlf": (BOM + b"A\r\nB\r\n", None),  # read as "A\nB\n"
+}
+
+
+@pytest.mark.parametrize("name", sorted(STATES_FILES))
+@pytest.mark.parametrize("command", ["simulate", "fit-dar", "test", "fit-glm"])
+def test_a_states_file_is_refused_by_name_or_read_as_its_plain_text(tmp_path, capsys, command, name):
+    """Every command that reads a states file refuses a bad one with one ``error: `` line, and skips a mark and CRs."""
+    data, error = STATES_FILES[name]
+    states = tmp_path / "states.txt"
+    (tmp_path / "s.csv").write_text(SERIES)
+    argv = [a.format(dir=tmp_path) for a in COMMANDS[command]] + ["--states", str(states)] * (command == "simulate")
+    states.write_bytes(b"A\nB\n")
+    plain = run(capsys, *argv)
+    states.write_bytes(data)
+    if error is None:
+        assert run(capsys, *argv) == plain and plain[0] == 0
+    else:
+        assert run(capsys, *argv) == (2, "", error.format(path=states))
+
+
 def test_alpha_just_below_one(tmp_path, capsys, states2):
     """alpha = 1 - 1e-9 freezes the chain in its first state: named NA results, never a crash."""
     path = str(tmp_path / "f.csv")
@@ -600,10 +625,16 @@ def any_command(draw):
 @given(
     argv=any_command(),
     series=st.lists(csv_texts(), min_size=2, max_size=2),
-    states=usually(["A\nB\n", "A\nB\nC\n", "A\n\n B \n"], "A\n", "A\nA\n", "A\nNA\n", "", "1\n2\n3\n"),
+    states=usually(
+        [b"A\nB\n", b"A\nB\nC\n", b"A\n\n B \n"],
+        b"A\n", b"A\nA\n", b"A\nNA\n", b"", b"1\n2\n3\n",
+        b"AB\xe9\n", BOM + b"A\r\nB\r\n", b"A\nB\nA\n", b" \n\n",  # not UTF-8; a mark and CRLF; duplicates; blank
+    ),
 )
 @example(  # 1 - level/2 rounds to 1: the longest-run test is NA with its cause
-    argv=["fit-dar", "s1.csv", "--states", "states.txt", "--level", "1e-300"], series=[b"t,value\n0,A\n1,B\n", b""], states="A\nB\n"
+    argv=["fit-dar", "s1.csv", "--states", "states.txt", "--level", "1e-300"],
+    series=[b"t,value\n0,A\n1,B\n", b""],
+    states=b"A\nB\n",
 )
 @settings(max_examples=150, deadline=None)
 def test_every_command_exits_0_or_2_under_generated_input(argv, series, states):
@@ -617,7 +648,7 @@ def test_every_command_exits_0_or_2_under_generated_input(argv, series, states):
             for name, text in zip(["s1.csv", "s2.csv"], series):
                 with open(name, "wb") as f:
                     f.write(text)
-            with open("states.txt", "w", encoding="utf-8") as f:
+            with open("states.txt", "wb") as f:
                 f.write(states)
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 try:

@@ -63,6 +63,30 @@ def assert_hessian_matches(hessian, grad, x):
     assert np.max(np.abs(h - hf)) <= 1e-6 * max(1.0, np.max(np.abs(hf)))
 
 
+def mnl_hessian(X, counts, params):
+    """:func:`glm._multinomial_hessian` at ``params`` on the patterns ``X`` with their response ``counts``."""
+    q = counts.shape[1] - 1
+    _, _, probs = glm._multinomial_probs(params, X, np.zeros((X.shape[1], q + 1)))
+    probs = probs[:, :q]
+    weighted = probs * counts.sum(axis=1)[:, None]
+    return glm._multinomial_hessian(probs, weighted, X[:, :, None] * X[:, None, :], np.eye(q))
+
+
+def po_hessian(X, y, k_eff, counts, params):
+    """:func:`glm._po_hessian` at ``params`` on the cells ``X``, ``y`` with ``counts``, D_hi and D_lo built row by row."""
+    q = k_eff - 1
+    d_hi, d_lo = np.zeros((2, y.size, q + X.shape[1]))
+    for c, response in enumerate(y.tolist()):
+        if response <= q:  # the cutpoint above y = k_eff sits at +inf
+            d_hi[c, response - 1] = 1.0
+        if response >= 2:  # the one below y = 1 at -inf
+            d_lo[c, response - 2] = 1.0
+    d_hi[:, q:] = d_lo[:, q:] = -X
+    theta = np.concatenate([[-np.inf], np.zeros(q), [np.inf]])
+    _, f, fp = glm._po_pieces(params, X, np.array([y, y - 1]), theta)
+    return glm._po_hessian(np.concatenate([d_hi, d_lo]), np.concatenate([counts, -counts]), f, fp)
+
+
 def hessian_design(k, lag):
     """A design whose responses cover every category, both ends of the scale included."""
     d = build_design(simulate(DarModel.from_pi(0.4, np.full(k, 1.0 / k)), 300, seed=40 + k), lag)
@@ -202,7 +226,7 @@ class TestMultinomial:
         points = [rng.normal(0, 0.5, (k - 1) * d.X.shape[1]) for _ in range(3)] + [fit.coefficients.ravel()]
         for params in points:
             assert_hessian_matches(
-                lambda v: glm._multinomial_evaluation(d.X, np.eye(k)[d.y - 1])(v)[2](),
+                lambda v: mnl_hessian(d.X, np.eye(k)[d.y - 1], v),
                 lambda v: multinomial_loglik_grad(v, d.X, d.y, k)[1],
                 params,
             )
@@ -318,7 +342,7 @@ class TestProportionalOdds:
         ] + [np.concatenate([fit.cutpoints, fit.coefficients])]
         for params in points:
             assert_hessian_matches(
-                lambda v: glm._po_evaluation(X, d.y, k, np.ones(d.n_used))(v)[2](),
+                lambda v: po_hessian(X, d.y, k, np.ones(d.n_used), v),
                 lambda v: proportional_odds_loglik_grad(v, X, d.y, k)[1],
                 params,
             )
@@ -526,7 +550,8 @@ class TestSharedDesign:
 
     def test_exactly_singular_hessian_keeps_its_error_text(self):
         def evaluate(params):
-            return 0.0, np.array([1.0, 0.0]), lambda: np.array([[1.0, 1.0], [1.0, 1.0]])
+            grad = np.array([1.0, 0.0])
+            return 0.0, grad, lambda: np.linalg.solve(np.ones((2, 2)), -grad)
 
         with pytest.raises(SingularHessian, match="^Singular matrix$"):
             glm._newton(evaluate, np.zeros(2))
@@ -539,7 +564,8 @@ class TestSharedDesign:
             seen.append(float(params[0]))
             if params[0] > 1.5:
                 return -np.inf, np.zeros(1), None
-            return -((params[0] - 1.0) ** 2), np.array([-2.0 * (params[0] - 1.0)]), lambda: np.array([[-1.0]])
+            grad = np.array([-2.0 * (params[0] - 1.0)])
+            return -((params[0] - 1.0) ** 2), grad, lambda: np.linalg.solve(np.array([[-1.0]]), -grad)
 
         params, ll, steps = glm._newton(evaluate, np.zeros(1))
         assert (params.tolist(), ll, steps) == ([1.0], 0.0, 1)
@@ -548,7 +574,7 @@ class TestSharedDesign:
     def test_a_line_search_that_finds_no_rise_is_named(self):
         # every step away from 0 lowers the likelihood, while the gradient says it should rise
         def evaluate(params):
-            return (0.0 if params[0] == 0.0 else -1.0), np.array([0.25]), lambda: np.array([[-1.0]])
+            return (0.0 if params[0] == 0.0 else -1.0), np.array([0.25]), lambda: np.array([0.25])
 
         with pytest.raises(
             SingularHessian,
@@ -562,8 +588,8 @@ class TestSharedDesign:
 
         def evaluate(params):
             if params[0] == 0.0:
-                return ll0, np.array([1.0]), lambda: np.array([[-1.0]])
-            return ll1, np.array([0.0]), lambda: np.array([[-1.0]])
+                return ll0, np.array([1.0]), lambda: np.array([1.0])
+            return ll1, np.array([0.0]), lambda: np.array([0.0])
 
         params, ll, steps = glm._newton(evaluate, np.zeros(1))
         assert (params.tolist(), ll, steps) == ([1.0], ll1, 1)
@@ -581,7 +607,8 @@ class TestSharedDesign:
         # the Hessian is a million times too large, so each step goes 2e-6 of the way to the maximum at 1
         def evaluate(params):
             x = params[0]
-            return -((x - 1.0) ** 2), np.array([-2.0 * (x - 1.0)]), lambda: np.array([[-2e6]])
+            grad = np.array([-2.0 * (x - 1.0)])
+            return -((x - 1.0) ** 2), grad, lambda: np.linalg.solve(np.array([[-2e6]]), -grad)
 
         with pytest.raises(SingularHessian, match=rf"^Newton stalled: no convergence in {MAX_ITER} Newton steps; ") as err:
             glm._newton(evaluate, np.zeros(1))
@@ -591,10 +618,115 @@ class TestSharedDesign:
         # the same path, but the gradient is already below 1e-5 when the steps run out
         def evaluate(params):
             x = params[0]
-            return -((x - 1.0) ** 2), np.array([-2.0 * (x - 1.0)]), lambda: np.array([[-2e6]])
+            grad = np.array([-2.0 * (x - 1.0)])
+            return -((x - 1.0) ** 2), grad, lambda: np.linalg.solve(np.array([[-2e6]]), -grad)
 
         params, _, steps = glm._newton(evaluate, np.array([1.0 - 4e-6]))
         assert steps == MAX_ITER and abs(params[0] - 1.0) < 4e-6
+
+
+def markov_chain(k, n, seed, forbid=()):
+    """n + 1 states of a chain with Dirichlet transition rows that never moves from a to b for (a, b) in ``forbid``."""
+    rng = np.random.default_rng(seed)
+    trans = rng.dirichlet(np.ones(k), size=k)
+    for a, b in forbid:
+        trans[a - 1, b - 1] = 0.0
+        trans[a - 1] /= trans[a - 1].sum()
+    obs = [int(rng.integers(1, k + 1))]
+    for u in rng.random(n):
+        obs.append(1 + min(int(np.searchsorted(np.cumsum(trans[obs[-1] - 1]), u, side="right")), k - 1))
+    return np.array(obs)
+
+
+class TestSquareStep:
+    """On a square multinomial design the Newton step is X^-1 times the step in eta: the solve's step, with no Hessian."""
+
+    @staticmethod
+    def assert_step_is_the_solve(X, counts, params):
+        """The formula's step equals ``np.linalg.solve`` on the Hessian within 1e-9 relative.
+
+        A solve is good to about cond(H) * 1e-16 only, and on a walk toward
+        separation cond(H) passes 1e8, so where 1e-12 cond(H) is the wider
+        bound, the steps are held to that.
+        """
+        _, grad, step = glm._multinomial_evaluation(X, counts)(params)
+        hessian = mnl_hessian(X, counts, params)
+        closed, solved = step(), np.linalg.solve(hessian, -grad)
+        tolerance = max(1e-9, 1e-12 * np.linalg.cond(hessian))
+        assert np.max(np.abs(closed - solved)) <= tolerance * max(1.0, np.max(np.abs(solved)))
+
+    def assert_along_the_walk(self, X, counts):
+        """The step at every point Newton steps from on its way from zero; returns how many there were."""
+        points = []
+        evaluate = glm._multinomial_evaluation(X, counts)
+
+        def recording(params):
+            ll, grad, step = evaluate(params)
+            return ll, grad, lambda: points.append(params) or step()
+
+        try:
+            glm._newton(recording, np.zeros((counts.shape[1] - 1) * X.shape[1]))
+        except DarcatError:  # a walk to Separation, or one that stalls
+            pass
+        for params in points:
+            self.assert_step_is_the_solve(X, counts, params)
+        return len(points)
+
+    @given(
+        k=st.integers(2, 6),
+        lag=st.integers(0, 1),
+        zero=st.booleans(),
+        common_rows=st.booleans(),
+        share=st.sampled_from([0.0, 0.2]),
+        n=st.integers(20, 300),
+        scale=st.sampled_from([0.3, 1.0, 3.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_square_step_equals_the_solve(self, k, lag, zero, common_rows, share, n, scale, seed):
+        rng = np.random.default_rng(seed)
+        forbid = [tuple(int(v) for v in rng.integers(1, k + 1, 2))] if zero else []
+        obs = markov_chain(k, n, seed, forbid)
+        obs[rng.random(obs.size) < share] = MISSING
+        s = series(obs.tolist(), k=k)
+        try:
+            build_design(s, 2)
+            X, counts, *_ = glm._prepare(Design(s, lag, 2 if common_rows else lag))
+        except DarcatError:
+            return
+        assert X.shape[0] == X.shape[1]  # every lag-0 and lag-1 design is square
+        for _ in range(3):
+            params = np.clip(rng.normal(0.0, scale, (counts.shape[1] - 1) * X.shape[1]), -MAX_COEF, MAX_COEF)
+            self.assert_step_is_the_solve(X, counts, params)
+        self.assert_along_the_walk(X, counts)
+
+    def test_a_walk_to_separation(self):
+        # 1 -> 3 and 3 -> 1 never occur, so the lag-1 fit has no MLE and Newton walks until a coefficient passes the bound
+        d = build_design(series(markov_chain(3, 400, 5, forbid=[(1, 3), (3, 1)]).tolist(), k=3), 1)
+        X, counts, *_ = d._prepared
+        assert counts[0, 2] == counts[2, 0] == 0 and X.shape == (3, 3)
+        with pytest.raises(Separation):
+            fit_multinomial(d)
+        assert self.assert_along_the_walk(X, counts) >= 10
+
+    def test_a_square_lag2_design(self):
+        # 2 never follows 2, so the lag-2 patterns (1, 1), (1, 2) and (2, 1) are as many as the columns
+        obs = markov_chain(2, 200, 6, forbid=[(2, 2)])
+        d = build_design(series(obs.tolist(), k=2), 2)
+        X, counts, *_ = d._prepared
+        assert X.shape == (3, 3)
+        rng = np.random.default_rng(6)
+        for _ in range(5):
+            self.assert_step_is_the_solve(X, counts, rng.normal(0.0, 2.0, 3))
+        assert self.assert_along_the_walk(X, counts) >= 1
+
+    def test_a_lag1_fit_with_a_zero_count_makes_no_solve(self, monkeypatch):
+        obs = np.tile([1, 1, 2, 2, 3, 3, 1, 3, 2, 3], 8)  # every (lag-1 state, response) pair but (2, 1)
+        d = build_design(series(obs.tolist(), k=3), 1)
+        solves, solve = [], np.linalg.solve
+        monkeypatch.setattr(np.linalg, "solve", lambda *args: solves.append(args) or solve(*args))
+        fit = fit_multinomial(d)
+        assert fit.iterations >= 10 and solves == []
 
 
 @given(
@@ -641,12 +773,15 @@ class TestLogistic:
 class TestCells:
     @pytest.mark.parametrize("family", ["categorical", "ordinal"])
     def test_each_point_is_evaluated_once(self, monkeypatch, family):
-        """One evaluation per point, its pieces computed once, and one Hessian per Newton step."""
+        """One evaluation per point, its pieces computed once, one step per Newton step.
+
+        Each step builds a Hessian, but on a square multinomial design.
+        """
         names = {
             "categorical": ("_multinomial_evaluation", "_multinomial_probs", "_multinomial_hessian"),
             "ordinal": ("_po_evaluation", "_po_pieces", "_po_hessian"),
         }[family]
-        evaluated, pieced, hessians = [], [], []
+        evaluated, pieced, steps, hessians = [], [], [], []
         evaluation, pieces, hessian = (getattr(glm, name) for name in names)
 
         def counting_evaluation(*constants):
@@ -654,7 +789,13 @@ class TestCells:
 
             def counted(params):
                 evaluated.append(params.tobytes())
-                return evaluate(params)
+                ll, grad, step = evaluate(params)
+
+                def counted_step():
+                    steps.append(None)
+                    return step()
+
+                return ll, grad, counted_step
 
             return counted
 
@@ -668,13 +809,22 @@ class TestCells:
 
         for name, counter in zip(names, (counting_evaluation, counting_pieces, counting_hessian)):
             monkeypatch.setattr(glm, name, counter)
-        s = generate_mnl_chain(600, seed=8) if family == "categorical" else generate_po_chain(600, seed=9)
-        for lag in (0, 1, 2):
-            for calls in (evaluated, pieced, hessians):
-                calls.clear()
-            fit = glm._FITTERS[family](build_design(s, lag))
-            assert len(hessians) == fit.iterations
-            assert pieced == evaluated and len(set(evaluated)) == len(evaluated) >= fit.iterations + 1
+        chain = generate_mnl_chain(600, seed=8) if family == "categorical" else generate_po_chain(600, seed=9)
+        # no (2, 1) transition: the lag-1 design is square, with a zero count, so its multinomial fit steps
+        gap = series(np.tile([1, 1, 2, 2, 3, 3, 1, 3, 2, 3], 8).tolist(), k=3)
+        stepped = {}
+        for s, lags in ((chain, (0, 1, 2)), (gap, (1,))):
+            for lag in lags:
+                for calls in (evaluated, pieced, steps, hessians):
+                    calls.clear()
+                design = build_design(s, lag)
+                fit = glm._FITTERS[family](design)
+                X, counts, *_ = design._prepared
+                square = family == "categorical" and X.shape[0] == X.shape[1]
+                assert len(steps) == fit.iterations and len(hessians) == (0 if square else fit.iterations)
+                assert pieced == evaluated and len(set(evaluated)) == len(evaluated) >= fit.iterations + 1
+                stepped[square] = stepped.get(square, 0) + fit.iterations
+        assert all(stepped.values())  # both kinds of step were taken
 
     @given(
         k=st.integers(2, 6),
@@ -686,7 +836,7 @@ class TestCells:
     )
     @settings(max_examples=150, deadline=None)
     def test_cells_equal_rows(self, k, share, lag, extra, family, seed):
-        """The count matrix tallies the rows, and log-PL, gradient and Hessian on it equal those on rows."""
+        """The count matrix tallies the rows, and log-PL, gradient, Hessian and Newton step on it equal those on rows."""
         rng = np.random.default_rng(seed)
         obs = rng.integers(1, k + 1, int(rng.integers(3, 300)))
         obs[rng.random(obs.size) < share] = MISSING
@@ -714,18 +864,23 @@ class TestCells:
             params = rng.normal(0, 1, (k_eff - 1) * X.shape[1])
             evaluate = glm._multinomial_evaluation(X, counts)
             evaluate_rows = glm._multinomial_evaluation(X_rows, np.eye(k_eff)[y_rows - 1])
+            h, h_rows = mnl_hessian(X, counts, params), mnl_hessian(X_rows, np.eye(k_eff)[y_rows - 1], params)
         else:
             theta = np.sort(rng.normal(0, 1, k_eff - 1)) + 0.05 * np.arange(k_eff - 1)
             params = np.concatenate([theta, rng.normal(0, 0.5, X.shape[1] - 1)])
             response, pattern = np.nonzero(counts.T)
-            evaluate = glm._po_evaluation(X[pattern, 1:], response + 1, k_eff, counts.T[response, pattern])
-            evaluate_rows = glm._po_evaluation(X_rows[:, 1:], y_rows, k_eff, np.ones(design.n_used))
-        ll, grad, hessian = evaluate(params)
-        ll_rows, grad_rows, hessian_rows = evaluate_rows(params)
+            cells = (X[pattern, 1:], response + 1, k_eff, counts.T[response, pattern])
+            rows = (X_rows[:, 1:], y_rows, k_eff, np.ones(design.n_used))
+            evaluate, evaluate_rows = glm._po_evaluation(*cells), glm._po_evaluation(*rows)
+            h, h_rows = po_hessian(*cells, params), po_hessian(*rows, params)
+        ll, grad, step = evaluate(params)
+        ll_rows, grad_rows, step_rows = evaluate_rows(params)
         assert abs(ll - ll_rows) <= 1e-12 * abs(ll_rows)
         assert np.max(np.abs(grad - grad_rows)) <= 1e-12 * max(1.0, np.max(np.abs(grad_rows)))
-        h, h_rows = hessian(), hessian_rows()
         assert np.max(np.abs(h - h_rows)) <= 1e-12 * max(1.0, np.max(np.abs(h_rows)))
+        # a square design's step is the formula, its rows' the solve
+        s, s_rows = step(), step_rows()
+        assert np.max(np.abs(s - s_rows)) <= 1e-9 * max(1.0, np.max(np.abs(s_rows)))
 
     @pytest.mark.parametrize("family", ["categorical", "ordinal"])
     @pytest.mark.parametrize("common_rows", [False, True])

@@ -31,6 +31,9 @@ LONG_GAPPED = ["inputs/long_gapped.csv", "--states", "inputs/states123.txt"]
 SIMULATE_MIXED_WIDTH = [
     "simulate", "--alpha", "0.6", "--pi", ",".join(["0.1"] * 10), "--n", "12000", "--seed", "4", "--beta", "0.15",
 ]
+# inputs/separation_walk.csv is the stdout of this command: state 1 is never followed by 3, nor 3 by 1, so the
+# categorical lag-1 fit has no MLE and Newton walks off until a coefficient passes the bound
+SIMULATE_SEPARATION_WALK = ["simulate", "--alpha", "0.7", "--pi", "0.2,0.3,0.5", "--n", "30", "--seed", "2"]
 
 CASES = {
     "simulate": SIMULATE,
@@ -57,6 +60,7 @@ CASES = {
     "fit_glm_common_md": FIT_GLM + ["--common-rows", "--format", "md"],
     "fit_glm_common_txt": FIT_GLM + ["--common-rows", "--out", "glm.txt"],
     "fit_glm_lags02_common_csv": FIT_GLM + ["--lags", "0,2", "--common-rows", "--format", "csv"],
+    "fit_glm_separation_walk_txt": ["fit-glm", "inputs/separation_walk.csv", "--states", "inputs/states123.txt"],
     "reproduce_tables_csv": ["reproduce-tables", "--m", "5", "--format", "csv", "--out", "tables"],
     "reproduce_tables_md": ["reproduce-tables", "--m", "5", "--format", "md"],
     "reproduce_tables_txt": ["reproduce-tables", "--m", "5", "--format", "txt"],
@@ -92,6 +96,11 @@ def test_the_long_gapped_input_is_what_simulate_writes(tmp_path):
 def test_the_mixed_width_input_is_what_simulate_writes(tmp_path):
     produced = run_case(SIMULATE_MIXED_WIDTH, tmp_path)
     assert produced["stdout"] == (GOLDEN / "inputs" / "mixed_width.csv").read_bytes()
+
+
+def test_the_separation_walk_input_is_what_simulate_writes(tmp_path):
+    produced = run_case(SIMULATE_SEPARATION_WALK, tmp_path)
+    assert produced["stdout"] == (GOLDEN / "inputs" / "separation_walk.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
