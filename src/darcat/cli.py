@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo, render
-from .core import CatSeries, DarcatError, StateSpace, parse_series, serialize_series
+from .core import CatSeries, DarcatError, NotUtf8, StateSpace, parse_series, serialize_series, utf8_text
 from .dar import DarModel, MissingDarModel, simulate, simulate_with_missing
 from .estimate import (
     estimate_alpha_ls,
@@ -42,46 +42,27 @@ def _err(msg: str) -> None:
     print(msg, file=sys.stderr)
 
 
-def _read_text(path: str) -> str:
-    """A text input file; a UTF-8 byte-order mark is skipped."""
+def _read(path: str, parse):
+    """``parse`` of a file's bytes, a UTF-8 byte-order mark skipped; a :class:`NotUtf8` error is given the path."""
+    data = Path(path).read_bytes()
+    if data.startswith(codecs.BOM_UTF8):
+        data = data[len(codecs.BOM_UTF8) :]
     try:
-        return Path(path).read_text(encoding="utf-8-sig")
-    except UnicodeDecodeError as exc:
-        raise DarcatError(_not_utf8(path, exc)) from None
-
-
-def _not_utf8(path: str, exc: UnicodeDecodeError) -> str:
-    """Why ``path`` cannot be read; the byte offset counts from after a byte-order mark."""
-    return f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        return parse(data)
+    except NotUtf8 as exc:
+        raise NotUtf8(f"{path}: {exc}") from None
 
 
 def _read_states(path: str) -> StateSpace:
     """States file: one label per line, file order = ordinal order."""
-    labels = [ln.strip() for ln in _read_text(path).splitlines() if ln.strip()]
+    labels = [ln.strip() for ln in _read(path, utf8_text).splitlines() if ln.strip()]
     return StateSpace(tuple(labels))
 
 
-def _read_series(path: str) -> bytes:
-    """A series file's bytes, a UTF-8 byte-order mark skipped.
-
-    The bytes go to :func:`parse_series` as they are, with no str made of
-    them.  A file that is not ASCII is decoded once, only to check that it
-    is UTF-8; :func:`parse_series` makes its non-ASCII line breaks "\n".
-    """
-    data = Path(path).read_bytes()
-    if data.startswith(codecs.BOM_UTF8):
-        data = data[len(codecs.BOM_UTF8) :]
-    if not data.isascii():
-        try:
-            data.decode()
-        except UnicodeDecodeError as exc:
-            raise DarcatError(_not_utf8(path, exc)) from None
-    return data
-
-
-def _load_series(paths: list[str], space: StateSpace) -> CatSeries:
-    """Parse one or more CSV files, read as bytes; several files are concatenated in order."""
-    parts = [parse_series(_read_series(p), space) for p in paths]
+def _load_series(paths: list[str], states: str) -> CatSeries:
+    """The series in the CSV files at ``paths``, over the ``states`` file's labels; several are joined in order."""
+    space = _read_states(states)
+    parts = [_read(p, lambda data: parse_series(data, space)) for p in paths]
     if len(parts) == 1:
         return parts[0]
     obs = np.concatenate([s.obs for s in parts])
@@ -180,51 +161,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_dar(args: argparse.Namespace) -> int:
-    space = _read_states(args.states)
-    series = _load_series(args.input, space)
+    series = _load_series(args.input, args.states)
     pi_est = estimate_pi(series)
     beta = estimate_beta(series)
-    if series.has_missing:
-        a1 = estimate_alpha_mle_gapped(series)
-        a1_label = "alpha1 (MLE, gap-aware)"
-    else:
-        a1 = estimate_alpha_mle(series, pi_est.pi_hat)
-        a1_label = "alpha1 (MLE)"
+    a1 = estimate_alpha_mle_gapped(series) if series.has_missing else estimate_alpha_mle(series, pi_est.pi_hat)
     made, failure = _or_na(lambda s: _test_series(s, args.missing_policy), series)
     test_series, notes = made or (None, [f"policy {args.missing_policy}: unusable ({failure})"])
-    a2, a2_err = _or_na(lambda s: estimate_alpha_ls(s, estimate_pi(s).pi_hat), test_series)
+    a2 = _or_na(lambda s: estimate_alpha_ls(s, estimate_pi(s).pi_hat), test_series)
     tests = _run_tests(test_series, args.level, a1.alpha_hat)
-
-    csv = render.fit_dar_csv(pi_est.pi_hat, a1, a2, beta, tests)
+    report = functools.partial(render.fit_dar, args.input, series, pi_est, a1, a2, beta, tests, notes, args.level)
     if args.out:  # before stdout, so an unwritable --out prints no report
-        Path(args.out).write_text(csv, encoding="utf-8")
-    if args.format == "csv":
-        sys.stdout.write(csv)
-    else:
-        lines = [
-            f"series: {', '.join(args.input)}",
-            f"  {len(series)} positions, k={space.k} categories, {series.n_missing} missing",
-            *(f"  {note}" for note in notes),
-            "estimates (full series):",
-            f"  pi_hat: {render.pi_vector(pi_est.pi_hat)}  [n_obs={pi_est.n_obs}]",
-            f"  {a1_label}: {a1.alpha_hat:.4f}" + ("" if a1.converged else "  [not admissible]"),
-        ]
-        if a2 is not None:
-            lines.append(
-                f"  alpha2 (least squares, on policy series): {a2.alpha_hat:.4f}"
-                + ("" if a2.converged else "  [outside [0,1)]")
-            )
-        else:
-            lines.append(f"  alpha2 (least squares): NA ({a2_err})")
-        lines.append(f"  beta_hat (missing probability): {beta:.4f}   observed fraction: {1 - beta:.4f}")
-        lines += render.test_lines(tests, f"independence tests at level {args.level} (on policy series):")
-        sys.stdout.write("\n".join(lines) + "\n")
+        Path(args.out).write_text(report("csv"), encoding="utf-8")
+    sys.stdout.write(report(args.format))
     return 0
 
 
 def cmd_test(args: argparse.Namespace) -> int:
-    space = _read_states(args.states)
-    series = _load_series(args.input, space)
+    series = _load_series(args.input, args.states)
     test_series, notes = _test_series(series, args.missing_policy)
     for note in notes:
         _err(note)
@@ -235,8 +188,7 @@ def cmd_test(args: argparse.Namespace) -> int:
 
 
 def cmd_fit_glm(args: argparse.Namespace) -> int:
-    space = _read_states(args.states)
-    series = _load_series(args.input, space)
+    series = _load_series(args.input, args.states)
     lags = _parse_lags(args.lags)
     families = ("categorical", "ordinal") if args.family == "both" else (args.family,)
     tables = aic_tables(series, families, lags=lags, common_rows=args.common_rows)

@@ -36,9 +36,11 @@ __all__ = [
     "MalformedRow",
     "TooShort",
     "MissingValuePresent",
+    "NotUtf8",
     "StateSpace",
     "CatSeries",
     "parse_series",
+    "utf8_text",
     "serialize_series",
     "path_counts",
     "run_lengths",
@@ -66,6 +68,18 @@ class TooShort(DarcatError):
 
 class MissingValuePresent(DarcatError):
     """Operation requires a complete series but missing values are present."""
+
+
+class NotUtf8(DarcatError):
+    """Bytes read as text were not UTF-8."""
+
+
+def utf8_text(data: bytes) -> str:
+    """``data`` decoded; :class:`NotUtf8` names the reason and the offset of the first byte that is not UTF-8."""
+    try:
+        return data.decode()
+    except UnicodeDecodeError as exc:
+        raise NotUtf8(f"not UTF-8 text ({exc.reason} at byte {exc.start})") from None
 
 
 @dataclass(frozen=True)
@@ -449,10 +463,13 @@ def parse_series(csv_text: str | bytes, space: StateSpace) -> CatSeries:
     cell is coded by comparing its bytes with each label's; stamps are
     decoded only when they are not the implicit ones.  Only a text that
     fails these checks is read again row by row, by :func:`_first_error`,
-    to name its first bad row.
+    to name its first bad row.  Bytes that are not ASCII are first decoded
+    once, to check them: :class:`NotUtf8` names the first bad byte's offset.
     """
     data = csv_text.encode() if isinstance(csv_text, str) else csv_text
     ascii_only = data.isascii()  # then it holds no non-ASCII line break or space
+    if isinstance(csv_text, bytes) and not ascii_only:
+        utf8_text(data)  # decoded once, only to check it
     if b"\r" in data:
         data = data.replace(b"\r\n", b"\n")
     for brk in _held(data, _LINE_BREAKS, ascii_only):

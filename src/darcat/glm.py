@@ -290,14 +290,14 @@ def _multinomial_evaluation(X: np.ndarray, counts: np.ndarray):
             return (inverse @ odds[:, :-1]).T.ravel()
 
     else:
-        eye = np.eye(seen.shape[1])
+        others = 1.0 - np.eye(seen.shape[1] + 1, seen.shape[1])
         xx = None
 
         def step(probs: np.ndarray, weighted: np.ndarray, grad: np.ndarray) -> np.ndarray:
             nonlocal xx
             if xx is None:  # at the first Newton step, so a gradient alone never builds it
                 xx = X[:, :, None] * X[:, None, :]
-            return np.linalg.solve(_multinomial_hessian(probs[:, :-1], weighted, xx, eye), -grad)
+            return np.linalg.solve(_multinomial_hessian(probs, weighted, xx, others), -grad)
 
     def evaluate(params: np.ndarray):
         eta, lse, probs = _multinomial_probs(params, X, coef)
@@ -308,15 +308,19 @@ def _multinomial_evaluation(X: np.ndarray, counts: np.ndarray):
     return evaluate
 
 
-def _multinomial_hessian(probs: np.ndarray, weighted: np.ndarray, xx: np.ndarray, eye: np.ndarray) -> np.ndarray:
+def _multinomial_hessian(probs: np.ndarray, weighted: np.ndarray, xx: np.ndarray, others: np.ndarray) -> np.ndarray:
     """-sum_r n_r W_r (x) x_r x_r' with W_r = diag(p_r) - p_r p_r', in the row-wise order of ``params``.
 
-    ``probs`` holds the p_r of the non-reference categories, ``weighted``
-    is n_r p_r, ``xx`` holds the x_r x_r' and ``eye`` is the (q, q)
-    identity, built once per fit.
+    ``probs`` holds the p_r of every category, the reference last,
+    ``weighted`` is n_r p_r of the non-reference ones and ``xx`` holds the
+    x_r x_r'.  W_r's diagonal p_a (1 - p_a) is p_a times the sum of every
+    other category's p, ``probs @ others``: 1 - p_a would cancel as p_a
+    nears 1.  ``others``, built once per fit, is the (q + 1, q) 0/1 matrix
+    with a 0 in row a of column a only.
     """
-    (m, q), p = probs.shape, xx.shape[1]
-    w = weighted[:, :, None] * (eye - probs[:, None, :])
+    (m, q), p = weighted.shape, xx.shape[1]
+    w = weighted[:, :, None] * -probs[:, None, :q]
+    w.reshape(m, q * q)[:, :: q + 1] = weighted * (probs @ others)
     # one product sums over the patterns: (q*q, m) @ (m, p*p) holds the (a, c, i, j) entries
     h = w.reshape(m, q * q).T @ xx.reshape(m, p * p)
     return -h.reshape(q, q, p, p).transpose(0, 2, 1, 3).reshape(q * p, q * p)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-__all__ = ["FORMATS", "aic_table", "cell", "fit_dar_csv", "pi_vector", "study_table", "table", "test_lines"]
+__all__ = ["FORMATS", "aic_table", "cell", "fit_dar", "pi_vector", "study_table", "table", "test_lines"]
 
 FORMATS = ("csv", "md", "txt")
 
@@ -110,24 +110,50 @@ def test_lines(tests, heading: str) -> list[str]:
     return lines
 
 
-def fit_dar_csv(pi_hat, a1, a2, beta: float, tests) -> str:
-    """The one-row csv table of ``fit-dar``: floats to six decimals, flags as 0/1, NA where absent."""
+def fit_dar(paths, series, pi_est, a1, a2, beta: float, tests, notes, level: float, fmt: str) -> str:
+    """The ``fit-dar`` report of ``series``, read from ``paths``: a csv row, or txt prose.
 
-    def fields(obj, *attrs) -> list:
-        return [None if obj is None else getattr(obj, attr) for attr in attrs]
+    csv has floats to six decimals, flags as 0/1 and NA where absent.  txt
+    names the series and its test-series ``notes``, then the estimates and
+    :func:`test_lines` at ``level``.  ``a2``, as each of ``tests``, is
+    (estimate, None) or (None, why NA).
+    """
+    a2, a2_err = a2
+    if fmt == "csv":
 
-    header = (
-        "pi_hat,alpha1,alpha1_converged,alpha2,alpha2_converged,beta_missing,observed_fraction,"
-        "chi2_stat,chi2_p,chi2_reject,runs_stat,runs_p,runs_reject,"
-        "longest_stat,longest_reject,longest_power"
-    ).split(",")
-    values = [
-        *fields(a1, "alpha_hat", "converged"),
-        *fields(a2, "alpha_hat", "converged"),
-        beta,
-        1.0 - beta,
-        *fields(tests["chi_square"][0], "statistic", "p_value", "reject"),
-        *fields(tests["runs_count"][0], "statistic", "p_value", "reject"),
-        *fields(tests["longest_run"][0], "statistic", "reject", "power"),
+        def fields(obj, *attrs) -> list:
+            return [None if obj is None else getattr(obj, attr) for attr in attrs]
+
+        header = (
+            "pi_hat,alpha1,alpha1_converged,alpha2,alpha2_converged,beta_missing,observed_fraction,"
+            "chi2_stat,chi2_p,chi2_reject,runs_stat,runs_p,runs_reject,"
+            "longest_stat,longest_reject,longest_power"
+        ).split(",")
+        values = [
+            *fields(a1, "alpha_hat", "converged"),
+            *fields(a2, "alpha_hat", "converged"),
+            beta,
+            1.0 - beta,
+            *fields(tests["chi_square"][0], "statistic", "p_value", "reject"),
+            *fields(tests["runs_count"][0], "statistic", "p_value", "reject"),
+            *fields(tests["longest_run"][0], "statistic", "reject", "power"),
+        ]
+        return table("csv", header, [[pi_vector(pi_est.pi_hat), *map(cell, values)]])
+    a1_label = "alpha1 (MLE, gap-aware)" if series.has_missing else "alpha1 (MLE)"
+    if a2 is None:
+        a2_line = f"alpha2 (least squares): NA ({a2_err})"
+    else:
+        a2_line = f"alpha2 (least squares, on policy series): {a2.alpha_hat:.4f}"
+        a2_line += "" if a2.converged else "  [outside [0,1)]"
+    lines = [
+        f"series: {', '.join(paths)}",
+        f"  {len(series)} positions, k={series.space.k} categories, {series.n_missing} missing",
+        *(f"  {note}" for note in notes),
+        "estimates (full series):",
+        f"  pi_hat: {pi_vector(pi_est.pi_hat)}  [n_obs={pi_est.n_obs}]",
+        f"  {a1_label}: {a1.alpha_hat:.4f}" + ("" if a1.converged else "  [not admissible]"),
+        f"  {a2_line}",
+        f"  beta_hat (missing probability): {beta:.4f}   observed fraction: {1 - beta:.4f}",
+        *test_lines(tests, f"independence tests at level {level} (on policy series):"),
     ]
-    return table("csv", header, [[pi_vector(pi_hat), *map(cell, values)]])
+    return "\n".join(lines) + "\n"

@@ -378,6 +378,9 @@ STATES_FILES = {
     "duplicate-labels": (b"A\nB\nA\n", "error: state space labels must be pairwise distinct\n"),
     "empty": (b"", "error: state space needs at least 2 categories, got 0\n"),
     "bom-crlf": (BOM + b"A\r\nB\r\n", None),  # read as "A\nB\n"
+    "cr": (b"A\rB\r", None),
+    "u0085": ("A\x85B\x85".encode(), None),
+    "u2028": ("A\u2028B\u2028".encode(), None),
 }
 
 

@@ -15,6 +15,7 @@ from darcat.core import (
     DarcatError,
     MalformedRow,
     MissingValuePresent,
+    NotUtf8,
     StateSpace,
     TooShort,
     UnknownLabel,
@@ -486,6 +487,24 @@ def test_bytes_read_as_their_text(text):
     assert got.obs.tolist() == obs
     implicit = tuple(str(i) for i in range(len(got)))
     assert got.time_labels == (None if times == implicit else times)
+
+
+NOT_UTF8 = {
+    "header": (b"t\xff,value\n0,A\n1,B\n", "invalid start byte at byte 1"),
+    "stamp": (b"t,value\n0,A\n1,A\n\xff\xfe,B\n", "invalid start byte at byte 16"),
+    "value-cell": (b"t,value\n0,A\n1,\xffB\n", "invalid start byte at byte 14"),
+    # the offset counts in the bytes given, before their line breaks are made "\n"
+    "value-cell-after-crlf-and-u2028": (
+        "t,value\r\n0,A\u2028".encode() + b"1,B\xc3\n", "invalid continuation byte at byte 18"
+    ),
+}
+
+
+@pytest.mark.parametrize("data, why", NOT_UTF8.values(), ids=NOT_UTF8.keys())
+def test_bytes_that_are_not_utf8_are_refused_naming_the_offset(data, why):
+    with pytest.raises(NotUtf8) as refused:
+        parse_series(data, AB)
+    assert str(refused.value) == f"not UTF-8 text ({why})"
 
 
 def test_a_stamp_changed_at_any_row_or_place_is_kept():
