@@ -6,13 +6,15 @@ series is stored once, as the read-only int64 array ``CatSeries.obs``,
 and the series operations work on it without a per-observation loop.
 Time labels are checked once, where they enter; derived series index
 their one stored array, and text is made of them only when they are read
-or written.  :func:`parse_series` / :func:`serialize_series` read and
-write a series as one UTF-8 byte buffer, with no Python object per row or
-cell; the reader takes bytes as they are.  Both spell the stamps 0, 1, ...
-as 8-byte words: the reader compares each row's start with its word by
-one unaligned load, and the writer stores each row's stamp and value cell
-as integers.  All containers are immutable after construction and safe to
-share across threads; every operation here is a pure function.  The facts
+or written.  :func:`serialize_series` writes a series as one UTF-8 byte
+buffer, with no Python object per row or cell, and :func:`parse_series`
+reads the text it writes for the stamps 0, 1, ... the same way, taking
+bytes as they are; any other text, such as a hand-kept record, is read
+row by row.  Both spell the stamps 0, 1, ... as 8-byte words: the reader
+compares each row's start with its word by one unaligned load, and the
+writer stores each row's stamp and value cell as integers.  All
+containers are immutable after construction and safe to share across
+threads; every operation here is a pure function.  The facts
 that the estimators, tests and fits read off a series (its state counts,
 per-gap pair table, runs and window tables) are cached, computed on
 first read; two threads reading one at once at most compute it twice.
@@ -419,7 +421,7 @@ def path_counts(paths: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 _LINE_BREAKS = "\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"  # where str.splitlines breaks a line besides "\n"
-# what str.strip removes besides "\n" and _LINE_BREAKS, all of which parse_series makes "\n" first
+# what str.strip removes besides "\n" and _LINE_BREAKS
 _SPACES = " \t\x1f\xa0\u1680\u2000\u2001\u2002\u2003\u2004\u2005\u2006\u2007\u2008\u2009\u200a\u202f\u205f\u3000"
 
 
@@ -452,81 +454,74 @@ def parse_series(csv_text: str | bytes, space: StateSpace) -> CatSeries:
     ``t`` column is kept as the time labels (``None`` when it is the
     implicit '0', '1', ..., see :class:`CatSeries`).
 
-    The text is read as one UTF-8 byte buffer (bytes are read as they
-    are, a str is encoded once), without a Python object per row or cell:
-    line breaks become "\n" and numpy strips the cells.  One scan finds
-    the line breaks.  The stamps are first taken to be '0', '1', ...: one
-    unaligned 8-byte load per row compares each row's start with its
-    number's digits and a comma, which also places the row's comma.  Only
-    when they differ does a second scan find the commas, and then the text
-    has rows when each line that is not blank holds one comma.  Each value
-    cell is coded by comparing its bytes with each label's; stamps are
-    decoded only when they are not the implicit ones.  Only a text that
-    fails these checks is read again row by row, by :func:`_first_error`,
-    to name its first bad row.  Bytes that are not ASCII are first decoded
-    once, to check them: :class:`NotUtf8` names the first bad byte's offset.
+    The text that :func:`serialize_series` writes for the stamps 0..n,
+    which ``simulate`` writes too, is read as one UTF-8 byte buffer (bytes
+    as they are, a str encoded once), with no Python object per row or
+    cell.  That text ends in "\n", its first line holds one comma and no
+    other line break, and every other line is ``i,cell`` with i counting
+    from 0 and the cell a label or NA.  One scan finds the line breaks;
+    one unaligned 8-byte load per row compares each row's start with its
+    number's digits and a comma, and each value cell is coded by comparing
+    its bytes with each label's and "\n".  Labels hold no comma, line break
+    or surrounding whitespace, so such a text reads as it does row by row.
+    Any other text, hand-made with explicit stamps, spaces, CRLF or blank
+    lines, is read row by row by :func:`_read_rows`, which also names the
+    first bad row.  Bytes are then decoded once: :class:`NotUtf8` names the
+    first bad byte's offset, or a str's first lone surrogate.
     """
-    data = csv_text.encode() if isinstance(csv_text, str) else csv_text
-    ascii_only = data.isascii()  # then it holds no non-ASCII line break or space
-    if isinstance(csv_text, bytes) and not ascii_only:
-        utf8_text(data)  # decoded once, only to check it
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-    for brk in _held(data, _LINE_BREAKS, ascii_only):
-        data = data.replace(brk, b"\n")
-    if not data.endswith(b"\n"):
-        data = data + b"\n"
-    spaces = _held(data, _SPACES, ascii_only)
-    buf = np.frombuffer(data, np.uint8)
-    if spaces:
-        buf = _strip_cells(buf, spaces)
-    breaks = np.flatnonzero(buf == ord("\n"))
-    begins = np.concatenate(([0], breaks[:-1] + 1))  # where each line begins
-    filled = breaks > begins  # a blank line's break directly follows its beginning
-    if not filled.all():
-        breaks, begins = breaks[filled], begins[filled]
-    # a header with one comma and at least two data rows
-    if len(breaks) >= 3 and np.count_nonzero(buf[begins[0] : breaks[0]] == ord(",")) == 1:
-        starts = begins[1:]
-        cells = _after_default_stamps(buf, starts)
-        implicit = cells is not None
-        if not implicit:
-            cells = _after_commas(buf, begins, breaks)
-        if cells is not None:
-            obs = _codes(buf, cells, space)
-            if obs.all():  # every value cell is a label or NA
-                return CatSeries(space, obs, _stamps=None if implicit else _decode_cells(buf, starts, cells - 1 - starts))
-    raise _first_error(csv_text.decode() if isinstance(csv_text, bytes) else csv_text, space)
+    if isinstance(csv_text, bytes):
+        data = csv_text
+    else:
+        try:
+            data = csv_text.encode()
+        except UnicodeEncodeError as exc:
+            raise NotUtf8(f"not UTF-8 text ({exc.reason} at character {exc.start})") from None
+    if data.endswith(b"\n") and _plain_header(data[: data.index(b"\n")]):
+        buf = np.frombuffer(data, np.uint8)
+        starts = np.flatnonzero(buf == ord("\n"))[:-1] + 1  # where each line after the first begins
+        if len(starts) >= 2:
+            cells = _after_default_stamps(buf, starts)
+            if cells is not None:
+                obs = _codes(buf, cells, space)
+                if obs.all():  # every value cell is a label or NA
+                    return CatSeries(space, obs)
+    return _read_rows(utf8_text(data) if isinstance(csv_text, bytes) else csv_text, space)
 
 
-def _held(data: bytes, chars: str, ascii_only: bool) -> list[bytes]:
-    """The UTF-8 bytes of each of ``chars`` that ``data`` holds; only the ASCII ones are looked for when ``ascii_only``."""
-    return [c.encode() for c in chars if (c.isascii() or not ascii_only) and c.encode() in data]
+def _plain_header(header: bytes) -> bool:
+    """Whether ``header`` is UTF-8 with one comma and none of the line breaks str.splitlines knows besides "\n"."""
+    try:
+        text = header.decode()
+    except UnicodeDecodeError:
+        return False
+    return text.count(",") == 1 and not any(c in text for c in _LINE_BREAKS)
 
 
-def _strip_cells(buf: np.ndarray, spaces: list[bytes]) -> np.ndarray:
-    """The text ``buf`` (UTF-8, "\n" line breaks, ending in one) with each cell stripped as by str.strip.
+def _read_rows(text: str, space: StateSpace) -> CatSeries:
+    """The series in ``text`` read row by row, or the first error met, as :func:`parse_series` reads any text it does not read as bytes.
 
-    ``spaces`` are the UTF-8 bytes of the whitespace characters in the
-    text.  The bytes of each are marked, and each run of marked bytes that
-    touches a comma, a line break or the start of the text is dropped.
+    Lines are split as by str.splitlines, and those blank after str.strip
+    are skipped, so line numbers count the non-blank lines.  The header's
+    cells are only counted; every other cell is stripped.
     """
-    marked = np.zeros(len(buf), bool)
-    for char in spaces:
-        m = len(buf) - len(char) + 1
-        hit = buf[:m] == char[0]
-        for j in range(1, len(char)):
-            hit &= buf[j : m + j] == char[j]
-        for j in range(len(char)):
-            marked[j : m + j] |= hit
-    # the text's last byte, a line break, is also the one before its first
-    first = np.flatnonzero(marked & ~np.roll(marked, 1))
-    last = np.flatnonzero(marked & ~np.roll(marked, -1))
-    del marked
-    sep = (buf == ord(",")) | (buf == ord("\n"))
-    edge = sep[first - 1] | sep[last + 1]
-    del sep
-    return buf[~_spans(len(buf), first[edge], last[edge] + 1)]
+    lines = [ln for ln in text.splitlines() if ln.strip() != ""]
+    if not lines:
+        raise TooShort("empty input")
+    header = lines[0].split(",")
+    if len(header) != 2:
+        raise MalformedRow(f"expected 2 header columns, got {len(header)}")
+    code_of = dict(zip(space.labels, range(1, space.k + 1)), NA=MISSING)
+    obs, stamps = [], []
+    for lineno, ln in enumerate(lines[1:], start=2):
+        cells = ln.split(",")
+        if len(cells) != 2:
+            raise MalformedRow(f"line {lineno}: expected 2 columns, got {len(cells)}")
+        value = cells[1].strip()
+        obs.append(code_of.get(value) or space.code_of(value))  # no code is 0; code_of raises UnknownLabel
+        stamps.append(cells[0].strip())
+    if len(obs) < 2:
+        raise TooShort(f"need at least 2 data rows, got {len(obs)}")
+    return CatSeries(space, obs, _stamps=_unless_implicit(np.array(stamps, dtype=object)))
 
 
 def _codes(buf: np.ndarray, starts: np.ndarray, space: StateSpace) -> np.ndarray:
@@ -584,62 +579,12 @@ def _begins_with(buf: np.ndarray, at: np.ndarray, words: np.ndarray, size: int) 
     return True
 
 
-def _after_commas(buf: np.ndarray, begins: np.ndarray, breaks: np.ndarray) -> np.ndarray | None:
-    """Where each data row's value cell starts if every line holds one comma before its break; else ``None``."""
-    commas = np.flatnonzero(buf == ord(","))
-    if len(commas) == len(breaks) and (commas >= begins).all() and (commas < breaks).all():
-        return commas[1:] + 1
-    return None
-
-
 def _words_view(buf: np.ndarray | bytearray, count: int, size: int = 8, offset: int = 0, stride: int = 1) -> np.ndarray:
     """A view of ``count`` little-endian ``size``-byte unsigned ints in ``buf`` from ``offset`` on, ``stride`` bytes apart.
 
     The integers need not be aligned, and with a stride below ``size`` they overlap.
     """
     return np.ndarray((count,), f"<u{size}", buffer=buf, offset=offset, strides=(stride,))
-
-
-def _decode_cells(buf: np.ndarray, starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """The cells of ``buf`` at ``starts`` as an object array of str, each of which is followed by a comma."""
-    cells = buf[_spans(len(buf), starts, starts + lengths + 1)]  # each cell with its comma
-    return np.array(cells.tobytes().decode().split(",")[:-1], dtype=object)
-
-
-def _spans(size: int, starts: np.ndarray, stops: np.ndarray) -> np.ndarray:
-    """A (size,) bool mask of the disjoint spans [starts[i], stops[i]), none of which starts where another stops."""
-    edge = np.zeros(size + 1, np.int8)
-    edge[starts] = 1
-    edge[stops] = -1
-    return np.cumsum(edge[:-1], dtype=np.int8).view(bool)
-
-
-def _first_error(csv_text: str, space: StateSpace) -> DarcatError:
-    """The error that reading ``csv_text`` row by row meets first.
-
-    This is the original per-row parser, kept to report errors only: it
-    runs after :func:`parse_series` has found the text invalid, so each
-    error keeps its type and message, and line numbers count the
-    non-blank lines.
-    """
-    lines = [ln for ln in csv_text.splitlines() if ln.strip() != ""]
-    if not lines:
-        return TooShort("empty input")
-    header = lines[0].split(",")
-    if len(header) != 2:
-        return MalformedRow(f"expected 2 header columns, got {len(header)}")
-    for lineno, ln in enumerate(lines[1:], start=2):
-        cells = [c.strip() for c in ln.split(",")]
-        if len(cells) != 2:
-            return MalformedRow(f"line {lineno}: expected 2 columns, got {len(cells)}")
-        if cells[1] != "NA":
-            try:
-                space.code_of(cells[1])
-            except UnknownLabel as exc:
-                return exc
-    if len(lines) < 3:
-        return TooShort(f"need at least 2 data rows, got {len(lines) - 1}")
-    raise AssertionError("parse_series rejected a text that reads row by row without error")
 
 
 def _stamp_words(n: int):

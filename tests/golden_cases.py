@@ -48,12 +48,16 @@ CASES = {
     "fit_dar_long_gapped_csv": ["fit-dar", *LONG_GAPPED, "--format", "csv"],
     "fit_dar_long_gapped_drop_csv": ["fit-dar", *LONG_GAPPED, "--missing-policy", "drop", "--format", "csv"],
     "test_long_gapped_drop": ["test", *LONG_GAPPED, "--missing-policy", "drop"],
+    # inputs/handmade.csv is kept by hand: a byte-order mark, year stamps, CRLF line ends, spaces around cells,
+    # a blank line, an NA and no final line break, so it is read by the row reader
+    "fit_dar_handmade_txt": FIT_DAR + ["inputs/handmade.csv"],
     "fit_dar_mixed_width_csv": ["fit-dar", "inputs/mixed_width.csv", "--states", "inputs/states10.txt", "--format", "csv"],
     "test_drop": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt", "--missing-policy", "drop"],
     "test_default": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt"],
     "fit_glm_csv": FIT_GLM + ["--format", "csv", "--out", "glm.csv"],
     # lags 0 and 1 of the categorical fit are saturated, so they start at their closed-form optimum
     "fit_glm_complete_csv": ["fit-glm", "inputs/complete.csv", "--states", "inputs/states3.txt", "--format", "csv"],
+    "fit_glm_handmade_csv": ["fit-glm", "inputs/handmade.csv", "--states", "inputs/states3.txt", "--format", "csv"],
     "fit_glm_md": FIT_GLM + ["--format", "md"],
     "fit_glm_txt": FIT_GLM,
     "fit_glm_common_csv": FIT_GLM + ["--common-rows", "--format", "csv"],

@@ -63,8 +63,8 @@ def serialize_reference(series):
 
 
 def counting_locator():
-    """Wraps the row-by-row error locator of ``parse_series`` to count how often it runs."""
-    return mock.patch.object(core, "_first_error", wraps=core._first_error)
+    """Wraps the row reader of ``parse_series`` to count how often it runs."""
+    return mock.patch.object(core, "_read_rows", wraps=core._read_rows)
 
 
 def test_state_space_codes_are_label_order():
@@ -165,11 +165,9 @@ def simulated(missing):
 @settings(max_examples=300, deadline=None)
 def test_series_reads_back_from_its_text(written):
     series, text = written
-    with counting_locator() as locator:
-        parsed = parse_series(text, series.space)
-        assert parse_series(serialize_series(series), series.space) == series
+    parsed = parse_series(text, series.space)
+    assert parse_series(serialize_series(series), series.space) == series
     assert parsed == series
-    assert locator.call_count == 0  # valid text never reaches the row-by-row reading
     obs, times = parse_reference(text, series.space)
     assert parsed.obs.tolist() == obs
     assert (parsed.time_labels or tuple(str(i) for i in range(len(parsed)))) == times
@@ -477,7 +475,11 @@ BYTE_TEXTS = {
 
 @pytest.mark.parametrize("text", BYTE_TEXTS.values(), ids=BYTE_TEXTS.keys())
 def test_bytes_read_as_their_text(text):
-    space = StateSpace(("a", "bc"))
+    assert_reads_as_reference(text, StateSpace(("a", "bc")))
+
+
+def assert_reads_as_reference(text, space):
+    """``text``, given as str and as bytes, reads as ``parse_reference`` reads it: the same series, or the same error."""
     got = read_both_ways(text, space)
     try:
         obs, times = parse_reference(text, space)
@@ -487,6 +489,83 @@ def test_bytes_read_as_their_text(text):
     assert got.obs.tolist() == obs
     implicit = tuple(str(i) for i in range(len(got)))
     assert got.time_labels == (None if times == implicit else times)
+
+
+# 1-3 of these are put into, or over one character of, a text as the writer writes it
+EDITS = ["\r", "\r\n", "\x85", "\u2028", "\x0b", " ", "\t", "\x1f", "\xa0", ",", "NA", "\ufeff", ""]
+
+
+@st.composite
+def edited_texts(draw):
+    """A state space and the text ``serialize_series`` writes for a series on it, stamped 0..n, with 1-3 edits.
+
+    Each edit puts one of ``EDITS``, digits or a label at a place in the text, or over the character there.
+    """
+    k = draw(st.integers(2, 5))
+    label = st.text(alphabet="ab é€", min_size=1, max_size=3).filter(lambda t: t == t.strip())
+    labels = draw(st.lists(label, min_size=k, max_size=k, unique=True))
+    space = StateSpace(tuple(labels))
+    values = draw(st.lists(st.sampled_from([*range(1, k + 1), MISSING]), min_size=2, max_size=25))
+    text = serialize_series(CatSeries(space, values))
+    edit = st.one_of(st.sampled_from(EDITS), st.from_regex(r"[0-9]{1,2}", fullmatch=True), st.sampled_from(labels))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        over = draw(st.booleans()) and at < len(text)
+        text = text[:at] + draw(edit) + text[at + over :]
+    return space, text
+
+
+@given(edited_texts())
+# a header holding a line break other than "\n": reading it as one line would find its one comma
+@example((StateSpace(("a", "b")), "t\rx,value\n0,a\n1,a\n"))
+@example((StateSpace(("a", "b")), "t\x85x,value\n0,a\n1,b\n"))
+@settings(max_examples=500, deadline=None)
+def test_edited_written_texts_read_as_row_by_row(edited):
+    """Nothing the byte path accepts reads differently row by row, whatever a hand edit puts in the writer's text."""
+    assert_reads_as_reference(edited[1], edited[0])
+
+
+PATH_LABELS = {
+    "ascii-k2": ("lo", "hi"),
+    "utf8-k3": ("é", "€", "\U0001d11e"),
+    "inner-spaces-k4": ("b c", "a", "é €", "\U0001d11e x"),
+    "mixed-k20": tuple(f"{c}{i}" for i, c in enumerate(["a", "é", "€", "\U0001d11e", "b c"] * 4)),
+}
+
+
+def hand_made(text):
+    """``text``, as the writer writes it for stamps 0..n, with each of five differences a hand-kept file may have."""
+    lines = text.split("\n")  # the last is empty, as the text ends in a line break
+    mid = len(lines) // 2
+    return {
+        "explicit-stamps": "\n".join([lines[0], *(f"{1975 + i},{ln.split(',', 1)[1]}" for i, ln in enumerate(lines[1:-1])), ""]),
+        "crlf": text.replace("\n", "\r\n"),
+        "space-around-a-cell": "\n".join([*lines[:mid], lines[mid] + " ", *lines[mid + 1 :]]),
+        "blank-line": "\n".join([*lines[:mid], "", *lines[mid:]]),
+        "no-final-line-break": text[:-1],
+    }
+
+
+@pytest.mark.parametrize("n", [2, 9, 10, 11, 99, 100, 101, 999, 1000, 1001, 9999, 10**4, 10**4 + 1])
+@pytest.mark.parametrize("labels", PATH_LABELS.values(), ids=PATH_LABELS.keys())
+def test_only_hand_made_text_reaches_the_row_reader(labels, n):
+    """The writer's text for stamps 0..n is read as bytes; the same series with one hand-made difference, row by row."""
+    space = StateSpace(labels)
+    rng = np.random.default_rng(n)
+    codes = np.where(rng.random(n) < 0.1, MISSING, rng.integers(1, space.k + 1, n))
+    codes[1] = MISSING
+    series = CatSeries(space, codes)
+    text = serialize_series(series)
+    with counting_locator() as locator:
+        assert parse_series(text, space) == series
+        assert parse_series(text.encode(), space) == series
+    assert locator.call_count == 0
+    stamped = CatSeries(space, codes, [str(1975 + i) for i in range(n)])
+    for name, edited in hand_made(text).items():
+        for given in (edited, edited.encode()):
+            with counting_locator() as locator:
+                assert parse_series(given, space) == (stamped if name == "explicit-stamps" else series), name
+            assert locator.call_count == 1, name
 
 
 NOT_UTF8 = {
@@ -505,6 +584,21 @@ def test_bytes_that_are_not_utf8_are_refused_naming_the_offset(data, why):
     with pytest.raises(NotUtf8) as refused:
         parse_series(data, AB)
     assert str(refused.value) == f"not UTF-8 text ({why})"
+
+
+LONE_SURROGATES = {
+    "header": ("t\ud800,value\n0,A\n1,B\n", 1),
+    "stamp": ("t,value\n0,A\n\udfff,B\n", 12),
+    "value-cell": ("t,value\n0,\ud800\n1,A\n", 10),
+}
+
+
+@pytest.mark.parametrize("text, at", LONE_SURROGATES.values(), ids=LONE_SURROGATES.keys())
+def test_a_lone_surrogate_is_refused_naming_the_character(text, at):
+    """A str that no UTF-8 bytes spell is refused like bytes that are not UTF-8, at its character's offset."""
+    with pytest.raises(NotUtf8) as refused:
+        parse_series(text, AB)
+    assert str(refused.value) == f"not UTF-8 text (surrogates not allowed at character {at})"
 
 
 def test_a_stamp_changed_at_any_row_or_place_is_kept():
