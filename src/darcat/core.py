@@ -181,8 +181,9 @@ class CatSeries:
         obs.setflags(write=False)
         object.__setattr__(self, "obs", obs)
         k = self.space.k
-        bad = np.flatnonzero(((obs < 1) | (obs > k)) & (obs != MISSING))
-        if bad.size:
+        # the bounds first, so that no huge code sizes the bincount under state_counts, whose bin 1 counts the codes 0
+        if obs.min() < MISSING or obs.max() > k or self.state_counts.base[1]:
+            bad = np.flatnonzero(((obs < 1) | (obs > k)) & (obs != MISSING))
             i = int(bad[0])
             raise DarcatError(f"observation {obs[i]} at index {i} outside {{-1}} U 1..{k}")
         if time_labels is not None:
@@ -225,10 +226,15 @@ class CatSeries:
 
     @cached_property
     def state_counts(self) -> np.ndarray:
-        """Occurrences of each category 1..k among the observed values, a read-only (k,) int64 array."""
-        counts = np.bincount(self.obs + 1, minlength=self.space.k + 2)[2:]  # MISSING counts in bin 0
+        """Occurrences of each category 1..k among the observed values, a read-only (k,) int64 array.
+
+        Counted as the codes are checked: it is bins 2.. of the bincount of
+        the codes plus 1, in which MISSING counts in bin 0 and a code 0,
+        which the check refuses, in bin 1.
+        """
+        counts = np.bincount(self.obs + 1, minlength=self.space.k + 2)
         counts.setflags(write=False)
-        return counts
+        return counts[2:]
 
     @cached_property
     def pairs(self) -> tuple[np.ndarray, np.ndarray]:

@@ -10,13 +10,14 @@ that is convex and decreasing in alpha, found by Newton's method from a
 lower bound of the root, which it climbs to without overshooting.  On a
 gapped series it may have several local maxima, so its first maximum on
 a grid of 10^4 points is refined.  That grid point is the dense scan's
-argmax, found while evaluating about a sixth of the grid: each repeat
+argmax, found while evaluating about a tenth of the grid: each repeat
 term of the likelihood is non-decreasing in alpha and each jump term
 non-increasing, so on a block [a, b] of the grid it is at most rep(b) +
-jump(a), and a block whose bound falls below the best block end value,
-less a slack of 1e-9 of it for rounding, is skipped
-(:func:`_grid_argmax`).  Two scans of 201 points, at step 1e-6 and then
-1e-8 around the best point so far, refine it.  On complete series both
+jump(a), and a block whose bound falls below the best end value seen,
+less a slack of 1e-9 of it for rounding, is skipped.  The bound is
+applied to the blocks of 100 points, then to the blocks of 10 inside the
+kept ones (:func:`_grid_argmax`).  Two scans of 201 points, at step 1e-6
+and then 1e-8 around the best point so far, refine it.  On complete series both
 alpha estimators run row-batched over stacked jump tables
 (:func:`alpha_mle_rows`, :func:`alpha_ls_rows`); the per-series entry
 points call them with a batch of one.
@@ -258,9 +259,7 @@ def _gapped_loglik(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray):
 
 _GRID = np.arange(0.0, 1.0, 1e-4)  # 10^4 points, the last 0.9999
 _GRID.setflags(write=False)
-_BLOCKS = _GRID.reshape(-1, 100)  # one row per block of 100 consecutive points
-_BLOCK_ENDS = _BLOCKS[:, [0, -1]].ravel()  # first, last point of block 0, of block 1, ...
-_BLOCK_ENDS.setflags(write=False)
+_WIDTHS = (100, 10)  # the blocks bounded, then the blocks inside each kept one
 # relative to |best|: every term is <= 0, so rounding moves a bound or a
 # value by a few ulps per term, far below 1e-9 of it
 _SLACK = 1e-9
@@ -270,24 +269,30 @@ def _grid_argmax(parts) -> int:
     """Index into ``_GRID`` of the first maximum of the log-likelihood ``parts``.
 
     Equals ``np.argmax(rep + jump)`` over the whole grid, while evaluating
-    only the blocks of 100 consecutive points that can hold the maximum.
-    On a block [a, b] the repeat part is at most rep(b) and the jump part
-    at most jump(a), so the log-likelihood is at most rep(b) + jump(a).
-    Both parts are evaluated at every block's two end points, and ``best``
-    is the largest log-likelihood among those points.  A block whose
-    bound falls below ``best`` by more than the slack, 1e-9 of |best|,
-    cannot hold a grid point that reaches ``best``, so it is skipped.
-    Every other block is evaluated point by point, and the first maximum
-    over the kept points in grid order is the dense scan's.
+    only the blocks of consecutive points that can hold the maximum.  On a
+    block [a, b] the repeat part is at most rep(b) and the jump part at
+    most jump(a), so the log-likelihood is at most rep(b) + jump(a).
+    Both parts are evaluated at the two end points of every block of 100,
+    and ``best`` is the largest log-likelihood among the points evaluated
+    so far.  A block whose bound falls below ``best`` by more than the
+    slack, 1e-9 of |best|, cannot hold a grid point that reaches
+    ``best``, so it is skipped.  The same bound is applied again to the
+    blocks of 10 inside the kept blocks of 100, and the kept blocks of 10
+    are evaluated point by point.  ``best`` is a value the dense scan
+    meets, at most its maximum, so no block holding a point that reaches
+    the maximum is ever skipped, and the first maximum over the kept
+    points in grid order is the dense scan's.
     """
-    rep, jump = parts(_BLOCK_ENDS)
-    best = np.max(rep + jump)
-    bound = rep[1::2] + jump[0::2]
-    kept = np.flatnonzero(bound >= best - _SLACK * abs(best))
-    rep, jump = parts(_BLOCKS[kept].ravel())
-    i = int(np.argmax(rep + jump))
-    width = _BLOCKS.shape[1]
-    return int(kept[i // width]) * width + i % width
+    best = -np.inf
+    kept = np.arange(_GRID.size // _WIDTHS[0])
+    for width, inner in zip(_WIDTHS, _WIDTHS[1:] + (1,)):
+        rep, jump = parts(_GRID.reshape(-1, width)[kept][:, [0, -1]].ravel())
+        best = max(best, float(np.max(rep + jump)))
+        kept = kept[rep[1::2] + jump[0::2] >= best - _SLACK * abs(best)]
+        # the kept blocks, as blocks of the next width
+        kept = (kept[:, None] * (width // inner) + np.arange(width // inner)).ravel()
+    rep, jump = parts(_GRID[kept])
+    return int(kept[np.argmax(rep + jump)])
 
 
 def _alpha_mle(gaps: np.ndarray, table: np.ndarray, pi_hat: np.ndarray) -> AlphaEstimate:

@@ -40,14 +40,17 @@ lower lag's counts are the largest lag's table summed over its oldest
 values.  ``Design.X``, ``.y`` and ``.t_index`` still give the rows one
 by one, on request.  A multinomial design is square when it has as many
 kept columns as seen patterns, as every lag-0 and lag-1 design has, and
-saturated when it is square with no zero count.  A saturated design
-starts at its closed-form optimum, so Newton only checks the coefficient
-bound and the gradient there; every other fit starts where it always
-has, at zero or at the empirical cumulative logits.  A Newton step on a
-square multinomial design is a formula, X^-1 times the step in the
-linear predictors (:func:`_newton` derives it), so those fits, mostly
-lag-1 fits with a zero count walking toward separation, build no Hessian
-and solve nothing.
+saturated when it is square with no zero count.  Two kinds of fit have a
+known optimum, the observed response shares, and take it as a formula
+with no evaluation and no Newton step: the multinomial logit on a
+saturated design, every lag-0 design among them, and the proportional
+odds with no slope column, at the empirical cumulative logits.  Both
+keep the coefficient bound (``Separation``).  Every other fit starts
+where it always has, at zero or at the empirical cumulative logits.  A
+Newton step on a square multinomial design is a formula, X^-1 times the
+step in the linear predictors (:func:`_newton` derives it), so the only
+square fits left to Newton, those with a zero count walking toward
+separation, build no Hessian and solve nothing.
 
 Every other Newton step is solved by ``np.linalg.solve`` and the logistic
 function is the numpy expression of :func:`_logistic`, so the package
@@ -355,10 +358,13 @@ def _newton(evaluate, params):
     included, is ``Separation`` once some coefficient exceeds ``MAX_COEF``
     in magnitude.  When the line search or ``MAX_ITER`` stops it short of
     ``GRAD_TOL``, a max |gradient| above 1e-5 is a ``SingularHessian``
-    naming which stopped it.
+    naming which stopped it.  The check of the start guards only the
+    starts Newton is given, of which the empirical cumulative logits can
+    pass the bound; an optimum known in closed form never reaches Newton
+    and is held to the same bound by :func:`_bounded`.
 
     A multinomial step on a square design (as many kept columns as seen
-    patterns: every lag-0 and lag-1 design) is a formula, with no Hessian
+    patterns, as every lag-1 design has) is a formula, with no Hessian
     and no solve.  X is then invertible, so each pattern r has its own
     free linear predictors eta_r = B x_r, and Newton steps are invariant
     under the invertible map B' -> X B' = eta: the step in B' is X^-1 times
@@ -374,9 +380,7 @@ def _newton(evaluate, params):
     x_r, at most 3, so every p_rj exceeds e^-180 / k and y / p never
     divides by zero.
     """
-    if np.abs(params).max() > MAX_COEF:  # a closed-form start beyond the bound (:func:`fit_multinomial`)
-        raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
-    ll, grad, newton_step = evaluate(params)
+    ll, grad, newton_step = evaluate(_bounded(params))
     largest = np.abs(grad).max()
     steps = 0
     while largest >= GRAD_TOL:
@@ -400,11 +404,17 @@ def _newton(evaluate, params):
         params, ll, grad, newton_step = cand, cand_ll, cand_grad, cand_step
         largest = np.abs(grad).max()
         steps += 1
-        if np.abs(params).max() > MAX_COEF:
-            raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
+        _bounded(params)
     if largest > 1e-5:  # a stop short of GRAD_TOL may still be close enough
         raise SingularHessian(f"Newton stalled: {stop}; max |gradient| {largest:.3g}")
     return params, ll, steps
+
+
+def _bounded(params: np.ndarray) -> np.ndarray:
+    """``params``, or ``Separation`` if some coefficient exceeds ``MAX_COEF`` in magnitude."""
+    if np.abs(params).max() > MAX_COEF:
+        raise Separation(f"coefficient magnitude exceeded {MAX_COEF}")
+    return params
 
 
 def _prepare(design: Design):
@@ -419,6 +429,7 @@ def _prepare(design: Design):
     would otherwise leave an empty response class, whose coefficients
     diverge (``Separation``).  Returns the patterns' pruned covariates,
     the count matrix, the categories, the column names and the notes.
+    A lag-0 design's X is [[1]], of full rank, so it is not pruned.
     """
     k = design.k
     table = design.table.reshape(-1, k)
@@ -434,8 +445,10 @@ def _prepare(design: Design):
     # the state at lag d is base-k digit d - 1 of the pattern, state j as j - 1; state k is the reference
     blocks = [(patterns // k ** (d - 1) % k)[:, None] == np.arange(k - 1) for d in range(1, design.lag + 1)]
     X = np.concatenate([np.ones((patterns.size, 1)), *blocks], axis=1)
-    # linear dependence between columns shows on the distinct patterns alone
-    X, names, more_notes = _prune_columns(X, design.column_names)
+    names, more_notes = design.column_names, []
+    if design.lag:
+        # linear dependence between columns shows on the distinct patterns alone
+        X, names, more_notes = _prune_columns(X, names)
     for a in (X, counts):  # shared by every fit of the design
         a.setflags(write=False)
     return X, counts, (present + 1).tolist(), names, notes + more_notes
@@ -446,20 +459,22 @@ def fit_multinomial(design: Design) -> GlmFit:
 
     Category probabilities are exp(b_j'x) / (1 + sum_q exp(b_q'x)) with
     the highest retained category as reference.  A design is saturated
-    when it has as many patterns as columns and no zero count: each
-    pattern then has free probabilities, fitted by its response shares,
-    so the coefficients B solve the square system X B' = log(N_pj / N_p,ref)
-    and Newton starts there, only to check the coefficient bound and the
-    gradient.  Every other design starts at zero.
+    when it has as many patterns as columns and no zero count, as every
+    lag-0 design is: each pattern then has free probabilities, fitted by
+    its response shares, so the coefficients B solve the square system
+    X B' = log(N_pj / N_p,ref), the log partial likelihood is
+    sum N_pj log(N_pj / n_p) and the fit takes no Newton step.  Such an
+    optimum beyond ``MAX_COEF`` is ``Separation``, as Newton's would be.
+    Every other design is fitted by Newton from zero.
     """
     X, counts, categories, names, notes = design._prepared
     k_eff = len(categories)
     p = X.shape[1]
     if counts.shape[0] == p and np.all(counts):
-        start = np.linalg.solve(X, np.log(counts[:, :-1] / counts[:, -1:])).T.ravel()
+        params = _bounded(np.linalg.solve(X, np.log(counts[:, :-1] / counts[:, -1:])).T.ravel())
+        ll, steps = float(np.vdot(counts, np.log(counts / counts.sum(axis=1, keepdims=True)))), 0
     else:
-        start = np.zeros((k_eff - 1) * p)
-    params, ll, steps = _newton(_multinomial_evaluation(X, counts), start)
+        params, ll, steps = _newton(_multinomial_evaluation(X, counts), np.zeros((k_eff - 1) * p))
     return GlmFit(
         family="MultinomialLogit",
         lag=design.lag,
@@ -568,24 +583,32 @@ def fit_proportional_odds(design: Design) -> GlmFit:
 
     Cumulative logits share one slope vector; the cutpoints start at the
     empirical cumulative logits, strictly increasing, and the likelihood
-    keeps them so.  Empty response categories are collapsed out first and
-    flagged in the notes.
+    keeps them so.  With no slope column, as at lag 0, those logits are
+    the optimum, with log partial likelihood sum N_j log(N_j / n), and the
+    fit takes no Newton step; a cutpoint beyond ``MAX_COEF`` is
+    ``Separation``, as Newton's start would be.  Empty response categories
+    are collapsed out first and flagged in the notes.
     """
     X_patterns, counts, categories, names, notes = design._prepared
     k_eff = len(categories)
     q = k_eff - 1
-    cum = np.cumsum(counts.sum(axis=0) / design.n_used)[:q]
-    # the cells are the non-zero (response, pattern) counts: L at an empty cell may underflow to 0
-    response, pattern = np.nonzero(counts.T)
-    X = X_patterns[pattern, 1:]  # cutpoints take the intercept's role
-    start = np.concatenate([np.log(cum / (1.0 - cum)), np.zeros(X.shape[1])])
-    params, ll, steps = _newton(_po_evaluation(X, response + 1, k_eff, counts.T[response, pattern]), start)
+    n_j = counts.sum(axis=0)
+    cum = np.cumsum(n_j / design.n_used)[:q]
+    cutpoints = np.log(cum / (1.0 - cum))
+    p = X_patterns.shape[1] - 1  # cutpoints take the intercept's role
+    if p == 0:
+        params, ll, steps = _bounded(cutpoints), float(n_j @ np.log(n_j / design.n_used)), 0
+    else:
+        # the cells are the non-zero (response, pattern) counts: L at an empty cell may underflow to 0
+        response, pattern = np.nonzero(counts.T)
+        evaluate = _po_evaluation(X_patterns[pattern, 1:], response + 1, k_eff, counts.T[response, pattern])
+        params, ll, steps = _newton(evaluate, np.concatenate([cutpoints, np.zeros(p)]))
     return GlmFit(
         family="ProportionalOdds",
         lag=design.lag,
         coefficients=params[q:],
         log_pl=ll,
-        n_params=q + X.shape[1],
+        n_params=q + p,
         n_used=design.n_used,
         categories=tuple(categories),
         column_names=names[1:],

@@ -541,6 +541,24 @@ class TestGridScan:
 
         assert estimate._grid_argmax(parts) == dense_grid_argmax(parts) == 2050
 
+    def test_the_blocks_of_10_are_bounded_too(self):
+        # the points evaluated, against a scan that bounds only the blocks of 100 and evaluates each kept one
+        evaluated = one_level = 0
+        for _, s in field_sized_on_the_grid_path():
+            parts = grid_loglik(s)
+
+            def counted(alphas):
+                nonlocal evaluated
+                evaluated += alphas.size
+                return parts(alphas)
+
+            estimate._grid_argmax(counted)
+            rep, jump = parts(estimate._GRID.reshape(-1, 100)[:, [0, -1]].ravel())
+            best = np.max(rep + jump)
+            kept = rep[1::2] + jump[0::2] >= best - estimate._SLACK * abs(best)
+            one_level += rep.size + 100 * np.count_nonzero(kept)
+        assert evaluated <= 0.65 * one_level
+
     def test_refinement_reaches_a_dense_scan_around_the_grid_point(self):
         # alpha_hat is as good as a 1e-8 scan of the grid point +-1e-4, to 1e-12 of its value
         for seed, s in field_sized_on_the_grid_path():

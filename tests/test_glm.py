@@ -272,12 +272,13 @@ class TestMultinomial:
         s._windows[1] = np.array([[a - 1, 1], [1, b - 1]])
         d = build_design(s, 1)
         X, counts, *_ = d._prepared
-        starts, newton = [], glm._newton
-        monkeypatch.setattr(glm, "_newton", lambda evaluate, params: newton(evaluate, starts.append(params) or params))
+        newton = glm._newton
+        monkeypatch.setattr(glm, "_newton", None)  # the closed form is the fit: it never reaches Newton
         message = rf"^coefficient magnitude exceeded {MAX_COEF}$"
         with pytest.raises(Separation, match=message):
             fit_multinomial(d)
-        assert np.abs(starts[0]).max() == pytest.approx(np.log(a - 1) + np.log(b - 1))
+        optimum = np.linalg.solve(X, np.log(counts[:, :-1] / counts[:, -1:]))  # X B' = log(N_pj / N_p,ref)
+        assert np.abs(optimum).max() == pytest.approx(np.log(a - 1) + np.log(b - 1))
         with pytest.raises(Separation, match=message):  # Newton from zero passes the bound on its way there
             newton(glm._multinomial_evaluation(X, counts), np.zeros(2))
         (row,) = aic_table(s, "categorical", lags=(1,)).rows
@@ -749,6 +750,114 @@ class TestSquareStep:
         assert fit.iterations >= 10 and solves == []
 
 
+class TestClosedForms:
+    """A fit whose optimum is known takes it as a formula: the optimum Newton reaches from a neutral start.
+
+    Those fits are the multinomial logit on a saturated design (as many
+    seen patterns as kept columns, no zero count), every lag-0 design
+    among them, and the proportional odds with no slope column.
+    """
+
+    @staticmethod
+    def closed_form(design, family):
+        X, counts, *_ = design._prepared
+        if family == "categorical":
+            return counts.shape[0] == X.shape[1] and bool(np.all(counts))
+        return X.shape[1] == 1
+
+    @staticmethod
+    def fit_without_newton(design, family):
+        """The fit, or the message of the ``Separation`` it raises, with Newton and the evaluations out of reach."""
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("_newton", "_multinomial_evaluation", "_po_evaluation"):
+                mp.setattr(glm, name, None)
+            try:
+                return glm._FITTERS[family](design)
+            except Separation as exc:
+                return str(exc)
+
+    @staticmethod
+    def newton_from_a_neutral_start(design, family):
+        """``(params, log_pl)`` of Newton from zero, or from the cumulative logits shifted by +0.5; or its ``Separation``'s message."""
+        X, counts, categories, *_ = design._prepared
+        k_eff = len(categories)
+        if family == "categorical":
+            evaluate, start = glm._multinomial_evaluation(X, counts), np.zeros((k_eff - 1) * X.shape[1])
+        else:
+            response, pattern = np.nonzero(counts.T)
+            evaluate = glm._po_evaluation(X[pattern, 1:], response + 1, k_eff, counts.T[response, pattern])
+            cum = np.cumsum(counts.sum(axis=0) / design.n_used)[:-1]
+            start = np.log(cum / (1.0 - cum)) + 0.5  # still in order
+        try:
+            params, ll, _ = glm._newton(evaluate, start)
+        except Separation as exc:
+            return str(exc)
+        return params, ll
+
+    @given(
+        k=st.integers(2, 6),
+        share=st.floats(0.0, 0.3),
+        common_rows=st.booleans(),
+        n=st.integers(8, 400),
+        zero=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_a_closed_form_is_the_optimum_newton_reaches(self, k, share, common_rows, n, zero, seed):
+        rng = np.random.default_rng(seed)
+        forbid = [tuple(int(v) for v in rng.integers(1, k + 1, 2))] if zero else []
+        obs = markov_chain(k, n, seed, forbid)
+        obs[rng.random(obs.size) < share] = MISSING
+        s = series(obs.tolist(), k=k)
+        for lag in (0, 1, 2):
+            for family in ("categorical", "ordinal"):
+                try:
+                    build_design(s, lag)
+                    design = Design(s, lag, 2 if common_rows else lag)
+                    design._prepared
+                except DarcatError:
+                    continue
+                if not self.closed_form(design, family):
+                    continue
+                fit = self.fit_without_newton(design, family)
+                want = self.newton_from_a_neutral_start(design, family)
+                if isinstance(fit, str) or isinstance(want, str):
+                    assert fit == want
+                    continue
+                params, ll = want
+                got = fit.coefficients.ravel() if family == "categorical" else fit.cutpoints
+                assert fit.iterations == 0
+                assert abs(fit.log_pl - ll) <= 1e-12 * abs(ll)
+                assert np.max(np.abs(got - params)) <= 1e-6
+
+    @pytest.mark.parametrize("family", ["categorical", "ordinal"])
+    def test_a_lag0_optimum_beyond_the_bound_is_separation(self, family):
+        # one '1' among 10^14 '2's: log odds and cutpoint -log(10^14) = -32.2 < -MAX_COEF;
+        # its window counts stand in for its values
+        s = series([1, 2, 2], k=2)
+        s._windows[0] = np.array([1, 10**14])
+        d = build_design(s, 0)
+        assert self.closed_form(d, family)
+        message = f"coefficient magnitude exceeded {MAX_COEF}"
+        assert self.fit_without_newton(d, family) == self.newton_from_a_neutral_start(d, family) == message
+        (row,) = aic_table(s, family, lags=(0,)).rows
+        assert row.fit is None and row.n_used == 10**14 + 1 and row.error == message
+
+    def test_a_saturated_lag2_design(self):
+        # k = 2 and no 1, 1 followed by an observed value: the lag-2 patterns (1, 2), (2, 1) and (2, 2)
+        # are as many as the columns, and each is followed by both states
+        s = series([2, 2, 2, 2, 1, 2, MISSING, 2, 1, 2, 1, 2, 2, 2, 2, 1, 1], k=2)
+        d = build_design(s, 2)
+        X, counts, *_ = d._prepared
+        assert X.shape == (3, 3) and np.all(counts)
+        fit = self.fit_without_newton(d, "categorical")
+        params, ll = self.newton_from_a_neutral_start(d, "categorical")
+        assert fit.iterations == 0 and fit.log_pl == pytest.approx(ll, rel=1e-12, abs=0.0)
+        assert np.max(np.abs(fit.coefficients.ravel() - params)) <= 1e-6
+        expected = float(np.sum(counts * np.log(counts / counts.sum(axis=1, keepdims=True))))
+        assert fit.log_pl == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 @given(
     k=st.integers(2, 6),
     used=st.integers(1, 6),
@@ -795,7 +904,9 @@ class TestCells:
     def test_each_point_is_evaluated_once(self, monkeypatch, family):
         """One evaluation per point, its pieces computed once, one step per Newton step.
 
-        Each step builds a Hessian, but on a square multinomial design.
+        Each step builds a Hessian, but on a square multinomial design.  A
+        fit with a closed-form optimum, a saturated multinomial design or a
+        proportional-odds design with no slope column, evaluates nothing.
         """
         names = {
             "categorical": ("_multinomial_evaluation", "_multinomial_probs", "_multinomial_hessian"),
@@ -832,7 +943,7 @@ class TestCells:
         chain = generate_mnl_chain(600, seed=8) if family == "categorical" else generate_po_chain(600, seed=9)
         # no (2, 1) transition: the lag-1 design is square, with a zero count, so its multinomial fit steps
         gap = series(np.tile([1, 1, 2, 2, 3, 3, 1, 3, 2, 3], 8).tolist(), k=3)
-        stepped = {}
+        stepped, closed_forms = {}, 0
         for s, lags in ((chain, (0, 1, 2)), (gap, (1,))):
             for lag in lags:
                 for calls in (evaluated, pieced, steps, hessians):
@@ -841,10 +952,14 @@ class TestCells:
                 fit = glm._FITTERS[family](design)
                 X, counts, *_ = design._prepared
                 square = family == "categorical" and X.shape[0] == X.shape[1]
+                if (square and np.all(counts)) or (family == "ordinal" and X.shape[1] == 1):
+                    assert evaluated == pieced == steps == hessians == [] and fit.iterations == 0
+                    closed_forms += 1
+                    continue
                 assert len(steps) == fit.iterations and len(hessians) == (0 if square else fit.iterations)
                 assert pieced == evaluated and len(set(evaluated)) == len(evaluated) >= fit.iterations + 1
                 stepped[square] = stepped.get(square, 0) + fit.iterations
-        assert all(stepped.values())  # both kinds of step were taken
+        assert closed_forms and all(stepped.values())  # a closed form was met, and both kinds of step were taken
 
     @given(
         k=st.integers(2, 6),
