@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import montecarlo, render
-from .core import CatSeries, DarcatError, NotUtf8, StateSpace, parse_series, serialize_series, utf8_text
+from .core import CatSeries, DarcatError, NotUtf8, StateSpace, _series_bytes, parse_series, utf8_text
 from .dar import DarModel, MissingDarModel, simulate, simulate_with_missing
 from .estimate import (
     estimate_alpha_ls,
@@ -139,6 +139,7 @@ def _run_tests(series: CatSeries | None, level: float, alpha1: float | None):
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    """Draw a series and write its text: to ``--out`` as the writer's UTF-8 bytes, else to stdout as str."""
     pi = _parse_pi(args.pi)
     space = _read_states(args.states) if args.states else StateSpace.from_k(pi.size)
     model = DarModel(alpha=args.alpha, pi=pi, space=space)
@@ -146,11 +147,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         series = simulate_with_missing(MissingDarModel(model, args.beta), args.n, args.seed)
     else:
         series = simulate(model, args.n, args.seed)
-    text = serialize_series(series)
+    data = _series_bytes(series)
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        Path(args.out).write_bytes(data)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(data.decode())
     beta_txt = f" beta={args.beta}" if args.beta is not None else ""
     _err(
         f"simulated {len(series)} observations (n={args.n}) from alpha={args.alpha} "

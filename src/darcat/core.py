@@ -7,7 +7,8 @@ and the series operations work on it without a per-observation loop.
 Time labels are checked once, where they enter; derived series index
 their one stored array, and text is made of them only when they are read
 or written.  :func:`serialize_series` writes a series as one UTF-8 byte
-buffer, with no Python object per row or cell, and :func:`parse_series`
+buffer, with no Python object per row or cell (``simulate --out`` writes
+that buffer as it is), and :func:`parse_series`
 reads the text it writes for the stamps 0, 1, ... the same way, taking
 bytes as they are; any other text, such as a hand-kept record, is read
 row by row.  Both spell the stamps 0, 1, ... as 8-byte words: the reader
@@ -25,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import InitVar, dataclass, field
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -149,7 +150,11 @@ class CatSeries:
     ``obs``, the one stored form of the series, is a read-only int64 copy
     of the codes given: 1..k or ``MISSING``, n+1 of them for times 0..n.
     The codes must be a 1-D sequence of integers; floats, strings and
-    nested sequences are refused, not cast.
+    nested sequences are refused, not cast.  The callers in this package
+    that have just made a fresh int64 array of codes (:func:`parse_series`
+    reading bytes, the simulators and the derived series) hand it over with
+    ``_owned=True``, and the series keeps that array itself, made read-only,
+    with no copy; it is checked as any other.
     ``time_labels``, when given, carries one opaque stamp per index (no
     date parsing is attempted), checked here to read back from a series
     file.  Read, it is a tuple of str made on each read, or ``None``
@@ -165,10 +170,11 @@ class CatSeries:
     obs: np.ndarray
     time_labels: InitVar[Sequence[str] | None] = _TimeLabels()
     _stamps: np.ndarray | None = field(default=None, repr=False, kw_only=True)
+    _owned: InitVar[bool] = field(default=False, kw_only=True)  # not stored, so dataclasses.replace copies again
 
-    def __post_init__(self, time_labels: Sequence[str] | None) -> None:
+    def __post_init__(self, time_labels: Sequence[str] | None, _owned: bool) -> None:
         try:
-            obs = np.array(self.obs)
+            obs = self.obs if _owned else np.array(self.obs)
         except ValueError:  # numpy refuses a ragged nested sequence
             raise DarcatError("codes must be a 1-D sequence, got a ragged nested sequence") from None
         if obs.ndim != 1:
@@ -334,7 +340,7 @@ class CatSeries:
     def _at(self, kept: np.ndarray) -> "CatSeries":
         """The observations at the rising time indices ``kept``, with their stamps, unchecked."""
         stamps = kept if self._stamps is None else self._stamps[kept]
-        return CatSeries(self.space, self.obs[kept], _stamps=_unless_implicit(stamps))
+        return CatSeries(self.space, self.obs[kept], _stamps=_unless_implicit(stamps), _owned=True)
 
     def restrict_to_observed(self) -> tuple["CatSeries", tuple[str, ...]]:
         """The series on the sub-space of its observed categories (as is if all are), and the labels dropped."""
@@ -347,7 +353,7 @@ class CatSeries:
         sub = StateSpace(tuple(labels[present - 1]))
         codes = np.searchsorted(present, self.obs) + 1
         codes[self.obs == MISSING] = MISSING
-        return CatSeries(sub, codes, _stamps=self._stamps), tuple(np.delete(labels, present - 1))
+        return CatSeries(sub, codes, _stamps=self._stamps, _owned=True), tuple(np.delete(labels, present - 1))
 
 
 def _unless_implicit(stamps: np.ndarray) -> np.ndarray | None:
@@ -465,11 +471,13 @@ def parse_series(csv_text: str | bytes, space: StateSpace) -> CatSeries:
     as they are, a str encoded once), with no Python object per row or
     cell.  That text ends in "\n", its first line holds one comma and no
     other line break, and every other line is ``i,cell`` with i counting
-    from 0 and the cell a label or NA.  One scan finds the line breaks;
-    one unaligned 8-byte load per row compares each row's start with its
-    number's digits and a comma, and each value cell is coded by comparing
-    its bytes with each label's and "\n".  Labels hold no comma, line break
-    or surrounding whitespace, so such a text reads as it does row by row.
+    from 0 and the cell a label or NA.  One scan finds the line breaks,
+    whose offsets become the rows' starts in place; one unaligned 8-byte
+    load per row compares each row's start with its number's digits and a
+    comma, and :func:`_codes` walks each value cell's bytes through a byte
+    trie of the labels and NA.  The series keeps the codes it made, with no
+    copy.  Labels hold no comma, line break or surrounding whitespace, so
+    such a text reads as it does row by row.
     Any other text, hand-made with explicit stamps, spaces, CRLF or blank
     lines, is read row by row by :func:`_read_rows`, which also names the
     first bad row.  Bytes are then decoded once: :class:`NotUtf8` names the
@@ -484,13 +492,15 @@ def parse_series(csv_text: str | bytes, space: StateSpace) -> CatSeries:
             raise NotUtf8(f"not UTF-8 text ({exc.reason} at character {exc.start})") from None
     if data.endswith(b"\n") and _plain_header(data[: data.index(b"\n")]):
         buf = np.frombuffer(data, np.uint8)
-        starts = np.flatnonzero(buf == ord("\n"))[:-1] + 1  # where each line after the first begins
+        starts = np.flatnonzero(buf == ord("\n"))
+        starts += 1
+        starts = starts[:-1]  # where each line after the first begins
         if len(starts) >= 2:
             cells = _after_default_stamps(buf, starts)
             if cells is not None:
                 obs = _codes(buf, cells, space)
                 if obs.all():  # every value cell is a label or NA
-                    return CatSeries(space, obs)
+                    return CatSeries(space, obs, _owned=True)
     return _read_rows(utf8_text(data) if isinstance(csv_text, bytes) else csv_text, space)
 
 
@@ -535,15 +545,57 @@ def _codes(buf: np.ndarray, starts: np.ndarray, space: StateSpace) -> np.ndarray
 
     A value cell ends at a line break, which no label holds, so it is the
     label exactly when the bytes from its start are the label's and "\n".
+    All cells walk the byte trie of :func:`_trie` together, one byte
+    column at a time: each column is one take from ``buf`` and one from
+    the trie's steps.  A read past the end of ``buf`` is clipped to its
+    last byte, and so lies past a cell's line break or in a cell no label
+    matches.  The codes are written over the walk's own node array.
+    """
+    steps, codes, depth = _trie(space)
+    if len(buf) < depth:  # no column may take from an empty buf[j:]; copies of the last byte read as a clipped read
+        buf = np.concatenate((buf, np.full(depth, buf[-1])))
+    byte = np.empty(len(starts), np.uint8)
+    node = np.full(len(starts), 256, np.intp)  # every cell starts at the root
+    at = np.empty_like(node)
+    for j in range(depth):
+        buf[j:].take(starts, out=byte, mode="clip")
+        np.add(node, byte, out=at)
+        steps.take(at, out=node, mode="clip")  # every index is in range; "clip" writes out with no buffer
+    np.right_shift(node, 8, out=at)
+    return codes.take(at, out=node, mode="clip")
+
+
+@lru_cache(maxsize=64)
+def _trie(space: StateSpace) -> tuple[np.ndarray, np.ndarray, int]:
+    """The byte trie that :func:`_codes` walks on ``space``'s value cells: ``(steps, codes, depth)``.
+
+    Its nodes are the prefixes of each label + "\n" and of "NA\n".  Node 0
+    is dead and node 1, the empty prefix, is the root; a node is held as
+    its number times 256, so that adding a byte gives the index of its
+    step.  ``steps`` is the flat (nodes, 256) table of each node's next
+    node on each byte, intp and so wide enough for any number of nodes.  A
+    missing step leads to the dead node.  A node ending in "\n" is a whole
+    cell: it accepts, and every step from it leads back to itself, so no
+    byte read past the cell moves it.  ``codes`` holds, by node number, the
+    code of the cell a node accepts, and 0 for any other node.  ``depth``
+    is the longest cell's length in bytes.  One trie is built per state
+    space.
     """
     cells = [*(f"{label}\n".encode() for label in space.labels), b"NA\n"]
-    columns = np.empty((max(map(len, cells)), len(starts)), np.uint8)
-    for j, column in enumerate(columns):
-        buf[j:].take(starts, out=column, mode="clip")  # a clipped read lies past the cell's line break
-    obs = np.zeros(len(starts), np.int64)
+    node_of = {b"": 1}
+    for cell in cells:
+        for j in range(1, len(cell) + 1):
+            node_of.setdefault(cell[:j], len(node_of) + 1)
+    steps = np.zeros((len(node_of) + 1, 256), np.intp)
+    for prefix, node in node_of.items():
+        if prefix:
+            steps[node_of[prefix[:-1]], prefix[-1]] = node * 256
+    codes = np.zeros(len(steps), np.intp)
     for code, cell in zip([*range(1, space.k + 1), MISSING], cells):
-        np.copyto(obs, code, where=(columns[: len(cell)] == np.frombuffer(cell, np.uint8)[:, None]).all(axis=0))
-    return obs
+        node = node_of[cell]
+        codes[node] = code
+        steps[node] = node * 256
+    return (*_read_only(steps.ravel(), codes), max(map(len, cells)))
 
 
 def _after_default_stamps(buf: np.ndarray, starts: np.ndarray) -> np.ndarray | None:
@@ -553,18 +605,18 @@ def _after_default_stamps(buf: np.ndarray, starts: np.ndarray) -> np.ndarray | N
     :func:`_begins_with`; a row that matches has its comma d bytes after
     its start.  Its value cell holds no comma either when it is a label or
     NA, so the data rows then hold one comma each, and with the header's
-    one, the text holds one per line.
+    one, the text holds one per line.  ``starts`` is moved in place to the
+    cells' starts and returned, or left partly moved when ``None`` is.
     """
     reach = 8 * (len(str(len(starts) - 1)) // 8 + 1)  # the bytes the last row's loads read
     if len(buf) - starts[-1] < reach:  # a copy, only where the last rows are short
         buf = np.concatenate((buf, np.zeros(reach, np.uint8)))
-    cells = starts.copy()
     for d, first, words in _stamp_words(len(starts)):
         at = starts[first : first + len(words)]
         if not _begins_with(buf, at, words, d + 1):
             return None
-        cells[first : first + len(at)] += d + 1
-    return cells
+        at += d + 1
+    return starts
 
 
 def _begins_with(buf: np.ndarray, at: np.ndarray, words: np.ndarray, size: int) -> bool:
@@ -624,6 +676,14 @@ def _stamp_words(n: int):
 def serialize_series(series: CatSeries) -> str:
     """Inverse of :func:`parse_series`: ``parse_series(serialize_series(s), s.space) == s``.
 
+    The text is the UTF-8 buffer that :func:`_series_bytes` writes, decoded.
+    """
+    return _series_bytes(series).decode()
+
+
+def _series_bytes(series: CatSeries) -> bytes | bytearray:
+    """The text of :func:`serialize_series` as UTF-8 bytes, which ``simulate --out`` writes to its file as they are.
+
     Stamps that are time indices, the implicit ones or those a derived
     series keeps, are written into one byte buffer, one digit count at a
     time, where the rows of a block are equally long.  Each row's value
@@ -643,7 +703,7 @@ def serialize_series(series: CatSeries) -> str:
         rows[0] = "t,value\n"
         rows[1::2] = stamps.tolist()
         rows[2::2] = cells[series.obs].tolist()
-        return "".join(rows)
+        return "".join(rows).encode()
     cells = [b"", *(f"{label}\n".encode() for label in series.space.labels), b"NA\n"]
     written = [cell for cell, used in zip(cells, [False, *(series.state_counts > 0), series.has_missing]) if used]
     width = max(map(len, written))
@@ -670,7 +730,7 @@ def serialize_series(series: CatSeries) -> str:
         _put(out, at, row, words, d + 1, slack=0)
         at += (hi - lo) * row
     del out[size:]
-    return (out.translate(None, pad) if pad else out).decode()
+    return out.translate(None, pad) if pad else out
 
 
 def _put(out: bytearray, at: int, stride: int, words: np.ndarray, width: int, slack: int) -> None:

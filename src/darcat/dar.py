@@ -210,7 +210,7 @@ def simulate(model: DarModel, n: int, seed: int) -> CatSeries:
     probability alpha and otherwise redraws from pi.
     """
     path, _ = _latent_path(model, n, seed)
-    return CatSeries(model.space, path)
+    return CatSeries(model.space, path, _owned=True)
 
 
 def simulate_with_missing(model: MissingDarModel, n: int, seed: int) -> CatSeries:
@@ -222,7 +222,7 @@ def simulate_with_missing(model: MissingDarModel, n: int, seed: int) -> CatSerie
     """
     path, rng = _latent_path(model.base, n, seed)
     path[rng.random(n + 1) < model.beta] = MISSING
-    return CatSeries(model.base.space, path)
+    return CatSeries(model.base.space, path, _owned=True)
 
 
 def augmented_transition_matrix(model: MissingDarModel) -> np.ndarray:

@@ -34,10 +34,17 @@ SIMULATE_MIXED_WIDTH = [
 # inputs/separation_walk.csv is the stdout of this command: state 1 is never followed by 3, nor 3 by 1, so the
 # categorical lag-1 fit has no MLE and Newton walks off until a coefficient passes the bound
 SIMULATE_SEPARATION_WALK = ["simulate", "--alpha", "0.7", "--pi", "0.2,0.3,0.5", "--n", "30", "--seed", "2"]
+# inputs/prefix_labels.csv is the stdout of this command: the labels a, ab, é, éa and NAb are 1 to 3 bytes long,
+# and each but a starts with the bytes of a shorter label or of NA, so each value cell is told apart by its later bytes
+SIMULATE_PREFIX_LABELS = [
+    "simulate", "--alpha", "0.5", "--pi", "0.15,0.2,0.25,0.2,0.2", "--n", "400", "--seed", "9", "--beta", "0.2",
+    "--states", "inputs/states_prefix.txt",
+]
 
 CASES = {
     "simulate": SIMULATE,
     "simulate_beta": SIMULATE + ["--beta", "0.3", "--states", "inputs/states3.txt", "--out", "sim.csv"],
+    "simulate_prefix_labels_beta": SIMULATE_PREFIX_LABELS + ["--out", "sim.csv"],
     "fit_dar_complete_txt": FIT_DAR + ["inputs/complete.csv"],
     "fit_dar_complete_csv": FIT_DAR + ["inputs/complete.csv", "--format", "csv", "--out", "fit.csv"],
     "fit_dar_gapped_txt": FIT_DAR + ["inputs/gapped.csv", "--out", "fit.csv"],
@@ -51,6 +58,9 @@ CASES = {
     # inputs/handmade.csv is kept by hand: a byte-order mark, year stamps, CRLF line ends, spaces around cells,
     # a blank line, an NA and no final line break, so it is read by the row reader
     "fit_dar_handmade_txt": FIT_DAR + ["inputs/handmade.csv"],
+    "fit_dar_prefix_labels_csv": [
+        "fit-dar", "inputs/prefix_labels.csv", "--states", "inputs/states_prefix.txt", "--format", "csv",
+    ],
     "fit_dar_mixed_width_csv": ["fit-dar", "inputs/mixed_width.csv", "--states", "inputs/states10.txt", "--format", "csv"],
     "test_drop": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt", "--missing-policy", "drop"],
     "test_default": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt"],
@@ -75,6 +85,7 @@ GENERATED = {
     "long_gapped.csv": SIMULATE_LONG_GAPPED,
     "mixed_width.csv": SIMULATE_MIXED_WIDTH,
     "separation_walk.csv": SIMULATE_SEPARATION_WALK,
+    "prefix_labels.csv": SIMULATE_PREFIX_LABELS,
 }
 
 

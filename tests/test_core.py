@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from darcat import core
@@ -668,6 +668,82 @@ def test_stamp_words_are_found_at_unaligned_offsets_past_eight_digits():
         changed = bytearray(text)
         changed[21 + place] ^= 1
         assert not core._begins_with(np.frombuffer(bytes(changed), np.uint8), at, words, d + 1)
+
+
+def codes_reference(buf, starts, space):
+    """``core._codes`` as it was before it walked a byte trie: each cell's bytes compared with each label's and "\\n"."""
+    cells = [*(f"{label}\n".encode() for label in space.labels), b"NA\n"]
+    columns = np.empty((max(map(len, cells)), len(starts)), np.uint8)
+    for j, column in enumerate(columns):
+        buf[j:].take(starts, out=column, mode="clip")  # a clipped read lies past the cell's line break
+    obs = np.zeros(len(starts), np.int64)
+    for code, cell in zip([*range(1, space.k + 1), MISSING], cells):
+        np.copyto(obs, code, where=(columns[: len(cell)] == np.frombuffer(cell, np.uint8)[:, None]).all(axis=0))
+    return obs
+
+
+CODER_ALPHABET = "abNA\u00e9\u20ac\U0001f600"  # 1-, 2-, 3- and 4-byte characters, N and A to spell NA's prefixes
+
+
+@st.composite
+def coder_cases(draw):
+    """A state space of 2-40 labels of 1-12 UTF-8 bytes, each often another label or N or NA with more after it, and
+    a buffer of value cells: labels, NA, their prefixes, cells longer than every label and other bytes.
+
+    Returns ``(space, buf, starts)``.  A junk first line keeps the buffer longer than every cell; the last cell ends
+    the buffer, with or without its line break.
+    """
+    pieces = draw(st.lists(st.tuples(st.integers(0, 40), st.text(CODER_ALPHABET, max_size=6)), min_size=2, max_size=40))
+    labels = []
+    for stem, rest in pieces:
+        stems = ["", "N", "NA", *labels]
+        label = stems[stem % len(stems)] + rest
+        if 1 <= len(label.encode()) <= 12 and label != "NA" and label not in labels:
+            labels.append(label)
+    assume(len(labels) >= 2)
+    known = [label.encode() for label in labels] + [b"NA"]
+    cell = st.one_of(
+        st.sampled_from(known),
+        st.sampled_from(known).flatmap(lambda c: st.integers(0, len(c) - 1).map(lambda j: c[:j])),  # a prefix
+        st.tuples(st.sampled_from(known), st.text(CODER_ALPHABET, min_size=1)).map(lambda t: t[0] + t[1].encode()),
+        st.sampled_from(known).map(lambda c: c + b"x" * 13),  # longer than every label
+        st.binary(max_size=14).map(lambda b: b.replace(b"\n", b"")),
+    )
+    cells = draw(st.lists(cell, min_size=1, max_size=60))
+    head = b"x" * 14 + b"\n"
+    buf = head + b"\n".join(cells) + (b"\n" if draw(st.booleans()) else b"")
+    starts = len(head) + np.cumsum([0, *(len(c) + 1 for c in cells[:-1])])
+    return StateSpace(tuple(labels)), np.frombuffer(buf, np.uint8), starts
+
+
+@given(case=coder_cases())
+@settings(max_examples=300, deadline=None)
+def test_the_cell_coder_codes_as_the_per_label_compare(case):
+    space, buf, starts = case
+    codes = core._codes(buf, starts, space)
+    assert codes.dtype == np.int64
+    assert codes.tolist() == codes_reference(buf, starts, space).tolist()
+
+
+def test_the_cell_coder_walks_a_trie_of_over_255_nodes():
+    """40 labels of 12 bytes share at most their first 2, so the trie has 450 nodes, the dead one included."""
+    labels = [f"L{j:02d}" + "abcdefghi"[j % 9 :] + "abcdefghi"[: j % 9] for j in range(40)]
+    space = StateSpace(tuple(labels))
+    steps, _, _ = core._trie(space)
+    assert steps.size // 256 == 450
+    cells = [*labels, "NA", labels[-1][:-1], labels[0] + "x", "L", "M"]
+    buf = np.frombuffer(("\n".join(cells) + "\n").encode(), np.uint8)
+    starts = np.cumsum([0, *(len(c.encode()) + 1 for c in cells[:-1])])
+    assert core._codes(buf, starts, space).tolist() == codes_reference(buf, starts, space).tolist()
+    assert core._codes(buf, starts, space).tolist() == [*range(1, 41), MISSING, 0, 0, 0, 0]
+
+
+def test_a_short_text_reads_on_labels_longer_than_it():
+    """The coder reads as many byte columns as the longest label has bytes, more than this text holds."""
+    space = StateSpace(("a", "b" * 30))
+    assert parse_series("t,v\n0,a\n1,a\n", space) == CatSeries(space, (1, 1))
+    with pytest.raises(UnknownLabel):
+        parse_series("t,v\n0,a\n1,b\n", space)
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from golden_cases import CASES, GOLDEN, SIMULATE_LONG_GAPPED, SIMULATE_MIXED_WIDTH, SIMULATE_SEPARATION_WALK, outputs
+from golden_cases import (
+    CASES,
+    GOLDEN,
+    SIMULATE_LONG_GAPPED,
+    SIMULATE_MIXED_WIDTH,
+    SIMULATE_PREFIX_LABELS,
+    SIMULATE_SEPARATION_WALK,
+    outputs,
+)
 
 from darcat.cli import main
 
@@ -51,6 +59,11 @@ def test_the_mixed_width_input_is_what_simulate_writes(tmp_path):
 def test_the_separation_walk_input_is_what_simulate_writes(tmp_path):
     produced = run_case(SIMULATE_SEPARATION_WALK, tmp_path)
     assert produced["stdout"] == (GOLDEN / "inputs" / "separation_walk.csv").read_bytes()
+
+
+def test_the_prefix_labels_input_is_what_simulate_writes(tmp_path):
+    produced = run_case(SIMULATE_PREFIX_LABELS, tmp_path)
+    assert produced["stdout"] == (GOLDEN / "inputs" / "prefix_labels.csv").read_bytes()
 
 
 @pytest.mark.parametrize("case", sorted(CASES))

@@ -6,13 +6,16 @@ and the response collapse of ``glm._prepare`` used to run; the
 vectorised code must agree with them exactly, dtypes included.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from darcat import core
 from darcat.cli import _test_series
-from darcat.core import MISSING, CatSeries, DarcatError, StateSpace, TooShort
+from darcat.core import MISSING, CatSeries, DarcatError, StateSpace, TooShort, parse_series
 from darcat.dar import DarModel
 from darcat.glm import NoUsableRows, _prepare, build_design
 
@@ -161,6 +164,47 @@ def test_series_does_not_share_the_callers_array():
     assert series.obs.tolist() == [1, 2, 2]
     with pytest.raises(ValueError):
         series.obs[0] = 2
+
+
+def test_series_does_not_share_a_read_only_view_of_a_writable_array():
+    codes = np.array([1, 2, 2])
+    view = codes.view()
+    view.setflags(write=False)
+    series = CatSeries(StateSpace.from_k(2), view)
+    assert not np.shares_memory(series.obs, codes)
+    codes[0] = 2
+    assert series.obs.tolist() == [1, 2, 2]
+
+
+def test_series_does_not_share_a_read_only_int64_array():
+    codes = np.array([1, 2, 2], np.int64)
+    codes.setflags(write=False)
+    series = CatSeries(StateSpace.from_k(2), codes)
+    assert not np.shares_memory(series.obs, codes)
+
+
+def test_a_parsed_text_keeps_the_codes_its_coder_made(monkeypatch):
+    """The byte path of ``parse_series`` hands its fresh codes to the series, which keeps them with no copy."""
+    made = []
+
+    def coder(*args):
+        made.append(code_cells(*args))
+        return made[-1]
+
+    code_cells = core._codes
+    monkeypatch.setattr(core, "_codes", coder)
+    space = StateSpace(("low", "high"))
+    series = parse_series("t,value\n" + "".join(f"{t},{'low' if t % 3 else 'high'}\n" for t in range(1000)), space)
+    assert len(made) == 1 and series.obs is made[0]
+    assert not series.obs.flags.writeable
+
+
+def test_replace_copies_the_codes_it_is_given():
+    """A series that kept its maker's codes passes nothing of that on: ``dataclasses.replace`` copies new codes."""
+    series = parse_series("t,value\n0,1\n1,2\n2,2\n", StateSpace.from_k(2))
+    codes = np.array([2, 1, 1])
+    replaced = dataclasses.replace(series, obs=codes)
+    assert not np.shares_memory(replaced.obs, codes)
 
 
 def test_model_does_not_share_the_callers_array():
