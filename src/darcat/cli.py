@@ -60,13 +60,16 @@ def _read_states(path: str) -> StateSpace:
 
 
 def _load_series(paths: list[str], states: str) -> CatSeries:
-    """The series in the CSV files at ``paths``, over the ``states`` file's labels; several are joined in order."""
+    """The series in the CSV files at ``paths``, over the ``states`` file's labels.
+
+    Several files are joined in order as codes alone: the joined series
+    has the implicit stamps 0..n, as no command reads a series' stamps.
+    """
     space = _read_states(states)
     parts = [_read(p, lambda data: parse_series(data, space)) for p in paths]
     if len(parts) == 1:
         return parts[0]
-    obs = np.concatenate([s.obs for s in parts])
-    return CatSeries(space, obs, np.concatenate([s.stamps() for s in parts]).tolist())
+    return CatSeries(space, np.concatenate([s.obs for s in parts]), _owned=True)
 
 
 def _parse_pi(text: str) -> np.ndarray:

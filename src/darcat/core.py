@@ -8,15 +8,15 @@ Time labels are checked once, where they enter; derived series index
 their one stored array, and text is made of them only when they are read
 or written.  :func:`serialize_series` writes a series as one UTF-8 byte
 buffer, with no Python object per row or cell (``simulate --out`` writes
-that buffer as it is), and :func:`parse_series`
-reads the text it writes for the stamps 0, 1, ... the same way, taking
-bytes as they are; any other text, such as a hand-kept record, is read
-row by row.  Both spell the stamps 0, 1, ... as 8-byte words: the reader
-compares each row's start with its word by one unaligned load, and the
-writer stores each row's stamp and value cell as integers.  All
-containers are immutable after construction and safe to share across
-threads; every operation here is a pure function.  The facts
-that the estimators, tests and fits read off a series (its state counts,
+that buffer as it is), and :func:`parse_series` reads the text it writes
+for the stamps 0, 1, ..., its ``t,value`` header included, the same way,
+taking bytes as they are; any other text, such as a hand-kept record or
+one with a renamed header, is read row by row.  Both spell the stamps 0,
+1, ... as 8-byte words: the reader compares each row's start with its
+word by one unaligned load, and the writer stores each row's stamp and
+value cell as integers.  All containers are immutable after
+construction and safe to share across threads; every operation here is a
+pure function.  The facts that the estimators, tests and fits read off a series (its state counts,
 per-gap pair table, runs and window tables) are cached, computed on
 first read; two threads reading one at once at most compute it twice.
 The pair table is read off the runs, so one scan finds both.
@@ -31,6 +31,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 MISSING = -1
+_HEADER = b"t,value\n"  # the header line the writer writes and the byte reader reads
 
 __all__ = [
     "MISSING",
@@ -469,19 +470,20 @@ def parse_series(csv_text: str | bytes, space: StateSpace) -> CatSeries:
     The text that :func:`serialize_series` writes for the stamps 0..n,
     which ``simulate`` writes too, is read as one UTF-8 byte buffer (bytes
     as they are, a str encoded once), with no Python object per row or
-    cell.  That text ends in "\n", its first line holds one comma and no
-    other line break, and every other line is ``i,cell`` with i counting
-    from 0 and the cell a label or NA.  One scan finds the line breaks,
-    whose offsets become the rows' starts in place; one unaligned 8-byte
-    load per row compares each row's start with its number's digits and a
-    comma, and :func:`_codes` walks each value cell's bytes through a byte
-    trie of the labels and NA.  The series keeps the codes it made, with no
-    copy.  Labels hold no comma, line break or surrounding whitespace, so
-    such a text reads as it does row by row.
-    Any other text, hand-made with explicit stamps, spaces, CRLF or blank
-    lines, is read row by row by :func:`_read_rows`, which also names the
-    first bad row.  Bytes are then decoded once: :class:`NotUtf8` names the
-    first bad byte's offset, or a str's first lone surrogate.
+    cell.  That text starts with the header line ``t,value`` and ends in
+    "\n", and every other line is ``i,cell`` with i counting from 0 and
+    the cell a label or NA.  One scan finds the line breaks, whose offsets
+    become the rows' starts in place; one unaligned 8-byte load per row
+    compares each row's start with its number's digits and a comma, and
+    :func:`_codes` walks each value cell's bytes through a byte trie of
+    the labels and NA.  The series keeps the codes it made, with no copy.
+    Labels hold no comma, line break or surrounding whitespace, so such a
+    text reads as it does row by row.
+    Any other text, hand-made with another header, explicit stamps,
+    spaces, CRLF or blank lines, is read row by row by :func:`_read_rows`,
+    which also names the first bad row.  Bytes are then decoded once:
+    :class:`NotUtf8` names the first bad byte's offset, or a str's first
+    lone surrogate.
     """
     if isinstance(csv_text, bytes):
         data = csv_text
@@ -490,7 +492,7 @@ def parse_series(csv_text: str | bytes, space: StateSpace) -> CatSeries:
             data = csv_text.encode()
         except UnicodeEncodeError as exc:
             raise NotUtf8(f"not UTF-8 text ({exc.reason} at character {exc.start})") from None
-    if data.endswith(b"\n") and _plain_header(data[: data.index(b"\n")]):
+    if data.startswith(_HEADER) and data.endswith(b"\n"):
         buf = np.frombuffer(data, np.uint8)
         starts = np.flatnonzero(buf == ord("\n"))
         starts += 1
@@ -502,15 +504,6 @@ def parse_series(csv_text: str | bytes, space: StateSpace) -> CatSeries:
                 if obs.all():  # every value cell is a label or NA
                     return CatSeries(space, obs, _owned=True)
     return _read_rows(utf8_text(data) if isinstance(csv_text, bytes) else csv_text, space)
-
-
-def _plain_header(header: bytes) -> bool:
-    """Whether ``header`` is UTF-8 with one comma and none of the line breaks str.splitlines knows besides "\n"."""
-    try:
-        text = header.decode()
-    except UnicodeDecodeError:
-        return False
-    return text.count(",") == 1 and not any(c in text for c in _LINE_BREAKS)
 
 
 def _read_rows(text: str, space: StateSpace) -> CatSeries:
@@ -684,9 +677,10 @@ def serialize_series(series: CatSeries) -> str:
 def _series_bytes(series: CatSeries) -> bytes | bytearray:
     """The text of :func:`serialize_series` as UTF-8 bytes, which ``simulate --out`` writes to its file as they are.
 
-    Stamps that are time indices, the implicit ones or those a derived
-    series keeps, are written into one byte buffer, one digit count at a
-    time, where the rows of a block are equally long.  Each row's value
+    Both branches write the header ``t,value`` first, the one header that
+    :func:`parse_series` reads as bytes.  Stamps that are time indices,
+    the implicit ones or those a derived series keeps, are written into
+    one byte buffer, one digit count at a time, where the rows of a block are equally long.  Each row's value
     cell (its label and line break) goes in first, by one 1-, 2-, 4- or
     8-byte integer store (one per 8 bytes of a longer cell) into a strided
     view; a store may run on into the next row's stamp.  The stamp and its
@@ -700,7 +694,7 @@ def _series_bytes(series: CatSeries) -> bytes | bytearray:
     if stamps is not None and stamps.dtype == object:
         cells = np.array(["", *(f",{label}\n" for label in series.space.labels), ",NA\n"], dtype=object)
         rows = [None] * (2 * len(series) + 1)
-        rows[0] = "t,value\n"
+        rows[0] = _HEADER.decode()
         rows[1::2] = stamps.tolist()
         rows[2::2] = cells[series.obs].tolist()
         return "".join(rows).encode()
@@ -709,17 +703,17 @@ def _series_bytes(series: CatSeries) -> bytes | bytearray:
     width = max(map(len, written))
     pad = b""
     if any(len(cell) != width for cell in written):
-        taken = set(b"".join(written) + b"t,value\n0123456789")  # every byte the text holds
+        taken = set(b"".join(written) + _HEADER + b"0123456789")  # every byte the text holds
         pad = bytes([min(set(range(256)) - taken)])  # UTF-8 never holds some bytes, so one is free
     span = -(-width // 8) * 8
     table = np.frombuffer(b"".join(cell[:span].ljust(span, pad or b"\0") for cell in cells), "<u8").reshape(len(cells), -1)
     last = len(series) - 1 if stamps is None else int(stamps[-1])
     edges = [0, *(10**d for d in range(1, len(str(last)) + 1))]
     bounds = np.minimum(edges, len(series)) if stamps is None else np.searchsorted(stamps, edges)
-    size = 8 + int(np.diff(bounds) @ (np.arange(2, len(edges) + 1) + width))
+    size = len(_HEADER) + int(np.diff(bounds) @ (np.arange(2, len(edges) + 1) + width))
     out = bytearray(size + 8)  # the last row's cell store may run on 7 bytes past the text
-    out[:8] = b"t,value\n"
-    at = 8
+    at = len(_HEADER)
+    out[:at] = _HEADER
     for (d, first, words), lo, hi in zip(_stamp_words(last + 1), bounds[:-1], bounds[1:]):
         if lo == hi:
             continue

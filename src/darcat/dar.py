@@ -137,19 +137,13 @@ def _inverse_cdf(pi: np.ndarray, u: np.ndarray) -> np.ndarray:
 
     The code is 1 plus the number of the k-1 thresholds cumsum(pi)[:-1]
     that u reaches, so a u at or above the last threshold is state k even
-    when the cumulative sum ends below 1.  Up to k = 32 the thresholds are
-    counted by k-1 passes of ``u >= c``, from k = 33 by a binary search.
-    On contiguous arrays of fresh uniforms, the run starts that
-    :func:`_runs` passes, on one Xeon core, the passes take 0.2 to 0.3 of
-    ``np.searchsorted``'s time at k = 2 and 3, 0.4 to 0.5 at k = 9 and 10,
-    0.8 to 0.9 at k = 32 and 1.0 to 1.1 at k = 36 to 40, for 5,000 to 10^6
-    uniforms; below about a thousand uniforms either takes microseconds.
+    when the cumulative sum ends below 1.  The thresholds are counted by
+    k-1 passes of ``u >= c``: on 10^6 uniforms on one Xeon core they take
+    a quarter of ``np.searchsorted``'s time at k = 3, half at k = 10 and as
+    long at k = 33 to 40, above any k the study (2, 3) or the benchmark's
+    records (3 to 10) use.
     """
     thresholds = np.cumsum(pi)[:-1]
-    if thresholds.size >= 32:
-        idx = np.searchsorted(thresholds, u, side="right")
-        idx += 1
-        return idx
     idx = np.ones(u.shape, dtype=np.intp)
     for c in thresholds:
         idx += u >= c
@@ -195,12 +189,18 @@ def draw_paths(model: DarModel, u: np.ndarray) -> np.ndarray:
 
 
 def _latent_path(model: DarModel, n: int, seed: int) -> tuple[np.ndarray, np.random.Generator]:
-    """X_0..X_n drawn from the first 2n+1 uniforms of ``default_rng(seed)``, and that generator to draw on from."""
+    """X_0..X_n drawn from the first 2n+1 uniforms of ``default_rng(seed)``, and that generator to draw on from.
+
+    This is row 0 of :func:`draw_paths`.  The uniforms are a temporary of
+    the call to :func:`_runs`, so their 16 bytes per step are freed when it
+    returns, before the path is laid out.
+    """
     if n < 1:
         raise DarcatError(f"n must be >= 1, got {n}")
     _check_size(f"n={n}", 8 * (2 * int(n) + 1))
     rng = np.random.default_rng(seed)
-    return draw_paths(model, rng.random((1, 2 * n + 1)))[0], rng
+    starts, codes = _runs(model, rng.random((1, 2 * n + 1)))
+    return np.repeat(codes, np.diff(starts, append=n + 1)), rng
 
 
 def simulate(model: DarModel, n: int, seed: int) -> CatSeries:

@@ -40,6 +40,12 @@ SIMULATE_PREFIX_LABELS = [
     "simulate", "--alpha", "0.5", "--pi", "0.15,0.2,0.25,0.2,0.2", "--n", "400", "--seed", "9", "--beta", "0.2",
     "--states", "inputs/states_prefix.txt",
 ]
+# inputs/renamed_header.csv is the stdout of this command with its header "t,value" made "week,class": a hand
+# edit that keeps every data row as simulate writes it, so it is read by the row reader
+SIMULATE_RENAMED_HEADER = [
+    "simulate", "--alpha", "0.6", "--pi", "0.3,0.3,0.4", "--n", "300", "--seed", "7", "--beta", "0.1",
+    "--states", "inputs/states3.txt",
+]
 
 CASES = {
     "simulate": SIMULATE,
@@ -61,6 +67,7 @@ CASES = {
     "fit_dar_prefix_labels_csv": [
         "fit-dar", "inputs/prefix_labels.csv", "--states", "inputs/states_prefix.txt", "--format", "csv",
     ],
+    "fit_dar_renamed_header_csv": FIT_DAR + ["inputs/renamed_header.csv", "--format", "csv"],
     "fit_dar_mixed_width_csv": ["fit-dar", "inputs/mixed_width.csv", "--states", "inputs/states10.txt", "--format", "csv"],
     "test_drop": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt", "--missing-policy", "drop"],
     "test_default": ["test", "inputs/gapped.csv", "--states", "inputs/states4.txt"],
@@ -68,6 +75,9 @@ CASES = {
     # lags 0 and 1 of the categorical fit are saturated, so they start at their closed-form optimum
     "fit_glm_complete_csv": ["fit-glm", "inputs/complete.csv", "--states", "inputs/states3.txt", "--format", "csv"],
     "fit_glm_handmade_csv": ["fit-glm", "inputs/handmade.csv", "--states", "inputs/states3.txt", "--format", "csv"],
+    "fit_glm_renamed_header_csv": [
+        "fit-glm", "inputs/renamed_header.csv", "--states", "inputs/states3.txt", "--format", "csv",
+    ],
     "fit_glm_md": FIT_GLM + ["--format", "md"],
     "fit_glm_txt": FIT_GLM,
     "fit_glm_common_csv": FIT_GLM + ["--common-rows", "--format", "csv"],

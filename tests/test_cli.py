@@ -9,8 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from darcat import dar, independence
-from darcat.cli import _read_states, main
-from darcat.core import StateSpace, parse_series, serialize_series
+from darcat.cli import _load_series, _read_states, main
+from darcat.core import CatSeries, StateSpace, parse_series, serialize_series
 from darcat.dar import DarModel, MissingDarModel, simulate_with_missing
 
 
@@ -131,6 +131,23 @@ def test_fit_dar_concatenates_files(tmp_path, capsys, states2):
     code, text, _ = run(capsys, "fit-dar", *files, "--states", states2)
     assert code == 0
     assert "208 positions" in text
+
+
+def test_several_files_join_as_codes_without_making_stamps_text(tmp_path, monkeypatch, states2):
+    """The joined series is its parts' codes end to end, with the implicit stamps, whatever stamps the parts hold."""
+    written = simulate_with_missing(MissingDarModel(DarModel.from_pi(0.4, np.array([0.5, 0.5])), 0.2), 30, seed=3)
+    (tmp_path / "a.csv").write_text(serialize_series(written))
+    (tmp_path / "b.csv").write_text("year,value\n1975,2\n1976,NA\n1977,1\n")
+    files = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv"), str(tmp_path / "a.csv")]
+
+    def refuse(series):
+        raise AssertionError("a joined series' stamps were made text")
+
+    monkeypatch.setattr(CatSeries, "stamps", refuse)
+    joined = _load_series(files, states2)
+    codes = np.concatenate([written.obs, [2, -1, 1], written.obs])
+    assert joined == CatSeries(StateSpace.from_k(2), codes)
+    assert joined.time_labels is None
 
 
 def test_fit_dar_csv_format(tmp_path, capsys, states2):

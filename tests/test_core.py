@@ -534,7 +534,7 @@ PATH_LABELS = {
 
 
 def hand_made(text):
-    """``text``, as the writer writes it for stamps 0..n, with each of five differences a hand-kept file may have."""
+    """``text``, as the writer writes it for stamps 0..n, with each of six differences a hand-kept file may have."""
     lines = text.split("\n")  # the last is empty, as the text ends in a line break
     mid = len(lines) // 2
     return {
@@ -543,6 +543,7 @@ def hand_made(text):
         "space-around-a-cell": "\n".join([*lines[:mid], lines[mid] + " ", *lines[mid + 1 :]]),
         "blank-line": "\n".join([*lines[:mid], "", *lines[mid:]]),
         "no-final-line-break": text[:-1],
+        "renamed-header": text.replace("t,value\n", "week,class\n", 1),
     }
 
 

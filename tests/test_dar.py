@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -243,6 +244,20 @@ def test_draw_paths_rows_follow_the_recursion(alpha, pi):
     assert np.array_equal(simulate(m, 40, 9).obs, draw_paths(m, np.random.default_rng(9).random((1, 81)))[0])
 
 
+def test_simulate_frees_its_uniforms_before_laying_out_the_path():
+    """The uniforms (16 bytes a step) and the path (8) are never held at once: the peak stays below 28 bytes a step."""
+    m = model(0.6, [0.3, 0.3, 0.4])
+    n = 10**6
+    simulate(m, 10, 1)  # nothing first-call-only counts
+    tracemalloc.start()
+    try:
+        simulate(m, n, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 28 * (n + 1), peak / (n + 1)
+
+
 def test_runs_of_hand_made_uniforms():
     """A redraw that picks the code it replaces starts a run; a row without a redraw is one run."""
     m = model(0.5, [0.5, 0.5])
@@ -297,7 +312,7 @@ def inverse_cdf_reference(pi, u):
 
 @pytest.mark.parametrize("k", [*range(2, 21), 32, 33, 40, 1000])
 def test_inverse_cdf_equals_the_binary_search(k):
-    """Both sides of the k = 33 switch between counting passes and the binary search."""
+    """The counting passes draw what the binary search draws, at every k from 2 to 1000."""
     rng = np.random.default_rng(k)
     zeros = rng.dirichlet(np.ones(k))
     zeros[rng.permutation(k)[: k // 2]] = 0.0  # equal thresholds, and states that cannot be drawn

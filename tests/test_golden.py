@@ -23,6 +23,7 @@ from golden_cases import (
     SIMULATE_LONG_GAPPED,
     SIMULATE_MIXED_WIDTH,
     SIMULATE_PREFIX_LABELS,
+    SIMULATE_RENAMED_HEADER,
     SIMULATE_SEPARATION_WALK,
     outputs,
 )
@@ -64,6 +65,13 @@ def test_the_separation_walk_input_is_what_simulate_writes(tmp_path):
 def test_the_prefix_labels_input_is_what_simulate_writes(tmp_path):
     produced = run_case(SIMULATE_PREFIX_LABELS, tmp_path)
     assert produced["stdout"] == (GOLDEN / "inputs" / "prefix_labels.csv").read_bytes()
+
+
+def test_the_renamed_header_input_is_what_simulate_writes_under_another_header(tmp_path):
+    produced = run_case(SIMULATE_RENAMED_HEADER, tmp_path)
+    renamed = (GOLDEN / "inputs" / "renamed_header.csv").read_bytes()
+    assert produced["stdout"] == b"t,value\n" + renamed.removeprefix(b"week,class\n")
+    assert renamed.startswith(b"week,class\n")
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
